@@ -84,7 +84,7 @@ from ..db.outofcore import (
     PartitionedCounter,
     SnapshotPartitionHandle,
 )
-from ..db.parallel import MAX_WORKERS_ENV
+from ..db.shm import MAX_WORKERS_ENV
 from ..db.snapshot import load_snapshot
 from ..db.transaction_db import TransactionDatabase
 from ..obs.instrument import NOOP, Instrumentation

@@ -13,14 +13,14 @@ benchmark smoke job tracks across PRs::
     python -m repro.bench.engines --out benchmarks/BENCH_counting.json
 
 The JSON carries the benchmark cell (T10.I4.D100K at 1.5% by default),
-the host's core count (the ``sharded`` speedup only materialises with
+the host's core count (the ``shm`` speedup only materialises with
 multiple cores), and the headline ratios ``speedup_packed_vs_bitmap`` and
-``speedup_sharded_vs_packed``.
+``speedup_shm_vs_packed``.
 
 ``--density-sweep`` instead runs the compressed-tier cells — a sparse
 Zipf long-tail basket set and a dense Quest workload — reporting
-``speedup_roaring_vs_packed`` per cell plus the roaring engine's tier,
-container mix, and compression ratio::
+``speedup_roaring_vs_packed`` per cell plus the ``auto`` engine decision,
+the roaring container mix, and the compression ratio::
 
     python -m repro.bench.engines --density-sweep \
         --out benchmarks/BENCH_density.json
@@ -39,7 +39,6 @@ from ..core.pincer import PincerSearch
 from ..datagen import generate, parse_name, zipf_baskets
 from ..db.base import SupportCounter
 from ..db.counting import available_engines, engine_decision, get_counter
-from ..db.parallel import ShardedCounter
 from ..db.roaring import RoaringIndex
 from ..db.shm import ShmShardedCounter
 from ..db.transaction_db import TransactionDatabase
@@ -49,7 +48,6 @@ from .trajectory import record_run
 
 __all__ = [
     "RecordingCounter",
-    "measure_worker_startup",
     "record_batches",
     "run_counting_benchmark",
     "run_density_sweep",
@@ -152,7 +150,7 @@ def run_counting_benchmark(
                 measured[name]["prefix_cache_misses"] = (
                     counter.prefix_cache_misses
                 )
-            if isinstance(counter, ShardedCounter):
+            if isinstance(counter, ShmShardedCounter):
                 measured[name]["num_shards"] = len(counter.shard_rows)
                 measured[name]["last_shard_seconds"] = [
                     round(shard_seconds, 6)
@@ -162,7 +160,6 @@ def run_counting_benchmark(
                     round(startup, 6)
                     for startup in counter.worker_startup_seconds
                 ]
-            if isinstance(counter, ShmShardedCounter):
                 measured[name]["plane"] = counter.plane
                 measured[name]["attach_seconds"] = round(
                     counter.last_attach_seconds, 6
@@ -192,16 +189,11 @@ def run_counting_benchmark(
     }
     bitmap = measured.get("bitmap", {}).get("seconds")
     packed = measured.get("packed", {}).get("seconds")
-    sharded = measured.get("sharded", {}).get("seconds")
     shm = measured.get("shm", {}).get("seconds")
     if bitmap and packed:
         record["speedup_packed_vs_bitmap"] = round(bitmap / packed, 3)
-    if packed and sharded:
-        record["speedup_sharded_vs_packed"] = round(packed / sharded, 3)
-    if sharded and shm:
-        record["speedup_shm_vs_sharded"] = round(sharded / shm, 3)
-    if "sharded" in measured and "shm" in measured:
-        record["worker_startup"] = measure_worker_startup(db)
+    if packed and shm:
+        record["speedup_shm_vs_packed"] = round(packed / shm, 3)
     return record
 
 
@@ -211,8 +203,8 @@ def run_counting_benchmark(
 SPARSE_SWEEP_ROWS = 1000000
 
 #: The dense density-sweep cell: a concentrated Quest workload over a
-#: 60-item universe (mean column density ~0.17, above the roaring
-#: engine's DENSE_CUTOFF), where the ladder must step down to ``packed``.
+#: 60-item universe (mean column density ~0.17, above
+#: AUTO_ROARING_MAX_DENSITY), where ``auto`` picks ``packed``.
 DENSE_SWEEP_NAME = "T10.I4.D20K"
 
 
@@ -242,14 +234,14 @@ def run_density_sweep(
     Returns one counting-benchmark-shaped record per cell (so each cell
     keys its own trajectory baseline): a sparse Zipf long-tail cell where
     the roaring containers should win outright, and a dense Quest cell
-    where the fallback ladder resolves to ``packed`` and the compressed
-    facade must stay within noise of it.  Every engine is verified
-    count-identical on every cell before it is timed.
+    where ``auto`` resolves to ``packed``.  Each cell records the
+    ``engine_decision(db, "auto")`` choice with its evidence.  Every
+    engine is verified count-identical on every cell before it is timed.
     """
     cells: List[Dict] = []
     for database, db, pct in _density_cells(scale):
         batches = record_batches(db, pct)
-        decision = engine_decision(db)
+        decision = engine_decision(db, "auto")
         measured: Dict[str, Dict] = {}
         reference: Optional[List[Dict]] = None
         for name in engines:
@@ -268,21 +260,17 @@ def run_density_sweep(
                 "passes": len(batches),
                 "itemsets_counted": counter.itemsets_counted,
             }
-            tier = getattr(counter, "tier", None)
-            if tier is not None:
-                entry["tier"] = tier
-                entry["density"] = round(counter.density, 6)
-                index = counter._index
-                if isinstance(index, RoaringIndex):
-                    entry["containers"] = index.container_counts()
-                    compressed = index.compressed_bytes()
-                    dense_bytes = index.dense_bytes()
-                    entry["compressed_bytes"] = compressed
-                    entry["dense_bytes"] = dense_bytes
-                    if compressed:
-                        entry["compression_ratio"] = round(
-                            dense_bytes / compressed, 3
-                        )
+            index = getattr(counter, "_index", None)
+            if isinstance(index, RoaringIndex):
+                entry["containers"] = index.container_counts()
+                compressed = index.compressed_bytes()
+                dense_bytes = index.dense_bytes()
+                entry["compressed_bytes"] = compressed
+                entry["dense_bytes"] = dense_bytes
+                if compressed:
+                    entry["compression_ratio"] = round(
+                        dense_bytes / compressed, 3
+                    )
             measured[name] = entry
         record: Dict = {
             "benchmark": "density-sweep",
@@ -306,43 +294,6 @@ def run_density_sweep(
             record["speedup_roaring_vs_packed"] = round(packed / roaring, 3)
         cells.append(record)
     return cells
-
-
-def measure_worker_startup(db: TransactionDatabase, workers: int = 2) -> Dict:
-    """Per-worker startup cost: pipe-plane index build vs shm attach.
-
-    The default heuristics refuse to shard on single-core hosts, so this
-    pins ``workers`` explicitly — the point is the *per-worker* attach
-    asymmetry (the pipe plane rebuilds a shard index from pickled
-    transactions; the shm plane attaches views over existing pages),
-    which is what dominates cold-start on wide machines.
-    """
-    comparison: Dict = {"workers": workers}
-    for name, engine in (
-        ("sharded", ShardedCounter(num_shards=workers)),
-        ("shm", ShmShardedCounter(num_shards=workers)),
-    ):
-        try:
-            engine.count(db, [(1,)])
-            startups = engine.worker_startup_seconds or [0.0]
-            comparison[name] = {
-                "mean_worker_startup_seconds": round(
-                    sum(startups) / len(startups), 6
-                ),
-                "max_worker_startup_seconds": round(max(startups), 6),
-            }
-            if isinstance(engine, ShmShardedCounter):
-                comparison[name]["plane"] = engine.plane
-                comparison[name]["attach_seconds"] = round(
-                    engine.last_attach_seconds, 6
-                )
-        finally:
-            engine.close()
-    pipe = comparison.get("sharded", {}).get("mean_worker_startup_seconds")
-    attach = comparison.get("shm", {}).get("mean_worker_startup_seconds")
-    if pipe and attach:
-        comparison["startup_speedup_shm_vs_sharded"] = round(pipe / attach, 2)
-    return comparison
 
 
 def write_counting_benchmark(path: str, record: Dict) -> None:

@@ -21,7 +21,7 @@ Two comparisons are made:
   metrics written to files versus the same run with observability off.
   Enabled runs pay for JSON serialisation of every span, so this number
   is honest rather than tiny; it bounds what ``--trace`` costs a user.
-* **telemetry overhead** — a full run on the multi-process sharded
+* **telemetry overhead** — a full run on the multi-process ``shm``
   engine with the live heartbeat plane on (``--telemetry``) versus the
   same engine with it off.  Workers publish seqlock heartbeats into the
   shared segment and the coordinator polls them mid-pass; the budget for
@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.pincer import PincerSearch
 from ..db.base import SupportCounter
 from ..db.counting import get_counter, select_engine
-from ..db.parallel import ShardedCounter
+from ..db.shm import ShmShardedCounter
 from ..obs.instrument import Instrumentation, capture
 from .engines import record_batches
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
@@ -102,14 +102,16 @@ _TELEMETRY_SHARDS = 2
 
 
 def _time_mine_sharded_once(db, fraction: float, telemetry: bool):
-    """One sharded-engine run; returns (seconds, plane).
+    """One shm-engine run; returns (seconds, plane).
 
     Both sides run with an *enabled* instrumentation bundle (live
     registry, no trace file) so the general metrics/span accounting —
     tracked separately as ``overhead_enabled_pct`` — is not billed to
     the telemetry plane; only the heartbeat config differs.
     """
-    counter = ShardedCounter(num_shards=_TELEMETRY_SHARDS, use_processes=True)
+    counter = ShmShardedCounter(
+        num_shards=_TELEMETRY_SHARDS, use_processes=True
+    )
     obs = capture(telemetry="auto") if telemetry else Instrumentation()
     with counter:
         started = time.perf_counter()
@@ -117,13 +119,13 @@ def _time_mine_sharded_once(db, fraction: float, telemetry: bool):
             db, fraction, counter=counter, obs=obs
         )
         seconds = time.perf_counter() - started
-        plane = "process" if counter.worker_pids else "serial"
+        plane = counter.plane
     obs.finish()
     return seconds, plane
 
 
 def _time_mine_sharded(db, fraction: float, repeats: int) -> Dict:
-    """Best-of seconds on the sharded engine, heartbeat plane off vs on.
+    """Best-of seconds on the shm engine, heartbeat plane off vs on.
 
     Telemetry is isolated from tracing here: the capture carries only the
     telemetry config, so the difference against the plane-off run is

@@ -15,7 +15,6 @@ from .itemset import EMPTY, Itemset, itemset
 from .kernel import BitmaskKernel, LatticeKernel, TupleKernel, make_kernel
 from .maskstore import CompressedMaskStore
 from .mfcs import MFCS
-from .settrie import SetTrie
 from .pincer import PincerSearch, pincer_search, resolve_threshold
 from .predicate import PredicatePincer, maximal_satisfying_sets
 from .result import MiningResult, MiningTimeout
@@ -35,7 +34,6 @@ __all__ = [
     "LatticeKernel",
     "MFCS",
     "MaskCover",
-    "SetTrie",
     "TupleKernel",
     "MiningResult",
     "MiningStats",

@@ -41,7 +41,7 @@ class PassRateEstimator:
     smoothed rate back to the engine via
     :meth:`repro.db.base.SupportCounter.note_pass_rate`.  Engines with an
     internal mode choice — the shared-memory plane's row/candidate
-    scheduler (:class:`repro.db.parallel.AdaptiveShardScheduler`) — use
+    scheduler (:class:`repro.db.shm.AdaptiveShardScheduler`) — use
     it to predict whether the next pass is long enough to be worth
     work-stealing coordination.  The EWMA keeps one noisy pass (a cold
     cache, a page-in burst) from whipsawing that prediction.

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from .itemset import Itemset
-from .maskstore import CompressedMaskStore
 
 
 class CoverIndex:
@@ -178,27 +177,17 @@ class MaskCover:
     tuple-based :class:`CoverIndex` so behaviour matches CoverIndex on
     every input.
 
-    ``queries``/``node_visits`` mirror :class:`~repro.core.settrie.SetTrie`
-    instrumentation: one query per cover question, one visit per item
-    bitmap examined before the early exit — the sub-linearity signal the
-    observability layer reports as ``mfcs.cover_*``.
+    ``queries``/``node_visits`` count one query per cover question and
+    one visit per item bitmap examined before the early exit — the
+    sub-linearity signal the observability layer reports as
+    ``mfcs.cover_*``.
     """
 
-    def __init__(
-        self,
-        universe,
-        members: Iterable[Itemset] = (),
-        compressed: bool = False,
-    ) -> None:
+    def __init__(self, universe, members: Iterable[Itemset] = ()) -> None:
         self._universe = universe
         self._table: List[int] = [0] * len(universe)
         self._masks: List[int] = []  # slot -> current (or stale) mask
-        # member mask -> slot; ``compressed`` swaps the dict for the
-        # sorted-mask delta store (same mapping subset, ~bytes per member
-        # instead of a hash-table entry — see :mod:`repro.core.maskstore`)
-        self._slot_of = (
-            CompressedMaskStore() if compressed else {}
-        )  # type: ignore[assignment]
+        self._slot_of: Dict[int, int] = {}  # member mask -> slot
         self._alive = 0
         self._free_slots: List[int] = []
         self._foreign: Optional[CoverIndex] = None  # out-of-universe members
@@ -418,9 +407,8 @@ def as_cover(family: object) -> "CoverIndex":
     """Coerce an iterable of itemsets into a cover-query structure.
 
     Anything already answering the cover protocol (``covers`` +
-    ``supersets_of`` — a :class:`CoverIndex`, a
-    :class:`~repro.core.settrie.SetTrie`, or an
-    :class:`~repro.core.mfcs.MFCS`) passes through untouched, so callers
+    ``supersets_of`` — a :class:`CoverIndex`, a :class:`MaskCover`, or
+    an :class:`~repro.core.mfcs.MFCS`) passes through untouched, so callers
     keep whatever query complexity the active lattice kernel chose for
     the family.  Plain iterables are indexed into a fresh CoverIndex.
     """

@@ -34,9 +34,7 @@ the miners can swap implementations:
       :class:`~repro.core.cover.MaskCover` — the inverted cover index
       rebuilt on masks, with O(1) lazy discards and scrub-on-reuse
       inserts — so MFCS-gen splits shrink to mask ANDNOT plus constant
-      table edits (see :class:`~repro.core.mfcs.MFCS`).  The guard-masked
-      :class:`~repro.core.settrie.SetTrie` offers the same cover protocol
-      with trie-shaped sharing for memory-lean or short-probe workloads.
+      table edits (see :class:`~repro.core.mfcs.MFCS`).
 
 Both kernels consume and produce plain canonical tuples — masks never
 escape — so every existing API keeps its types and the two kernels are
@@ -61,13 +59,11 @@ from .mfcs import MFCS
 
 __all__ = [
     "BitmaskKernel",
-    "COMPRESSED_FAMILY_ENV_VAR",
     "DEFAULT_KERNEL",
     "KERNEL_ENV_VAR",
     "KERNEL_NAMES",
     "LatticeKernel",
     "TupleKernel",
-    "compressed_family_enabled",
     "make_kernel",
     "resolve_kernel_name",
 ]
@@ -75,20 +71,6 @@ __all__ = [
 KERNEL_NAMES = ("tuple", "bitmask")
 DEFAULT_KERNEL = "bitmask"
 KERNEL_ENV_VAR = "REPRO_LATTICE_KERNEL"
-
-#: When set (to anything but ""/"0"/"false"/"no"/"off"), the bitmask
-#: kernel's MFS/MFCS families store member masks in the sorted-delta
-#: compressed store (:mod:`repro.core.maskstore`) instead of a dict —
-#: same answers, ~bytes per member instead of a hash-table entry, for
-#: runs whose frontier families outgrow memory.
-COMPRESSED_FAMILY_ENV_VAR = "REPRO_COMPRESSED_FAMILY"
-
-
-def compressed_family_enabled() -> bool:
-    """Does the environment ask for compressed family storage?"""
-    value = os.environ.get(COMPRESSED_FAMILY_ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
 
 class LatticeKernel:
     """Interface of a lattice kernel (see module docstring).
@@ -205,9 +187,7 @@ class BitmaskKernel(LatticeKernel):
         )
 
     def make_cover(self, members: Iterable[Itemset] = ()) -> MaskCover:
-        return MaskCover(
-            self.universe, members, compressed=compressed_family_enabled()
-        )
+        return MaskCover(self.universe, members)
 
     def make_mfcs(self, universe: Iterable[int]) -> MFCS:
         return MFCS.for_universe(universe, kernel=self)

@@ -1,15 +1,12 @@
 """Compressed storage for families of interned itemset masks.
 
-:class:`~repro.core.cover.MaskCover` keeps one dict entry per family
-member (mask -> slot).  The masks themselves are interned in the
-:class:`~repro.core.bitset.ItemUniverse`, so the *dict* is the marginal
-memory cost of family membership: ~100 bytes per entry of hash-table
-machinery for members that are a few set bits apart.  On the big MFCS
-frontiers of low-support runs that dominates the miner's footprint.
-
-:class:`CompressedMaskStore` is a drop-in replacement for that dict
-implementing the subset of the mapping protocol MaskCover uses
-(``in`` / ``[] =`` / ``get`` / ``pop`` / ``len`` / iteration).  Members
+A ``mask -> payload`` dict over interned itemset masks costs ~100
+bytes per entry of hash-table machinery, even for members that are a
+few set bits apart.  :class:`CompressedMaskStore` replaces that dict
+where the family is large and long-lived — the old generation of
+:class:`~repro.core.supportcache.SupportCache` — implementing the
+subset of the mapping protocol those callers use (``in`` / ``[] =`` /
+``get`` / ``pop`` / ``len`` / iteration).  Members
 are held *sorted by mask* in blocks of :data:`BLOCK` entries; each block
 stores its first mask verbatim and every later mask as a LEB128 varint
 of the delta to its predecessor.  Sorted neighbours share their high
@@ -26,7 +23,7 @@ add-replacements churn therefore costs O(BLOCK) bytes of re-encoding per
 update, never a rehash of the whole family.
 
 Iteration order is ascending mask order, not insertion order —
-MaskCover's membership semantics don't depend on order, but callers
+membership semantics don't depend on order, but callers
 comparing ``members`` lists positionally should sort first.
 """
 
@@ -127,7 +124,7 @@ class CompressedMaskStore:
         return store
 
     # ------------------------------------------------------------------
-    # mapping protocol (the subset MaskCover uses)
+    # mapping protocol (the dict subset callers use)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -48,7 +48,7 @@ def _mask_prober(cover: object, universe: object):
     """A ``mask -> bool`` cover probe for any cover structure.
 
     Mask-native covers of the same universe answer directly; anything else
-    (a CoverIndex, a SetTrie, a MaskCover holding foreign members or built
+    (a CoverIndex, a MaskCover holding foreign members or built
     on another universe) is probed through the decoded tuple.
     """
     if (

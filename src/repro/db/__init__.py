@@ -6,7 +6,6 @@ from .counting import (
     HashTreeCounter,
     NaiveCounter,
     PackedCounter,
-    ShardedCounter,
     ShmShardedCounter,
     SupportCounter,
     TrieCounter,
@@ -28,7 +27,7 @@ from .snapshot import (
 )
 from .hash_tree import HashTree
 from .io import load, load_basket, load_csv, load_json, save, save_basket, save_csv, save_json
-from .roaring import ChunkedIntIndex, RoaringCounter, RoaringIndex, measure_density
+from .roaring import RoaringCounter, RoaringIndex, measure_density
 from .transaction_db import TransactionDatabase
 from .trie import CandidateTrie
 from .vertical import (
@@ -41,7 +40,6 @@ from .vertical import (
 __all__ = [
     "BitmapCounter",
     "CandidateTrie",
-    "ChunkedIntIndex",
     "DiskTransactionDatabase",
     "EngineDecision",
     "HAVE_NUMPY",
@@ -54,7 +52,6 @@ __all__ = [
     "PrefixIntersector",
     "RoaringCounter",
     "RoaringIndex",
-    "ShardedCounter",
     "ShmShardedCounter",
     "Snapshot",
     "SnapshotFormatError",

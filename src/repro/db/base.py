@@ -1,7 +1,7 @@
 """Base class shared by all support-counting engines.
 
 Lives below :mod:`repro.db.counting` so that engine modules
-(:mod:`repro.db.vertical`, :mod:`repro.db.parallel`) can subclass
+(:mod:`repro.db.vertical`, :mod:`repro.db.shm`) can subclass
 :class:`SupportCounter` without importing the engine registry — the
 registry imports *them*, and a shared basement module breaks the cycle.
 """
@@ -66,7 +66,7 @@ class SupportCounter:
         """Account the records one pass reads.
 
         The default engines read every transaction exactly once per pass.
-        Engines with their own accounting source (the sharded engine sums
+        Engines with their own accounting source (the shm engine sums
         what its workers *report* having read) override this to defer
         billing into :meth:`_count`.
         """

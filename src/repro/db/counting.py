@@ -36,20 +36,18 @@ Engines provided:
     The compressed tier (:mod:`repro.db.roaring`): per-item hybrid
     containers (sorted-array / packed-bitmap / run) in 2^16-row chunks,
     with container-level fused intersect+popcount that skips absent
-    chunks.  Wins on sparse skewed data; resolves itself down the
-    roaring → packed → bitmap → python ladder when the data is dense or
-    NumPy is missing, always byte-identically.
-``sharded``
-    Row shards counted in parallel worker processes and summed
-    (:mod:`repro.db.parallel`); each worker holds a persistent
-    shard-local packed index.
+    chunks.  Wins on sparse skewed data, which is where ``auto`` picks it
+    (:func:`engine_decision` is the only density-based resolver).
+    Without NumPy it counts on the pure-Python int-bitmap index, as
+    ``packed`` does.
 ``shm``
-    The zero-copy shared-memory plane (:mod:`repro.db.shm`): one packed
-    index published once via ``multiprocessing.shared_memory`` (or a
-    memory-mapped snapshot file), attached — not copied — by every
-    worker, with a per-pass adaptive choice between row-sharding and
-    candidate work-stealing.  Falls back to ``sharded`` machinery, then
-    serial, when shared memory is unavailable.
+    The process plane (:mod:`repro.db.shm`): support is additive over
+    row slices, so one packed index is published once via
+    ``multiprocessing.shared_memory`` (or a memory-mapped snapshot
+    file), attached — not copied — by every worker, with a per-pass
+    adaptive choice between row-sharding and candidate work-stealing.
+    Falls back to an mmap temp file when shared memory is unavailable,
+    then to one in-process index (serial).
 ``partitioned``
     The out-of-core tier (:mod:`repro.db.outofcore`): row partitions of
     a v2 snapshot attached/counted/detached under a byte budget, with
@@ -76,7 +74,6 @@ from .._types import CountingDeadline, Itemset
 from .base import SupportCounter
 from .hash_tree import HashTree
 from .outofcore import PartitionedCounter
-from .parallel import ShardedCounter
 from .roaring import RoaringCounter, measure_density
 from .shm import ShmShardedCounter
 from .transaction_db import TransactionDatabase
@@ -102,7 +99,6 @@ __all__ = [
     "PackedCounter",
     "PartitionedCounter",
     "RoaringCounter",
-    "ShardedCounter",
     "ShmShardedCounter",
     "SupportCounter",
     "TrieCounter",
@@ -276,7 +272,6 @@ _ENGINES = {
     "bitmap": BitmapCounter,
     "packed": PackedCounter,
     "roaring": RoaringCounter,
-    "sharded": ShardedCounter,
     "shm": ShmShardedCounter,
     "partitioned": PartitionedCounter,
 }
@@ -295,8 +290,7 @@ AUTO_ROARING_MIN_ROWS = 4096
 
 #: ...and only when mean column density is at or below this.  Denser
 #: data builds mostly bitmap containers, where the flat packed matrix
-#: with its vectorized batch kernel is the better representation (the
-#: roaring engine itself would pick its packed rung anyway).
+#: with its vectorized batch kernel is the better representation.
 AUTO_ROARING_MAX_DENSITY = 0.05
 
 

@@ -37,26 +37,13 @@ does not extend the current one, the last intersection is answered as a
 cardinality directly, never materialising the result.
 
 :class:`RoaringCounter` is the engine facade registered as ``roaring``.
-It resolves one rung of the fallback ladder per database at index-build
-time, from measured column density:
-
-``roaring``
-    The NumPy hybrid container index above — sparse data, NumPy present.
-``packed``
-    :class:`~repro.db.vertical.PackedBitmapIndex` — dense data (the
-    containers would all degenerate to bitmap form, so the flat matrix
-    and its vectorized batch kernel win); compression would not pay.
-``bitmap``
-    A pure-Python chunked-int index — no NumPy, sparse data: one Python
-    int bitmap per *occupied* chunk, so absent-chunk skipping survives
-    the loss of vectorization.
-``python``
-    :class:`~repro.db.vertical.IntBitmapIndex` — no NumPy, dense data.
-
-Every rung returns byte-identical counts (the differential suite in
-``tests/test_roaring.py`` and the bench-regress sentinel both pin this),
-so the ladder is a pure performance decision, like the shm engine's
-shm → mmap → pipe → serial ladder.
+Whether a database *should* be counted this way is
+:func:`repro.db.counting.engine_decision`'s call — ``auto`` picks
+``roaring`` only for large sparse databases — so the facade applies no
+density policy of its own.  Without NumPy it counts on
+:class:`~repro.db.vertical.IntBitmapIndex`, exactly as ``packed`` does:
+a platform fallback, byte-identical to the container walk (the
+differential suite in ``tests/test_roaring.py`` pins this).
 """
 
 from __future__ import annotations
@@ -66,15 +53,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .._types import Itemset
 from .base import SupportCounter
-from .vertical import (
-    HAVE_NUMPY,
-    IntBitmapIndex,
-    PackedBitmapIndex,
-    popcount,
-    _int_bitmaps,
-)
+from .vertical import HAVE_NUMPY, IntBitmapIndex, _int_bitmaps
 
-try:  # NumPy is optional; the pure-Python rungs cover its absence.
+try:  # NumPy is optional; IntBitmapIndex covers its absence.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via no-NumPy CI cell
     _np = None
@@ -82,10 +63,8 @@ except ImportError:  # pragma: no cover - exercised via no-NumPy CI cell
 __all__ = [
     "ARRAY_MAX",
     "CHUNK_SIZE",
-    "ChunkedIntIndex",
     "RoaringCounter",
     "RoaringIndex",
-    "TIER_LADDER",
     "measure_density",
 ]
 
@@ -99,13 +78,6 @@ CHUNK_WORDS = CHUNK_SIZE // 64
 #: array form (roaring's array/bitmap flip point: 4096 entries).
 ARRAY_MAX = 4096
 
-#: The fallback ladder, best rung first.
-TIER_LADDER = ("roaring", "packed", "bitmap", "python")
-
-#: Mean column density above which compression stops paying and the
-#: engine drops to the flat packed/int representation.
-DENSE_CUTOFF = 0.10
-
 #: Item-steps between deadline checks in the container walk (matches the
 #: work-budget cadence of the packed path).
 _DEADLINE_WORK = 4096
@@ -114,8 +86,8 @@ _DEADLINE_WORK = 4096
 def measure_density(db) -> Dict[str, float]:
     """Cheap density evidence for a database: one pass over the counts.
 
-    Returns a JSON-ready dict with the structural facts the tier choice
-    (and :func:`repro.db.counting.engine_decision`) keys on:
+    Returns a JSON-ready dict with the structural facts
+    :func:`repro.db.counting.engine_decision` keys on:
 
     ``rows``/``items``/``nnz``
         shape and total set bits of the vertical view;
@@ -649,181 +621,30 @@ _UNMATERIALIZED = _Unmaterialized()
 
 
 # ----------------------------------------------------------------------
-# pure-Python chunked tier (the ladder's "bitmap" rung)
-# ----------------------------------------------------------------------
-
-
-class _IntVector:
-    """Chunked arbitrary-precision bitmaps: chunk id -> non-zero int."""
-
-    __slots__ = ("chunks", "_card")
-
-    def __init__(self, chunks: Dict[int, int], card: Optional[int] = None) -> None:
-        self.chunks = chunks
-        self._card = card
-
-    @property
-    def card(self) -> int:
-        if self._card is None:
-            self._card = sum(popcount(value) for value in self.chunks.values())
-        return self._card
-
-    def and_vector(self, other: "_IntVector") -> "_IntVector":
-        mine, theirs = self.chunks, other.chunks
-        if len(theirs) < len(mine):
-            mine, theirs = theirs, mine
-        out: Dict[int, int] = {}
-        for key, value in mine.items():
-            peer = theirs.get(key)
-            if peer is not None:
-                combined = value & peer
-                if combined:
-                    out[key] = combined
-        return _IntVector(out)
-
-    def and_card(self, other: "_IntVector") -> int:
-        mine, theirs = self.chunks, other.chunks
-        if len(theirs) < len(mine):
-            mine, theirs = theirs, mine
-        total = 0
-        for key, value in mine.items():
-            peer = theirs.get(key)
-            if peer is not None:
-                total += popcount(value & peer)
-        return total
-
-
-class ChunkedIntIndex:
-    """Pure-Python twin of :class:`RoaringIndex` (chunked int bitmaps).
-
-    Keeps the absent-chunk skipping — the part of the compressed tier
-    that survives without NumPy — while every per-chunk AND/popcount
-    stays a C-level big-int operation.
-    """
-
-    def __init__(self, columns: Dict[int, _IntVector], num_rows: int) -> None:
-        self._columns = columns
-        self._num_rows = num_rows
-        self.prefix_hits = 0
-        self.prefix_misses = 0
-
-    @property
-    def num_rows(self) -> int:
-        return self._num_rows
-
-    @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "ChunkedIntIndex":
-        mask = (1 << CHUNK_SIZE) - 1
-        columns: Dict[int, _IntVector] = {}
-        for item, value in bitmaps.items():
-            chunks: Dict[int, int] = {}
-            index = 0
-            while value:
-                piece = value & mask
-                if piece:
-                    chunks[index] = piece
-                value >>= CHUNK_SIZE
-                index += 1
-            columns[item] = _IntVector(chunks)
-        return cls(columns, num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "ChunkedIntIndex":
-        transactions = list(transactions)
-        return cls.from_bitmaps(
-            _int_bitmaps(transactions, universe), len(transactions)
-        )
-
-    @classmethod
-    def from_database(cls, db) -> "ChunkedIntIndex":
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
-
-    def counts(
-        self,
-        candidates: Sequence[Itemset],
-        deadline_check: Optional[Callable[[], None]] = None,
-        chunk_size: Optional[int] = None,
-    ) -> List[int]:
-        walk = _PrefixWalk(
-            self._columns.get,
-            lambda a, b: a.and_vector(b),
-            lambda a, b: a.and_card(b),
-            self._num_rows,
-        )
-        results = walk.counts(candidates, deadline_check)
-        self.prefix_hits += walk.hits
-        self.prefix_misses += walk.misses
-        return results
-
-
-# ----------------------------------------------------------------------
 # the engine facade
 # ----------------------------------------------------------------------
 
 
 class RoaringCounter(SupportCounter):
-    """The ``roaring`` engine: compressed counting with a fallback ladder.
+    """The ``roaring`` engine: counting on the hybrid container index.
 
-    The rung is picked per database at index-build time from measured
-    column density (:data:`DENSE_CUTOFF`) and NumPy availability, and is
-    reported as :attr:`tier` plus ``engine.roaring.*`` metrics.
-    ``force_tier`` pins a rung for differential tests; a forced rung
-    whose prerequisites are missing (NumPy-backed rungs on a bare
-    interpreter) steps down the ladder exactly like the shm engine does.
+    The index is built on the first pass over a database and reused for
+    every later pass against the same database object.  Its container
+    mix and compression evidence are reported as ``engine.roaring.*``
+    metrics.  Without NumPy the engine counts on
+    :class:`~repro.db.vertical.IntBitmapIndex` instead.
     """
 
     name = "roaring"
 
-    def __init__(
-        self,
-        force_tier: Optional[str] = None,
-        dense_cutoff: float = DENSE_CUTOFF,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if force_tier is not None and force_tier not in TIER_LADDER:
-            raise ValueError(
-                "unknown roaring tier %r (choose from %s)"
-                % (force_tier, ", ".join(TIER_LADDER))
-            )
-        self._force_tier = force_tier
-        self._dense_cutoff = dense_cutoff
         self._index = None
         self._index_db = None
-        #: the ladder rung serving the current database (None until built)
-        self.tier: Optional[str] = None
-        #: mean column density measured at the last index build
-        self.density: float = 0.0
         self.prefix_cache_hits = 0
         self.prefix_cache_misses = 0
 
     # ------------------------------------------------------------------
-
-    def _resolve_tier(self, density: float) -> str:
-        if self._force_tier is not None:
-            tier = self._force_tier
-            if not HAVE_NUMPY and tier in ("roaring", "packed"):
-                # step down the ladder to the pure-Python twin rung
-                tier = "bitmap" if tier == "roaring" else "python"
-            return tier
-        if HAVE_NUMPY:
-            return "roaring" if density <= self._dense_cutoff else "packed"
-        return "bitmap" if density <= self._dense_cutoff else "python"
-
-    @staticmethod
-    def _build_index(tier: str, bitmaps: Dict[int, int], num_rows: int):
-        if tier == "roaring":
-            return RoaringIndex.from_bitmaps(bitmaps, num_rows)
-        if tier == "packed":
-            return PackedBitmapIndex.from_bitmaps(bitmaps, num_rows)
-        if tier == "bitmap":
-            return ChunkedIntIndex.from_bitmaps(bitmaps, num_rows)
-        return IntBitmapIndex.from_bitmaps(bitmaps, num_rows)
 
     def _index_for(self, db):
         if (
@@ -832,37 +653,27 @@ class RoaringCounter(SupportCounter):
             or self._index_db() is not db
         ):
             bitmaps = db.item_bitmaps()
-            num_rows = len(db)
-            cells = len(bitmaps) * num_rows
-            density = (
-                sum(popcount(value) for value in bitmaps.values()) / cells
-                if cells
-                else 0.0
-            )
-            tier = self._resolve_tier(density)
-            self._index = self._build_index(tier, bitmaps, num_rows)
+            if HAVE_NUMPY:
+                self._index = RoaringIndex.from_bitmaps(bitmaps, len(db))
+            else:
+                self._index = IntBitmapIndex.from_bitmaps(bitmaps, len(db))
             self._index_db = weakref.ref(db)
-            self.tier = tier
-            self.density = density
-            if self.obs.enabled:
-                self.obs.counter("engine.roaring.tier.%s" % tier).inc()
-                self.obs.gauge("engine.roaring.density").set(density)
-                if isinstance(self._index, RoaringIndex):
-                    mix = self._index.container_counts()
-                    for kind, value in mix.items():
-                        self.obs.gauge(
-                            "engine.roaring.containers.%s" % kind
-                        ).set(value)
-                    self.obs.gauge("engine.roaring.compressed_bytes").set(
-                        self._index.compressed_bytes()
+            if self.obs.enabled and isinstance(self._index, RoaringIndex):
+                mix = self._index.container_counts()
+                for kind, value in mix.items():
+                    self.obs.gauge("engine.roaring.containers.%s" % kind).set(
+                        value
                     )
-                    self.obs.gauge("engine.roaring.dense_bytes").set(
-                        self._index.dense_bytes()
-                    )
+                self.obs.gauge("engine.roaring.compressed_bytes").set(
+                    self._index.compressed_bytes()
+                )
+                self.obs.gauge("engine.roaring.dense_bytes").set(
+                    self._index.dense_bytes()
+                )
         return self._index
 
     def container_counts(self) -> Dict[str, int]:
-        """Container mix of the current index ({} off the roaring rung)."""
+        """Container mix of the current index ({} without NumPy)."""
         if isinstance(self._index, RoaringIndex):
             return self._index.container_counts()
         return {}

@@ -1,10 +1,12 @@
 """Zero-copy shared-memory data plane: the ``shm`` engine.
 
-The ``sharded`` engine (:mod:`repro.db.parallel`) pays a pre-parallel tax
-the paper's cost model never sees: every worker process re-builds a
-shard-local vertical index from pickled transactions at startup, and
-every pass moves candidate batches and count vectors through pipes as
-pickled Python objects.  This module removes both copies:
+Support is additive over a row partition of the database (the
+segmentation structure of Rajalakshmi et al., arXiv:1109.2427), so a
+pass can be split across worker processes and the partial counts
+summed.  Nothing about the pass/IO accounting changes — one ``count``
+call is still one logical pass over every transaction, whichever
+process touches it.  This module is the repository's only process
+plane, and it never copies the database into a worker:
 
 * **One index, attached everywhere.**  The parent builds (or
   memory-maps, via a :mod:`repro.db.snapshot` file) the packed uint64
@@ -23,17 +25,24 @@ pickled Python objects.  This module removes both copies:
   slices of the matrix: many rows, few candidates) or by candidates with
   work-stealing chunks off a shared cursor (few rows, wide fused
   C_k+MFCS batches — exactly Pincer's early passes).  The choice is made
-  per pass by :class:`repro.db.parallel.AdaptiveShardScheduler`.
+  per pass by :class:`AdaptiveShardScheduler`.
 
 Fallback ladder, walked automatically: shared memory → ``mmap`` of a
-snapshot file → the classic fork/pipe plane of
-:class:`~repro.db.parallel.ShardedCounter` → in-process serial shards.
-All rungs produce byte-identical counts and identical pass/IO
-accounting.
+snapshot file → serial, one in-process
+:func:`~repro.db.vertical.build_index` over the whole database.  Serial
+serves when NumPy is absent, when only one worker is planned, when the
+workers cannot be spawned, and after the first stall strike.  All rungs
+produce byte-identical counts and identical pass/IO accounting.
+
+The worker-count heuristic targets one worker per core, but never slices
+so thin that per-worker fixed costs beat the counting itself: fewer than
+:data:`MIN_ROWS_PER_SHARD` transactions per worker are not worth a
+process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import tempfile
 import time
@@ -48,11 +57,12 @@ from ..obs.telemetry import (
     STATE_COUNTING,
     STATE_IDLE,
     STATE_STEALING,
+    TelemetryConfig,
     TelemetryWriter,
 )
-from .parallel import AdaptiveShardScheduler, ShardedCounter, default_num_shards
+from .base import SupportCounter
 from .snapshot import load_snapshot, snapshot_database
-from .vertical import HAVE_NUMPY, PackedBitmapIndex
+from .vertical import HAVE_NUMPY, PackedBitmapIndex, build_index
 
 try:  # pragma: no cover - mirrors repro.db.vertical
     import numpy as _np
@@ -64,13 +74,52 @@ try:
 except ImportError:  # pragma: no cover - very old interpreters
     _shared_memory = None
 
-__all__ = ["ShmShardedCounter", "attach_segment"]
+__all__ = [
+    "AdaptiveShardScheduler",
+    "MAX_WORKERS_ENV",
+    "MIN_ROWS_PER_SHARD",
+    "ShmShardedCounter",
+    "attach_segment",
+    "default_num_shards",
+]
 
 logger = get_logger("db.shm")
 
 #: Initial shared-batch capacity (candidates / flat items); grows 2x.
 INITIAL_BATCH_CAPACITY = 4096
 INITIAL_ITEM_CAPACITY = 4 * INITIAL_BATCH_CAPACITY
+
+#: Below this many transactions a worker cannot amortise its dispatch cost.
+MIN_ROWS_PER_SHARD = 512
+
+#: Environment override capping worker counts fleet-wide (operators can
+#: pin CI boxes or shared hosts without touching call sites).
+MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
+
+
+def default_num_shards(num_rows: int, max_workers: Optional[int] = None) -> int:
+    """One worker per core, capped so every row slice stays worth dispatching.
+
+    The ``REPRO_MAX_WORKERS`` environment variable caps the result even
+    when ``max_workers`` is passed explicitly — it is the operator's
+    ceiling, not a default.
+    """
+    cores = os.cpu_count() or 1
+    cap = max_workers if max_workers is not None else cores
+    env_cap = os.environ.get(MAX_WORKERS_ENV)
+    if env_cap:
+        try:
+            cap = min(cap, max(1, int(env_cap)))
+        except ValueError:
+            logger.warning(
+                "ignoring non-integer %s=%r", MAX_WORKERS_ENV, env_cap
+            )
+    shards = max(1, min(cap, num_rows // MIN_ROWS_PER_SHARD))
+    logger.debug(
+        "shard plan: %d shards for %d rows (cores=%d, max_workers=%r, %s=%r)",
+        shards, num_rows, cores, max_workers, MAX_WORKERS_ENV, env_cap,
+    )
+    return shards
 
 
 def attach_segment(name: str, untrack: Optional[bool] = None):
@@ -95,8 +144,6 @@ def attach_segment(name: str, untrack: Optional[bool] = None):
         segment = _shared_memory.SharedMemory(name=name, create=False)
         if untrack is None:
             try:
-                import multiprocessing
-
                 untrack = multiprocessing.get_start_method() != "fork"
             except Exception:  # pragma: no cover
                 untrack = False
@@ -460,19 +507,144 @@ class _ShmPlane:
 
 
 # ----------------------------------------------------------------------
+# per-pass sharding shape
+# ----------------------------------------------------------------------
+
+
+class AdaptiveShardScheduler:
+    """Per-pass choice between row-sharding and candidate work-stealing.
+
+    With every worker attached to the *whole* shared index, a pass can be
+    partitioned along either axis:
+
+    * ``"rows"`` — each worker counts all candidates on its word-aligned
+      transaction slice; cheapest coordination, but a pass with few
+      candidates on many workers leaves the per-candidate vectorization
+      underfed, and static slices cannot absorb skew.
+    * ``"candidates"`` — workers steal fixed-size candidate chunks off a
+      shared cursor and count them against the full index; perfect for
+      the wide fused C_k+MFCS batches of Pincer's early passes, and skew
+      self-balances by construction.
+
+    The choice is structural when it must be (too few candidates to
+    slice, or fewer matrix words than workers) and measured when it can
+    be: per-mode EWMA throughput (candidates/second over observed
+    passes) picks the faster mode once both have been tried, with
+    hysteresis so a noisy pass cannot cause flapping.  The miner can feed
+    its flight-recorder per-candidate rate via :meth:`note_miner_rate`;
+    passes predicted to finish almost instantly stay in row mode, where
+    there is no cursor lock to contend on.
+    """
+
+    MIN_CHUNK = 64
+    MAX_CHUNK = 4096
+    #: A measured mode must beat the other by this factor to win.
+    HYSTERESIS = 1.2
+    #: Predicted pass wall-time below which stealing overhead dominates.
+    MIN_STEAL_SECONDS = 0.005
+
+    def __init__(
+        self,
+        num_workers: int,
+        chunk: Optional[int] = None,
+        alpha: float = 0.4,
+    ) -> None:
+        if num_workers < 1:
+            raise ValueError("num_workers must be at least 1")
+        self.num_workers = num_workers
+        self._fixed_chunk = chunk
+        self._alpha = alpha
+        self._rates: Dict[str, Optional[float]] = {
+            "rows": None, "candidates": None,
+        }
+        self._miner_rate: Optional[float] = None
+        #: decisions taken so far, by mode (observability + tests)
+        self.decisions: Dict[str, int] = {"rows": 0, "candidates": 0}
+
+    def reset_query(self) -> None:
+        """Drop state describing the *previous* query's candidate shape.
+
+        The miner-fed rate predicts how fast the next pass counts, but
+        that prediction came from another query's candidates; carrying it
+        over would bias the first-pass mode choice.  The per-mode EWMAs
+        stay — they measure this database on this machine, which the next
+        query shares.
+        """
+        self._miner_rate = None
+
+    def chunk_for(self, num_candidates: int) -> int:
+        """Work-stealing chunk size: ~4 chunks per worker, clamped."""
+        if self._fixed_chunk:
+            return max(1, self._fixed_chunk)
+        target = -(-num_candidates // (4 * self.num_workers))
+        return max(self.MIN_CHUNK, min(self.MAX_CHUNK, target))
+
+    def choose(self, num_candidates: int, num_rows: int):
+        """-> ``(mode, chunk)`` for a pass of this shape."""
+        mode = self._pick(num_candidates, num_rows)
+        self.decisions[mode] += 1
+        return mode, self.chunk_for(num_candidates)
+
+    def _pick(self, num_candidates: int, num_rows: int) -> str:
+        if num_candidates < 2 * self.num_workers:
+            return "rows"  # not enough candidates to keep stealers busy
+        num_words = max(1, (num_rows + 63) // 64)
+        if num_words < self.num_workers:
+            return "candidates"  # row slices would idle some workers
+        if self._miner_rate:
+            predicted = num_candidates / self._miner_rate
+            if predicted < self.MIN_STEAL_SECONDS:
+                return "rows"
+        rows_rate = self._rates["rows"]
+        candidates_rate = self._rates["candidates"]
+        if rows_rate is not None and candidates_rate is not None:
+            if candidates_rate > rows_rate * self.HYSTERESIS:
+                return "candidates"
+            if rows_rate > candidates_rate * self.HYSTERESIS:
+                return "rows"
+            # within the hysteresis band: keep the cheaper coordination
+            return "rows"
+        # unmeasured: wide batches amortise stealing, narrow ones don't
+        if num_candidates >= self.num_workers * self.MIN_CHUNK:
+            return "candidates"
+        return "rows"
+
+    def observe(self, mode: str, num_candidates: int, seconds: float) -> None:
+        """Feed back a completed pass's throughput for ``mode``."""
+        if seconds <= 0.0 or num_candidates <= 0:
+            return
+        rate = num_candidates / seconds
+        previous = self._rates.get(mode)
+        self._rates[mode] = (
+            rate
+            if previous is None
+            else (1.0 - self._alpha) * previous + self._alpha * rate
+        )
+
+    def note_miner_rate(self, rate: Optional[float]) -> None:
+        """Accept the miner's observed per-candidate counting rate (c/s)."""
+        if rate and rate > 0.0:
+            self._miner_rate = rate
+
+
+# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 
 
-class ShmShardedCounter(ShardedCounter):
+class ShmShardedCounter(SupportCounter):
     """The ``shm`` engine: sharded counting over one shared index.
 
-    Inherits the whole pipe-plane machinery of :class:`ShardedCounter`
-    as its third fallback rung; everything above it replaces per-worker
-    index builds and pickled batches with shared-memory attaches.
-
-    Parameters match :class:`ShardedCounter`, plus:
-
+    Parameters
+    ----------
+    num_shards:
+        Explicit worker count; default is the per-database heuristic
+        :func:`default_num_shards`.
+    max_workers:
+        Cap for the heuristic (ignored when ``num_shards`` is given).
+    use_processes:
+        True/False forces worker processes on/off; None (default) uses
+        processes whenever more than one worker is planned.
     steal_chunk:
         Candidate-mode work-stealing chunk size override (default: the
         scheduler picks per pass).
@@ -487,20 +659,42 @@ class ShmShardedCounter(ShardedCounter):
         use_processes: Optional[bool] = None,
         steal_chunk: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            num_shards=num_shards,
-            max_workers=max_workers,
-            use_processes=use_processes,
-        )
+        super().__init__()
+        if num_shards is not None and num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
+        self._num_shards = num_shards
+        self._max_workers = max_workers
+        self._use_processes = use_processes
         self._steal_chunk = steal_chunk
+        self._db_ref = None
+        self._workers: List[multiprocessing.Process] = []
+        self._connections: List[object] = []
+        self.worker_pids: List[int] = []
+        #: rows per worker slice of the attached database
+        self.shard_rows: List[int] = []
+        #: per-worker wall, CPU seconds and peak RSS (kB) of the latest
+        #: pass (one entry on the serial rung)
+        self.last_shard_seconds: List[float] = []
+        self.last_shard_cpu_seconds: List[float] = []
+        self.last_shard_maxrss_kb: List[int] = []
+        #: live telemetry plane (EngineTelemetry), when obs requests one
+        self._telemetry = None
+        #: stalls survived so far; any strike sends the next attach to
+        #: the serial rung (see :meth:`_attach`)
+        self._stall_strikes = 0
+        self._needs_reattach = False
+        #: workers retired after a stall (cumulative)
+        self.shards_reassigned = 0
         self._plane: Optional[_ShmPlane] = None
         self._parent_index: Optional[PackedBitmapIndex] = None
+        #: the serial rung's whole-database index
+        self._serial_index = None
         self._scheduler: Optional[AdaptiveShardScheduler] = None
         self._finalizer = None
         #: word-aligned matrix column ranges per worker (for recovery)
         self._word_ranges: List[Tuple[int, int]] = []
-        #: which rung of the fallback ladder is serving: "shm", "mmap",
-        #: "pipe" (inherited worker plane) or "serial"
+        #: which rung of the fallback ladder is serving: "shm", "mmap"
+        #: or "serial"
         self.plane = "unattached"
         #: seconds the most recent attach took (index + publish + spawn)
         self.last_attach_seconds = 0.0
@@ -515,6 +709,9 @@ class ShmShardedCounter(ShardedCounter):
     # ------------------------------------------------------------------
     # attach / detach
     # ------------------------------------------------------------------
+
+    def _attached_to(self, db) -> bool:
+        return self._db_ref is not None and self._db_ref() is db
 
     def _attach(self, db) -> None:
         attach_started = time.perf_counter()
@@ -532,8 +729,7 @@ class ShmShardedCounter(ShardedCounter):
             and _shared_memory is not None
             and processes
             and workers > 1
-            # one stall strike steps the ladder below the shared planes;
-            # the second (handled by the base class) forces serial
+            # any stall strike sends the ladder to its serial rung
             and self._stall_strikes < 1
             and self._attach_shared(db, workers)
         ):
@@ -551,9 +747,40 @@ class ShmShardedCounter(ShardedCounter):
                 max(self.worker_startup_seconds or [0.0]),
             )
             return
-        super()._attach(db)  # pipe plane or serial shards
-        self.plane = "pipe" if self._connections else "serial"
+        self._serial_index = build_index(
+            list(db.transactions), list(db.universe)
+        )
+        self._db_ref = weakref.ref(db)
+        self.shard_rows = [num_rows]
+        self.plane = "serial"
         self.last_attach_seconds = time.perf_counter() - attach_started
+        logger.debug("serial rung: one index over %d rows", num_rows)
+
+    def _make_telemetry(self, num_workers: int):
+        """Build the engine's telemetry plane when obs asks for one."""
+        config = TelemetryConfig.from_option(
+            getattr(self.obs, "telemetry", None)
+        )
+        if config is None:
+            return None
+        try:
+            from ..obs.telemetry import EngineTelemetry
+
+            return EngineTelemetry(num_workers, config, obs=self.obs)
+        except Exception:
+            logger.warning(
+                "telemetry plane unavailable; mining without heartbeats",
+                exc_info=True,
+            )
+            return None
+
+    def _close_telemetry(self) -> None:
+        if self._telemetry is not None:
+            telemetry, self._telemetry = self._telemetry, None
+            try:
+                telemetry.close()
+            except Exception:  # pragma: no cover - teardown resilience
+                logger.debug("telemetry close failed", exc_info=True)
 
     def _attach_shared(self, db, workers: int) -> bool:
         """Publish the index and spawn attach-only workers; False to fall."""
@@ -648,19 +875,17 @@ class ShmShardedCounter(ShardedCounter):
         return rows
 
     def _spawn_shm_workers(self, plane, matrix_spec, index, workers) -> bool:
-        import multiprocessing
-
-        context = multiprocessing.get_context()
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        plane.cursor = context.Value("l", 0)
-        untrack = context.get_start_method() != "fork"
         bounds = _word_bounds(index.num_words, workers)
         self._word_ranges = list(bounds)
         processes: List = []
         connections: List = []
         self.worker_startup_seconds = []
         try:
+            context = multiprocessing.get_context()
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+            plane.cursor = context.Value("l", 0)
+            untrack = context.get_start_method() != "fork"
             for worker_id, word_range in enumerate(bounds):
                 spec = dict(
                     matrix_spec,
@@ -707,7 +932,46 @@ class ShmShardedCounter(ShardedCounter):
         return True
 
     def _detach(self) -> None:
-        super()._detach()
+        """Stop the workers and release the plane (idempotent).
+
+        ``_stall_strikes`` deliberately survives: it is the fallback
+        ladder's memory, and the post-stall reattach goes through here.
+        This is the *internal* teardown — re-attach cycles and stall
+        recovery call it directly; the sealing ``close()`` (inherited
+        from :class:`~repro.db.base.SupportCounter`) layers the
+        use-after-close guard on top.
+        """
+        for connection in self._connections:
+            try:
+                connection.send(None)
+            except (OSError, ValueError, BrokenPipeError):
+                pass
+        for worker in self._workers:
+            worker.join(timeout=2.0)
+            if worker.is_alive():  # pragma: no cover - stuck worker
+                worker.terminate()
+                worker.join(timeout=1.0)
+            if worker.is_alive():  # pragma: no cover - SIGSTOPped worker
+                # SIGTERM stays pending on a stopped process; only
+                # SIGKILL resumes-and-reaps it
+                worker.kill()
+                worker.join(timeout=1.0)
+        for connection in self._connections:
+            try:
+                connection.close()
+            except OSError:  # pragma: no cover
+                pass
+        self._workers = []
+        self._connections = []
+        self.worker_pids = []
+        self.worker_startup_seconds = []
+        self.shard_rows = []
+        self.last_shard_seconds = []
+        self.last_shard_cpu_seconds = []
+        self.last_shard_maxrss_kb = []
+        self._db_ref = None
+        self._needs_reattach = False
+        self._close_telemetry()
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
@@ -715,11 +979,23 @@ class ShmShardedCounter(ShardedCounter):
             self._plane.close()
             self._plane = None
         self._parent_index = None
+        self._serial_index = None
         self._scheduler = None
         self._word_ranges = []
         self.plane = "unattached"
         self.last_mode = None
-        self.worker_startup_seconds = []
+
+    def __del__(self):  # pragma: no cover - interpreter teardown timing
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    def __enter__(self) -> "ShmShardedCounter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # counting
@@ -741,15 +1017,86 @@ class ShmShardedCounter(ShardedCounter):
         if self._scheduler is not None:
             self._scheduler.reset_query()
 
+    def note_candidate_bound(self, bound: Optional[int]) -> None:
+        """Miner-provided bound on the next pass's candidates (live ETA)."""
+        if self._telemetry is not None and bound is not None:
+            self._telemetry.note_bound(bound)
+
+    def _bill_records(self, db) -> None:
+        """Deferred: the workers *report* the records they read.
+
+        The parent sums the per-worker reports in :meth:`_count` instead
+        of assuming ``len(db)`` up front, so ``records_read`` (and through
+        it ``MiningStats.records_read``) reflects what the row slices
+        actually touched — the reports of a completed pass always sum to
+        ``len(db)``.
+        """
+
     def _count(self, db, candidates: List[Itemset]) -> Dict[Itemset, int]:
         if not self._attached_to(db):
             self._attach(db)
         if self._plane is None:
-            return super()._count(db, candidates)
-        totals = self._count_shared(candidates)
+            totals = self._count_serial(candidates)
+        else:
+            totals = self._count_shared(candidates)
         self._record_shard_metrics()
         self._finish_pass_after_stalls()
         return dict(zip(candidates, totals))
+
+    def _count_serial(self, candidates: List[Itemset]) -> List[int]:
+        """The serial rung: the whole batch on the in-process index."""
+        index = self._serial_index
+        started = time.perf_counter()
+        cpu_started = time.process_time()
+        totals = index.counts(candidates, deadline_check=self._check_deadline)
+        self.records_read += index.num_rows
+        self.last_shard_seconds = [time.perf_counter() - started]
+        self.last_shard_cpu_seconds = [time.process_time() - cpu_started]
+        self.last_shard_maxrss_kb = [rusage_snapshot().get("maxrss_kb", 0)]
+        return totals
+
+    def _worker_alive(self, shard: int) -> bool:
+        try:
+            return self._workers[shard].is_alive()
+        except (IndexError, ValueError):  # pragma: no cover - torn state
+            return False
+
+    def _finish_pass_after_stalls(self) -> None:
+        """After a pass that survived a stall: drop the wounded pool.
+
+        The next ``count()`` re-attaches, and the stall strike (which
+        :meth:`_detach` preserves) sends that attach to the serial rung.
+        """
+        if self._needs_reattach:
+            logger.info(
+                "re-attaching on the serial rung after %d stall strike(s)",
+                self._stall_strikes,
+            )
+            self._detach()
+
+    def _record_shard_metrics(self) -> None:
+        """Feed the latest pass's per-worker numbers into the registry."""
+        obs = self.obs
+        if not obs.enabled:
+            return
+        obs.gauge("shard.count").set(
+            max(len(self.last_shard_seconds), len(self.shard_rows))
+        )
+        worker_seconds = obs.histogram("shard.worker_seconds")
+        for seconds in self.last_shard_seconds:
+            worker_seconds.observe(seconds)
+        if self.last_shard_seconds:
+            obs.gauge("shard.last_pass_max_seconds").set(
+                max(self.last_shard_seconds)
+            )
+            obs.counter("shard.worker_seconds_total_ms").inc(
+                int(sum(self.last_shard_seconds) * 1000)
+            )
+        cpu_seconds = obs.histogram("shard.cpu_seconds")
+        for seconds in self.last_shard_cpu_seconds:
+            cpu_seconds.observe(seconds)
+        if self.last_shard_maxrss_kb:
+            obs.gauge("shard.max_rss_kb").set(max(self.last_shard_maxrss_kb))
 
     def _count_shared(self, candidates: List[Itemset]) -> List[int]:
         plane = self._plane
@@ -848,10 +1195,7 @@ class ShmShardedCounter(ShardedCounter):
         return totals.tolist()
 
     def _collect_replies(
-        self,
-        task: Optional[Dict] = None,
-        live: Optional[List[int]] = None,
-        dead: Optional[set] = None,
+        self, task: Dict, live: List[int], dead: set
     ) -> Tuple[List[Dict], bool]:
         """Deadline- and stall-aware reply collection.
 
@@ -863,11 +1207,7 @@ class ShmShardedCounter(ShardedCounter):
         parent recounts the stalled worker's word slice into that
         worker's result row, which no other process writes.
         """
-        if live is None:
-            live = list(range(len(self._connections)))
-        if dead is None:
-            dead = set()
-        mode = task["mode"] if task is not None else "rows"
+        mode = task["mode"]
         telemetry = self._telemetry
         metas: List[Optional[Dict]] = [None] * len(self._connections)
         pending = set(live)
@@ -889,7 +1229,7 @@ class ShmShardedCounter(ShardedCounter):
                         continue
                     pending.discard(event.shard)
                     self._retire_shm_worker(event.shard, dead)
-                    if mode == "rows" and task is not None:
+                    if mode == "rows":
                         metas[event.shard] = self._recover_shm_rows(
                             event.shard, task
                         )
@@ -902,7 +1242,7 @@ class ShmShardedCounter(ShardedCounter):
                         continue
                     reply = connection.recv()
                 except (EOFError, OSError):
-                    if telemetry is not None and task is not None:
+                    if telemetry is not None:
                         # raced the watchdog to a dead worker: same
                         # recovery, different messenger
                         pending.discard(shard)

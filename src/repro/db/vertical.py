@@ -31,8 +31,8 @@ Three pieces cooperate:
 
 :class:`PackedCounter` is the engine facade registered as ``packed`` in
 :func:`repro.db.counting.get_counter`; it builds whichever index the
-interpreter supports and reuses it across passes.  The
-:mod:`repro.db.parallel` shard workers build the same indexes per shard.
+interpreter supports and reuses it across passes.  The serial rung of
+the :mod:`repro.db.shm` process plane builds the same index.
 """
 
 from __future__ import annotations
@@ -690,8 +690,9 @@ class IntBitmapIndex:
 
     Same constructor surface and ``counts`` contract, but backed by
     arbitrary-precision int bitmaps and the :class:`PrefixIntersector`
-    memo, so the ``packed`` and ``sharded`` engines keep working (and keep
-    their prefix-sharing advantage) on interpreters without NumPy.
+    memo, so the ``packed``, ``roaring`` and ``shm`` engines keep working
+    (and keep their prefix-sharing advantage) on interpreters without
+    NumPy.
     """
 
     def __init__(self, bitmaps: Dict[int, int], num_rows: int) -> None:

@@ -27,7 +27,7 @@ them atomic enough for monotonic counters and last-write gauges.
 
 Registries serialise to the versioned ``metrics`` document of
 :mod:`repro.obs.schema` via :meth:`MetricsRegistry.to_dict`, and
-cross-process aggregation (the sharded engine's workers) goes through
+cross-process aggregation (the shm engine's workers) goes through
 :meth:`MetricsRegistry.merge_counters`.
 """
 

@@ -23,8 +23,8 @@ runs when profiling is off, so the disabled-overhead budget of
 :mod:`repro.bench.obs_overhead` is untouched.
 
 :func:`rusage_snapshot` is the shared OS-level accounting helper: the
-sharded engine's workers use it to report their own CPU time and high-water
-RSS over the result channel (see :mod:`repro.db.parallel`).
+shm engine's workers use it to report their own CPU time and high-water
+RSS over the result channel (see :mod:`repro.db.shm`).
 """
 
 from __future__ import annotations

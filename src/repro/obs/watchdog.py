@@ -20,8 +20,8 @@ reply): an idle worker between passes beats rarely and must not be
 flagged.  Each stall is reported once as a :class:`StallEvent`, mirrored
 into the trace as a schema-v3 ``shard_stalled`` event, and counted in
 ``telemetry.shard_stalled``; the engine reacts by reassigning the
-shard's remaining work to live processes (see ``db/parallel.py`` /
-``db/shm.py``) and stepping down the fallback ladder at the next attach.
+shard's remaining work to live processes (see ``db/shm.py``) and
+stepping down the fallback ladder at the next attach.
 """
 
 from __future__ import annotations

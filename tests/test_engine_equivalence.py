@@ -3,7 +3,7 @@
 The naive engine is the executable specification — a flat
 transaction-by-candidate scan with no shared state, no caching, and no
 vectorization.  Every other engine (and every forced engine variant:
-multi-process sharded, serial sharded, pure-Python packed) must return
+two-process shm, serial shm, pure-Python packed) must return
 bit-identical counts on randomized databases, including the edge cases
 the fast paths are most likely to get wrong: empty transactions, the
 empty candidate ``()``, an empty candidate batch, and candidates naming
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.db.counting import available_engines, get_counter
-from repro.db.parallel import ShardedCounter
+from repro.db.shm import ShmShardedCounter
 from repro.db.transaction_db import TransactionDatabase
 from repro.db.vertical import PackedCounter
 
@@ -54,8 +54,8 @@ def variant_counters():
     """Engine factories covering every code path, not just the registry."""
     variants = {name: lambda n=name: get_counter(n) for name in available_engines()}
     variants["packed-python"] = lambda: PackedCounter(force_python=True)
-    variants["sharded-serial"] = lambda: ShardedCounter(use_processes=False)
-    variants["sharded-2proc"] = lambda: ShardedCounter(num_shards=2)
+    variants["shm-serial"] = lambda: ShmShardedCounter(use_processes=False)
+    variants["shm-2proc"] = lambda: ShmShardedCounter(num_shards=2)
     return variants
 
 

@@ -1,18 +1,17 @@
 """CompressedMaskStore: mapping contract, fuzz vs a dict mirror, compression.
 
-The store is a drop-in for the ``mask -> slot`` dict inside
-:class:`~repro.core.cover.MaskCover`, so the contract under test is the
-mapping subset MaskCover uses — ``in`` / ``[]`` / ``get`` / ``pop`` /
-``len`` / iteration — plus the compression evidence (``encoded_bytes`` /
-``stats``) and the block split/merge mechanics around :data:`BLOCK`.
+The store is a drop-in for a ``mask -> payload`` dict (the support
+cache's old generation keeps its masks here), so the contract under test
+is the mapping subset its callers use — ``in`` / ``[]`` / ``get`` /
+``pop`` / ``len`` / iteration — plus the compression evidence
+(``encoded_bytes`` / ``stats``) and the block split/merge mechanics
+around :data:`BLOCK`.
 """
 
 import random
 
 import pytest
 
-from repro.core.bitset import ItemUniverse
-from repro.core.cover import MaskCover
 from repro.core.maskstore import BLOCK, CompressedMaskStore
 
 NUM_TRIALS = 6
@@ -138,30 +137,3 @@ def test_multibyte_varint_deltas_roundtrip():
     assert list(store) == sorted(masks)
     for slot, mask in enumerate(masks):
         assert store[mask] == slot
-
-
-def test_maskcover_compressed_matches_dict_backed():
-    """End-to-end: compressed MaskCover answers exactly like the dict one."""
-    rng = random.Random(271)
-    universe = ItemUniverse(range(30))
-    plain = MaskCover(universe)
-    compressed = MaskCover(universe, compressed=True)
-    members = []
-    for _ in range(400):
-        if members and rng.random() < 0.3:
-            victim = members.pop(rng.randrange(len(members)))
-            plain.discard(victim)
-            compressed.discard(victim)
-        else:
-            member = tuple(sorted(rng.sample(range(30), rng.randint(1, 8))))
-            if member not in members:
-                members.append(member)
-            plain.add(member)
-            compressed.add(member)
-        probe = tuple(sorted(rng.sample(range(30), rng.randint(0, 9))))
-        assert compressed.covers(probe) == plain.covers(probe)
-        assert sorted(compressed.supersets_of(probe)) == sorted(
-            plain.supersets_of(probe)
-        )
-        assert len(compressed) == len(plain)
-    assert sorted(compressed.members) == sorted(plain.members)

@@ -1,14 +1,15 @@
 """Differential suite for the compressed counting tier.
 
-The roaring engine is a fallback ladder — roaring (NumPy hybrid
-containers), packed, chunked-int ``bitmap``, and plain ``python`` — and
-the whole point of the ladder is that every rung returns *byte-identical*
-counts, so the tier choice is purely a performance decision.  These tests
-pin that: randomized databases shaped to exercise every container kind
-(sparse array columns, dense bitmap spans, clustered run columns), plus
-the degenerate shapes the container ops special-case — empty columns,
-all-ones columns, single-row chunks, duplicate candidates, and
-candidates naming items that occur nowhere.
+The roaring engine must return *byte-identical* counts to the naive
+scan on dense and sparse data alike — which engine serves a database is
+:func:`repro.db.counting.engine_decision`'s performance call, never a
+correctness one.  These tests pin that: randomized databases shaped to
+exercise every container kind (sparse array columns, dense bitmap spans,
+clustered run columns), plus the degenerate shapes the container ops
+special-case — empty columns, all-ones columns, single-row chunks,
+duplicate candidates, and candidates naming items that occur nowhere.
+Without NumPy the engine counts on ``IntBitmapIndex``, and the same
+differential checks cover that platform fallback.
 """
 
 import random
@@ -16,23 +17,16 @@ import random
 import pytest
 
 from repro.db.roaring import (
-    ARRAY_MAX,
     CHUNK_SIZE,
-    ChunkedIntIndex,
     RoaringCounter,
     RoaringIndex,
-    TIER_LADDER,
     measure_density,
 )
 from repro.db.counting import get_counter
 from repro.db.transaction_db import TransactionDatabase
-from repro.db.vertical import HAVE_NUMPY
+from repro.db.vertical import HAVE_NUMPY, IntBitmapIndex
 
 NUM_TRIALS = 8
-
-
-def ladder_counters():
-    return {tier: lambda t=tier: RoaringCounter(force_tier=t) for t in TIER_LADDER}
 
 
 def random_database(rng):
@@ -61,15 +55,45 @@ def random_candidates(rng, db):
     return candidates
 
 
-@pytest.mark.parametrize("tier", sorted(TIER_LADDER))
-def test_randomised_ladder_equivalence_with_naive(tier):
+def test_randomised_equivalence_with_naive():
     rng = random.Random(7041)
     for trial in range(NUM_TRIALS):
         db = random_database(rng)
         candidates = random_candidates(rng, db)
         expected = get_counter("naive").count(db, candidates)
-        actual = RoaringCounter(force_tier=tier).count(db, candidates)
-        assert actual == expected, "trial %d: tier %s diverged" % (trial, tier)
+        actual = RoaringCounter().count(db, candidates)
+        assert actual == expected, "trial %d diverged" % trial
+
+
+def shaped_database(density, rows, num_items, seed):
+    """Random db whose mean column density is roughly ``density``."""
+    rng = random.Random(seed)
+    baskets = [
+        [item for item in range(num_items) if rng.random() < density]
+        for _ in range(rows)
+    ]
+    return TransactionDatabase(baskets, universe=range(num_items))
+
+
+@pytest.mark.parametrize(
+    "density", [0.4, 0.01], ids=["dense", "sparse"]
+)
+def test_matches_naive_across_density(density):
+    db = shaped_database(density, rows=3000, num_items=60, seed=29)
+    rng = random.Random(31)
+    candidates = [
+        tuple(sorted(rng.sample(range(60), rng.randint(1, 4))))
+        for _ in range(150)
+    ]
+    candidates += [(), (59,), (0, 59), (61,)]
+    counter = RoaringCounter()
+    assert counter.count(db, candidates) == get_counter("naive").count(
+        db, candidates
+    )
+    # no density policy inside the engine: dense data still counts on
+    # the container index whenever NumPy is present
+    expected_index = RoaringIndex if HAVE_NUMPY else IntBitmapIndex
+    assert type(counter._index) is expected_index
 
 
 def multi_container_database():
@@ -93,7 +117,9 @@ def multi_container_database():
     return TransactionDatabase(baskets, universe=range(302))
 
 
-def test_ladder_identical_on_multi_container_database():
+def test_identical_on_multi_container_database():
+    # the int-bitmap engine is the reference here: a naive scan of 70k
+    # rows per candidate would dominate the suite's runtime
     db = multi_container_database()
     rng = random.Random(13)
     candidates = []
@@ -102,15 +128,10 @@ def test_ladder_identical_on_multi_container_database():
         candidates.append(tuple(sorted(rng.sample(range(0, 40), size))))
     candidates += [(), (2,), (0, 1, 2), (300, 301), (301,)]
     candidates.append(candidates[0])
-    reference = None
-    for tier in TIER_LADDER:
-        counts = RoaringCounter(force_tier=tier).count(db, candidates)
-        if reference is None:
-            reference = counts
-        else:
-            assert counts == reference, "tier %s diverged" % tier
+    counts = RoaringCounter().count(db, candidates)
+    assert counts == get_counter("bitmap").count(db, candidates)
     # the all-ones column must count every row
-    assert reference[(2,)] == len(db)
+    assert counts[(2,)] == len(db)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="roaring rung needs NumPy")
@@ -143,56 +164,16 @@ def test_empty_and_all_ones_columns():
     assert counts[(0, 1, 2)] == 0
 
 
-def test_forced_tier_steps_down_without_numpy(monkeypatch):
+def test_steps_down_to_int_bitmap_index_without_numpy(monkeypatch):
     import repro.db.roaring as roaring_module
 
     monkeypatch.setattr(roaring_module, "HAVE_NUMPY", False)
-    counter = RoaringCounter(force_tier="roaring")
+    counter = RoaringCounter()
     db = TransactionDatabase([[0, 1], [1]], universe=range(3))
-    counts = counter.count(db, [(0,), (1,), (0, 1)])
-    assert counts == {(0,): 1, (1,): 2, (0, 1): 1}
-    assert counter.tier == "bitmap"
-    packed_counter = RoaringCounter(force_tier="packed")
-    packed_counter.count(db, [(0,)])
-    assert packed_counter.tier == "python"
-
-
-def test_unknown_tier_rejected():
-    with pytest.raises(ValueError):
-        RoaringCounter(force_tier="zram")
-
-
-def test_tier_resolution_follows_density():
-    dense_db = TransactionDatabase(
-        [[0, 1, 2] for _ in range(64)], universe=range(3)
-    )
-    sparse_rows = [[i % 97] for i in range(2000)]
-    sparse_db = TransactionDatabase(sparse_rows, universe=range(97))
-    dense_counter = RoaringCounter()
-    dense_counter.count(dense_db, [(0,)])
-    sparse_counter = RoaringCounter()
-    sparse_counter.count(sparse_db, [(0,)])
-    if HAVE_NUMPY:
-        assert dense_counter.tier == "packed"
-        assert sparse_counter.tier == "roaring"
-    else:
-        assert dense_counter.tier == "python"
-        assert sparse_counter.tier == "bitmap"
-    assert dense_counter.density > sparse_counter.density
-
-
-def test_chunked_int_index_skips_absent_chunks():
-    num_rows = 3 * CHUNK_SIZE
-    baskets = [[] for _ in range(num_rows)]
-    baskets[10] = [0]
-    baskets[2 * CHUNK_SIZE + 5] = [0, 1]
-    db = TransactionDatabase(baskets, universe=range(2))
-    index = ChunkedIntIndex.from_database(db)
-    # only the two occupied chunks are stored
-    assert set(index._columns[0].chunks) == {0, 2}
-    assert set(index._columns[1].chunks) == {2}
-    counts = index.counts([(0,), (1,), (0, 1)])
-    assert counts == [2, 1, 1]
+    counts = counter.count(db, [(0,), (1,), (0, 1), (2,)])
+    assert counts == {(0,): 1, (1,): 2, (0, 1): 1, (2,): 0}
+    assert type(counter._index) is IntBitmapIndex
+    assert counter.container_counts() == {}
 
 
 def test_measure_density_evidence_shape():
@@ -210,9 +191,7 @@ def test_prefix_cache_accounting_and_reset():
     db = TransactionDatabase(
         [[0, 1, 2], [0, 1], [1, 2], [0, 2]], universe=range(3)
     )
-    # pin a walk-based rung: the packed tier's blocked kernel only starts
-    # sharing prefixes once blocks are large enough to be worth planning
-    counter = RoaringCounter(force_tier="roaring")
+    counter = RoaringCounter()
     counter.count(db, [(0, 1), (0, 1, 2), (0, 2)])
     assert counter.prefix_cache_hits > 0
     assert counter.prefix_cache_misses > 0

@@ -17,7 +17,7 @@ from repro.core.session import MiningSession, SessionClosedError
 from repro.core.supportcache import CachedSupportCounter, SupportCache
 from repro.db.base import EngineClosedError, SupportCounter
 from repro.db.counting import get_counter
-from repro.db.parallel import AdaptiveShardScheduler
+from repro.db.shm import AdaptiveShardScheduler
 from repro.db.transaction_db import TransactionDatabase
 from repro.obs import capture
 

@@ -1,4 +1,9 @@
-"""Tests for the zero-copy shared-memory counting plane (``repro.db.shm``)."""
+"""Tests for the process plane (``repro.db.shm``): the ``shm`` engine.
+
+The shared-memory and mmap rungs need NumPy; the serial rung, the
+worker-count heuristics and the per-pass scheduler do not, so those run
+on bare interpreters too.
+"""
 
 import gc
 import os
@@ -7,15 +12,22 @@ import time
 
 import pytest
 
+from repro.db import shm as shm_mod
 from repro.db.base import EngineClosedError
-from repro.db.counting import get_counter
+from repro.db.counting import CountingDeadline, get_counter
+from repro.db.shm import (
+    MIN_ROWS_PER_SHARD,
+    AdaptiveShardScheduler,
+    ShmShardedCounter,
+    _word_bounds,
+    default_num_shards,
+)
 from repro.db.transaction_db import TransactionDatabase
 from repro.db.vertical import HAVE_NUMPY
 
-shm_mod = pytest.importorskip("repro.db.shm")
-ShmShardedCounter = shm_mod.ShmShardedCounter
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="shm plane needs NumPy")
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="shared planes need NumPy"
+)
 
 try:
     from multiprocessing import shared_memory
@@ -42,23 +54,328 @@ def _segment_gone(name):
     return False
 
 
+class TestShardHeuristics:
+    def test_default_num_shards_respects_min_rows(self):
+        assert default_num_shards(0) == 1
+        assert default_num_shards(MIN_ROWS_PER_SHARD - 1) == 1
+        assert default_num_shards(MIN_ROWS_PER_SHARD, max_workers=8) == 1
+        assert default_num_shards(MIN_ROWS_PER_SHARD * 4, max_workers=2) == 2
+
+    def test_word_bounds_cover_words_exactly(self):
+        for words, workers in ((10, 3), (7, 7), (5, 1), (0, 1), (1, 3)):
+            bounds = _word_bounds(words, workers)
+            assert len(bounds) == workers
+            assert bounds[0][0] == 0
+            assert bounds[-1][1] == words
+            for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+                assert stop == start
+
+    def test_invalid_shard_count_rejected(self):
+        with pytest.raises(ValueError):
+            ShmShardedCounter(num_shards=0)
+
+
+class TestWorkerCapEnv:
+    def test_env_variable_caps_shards(self, monkeypatch):
+        rows = MIN_ROWS_PER_SHARD * 100
+        monkeypatch.setattr(shm_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        assert default_num_shards(rows) == 2
+        # the env cap is the operator's ceiling: it beats an explicit,
+        # larger max_workers too
+        assert default_num_shards(rows, max_workers=8) == 2
+
+    def test_env_variable_never_raises_the_count(self, monkeypatch):
+        rows = MIN_ROWS_PER_SHARD * 100
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "64")
+        assert default_num_shards(rows, max_workers=2) == 2
+
+    def test_garbage_env_value_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "plenty")
+        rows = MIN_ROWS_PER_SHARD * 4
+        assert default_num_shards(rows, max_workers=2) == 2
+
+
+class TestSerialMode:
+    def test_counts_match_naive(self):
+        with ShmShardedCounter(use_processes=False, num_shards=3) as counter:
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            assert counter.worker_pids == []
+            assert counter.plane == "serial"
+
+    def test_single_shard_default_on_small_db(self):
+        with ShmShardedCounter() as counter:
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            # the heuristic refuses to shard a 420-row database
+            assert counter.worker_pids == []
+            assert counter.plane == "serial"
+
+
+@needs_numpy
+class TestProcessMode:
+    def test_counts_match_naive_across_processes(self):
+        with ShmShardedCounter(num_shards=3) as counter:
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            assert len(counter.worker_pids) == 3
+
+    def test_workers_reused_across_passes(self):
+        with ShmShardedCounter(num_shards=2) as counter:
+            counter.count(DB, [(1,)])
+            pids = list(counter.worker_pids)
+            counter.count(DB, [(2,), (1, 2)])
+            assert counter.worker_pids == pids
+
+    def test_new_database_respawns_workers(self):
+        with ShmShardedCounter(num_shards=2) as counter:
+            counter.count(DB, [(1,)])
+            pids = list(counter.worker_pids)
+            other = TransactionDatabase([[1, 5]] * 8)
+            assert counter.count(other, [(5,)]) == {(5,): 8}
+            assert counter.worker_pids != pids
+
+    def test_close_is_idempotent(self):
+        counter = ShmShardedCounter(num_shards=2)
+        counter.count(DB, [(1,)])
+        counter.close()
+        assert counter.worker_pids == []
+        counter.close()  # second close is free
+        # counting after close() is a caller bug, not a silent re-attach
+        with pytest.raises(EngineClosedError):
+            counter.count(DB, [(1,)])
+
+    def test_more_shards_than_rows_is_clamped(self):
+        db = TransactionDatabase([[1], [1, 2]])
+        with ShmShardedCounter(num_shards=10) as counter:
+            assert counter.count(db, [(1,), (2,)]) == {(1,): 2, (2,): 1}
+            assert len(counter.worker_pids) == 2
+
+
+class TestDeadline:
+    def test_expired_deadline_aborts_serial(self):
+        with ShmShardedCounter(use_processes=False) as counter:
+            counter.deadline = time.perf_counter() - 1.0
+            with pytest.raises(CountingDeadline):
+                counter.count(DB, [(1,)])
+
+    def test_expired_deadline_aborts_before_dispatch(self):
+        counter = ShmShardedCounter(num_shards=2)
+        try:
+            counter.count(DB, [(1,)])
+            counter.deadline = time.perf_counter() - 1.0
+            with pytest.raises(CountingDeadline):
+                counter.count(DB, [(2,)])
+        finally:
+            counter.close()
+
+    @needs_numpy
+    def test_mid_pass_deadline_drops_worker_pool(self):
+        counter = ShmShardedCounter(num_shards=2)
+        try:
+            counter.count(DB, [(1,)])
+            # expire the deadline between dispatch and collection: the
+            # reply loop must drop the pool so stale replies cannot
+            # poison the next pass
+            counter.deadline = time.perf_counter() - 1.0
+            with pytest.raises(CountingDeadline):
+                counter._count_shared([(2,)])
+            assert counter.worker_pids == []
+            counter.deadline = None
+            assert counter.count(DB, [(2,)]) == {(2,): EXPECTED[(2,)]}
+        finally:
+            counter.close()
+
+
+class TestShardResourceAttribution:
+    @needs_numpy
+    def test_worker_replies_carry_cpu_and_rss(self):
+        with ShmShardedCounter(num_shards=2, use_processes=True) as counter:
+            counter.count(DB, CANDIDATES)
+            assert len(counter.last_shard_cpu_seconds) == 2
+            assert len(counter.last_shard_maxrss_kb) == 2
+            assert all(s >= 0.0 for s in counter.last_shard_cpu_seconds)
+            # every worker is a live Python process: its high-water RSS
+            # cannot be zero on any platform with a resource module
+            assert all(kb > 0 for kb in counter.last_shard_maxrss_kb)
+
+    def test_serial_mode_attributes_cpu_per_shard(self):
+        # the serial rung is one in-process index: one attribution entry
+        with ShmShardedCounter(num_shards=2, use_processes=False) as counter:
+            counter.count(DB, CANDIDATES)
+            assert len(counter.last_shard_cpu_seconds) == 1
+            assert all(s >= 0.0 for s in counter.last_shard_cpu_seconds)
+            assert len(counter.last_shard_maxrss_kb) == 1
+
+    @needs_numpy
+    def test_rusage_parity_serial_vs_workers(self):
+        # both rungs expose the same attribution surface, one entry per
+        # worker (the serial rung is one worker), so downstream metrics
+        # code never branches on the rung
+        shapes = {}
+        for processes in (False, True):
+            with ShmShardedCounter(
+                num_shards=2, use_processes=processes
+            ) as counter:
+                counter.count(DB, CANDIDATES)
+                shapes[processes] = (
+                    len(counter.shard_rows),
+                    len(counter.last_shard_seconds),
+                    len(counter.last_shard_cpu_seconds),
+                    len(counter.last_shard_maxrss_kb),
+                )
+        assert shapes[False] == (1, 1, 1, 1)
+        assert shapes[True] == (2, 2, 2, 2)
+
+    def test_shard_metrics_include_cpu_and_rss(self):
+        from repro.obs.instrument import Instrumentation
+
+        obs = Instrumentation()
+        with ShmShardedCounter(num_shards=2, use_processes=False) as counter:
+            counter.obs = obs
+            counter.count(DB, CANDIDATES)
+        document = obs.metrics.to_dict()
+        assert document["histograms"]["shard.cpu_seconds"]["count"] == 1
+        assert "shard.max_rss_kb" in document["gauges"]
+
+    def test_close_clears_attribution(self):
+        counter = ShmShardedCounter(num_shards=2, use_processes=False)
+        counter.count(DB, CANDIDATES)
+        counter.close()
+        assert counter.last_shard_cpu_seconds == []
+        assert counter.last_shard_maxrss_kb == []
+
+
+class TestSpawnContextFallback:
+    @needs_numpy
+    def test_workers_start_under_spawn_context(self, monkeypatch):
+        # simulate a platform without fork: the plane must fall back to
+        # the default (spawn) context and still produce exact counts
+        import multiprocessing
+
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            shm_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(
+            shm_mod.multiprocessing, "get_context", lambda method=None: spawn
+        )
+        with ShmShardedCounter(num_shards=2) as counter:
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            assert counter.plane == "shm"
+            assert len(counter.worker_pids) == 2
+            assert len(counter.worker_startup_seconds) == 2
+
+    def test_spawn_failure_falls_back_to_serial_shards(self, monkeypatch):
+        import multiprocessing
+
+        spawn = multiprocessing.get_context("spawn")
+
+        class ExplodingContext:
+            def __getattr__(self, name):
+                return getattr(spawn, name)
+
+            @staticmethod
+            def Pipe():
+                raise OSError("simulated: cannot create worker pipes")
+
+        monkeypatch.setattr(
+            shm_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(
+            shm_mod.multiprocessing,
+            "get_context",
+            lambda method=None: ExplodingContext(),
+        )
+        with ShmShardedCounter(num_shards=2) as counter:
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            assert counter.worker_pids == []  # the serial rung served
+            assert counter.plane == "serial"
+
+    @needs_numpy
+    def test_worker_startup_seconds_reported(self):
+        with ShmShardedCounter(num_shards=2) as counter:
+            counter.count(DB, CANDIDATES)
+            assert len(counter.worker_startup_seconds) == 2
+            assert all(s >= 0.0 for s in counter.worker_startup_seconds)
+
+
+class TestAdaptiveShardScheduler:
+    def test_few_candidates_force_row_mode(self):
+        scheduler = AdaptiveShardScheduler(4)
+        mode, _ = scheduler.choose(3, num_rows=100_000)
+        assert mode == "rows"
+
+    def test_tiny_matrix_forces_candidate_mode(self):
+        # 100 rows = 2 words < 4 workers: row slices would idle workers
+        scheduler = AdaptiveShardScheduler(4)
+        mode, _ = scheduler.choose(64, num_rows=100)
+        assert mode == "candidates"
+
+    def test_wide_unmeasured_batch_steals(self):
+        scheduler = AdaptiveShardScheduler(2)
+        mode, chunk = scheduler.choose(10_000, num_rows=1_000_000)
+        assert mode == "candidates"
+        assert scheduler.MIN_CHUNK <= chunk <= scheduler.MAX_CHUNK
+
+    def test_fast_miner_rate_prefers_rows(self):
+        scheduler = AdaptiveShardScheduler(2)
+        scheduler.note_miner_rate(1e9)  # pass would finish in microseconds
+        mode, _ = scheduler.choose(10_000, num_rows=1_000_000)
+        assert mode == "rows"
+
+    def test_measured_rates_win_with_hysteresis(self):
+        scheduler = AdaptiveShardScheduler(2)
+        scheduler.observe("rows", 1000, 1.0)        # 1000 c/s
+        scheduler.observe("candidates", 1000, 0.5)  # 2000 c/s > 1.2x
+        mode, _ = scheduler.choose(1000, num_rows=1_000_000)
+        assert mode == "candidates"
+
+    def test_hysteresis_band_keeps_rows(self):
+        scheduler = AdaptiveShardScheduler(2)
+        scheduler.observe("rows", 1000, 1.0)
+        scheduler.observe("candidates", 1100, 1.0)  # only 1.1x faster
+        mode, _ = scheduler.choose(1000, num_rows=1_000_000)
+        assert mode == "rows"
+
+    def test_fixed_chunk_override(self):
+        scheduler = AdaptiveShardScheduler(2, chunk=17)
+        assert scheduler.chunk_for(100_000) == 17
+
+    def test_chunk_targets_four_per_worker(self):
+        scheduler = AdaptiveShardScheduler(2)
+        assert scheduler.chunk_for(8 * 300) == 300
+
+    def test_decision_ledger(self):
+        scheduler = AdaptiveShardScheduler(2)
+        scheduler.choose(1, num_rows=1_000_000)
+        scheduler.choose(10_000, num_rows=1_000_000)
+        assert scheduler.decisions == {"rows": 1, "candidates": 1}
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError):
+            AdaptiveShardScheduler(0)
+
+
 class TestEquivalence:
+    @needs_numpy
     def test_counts_match_naive_on_shm_plane(self):
         with ShmShardedCounter(num_shards=2) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             assert counter.plane == "shm"
 
+    @needs_numpy
     def test_wide_batch_uses_candidate_mode(self):
         with ShmShardedCounter(num_shards=2) as counter:
             assert counter.count(DB, WIDE) == WIDE_EXPECTED
             assert counter.last_mode == "candidates"
             assert counter.chunks_dispatched > 0
 
+    @needs_numpy
     def test_narrow_batch_uses_row_mode(self):
         with ShmShardedCounter(num_shards=2) as counter:
             counter.count(DB, [(1,), (2,)])
             assert counter.last_mode == "rows"
 
+    @needs_numpy
     def test_capacity_growth_and_worker_reattach(self):
         with ShmShardedCounter(num_shards=2) as counter:
             counter.count(DB, CANDIDATES)
@@ -82,6 +399,16 @@ class TestEquivalence:
 
 
 class TestAccounting:
+    def test_accounting_matches_bitmap_engine(self):
+        bitmap = get_counter("bitmap")
+        with ShmShardedCounter(num_shards=2) as counter:
+            for engine in (bitmap, counter):
+                engine.count(DB, CANDIDATES)
+                engine.count(DB, [(1, 2)])
+            assert counter.passes == bitmap.passes == 2
+            assert counter.records_read == bitmap.records_read
+            assert counter.itemsets_counted == bitmap.itemsets_counted
+
     def test_records_read_is_passes_times_rows(self):
         with ShmShardedCounter(num_shards=2) as counter:
             counter.count(DB, CANDIDATES)   # rows mode
@@ -99,6 +426,7 @@ class TestAccounting:
             assert counter.records_read == packed.records_read
             assert counter.itemsets_counted == packed.itemsets_counted
 
+    @needs_numpy
     def test_attach_and_startup_are_reported(self):
         with ShmShardedCounter(num_shards=2) as counter:
             counter.count(DB, CANDIDATES)
@@ -106,6 +434,7 @@ class TestAccounting:
             assert len(counter.worker_startup_seconds) == 2
             assert all(s >= 0.0 for s in counter.worker_startup_seconds)
 
+    @needs_numpy
     def test_scheduler_metrics_are_emitted(self):
         from repro.obs.instrument import Instrumentation
 
@@ -119,6 +448,7 @@ class TestAccounting:
         assert "shard.attach_seconds" in document["gauges"]
 
 
+@needs_numpy
 class TestCleanup:
     def test_close_unlinks_every_segment(self):
         counter = ShmShardedCounter(num_shards=2)
@@ -179,6 +509,7 @@ class TestCleanup:
         counter.close()
 
 
+@needs_numpy
 class TestFallbackLadder:
     def test_mmap_rung_when_shared_memory_unavailable(self, monkeypatch):
         real = shm_mod._shared_memory
@@ -219,7 +550,7 @@ class TestFallbackLadder:
 
     def test_pipe_rung_when_worker_spawn_fails(self, monkeypatch):
         # every shared-memory spawn failing must fall through to the
-        # inherited fork/pipe plane, not error out
+        # serial rung, not error out
         monkeypatch.setattr(
             ShmShardedCounter,
             "_spawn_shm_workers",
@@ -227,7 +558,8 @@ class TestFallbackLadder:
         )
         with ShmShardedCounter(num_shards=2) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert counter.plane == "pipe"
+            assert counter.plane == "serial"
+            assert counter.worker_pids == []
 
     def test_full_ladder_agrees_on_supports(self, monkeypatch):
         results = {}
@@ -249,6 +581,7 @@ class TestFallbackLadder:
         assert results["shm"] == results["mmap"] == results["serial"]
 
 
+@needs_numpy
 class TestSchedulerPlumbing:
     def test_note_pass_rate_reaches_the_scheduler(self):
         with ShmShardedCounter(num_shards=2) as counter:

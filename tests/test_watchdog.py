@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.db.counting import get_counter
-from repro.db.parallel import ShardedCounter
 from repro.db.transaction_db import TransactionDatabase
 from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
@@ -181,85 +180,6 @@ class TestWatchdogUnit:
 
 
 # ----------------------------------------------------------------------
-# integration: the pipe (pickled-batch) plane
-# ----------------------------------------------------------------------
-
-
-class TestPipePlaneRecovery:
-    def _counter(self, obs):
-        counter = ShardedCounter(num_shards=3, use_processes=True)
-        counter.obs = obs
-        return counter
-
-    def _resume(self, pid):
-        try:
-            os.kill(pid, signal.SIGCONT)
-        except (OSError, ProcessLookupError):
-            pass
-
-    def test_wedged_worker_recovers_byte_identical(self, tmp_path):
-        obs, trace_path = _capture(tmp_path, "pipe-wedged")
-        with self._counter(obs) as counter:
-            assert counter.count(DB, CANDIDATES) == EXPECTED  # spawns workers
-            assert counter._telemetry is not None
-            victim = counter.worker_pids[1]
-            os.kill(victim, signal.SIGSTOP)
-            try:
-                assert counter.count(DB, CANDIDATES) == EXPECTED
-            finally:
-                self._resume(victim)
-            assert counter.shards_reassigned == 1
-            assert counter._stall_strikes == 1
-        obs.finish()
-        events = _stall_events(trace_path)
-        assert len(events) == 1
-        assert events[0]["kind"] == "wedged"
-        assert events[0]["shard"] == 1
-
-    def test_killed_worker_recovers_byte_identical(self, tmp_path):
-        obs, trace_path = _capture(tmp_path, "pipe-killed")
-        with self._counter(obs) as counter:
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            os.kill(counter.worker_pids[0], signal.SIGKILL)
-            time.sleep(0.1)  # let the process actually die
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert counter.shards_reassigned == 1
-        obs.finish()
-        assert len(_stall_events(trace_path)) == 1
-
-    def test_ladder_steps_down_after_strikes(self, tmp_path):
-        obs, _ = _capture(tmp_path, "pipe-ladder")
-        with self._counter(obs) as counter:
-            counter.count(DB, CANDIDATES)
-            victim = counter.worker_pids[2]
-            os.kill(victim, signal.SIGSTOP)
-            try:
-                counter.count(DB, CANDIDATES)
-            finally:
-                self._resume(victim)
-            # the wounded pool was dropped at the end of the pass; one
-            # strike keeps the process plane on the next attach
-            assert counter._workers == []
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert len(counter._workers) > 0
-            counter._stall_strikes = 2
-            counter._detach()
-            # two strikes force in-process serial shards
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert counter._workers == []
-        obs.finish()
-
-    def test_unwedged_run_emits_no_stalls(self, tmp_path):
-        obs, trace_path = _capture(tmp_path, "pipe-clean")
-        with self._counter(obs) as counter:
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert counter.shards_reassigned == 0
-        obs.finish()
-        assert _stall_events(trace_path) == []
-
-
-# ----------------------------------------------------------------------
 # integration: the shared-memory plane (rows + candidates modes)
 # ----------------------------------------------------------------------
 
@@ -371,8 +291,8 @@ class TestShmPlaneRecovery:
                 counter.count(DB, CANDIDATES)
             finally:
                 self._resume(victim)
-            # one strike: the next attach must land below the shared
-            # planes (pipe workers or serial shards)
+            # one strike: the next attach must land on the serial rung
             assert counter.count(DB, CANDIDATES) == EXPECTED
-            assert counter.plane in ("pipe", "serial")
+            assert counter.plane == "serial"
+            assert counter.worker_pids == []
         obs.finish()
