@@ -34,7 +34,12 @@ from ..core.lattice import maximal_elements
 from ..core.pincer import resolve_threshold
 from ..core.result import MiningResult
 from ..core.stats import MiningStats
-from ..db.counting import SupportCounter, get_counter, resolve_counter, select_engine
+from ..db.counting import (
+    SupportCounter,
+    engine_decision,
+    get_counter,
+    resolve_counter,
+)
 from ..db.transaction_db import TransactionDatabase
 from ..obs.instrument import NOOP, Instrumentation
 from ..obs.logsetup import get_logger
@@ -120,7 +125,9 @@ class SamplingMiner:
             sample = self._draw_sample(db)
             # the in-memory sample phase is free in the paper's I/O model;
             # mine it with Apriori at the lowered threshold
-            sample_counter = get_counter(select_engine(sample, self._engine))
+            sample_counter = get_counter(
+                engine_decision(sample, self._engine).engine
+            )
             sample_threshold = max(
                 1, int(self._lowering * fraction * max(1, len(sample)))
             )

@@ -97,9 +97,9 @@ def time_engine(
     """Best-of-``repeats`` seconds to serve all ``batches``.
 
     A warm-up run is not separated out: per-database state an engine
-    builds once and reuses (the bitmap cache, the packed matrix, shard
-    workers) is part of what a mining run pays, so the first repeat
-    carries it and best-of keeps the steady-state figure.
+    builds once and reuses (the vertical index, shard workers) is part
+    of what a mining run pays, so the first repeat carries it and
+    best-of keeps the steady-state figure.
     """
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -142,7 +142,7 @@ def run_counting_benchmark(
                 "passes": len(batches),
                 "itemsets_counted": counter.itemsets_counted,
             }
-            # prefix-intersection cache accounting (bitmap/packed engines;
+            # prefix-sharing accounting (bitmap/packed/roaring engines;
             # values cover the last timed repeat — reset() zeroes them)
             hits = getattr(counter, "prefix_cache_hits", None)
             if hits is not None:

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.pincer import PincerSearch
 from ..db.base import SupportCounter
-from ..db.counting import get_counter, select_engine
+from ..db.counting import engine_decision, get_counter
 from ..db.shm import ShmShardedCounter
 from ..obs.instrument import Instrumentation, capture
 from .engines import record_batches
@@ -181,7 +181,7 @@ def run_overhead_benchmark(
     spec = ExperimentSpec("bench-obs", database, 2000, (), "")
     db = build_database(spec, num_transactions=scale)
     fraction = min_support_percent / 100.0
-    engine_name = select_engine(db)
+    engine_name = engine_decision(db).engine
     batches = record_batches(db, min_support_percent)
 
     counter = get_counter(engine_name)

@@ -10,11 +10,8 @@ from .counting import (
     SupportCounter,
     TrieCounter,
     available_engines,
-    count_pairs,
-    count_singletons,
     engine_decision,
     get_counter,
-    select_engine,
 )
 from .disk import DiskTransactionDatabase
 from .snapshot import (
@@ -27,7 +24,7 @@ from .snapshot import (
 )
 from .hash_tree import HashTree
 from .io import load, load_basket, load_csv, load_json, save, save_basket, save_csv, save_json
-from .roaring import RoaringCounter, RoaringIndex, measure_density
+from .roaring import RoaringCounter, RoaringIndex
 from .transaction_db import TransactionDatabase
 from .trie import CandidateTrie
 from .vertical import (
@@ -63,12 +60,8 @@ __all__ = [
     "load_snapshot",
     "snapshot_database",
     "write_snapshot",
-    "count_pairs",
-    "count_singletons",
     "engine_decision",
     "get_counter",
-    "measure_density",
-    "select_engine",
     "load",
     "load_basket",
     "load_csv",

@@ -23,23 +23,20 @@ Engines provided:
     (:mod:`repro.db.trie`).
 ``bitmap``
     Vertical bitmaps: support is the popcount of the AND of the item
-    bitmaps, with candidates sharing prefix intersections through a
-    bounded LRU cache that persists across passes
-    (:class:`repro.db.vertical.LruPrefixCache`).
+    bitmaps (one Python int per item), with candidates sharing prefix
+    intersections through a running-AND memo
+    (:class:`repro.db.vertical.PrefixIntersector`).
 ``packed``
-    Vertical bitmaps packed into ``uint64`` NumPy words; whole candidate
+    The same bitmaps packed into ``uint64`` NumPy words; whole candidate
     batches are counted with vectorized AND + popcount
-    (:mod:`repro.db.vertical`).  Falls back to pure Python when NumPy is
-    absent.  The fastest engine, and what ``auto`` resolves to on large
+    (:mod:`repro.db.vertical`).  What ``auto`` resolves to on large
     databases when NumPy is installed.
 ``roaring``
     The compressed tier (:mod:`repro.db.roaring`): per-item hybrid
     containers (sorted-array / packed-bitmap / run) in 2^16-row chunks,
     with container-level fused intersect+popcount that skips absent
-    chunks.  Wins on sparse skewed data, which is where ``auto`` picks it
+    chunks.  ``auto`` picks it for large sparse databases
     (:func:`engine_decision` is the only density-based resolver).
-    Without NumPy it counts on the pure-Python int-bitmap index, as
-    ``packed`` does.
 ``shm``
     The process plane (:mod:`repro.db.shm`): support is additive over
     row slices, so one packed index is published once via
@@ -56,35 +53,27 @@ Engines provided:
     counts are identical to the in-memory engines while the resident
     index never exceeds ``memory_budget``.
 
-The 1-D / 2-D array fast paths for passes 1 and 2 (Özden et al., adopted by
-the paper in Section 4.1.1) are :func:`count_singletons` and
-:func:`count_pairs`; the miners call them directly for the first two passes.
+``bitmap``, ``packed`` and ``roaring`` are one engine body,
+:class:`repro.db.vertical.IndexCounter`, over three index classes, each
+built from the database's cached ``item_bitmaps()``; without NumPy all
+three count on the pure-Python int-bitmap index.
 """
 
 from __future__ import annotations
 
-import operator
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .._types import CountingDeadline, Itemset
 from .base import SupportCounter
 from .hash_tree import HashTree
 from .outofcore import PartitionedCounter
-from .roaring import RoaringCounter, measure_density
+from .roaring import RoaringCounter
 from .shm import ShmShardedCounter
 from .transaction_db import TransactionDatabase
 from .trie import CandidateTrie
-from .vertical import (
-    HAVE_NUMPY,
-    LruPrefixCache,
-    PackedCounter,
-    PrefixIntersector,
-    popcount,
-)
+from .vertical import HAVE_NUMPY, BitmapCounter, PackedCounter, popcount
 
 __all__ = [
     "AUTO_PACKED_MIN_ROWS",
@@ -103,18 +92,10 @@ __all__ = [
     "SupportCounter",
     "TrieCounter",
     "available_engines",
-    "count_pairs",
-    "count_singletons",
     "engine_decision",
     "get_counter",
     "resolve_counter",
-    "select_engine",
 ]
-
-#: Kept as a module-level alias so existing imports keep working; the
-#: per-call ``try/except AttributeError`` it used to wrap is now resolved
-#: once at import time in :mod:`repro.db.vertical`.
-_popcount = popcount
 
 
 class NaiveCounter(SupportCounter):
@@ -183,88 +164,6 @@ class TrieCounter(SupportCounter):
         )
 
 
-class BitmapCounter(SupportCounter):
-    """Vertical bitmap engine.
-
-    Support of ``{a, b, c}`` is ``popcount(bitmap[a] & bitmap[b] & bitmap[c])``.
-    Candidates mentioning items outside the universe have support 0.
-    Counting walks the candidates in sorted order through an
-    :class:`~repro.db.vertical.LruPrefixCache` that persists across passes
-    against the same database, so the running AND of a shared
-    ``(k-1)``-prefix is computed once per prefix — and the prefixes of
-    pass ``k+1`` (exactly the candidates of pass ``k``) start warm.  The
-    cache is bounded (LRU per prefix length), so long low-support runs
-    cannot grow it without limit; current size and evictions surface as
-    ``engine.prefix_cache.size`` / ``engine.prefix_cache.evictions``.
-    """
-
-    name = "bitmap"
-
-    #: per-level bound on the persistent prefix cache (entries per length)
-    CACHE_CAPACITY_PER_LEVEL = 4096
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: cumulative :class:`LruPrefixCache` accounting across passes
-        self.prefix_cache_hits = 0
-        self.prefix_cache_misses = 0
-        self.prefix_cache_evictions = 0
-        self._cache: Optional[LruPrefixCache] = None
-        self._cache_db = None  # weakref to the db the cache was built for
-
-    def _cache_for(self, db: TransactionDatabase) -> LruPrefixCache:
-        """Persistent per-database prefix cache (weakref invalidation)."""
-        if (
-            self._cache is None
-            or self._cache_db is None
-            or self._cache_db() is not db
-        ):
-            bitmaps = db.item_bitmaps()
-            full = (1 << len(db)) - 1
-            self._cache = LruPrefixCache(
-                bitmaps.get,
-                operator.and_,
-                full,
-                capacity_per_level=self.CACHE_CAPACITY_PER_LEVEL,
-            )
-            self._cache_db = weakref.ref(db)
-        return self._cache
-
-    def _count(
-        self, db: TransactionDatabase, candidates: List[Itemset]
-    ) -> Dict[Itemset, int]:
-        cache = self._cache_for(db)
-        hits_before = cache.hits
-        misses_before = cache.misses
-        evictions_before = cache.evictions
-        counts: Dict[Itemset, int] = {}
-        for position, candidate in enumerate(sorted(candidates)):
-            if position % 4096 == 0:
-                self._check_deadline()
-            value = cache.intersection(candidate)
-            counts[candidate] = popcount(value) if value is not None else 0
-        hits = cache.hits - hits_before
-        misses = cache.misses - misses_before
-        evictions = cache.evictions - evictions_before
-        self.prefix_cache_hits += hits
-        self.prefix_cache_misses += misses
-        self.prefix_cache_evictions += evictions
-        if self.obs.enabled:
-            self.obs.counter("prefix_cache.hits").inc(hits)
-            self.obs.counter("prefix_cache.misses").inc(misses)
-            self.obs.counter("engine.prefix_cache.evictions").inc(evictions)
-            self.obs.gauge("engine.prefix_cache.size").set(cache.size)
-        return {candidate: counts[candidate] for candidate in candidates}
-
-    def reset(self) -> None:
-        super().reset()
-        self.prefix_cache_hits = 0
-        self.prefix_cache_misses = 0
-        self.prefix_cache_evictions = 0
-        self._cache = None
-        self._cache_db = None
-
-
 _ENGINES = {
     "naive": NaiveCounter,
     "hashtree": HashTreeCounter,
@@ -320,6 +219,11 @@ def engine_decision(db, name: Optional[str] = None) -> EngineDecision:
     2. sparse and large (density <= :data:`AUTO_ROARING_MAX_DENSITY`,
        rows >= :data:`AUTO_ROARING_MIN_ROWS`) -> ``roaring``;
     3. otherwise -> ``packed``.
+
+    Density is ``nnz / (rows * items)`` with ``nnz`` the popcount of the
+    database's cached ``item_bitmaps()`` — the vertical view every
+    engine ``auto`` can return builds its index from on the first pass
+    anyway, so measuring it costs no extra scan of the database.
     """
     if name is not None and name != "auto":
         return EngineDecision(name, {"reason": "explicit"})
@@ -338,7 +242,15 @@ def engine_decision(db, name: Optional[str] = None) -> EngineDecision:
                 ),
             },
         )
-    evidence = measure_density(db)
+    bitmaps = db.item_bitmaps()
+    rows, items = len(db), len(bitmaps)
+    nnz = sum(map(popcount, bitmaps.values()))
+    evidence: Dict[str, Any] = {
+        "rows": rows,
+        "items": items,
+        "nnz": nnz,
+        "density": nnz / (rows * items) if items else 0.0,
+    }
     if (
         evidence["rows"] >= AUTO_ROARING_MIN_ROWS
         and evidence["density"] <= AUTO_ROARING_MAX_DENSITY
@@ -377,19 +289,6 @@ def get_counter(name: Optional[str] = None) -> SupportCounter:
     return engine()
 
 
-def select_engine(db, name: Optional[str] = None) -> str:
-    """Resolve an engine name (possibly ``auto``) against a concrete db.
-
-    The name-only view of :func:`engine_decision` — ``auto`` picks
-    ``roaring`` for large sparse databases, ``packed`` for large dense
-    ones (NumPy permitting), else :data:`DEFAULT_ENGINE`.  Explicit names
-    pass through unchanged (and unvalidated — :func:`get_counter` raises
-    on unknown names).  Callers that want the density evidence behind the
-    choice should use :func:`engine_decision` directly.
-    """
-    return engine_decision(db, name).engine
-
-
 def resolve_counter(db, name, counter):
     """The miners' engine-resolution step: ``(engine, decision)``.
 
@@ -409,39 +308,3 @@ def resolve_counter(db, name, counter):
 def available_engines() -> List[str]:
     """Names of all registered engines."""
     return sorted(_ENGINES)
-
-
-# ----------------------------------------------------------------------
-# pass-1 / pass-2 array fast paths (paper Section 4.1.1)
-# ----------------------------------------------------------------------
-
-
-def count_singletons(db: TransactionDatabase) -> Dict[Itemset, int]:
-    """Pass-1 support counts via a 1-D array over the item universe.
-
-    "The support counting phase runs very fast by using an array, since no
-    searching is needed."  Returns counts keyed by 1-itemsets, including
-    zero-support universe items.
-    """
-    return {(item,): count for item, count in db.item_support_counts().items()}
-
-
-def count_pairs(
-    db: TransactionDatabase, frequent_items: Sequence[int]
-) -> Dict[Itemset, int]:
-    """Pass-2 support counts of all pairs of ``frequent_items``.
-
-    Implements the 2-D array idea: every pair of frequent items in each
-    transaction bumps one cell, so "no candidate generation process for
-    2-itemsets is needed".  Pairs that never co-occur are reported with
-    count 0 so callers can classify all of them.
-    """
-    keep = frozenset(frequent_items)
-    counts: Dict[Itemset, int] = {
-        pair: 0 for pair in combinations(sorted(keep), 2)
-    }
-    for transaction in db:
-        present = sorted(transaction & keep)
-        for pair in combinations(present, 2):
-            counts[pair] += 1
-    return counts

@@ -24,9 +24,9 @@ engines use (`__len__`, `__iter__`, ``transactions``, ``universe``,
   the metadata pass and the bitmap build are replaced by one
   memory-mappable file read.
 
-The vertical-bitmap engine still works: its bitmaps are built from one
-streaming pass and cached (they are |I| × |D| *bits*, far smaller than
-the parsed transactions).
+The vertical counting engines still work: their indexes are built from
+``item_bitmaps``, which one streaming pass builds and caches (they are
+|I| × |D| *bits*, far smaller than the parsed transactions).
 """
 
 from __future__ import annotations
@@ -167,8 +167,9 @@ class DiskTransactionDatabase:
     def item_bitmaps(self) -> Dict[int, int]:
         """Vertical bitmaps built from one streaming pass, then cached.
 
-        After this, the bitmap engine no longer touches the file — the
-        bitmaps *are* the database, vertically.  Pass accounting then
+        After this, the vertical engines and the ``auto`` resolver no
+        longer touch the file — the bitmaps *are* the database,
+        vertically.  Pass accounting then
         models the paper's I/O, while ``file_reads`` tracks physical
         reads.  A database opened from a snapshot loads the bitmaps from
         the snapshot instead, skipping the basket parse.

@@ -47,20 +47,18 @@ from __future__ import annotations
 
 import os
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .._types import Itemset
 from .base import SupportCounter
 from .snapshot import SnapshotPartition, load_snapshot, partition_row_starts
+from .transaction_db import TransactionDatabase
 from .vertical import (
     HAVE_NUMPY,
     IntBitmapIndex,
     PackedBitmapIndex,
-    build_index,
+    PackedCounter,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .transaction_db import TransactionDatabase
 
 __all__ = [
     "BudgetExceededError",
@@ -184,14 +182,10 @@ class SnapshotPartitionHandle:
     """Attach/mine/detach unit over one on-disk snapshot partition."""
 
     def __init__(
-        self,
-        partition: SnapshotPartition,
-        scheduler: BudgetScheduler,
-        force_python: bool = False,
+        self, partition: SnapshotPartition, scheduler: BudgetScheduler
     ) -> None:
         self._partition = partition
         self._scheduler = scheduler
-        self._force_python = force_python
         self._index = None
 
     def __repr__(self) -> str:
@@ -228,7 +222,7 @@ class SnapshotPartitionHandle:
         if self._index is None:
             self._scheduler.attach(self.matrix_bytes)
             try:
-                self._index = self._partition.index(self._force_python)
+                self._index = self._partition.index()
             except BaseException:
                 self._scheduler.detach(self.matrix_bytes)
                 raise
@@ -294,7 +288,7 @@ class SnapshotPartitionHandle:
         self, word_lo: int, word_hi: int, candidates, deadline_check
     ) -> List[int]:
         part = self._partition
-        if HAVE_NUMPY and not self._force_python:
+        if HAVE_NUMPY:
             # memmap the partition, then count through a column-slice
             # view: only the window's pages are faulted (a row-major
             # matrix slice touches ~one page run per item row)
@@ -315,10 +309,13 @@ class MemoryPartitionHandle:
     """The same handle surface over an in-memory row range.
 
     Lets the ``partitioned`` engine (and its differential tests) run on
-    plain transaction lists with no snapshot on disk.  ``matrix_bytes``
-    is the packed-matrix equivalent, so budget accounting stays
-    comparable; there is no windowed fallback — a budget too small for
-    an in-memory partition is a configuration error, reported as such.
+    plain transaction lists with no snapshot on disk: each attach wraps
+    the row slice in a :class:`TransactionDatabase` and builds the
+    ``packed`` index from its ``item_bitmaps()``, so detaching releases
+    the vertical view too.  ``matrix_bytes`` is the packed-matrix size,
+    so budget accounting stays comparable; there is no windowed fallback
+    — a budget too small for an in-memory partition is a configuration
+    error, reported as such.
     """
 
     def __init__(
@@ -327,7 +324,6 @@ class MemoryPartitionHandle:
         universe,
         row_start: int,
         scheduler: BudgetScheduler,
-        force_python: bool = False,
         ordinal: int = 0,
     ) -> None:
         self._transactions = transactions
@@ -335,7 +331,6 @@ class MemoryPartitionHandle:
         self.row_start = row_start
         self.ordinal = ordinal
         self._scheduler = scheduler
-        self._force_python = force_python
         self._index = None
 
     @property
@@ -354,8 +349,8 @@ class MemoryPartitionHandle:
         if self._index is None:
             self._scheduler.attach(self.matrix_bytes)
             try:
-                self._index = build_index(
-                    self._transactions, self._universe, self._force_python
+                self._index = PackedCounter.index_over(
+                    TransactionDatabase(self._transactions, self._universe)
                 )
             except BaseException:
                 self._scheduler.detach(self.matrix_bytes)
@@ -378,7 +373,6 @@ def handles_for_database(
     db,
     scheduler: BudgetScheduler,
     num_partitions: Optional[int] = None,
-    force_python: bool = False,
 ) -> List:
     """Partition handles for ``db``, preferring its on-disk snapshot.
 
@@ -392,7 +386,7 @@ def handles_for_database(
     if snapshot_path is not None:
         snap = load_snapshot(snapshot_path)
         return [
-            SnapshotPartitionHandle(partition, scheduler, force_python)
+            SnapshotPartitionHandle(partition, scheduler)
             for partition in snap.partitions
         ]
     transactions = list(db)
@@ -405,7 +399,7 @@ def handles_for_database(
     return [
         MemoryPartitionHandle(
             transactions[bounds[i] : bounds[i + 1]], universe, bounds[i],
-            scheduler, force_python, ordinal=i,
+            scheduler, ordinal=i,
         )
         for i in range(len(starts))
     ]
@@ -465,12 +459,10 @@ class PartitionedCounter(SupportCounter):
         self,
         memory_budget: Optional[int] = None,
         num_partitions: Optional[int] = None,
-        force_python: bool = False,
     ) -> None:
         super().__init__()
         self.scheduler = BudgetScheduler(memory_budget)
         self._num_partitions = num_partitions
-        self._force_python = force_python
         self._handles: Optional[List] = None
         self._handles_db = None  # weakref to the db the handles map
 
@@ -485,7 +477,6 @@ class PartitionedCounter(SupportCounter):
             self._handles = handles_for_database(
                 db, self.scheduler,
                 num_partitions=self._num_partitions,
-                force_python=self._force_python,
             )
             self._handles_db = weakref.ref(db)
         return self._handles

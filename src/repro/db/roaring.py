@@ -36,10 +36,12 @@ and *fuses* the final AND with the popcount — when the next candidate
 does not extend the current one, the last intersection is answered as a
 cardinality directly, never materialising the result.
 
-:class:`RoaringCounter` is the engine facade registered as ``roaring``.
-Whether a database *should* be counted this way is
+:class:`RoaringCounter` is the engine registered as ``roaring``: the
+shared :class:`~repro.db.vertical.IndexCounter` body over a
+:class:`RoaringIndex` built from ``db.item_bitmaps()``.  Whether a
+database *should* be counted this way is
 :func:`repro.db.counting.engine_decision`'s call — ``auto`` picks
-``roaring`` only for large sparse databases — so the facade applies no
+``roaring`` only for large sparse databases — so the engine applies no
 density policy of its own.  Without NumPy it counts on
 :class:`~repro.db.vertical.IntBitmapIndex`, exactly as ``packed`` does:
 a platform fallback, byte-identical to the container walk (the
@@ -48,12 +50,10 @@ differential suite in ``tests/test_roaring.py`` pins this).
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._types import Itemset
-from .base import SupportCounter
-from .vertical import HAVE_NUMPY, IntBitmapIndex, _int_bitmaps
+from .vertical import IndexCounter
 
 try:  # NumPy is optional; IntBitmapIndex covers its absence.
     import numpy as _np
@@ -61,11 +61,9 @@ except ImportError:  # pragma: no cover - exercised via no-NumPy CI cell
     _np = None
 
 __all__ = [
-    "ARRAY_MAX",
     "CHUNK_SIZE",
     "RoaringCounter",
     "RoaringIndex",
-    "measure_density",
 ]
 
 #: Rows per chunk — the roaring convention: the low 16 bits of a row id
@@ -74,52 +72,10 @@ CHUNK_BITS = 16
 CHUNK_SIZE = 1 << CHUNK_BITS
 #: uint64 words per bitmap container.
 CHUNK_WORDS = CHUNK_SIZE // 64
-#: Cardinality below which a materialised intersection converts back to
-#: array form (roaring's array/bitmap flip point: 4096 entries).
-ARRAY_MAX = 4096
 
 #: Item-steps between deadline checks in the container walk (matches the
 #: work-budget cadence of the packed path).
 _DEADLINE_WORK = 4096
-
-
-def measure_density(db) -> Dict[str, float]:
-    """Cheap density evidence for a database: one pass over the counts.
-
-    Returns a JSON-ready dict with the structural facts
-    :func:`repro.db.counting.engine_decision` keys on:
-
-    ``rows``/``items``/``nnz``
-        shape and total set bits of the vertical view;
-    ``density``
-        mean column density ``nnz / (rows * items)``;
-    ``max_item_density``
-        density of the most frequent item (skew witness);
-    ``sparse_item_fraction``
-        fraction of items that would build array containers
-        (support <= ARRAY_MAX per chunk on average).
-    """
-    rows = len(db)
-    counts = db.item_support_counts()
-    items = len(counts)
-    nnz = sum(counts.values())
-    cells = rows * items
-    chunks = max(1, (rows + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    sparse_cut = ARRAY_MAX * chunks
-    return {
-        "rows": rows,
-        "items": items,
-        "nnz": nnz,
-        "density": (nnz / cells) if cells else 0.0,
-        "max_item_density": (
-            max(counts.values()) / rows if counts and rows else 0.0
-        ),
-        "sparse_item_fraction": (
-            sum(1 for value in counts.values() if value <= sparse_cut) / items
-            if items
-            else 0.0
-        ),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -374,30 +330,15 @@ class RoaringIndex:
         return self._num_rows
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "RoaringIndex":
+    def from_database(cls, db) -> "RoaringIndex":
+        """One container per non-empty column of ``db.item_bitmaps()``."""
+        num_rows = len(db)
         columns: Dict[int, object] = {}
-        for item, value in bitmaps.items():
+        for item, value in db.item_bitmaps().items():
             container = cls._build_column(value, num_rows)
             if container is not None:  # empty columns: lookup miss = 0
                 columns[item] = container
         return cls(columns, num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "RoaringIndex":
-        transactions = list(transactions)
-        return cls.from_bitmaps(
-            _int_bitmaps(transactions, universe), len(transactions)
-        )
-
-    @classmethod
-    def from_database(cls, db) -> "RoaringIndex":
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
 
     @staticmethod
     def _build_column(value: int, num_rows: int):
@@ -621,78 +562,33 @@ _UNMATERIALIZED = _Unmaterialized()
 
 
 # ----------------------------------------------------------------------
-# the engine facade
+# the engine
 # ----------------------------------------------------------------------
 
 
-class RoaringCounter(SupportCounter):
-    """The ``roaring`` engine: counting on the hybrid container index.
+class RoaringCounter(IndexCounter):
+    """The ``roaring`` engine: the shared body on a :class:`RoaringIndex`.
 
-    The index is built on the first pass over a database and reused for
-    every later pass against the same database object.  Its container
-    mix and compression evidence are reported as ``engine.roaring.*``
-    metrics.  Without NumPy the engine counts on
-    :class:`~repro.db.vertical.IntBitmapIndex` instead.
+    A freshly built container index reports its mix and compression
+    evidence as ``engine.roaring.*`` gauges.
     """
 
     name = "roaring"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._index = None
-        self._index_db = None
-        self.prefix_cache_hits = 0
-        self.prefix_cache_misses = 0
-
-    # ------------------------------------------------------------------
+    index_class = RoaringIndex
 
     def _index_for(self, db):
+        previous = self._index
+        index = super()._index_for(db)
         if (
-            self._index is None
-            or self._index_db is None
-            or self._index_db() is not db
+            index is not previous
+            and self.obs.enabled
+            and isinstance(index, RoaringIndex)
         ):
-            bitmaps = db.item_bitmaps()
-            if HAVE_NUMPY:
-                self._index = RoaringIndex.from_bitmaps(bitmaps, len(db))
-            else:
-                self._index = IntBitmapIndex.from_bitmaps(bitmaps, len(db))
-            self._index_db = weakref.ref(db)
-            if self.obs.enabled and isinstance(self._index, RoaringIndex):
-                mix = self._index.container_counts()
-                for kind, value in mix.items():
-                    self.obs.gauge("engine.roaring.containers.%s" % kind).set(
-                        value
-                    )
-                self.obs.gauge("engine.roaring.compressed_bytes").set(
-                    self._index.compressed_bytes()
-                )
-                self.obs.gauge("engine.roaring.dense_bytes").set(
-                    self._index.dense_bytes()
-                )
-        return self._index
-
-    def container_counts(self) -> Dict[str, int]:
-        """Container mix of the current index ({} without NumPy)."""
-        if isinstance(self._index, RoaringIndex):
-            return self._index.container_counts()
-        return {}
-
-    def _count(self, db, candidates: List[Itemset]) -> Dict[Itemset, int]:
-        index = self._index_for(db)
-        hits_before = index.prefix_hits
-        misses_before = index.prefix_misses
-        counts = index.counts(candidates, deadline_check=self._check_deadline)
-        hits = index.prefix_hits - hits_before
-        misses = index.prefix_misses - misses_before
-        self.prefix_cache_hits += hits
-        self.prefix_cache_misses += misses
-        if self.obs.enabled:
-            self.obs.counter("prefix_cache.hits").inc(hits)
-            self.obs.counter("prefix_cache.misses").inc(misses)
-        return dict(zip(candidates, counts))
-
-    def reset(self) -> None:
-        super().reset()
-        self.prefix_cache_hits = 0
-        self.prefix_cache_misses = 0
+            gauge = self.obs.gauge
+            for kind, value in index.container_counts().items():
+                gauge("engine.roaring.containers.%s" % kind).set(value)
+            gauge("engine.roaring.compressed_bytes").set(
+                index.compressed_bytes()
+            )
+            gauge("engine.roaring.dense_bytes").set(index.dense_bytes())
+        return index

@@ -28,11 +28,12 @@ plane, and it never copies the database into a worker:
   per pass by :class:`AdaptiveShardScheduler`.
 
 Fallback ladder, walked automatically: shared memory → ``mmap`` of a
-snapshot file → serial, one in-process
-:func:`~repro.db.vertical.build_index` over the whole database.  Serial
-serves when NumPy is absent, when only one worker is planned, when the
-workers cannot be spawned, and after the first stall strike.  All rungs
-produce byte-identical counts and identical pass/IO accounting.
+snapshot file → serial, one in-process ``packed`` index over the
+database's ``item_bitmaps()``
+(:meth:`~repro.db.vertical.IndexCounter.index_over`).  Serial serves
+when NumPy is absent, when only one worker is planned, when the workers
+cannot be spawned, and after the first stall strike.  All rungs produce
+byte-identical counts and identical pass/IO accounting.
 
 The worker-count heuristic targets one worker per core, but never slices
 so thin that per-worker fixed costs beat the counting itself: fewer than
@@ -62,7 +63,7 @@ from ..obs.telemetry import (
 )
 from .base import SupportCounter
 from .snapshot import load_snapshot, snapshot_database
-from .vertical import HAVE_NUMPY, PackedBitmapIndex, build_index
+from .vertical import HAVE_NUMPY, PackedBitmapIndex, PackedCounter
 
 try:  # pragma: no cover - mirrors repro.db.vertical
     import numpy as _np
@@ -747,9 +748,7 @@ class ShmShardedCounter(SupportCounter):
                 max(self.worker_startup_seconds or [0.0]),
             )
             return
-        self._serial_index = build_index(
-            list(db.transactions), list(db.universe)
-        )
+        self._serial_index = PackedCounter.index_over(db)
         self._db_ref = weakref.ref(db)
         self.shard_rows = [num_rows]
         self.plane = "serial"

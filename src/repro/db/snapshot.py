@@ -224,7 +224,6 @@ def write_partitioned_snapshot(
     *,
     num_partitions: Optional[int] = None,
     partition_rows: Optional[int] = None,
-    force_python: bool = False,
 ) -> Path:
     """Stream ``transactions`` into a partitioned v2 snapshot at ``path``.
 
@@ -258,7 +257,6 @@ def write_partitioned_snapshot(
     path = Path(path)
     temp = path.with_name(path.name + ".tmp.%d" % os.getpid())
     stream = iter(transactions)
-    use_numpy = HAVE_NUMPY and not force_python
     try:
         with open(temp, "wb") as handle:
             handle.write(
@@ -272,7 +270,7 @@ def write_partitioned_snapshot(
             for entry in table:
                 handle.write(_PARTITION_ENTRY.pack(*entry))
             for _, rows_p, words_p, _ in table:
-                if use_numpy:
+                if HAVE_NUMPY:
                     _stream_partition_numpy(
                         handle, stream, rows_p, words_p, row_of, len(items)
                     )
@@ -476,9 +474,9 @@ class SnapshotPartition:
         rows = {item: row for row, item in enumerate(self.universe)}
         return PackedBitmapIndex(self.matrix(), rows, self.num_rows)
 
-    def index(self, force_python: bool = False):
+    def index(self):
         """The best available counting index backed by this partition."""
-        if HAVE_NUMPY and not force_python:
+        if HAVE_NUMPY:
             return self.packed_index()
         return IntBitmapIndex(self.int_bitmaps(), self.num_rows)
 
@@ -625,9 +623,9 @@ class Snapshot:
             matrix[:, lo : lo + partition.num_words] = partition.matrix()
         return PackedBitmapIndex(matrix, rows, self.num_rows)
 
-    def index(self, force_python: bool = False):
+    def index(self):
         """The best available counting index backed by this snapshot."""
-        if HAVE_NUMPY and not force_python:
+        if HAVE_NUMPY:
             return self.packed_index()
         return IntBitmapIndex(self.int_bitmaps(), self.num_rows)
 

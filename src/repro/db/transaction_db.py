@@ -4,8 +4,9 @@ This is the substrate every miner in the library runs on.  A database is a
 bag of transactions, each a set of integer items (paper Section 2.1).  The
 store is *horizontal* (one row per transaction) because that is what the
 levelwise algorithms scan; a *vertical* bitmap view (one bitmap per item,
-bit ``t`` set iff transaction ``t`` contains the item) is built lazily for
-the bitmap counting engine.
+bit ``t`` set iff transaction ``t`` contains the item) is built lazily,
+once, and every vertical counting index and the ``auto`` engine resolver
+read it.
 
 Support thresholds: the paper defines support as a *fraction* of the
 transactions.  :meth:`TransactionDatabase.absolute_support` converts a
@@ -167,8 +168,10 @@ class TransactionDatabase:
     def item_bitmaps(self) -> Dict[int, int]:
         """Vertical bitmaps: item -> int with bit ``t`` set iff ``t`` has it.
 
-        Built once and cached; arbitrary-precision ints make the AND/popcount
-        combination in the bitmap counter a handful of C-level operations.
+        Built once and cached: the one vertical view every counting index
+        (:mod:`repro.db.vertical`, :mod:`repro.db.roaring`) and the ``auto``
+        resolver's density are built from.  Arbitrary-precision ints make
+        each AND/popcount a handful of C-level operations.
         """
         if self._bitmaps is None:
             bitmaps = {item: 0 for item in self._universe}

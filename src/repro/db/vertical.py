@@ -1,51 +1,45 @@
-"""Packed vertical bitmaps and the ``packed`` counting engine.
+"""Vertical bitmap indexes and the counting engine body they share.
 
-The ``bitmap`` engine stores one arbitrary-precision Python int per item
-and intersects them candidate by candidate.  This module packs the same
-vertical view into a ``(num_items, num_words)`` NumPy ``uint64`` matrix so
-that a whole candidate batch is counted with vectorized AND + popcount —
-the per-candidate interpreter overhead that dominates the ``bitmap``
-engine at benchmark scale disappears into a handful of C-level array
-operations.
-
-Three pieces cooperate:
+Every index in this module is built from one vertical view: the
+database's cached ``db.item_bitmaps()``, one arbitrary-precision int per
+item with bit ``t`` set iff transaction ``t`` contains the item.
 
 :class:`PrefixIntersector`
     A running-AND memo over a sorted candidate stream.  Candidates emitted
     by the Apriori join arrive grouped by their common ``(k-1)``-prefix,
     so memoizing the intersection of the first ``j`` items turns a pass
     from O(candidates x length) intersections into roughly one
-    intersection per candidate-trie edge.  Shared by
-    :class:`~repro.db.counting.BitmapCounter` (Python ints) and the
-    packed engine's pure-Python fallback.
-
-:class:`PackedBitmapIndex`
-    The NumPy matrix.  Batch counting groups candidates by length and
-    resolves each length level with *one* vectorized AND over the unique
-    prefixes of the group — the same trie-edge saving as
-    :class:`PrefixIntersector`, but across the whole batch at once.
+    intersection per candidate-trie edge.
 
 :class:`IntBitmapIndex`
-    Drop-in fallback with identical semantics when NumPy is absent:
-    Python int bitmaps walked through a :class:`PrefixIntersector`.
+    The int bitmaps walked through a :class:`PrefixIntersector`: the
+    ``bitmap`` engine's index, and every index engine's index when NumPy
+    is absent.
 
-:class:`PackedCounter` is the engine facade registered as ``packed`` in
-:func:`repro.db.counting.get_counter`; it builds whichever index the
-interpreter supports and reuses it across passes.  The serial rung of
-the :mod:`repro.db.shm` process plane builds the same index.
+:class:`PackedBitmapIndex`
+    The same view packed into a ``(num_items, num_words)`` NumPy
+    ``uint64`` matrix.  Batch counting groups candidates by length and
+    resolves each length level with *one* vectorized AND over the unique
+    prefixes of the group — the same trie-edge saving as
+    :class:`PrefixIntersector`, but across the whole batch at once, with
+    no per-candidate interpreter overhead.
+
+:class:`IndexCounter` is the engine body of ``bitmap``, ``packed`` and
+``roaring`` (:mod:`repro.db.roaring`): each is a subclass naming its
+index class.  The serial rung of the :mod:`repro.db.shm` process plane
+and the in-memory partitions of :mod:`repro.db.outofcore` build their
+indexes through :meth:`IndexCounter.index_over` as well.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from collections import OrderedDict, defaultdict
 from itertools import chain
 from typing import (
     Callable,
     Dict,
     Generic,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -57,20 +51,20 @@ from .base import SupportCounter
 
 try:  # NumPy is optional (the ``[fast]`` extra); everything degrades.
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_python paths
+except ImportError:  # pragma: no cover - exercised by the no-NumPy CI cells
     _np = None
 
 #: True when the packed NumPy matrix path is available.
 HAVE_NUMPY = _np is not None
 
 __all__ = [
+    "BitmapCounter",
     "HAVE_NUMPY",
+    "IndexCounter",
     "IntBitmapIndex",
-    "LruPrefixCache",
     "PackedBitmapIndex",
     "PackedCounter",
     "PrefixIntersector",
-    "build_index",
     "popcount",
 ]
 
@@ -117,12 +111,9 @@ class PrefixIntersector(Generic[Bitmap]):
     recent candidate, the running intersection of each of its prefixes;
     the next candidate reuses the longest prefix it shares.
 
-    ``reused``/``intersections`` count saved vs. performed combines so
-    benchmarks and tests can observe the cache working.  ``hits``/``misses``
-    are the cache-centric view of the same stream — a *hit* is a prefix
-    entry served from the memo, a *miss* is a prefix entry that had to be
-    (re)computed, whether or not its item resolved to a bitmap — and are
-    what the metrics registry and bench records surface as
+    A *hit* is a prefix entry served from the memo, a *miss* is a prefix
+    entry that had to be (re)computed, whether or not its item resolved
+    to a bitmap; the metrics registry and bench records surface them as
     ``prefix_cache.hits`` / ``prefix_cache.misses``.
     """
 
@@ -137,8 +128,6 @@ class PrefixIntersector(Generic[Bitmap]):
         self._top = top
         self._items: List[int] = []
         self._values: List[Optional[Bitmap]] = []
-        self.reused = 0
-        self.intersections = 0
         self.hits = 0
         self.misses = 0
 
@@ -152,7 +141,6 @@ class PrefixIntersector(Generic[Bitmap]):
             shared += 1
         del self._items[shared:]
         del self._values[shared:]
-        self.reused += shared
         self.hits += shared
         self.misses += len(candidate) - shared
         value = self._values[shared - 1] if shared else self._top
@@ -163,134 +151,9 @@ class PrefixIntersector(Generic[Bitmap]):
                     value = None
                 else:
                     value = self._combine(value, bitmap)
-                    self.intersections += 1
             self._items.append(item)
             self._values.append(value)
         return self._values[-1]
-
-
-class LruPrefixCache(Generic[Bitmap]):
-    """Cross-pass prefix-intersection cache with bounded per-level LRU.
-
-    :class:`PrefixIntersector` is a *stack* memo: it only remembers the
-    prefixes of the most recent candidate, so its state is bounded but
-    dies with the batch.  This class keeps a persistent ``prefix ->
-    bitmap`` map instead, so pass ``k+1`` — whose ``k``-prefixes are
-    exactly the candidates counted in pass ``k`` — starts warm.
-
-    The map is partitioned by prefix length ("level") and each level is
-    an :class:`~collections.OrderedDict` evicting least-recently-used
-    entries past ``capacity_per_level``, so long low-support runs (many
-    passes, wide levels) cannot grow the cache unboundedly: total entries
-    are at most ``capacity_per_level x deepest level reached``.
-
-    Accounting matches :class:`PrefixIntersector`: a *hit* is a prefix
-    item-step served from the cache, a *miss* is one that had to be
-    combined; ``evictions`` counts entries dropped by the bound and
-    ``size`` is the current total entry count across levels.
-
-    >>> bitmaps = {1: 0b0111, 2: 0b0101, 3: 0b0110}
-    >>> cache = LruPrefixCache(bitmaps.get, operator.and_, 0b1111,
-    ...                        capacity_per_level=2)
-    >>> bin(cache.intersection((1, 2)))
-    '0b101'
-    >>> cache.intersection((1, 2)) == 0b0101  # served from cache
-    True
-    >>> cache.hits, cache.misses
-    (2, 2)
-    >>> _ = cache.intersection((1, 3)); _ = cache.intersection((2, 3))
-    >>> cache.size, cache.evictions  # level-2 bound of 2 evicted (1, 2)
-    (4, 1)
-    """
-
-    def __init__(
-        self,
-        lookup: Callable[[int], Optional[Bitmap]],
-        combine: Callable[[Bitmap, Bitmap], Bitmap],
-        top: Bitmap,
-        capacity_per_level: int = 4096,
-    ) -> None:
-        if capacity_per_level < 1:
-            raise ValueError("capacity_per_level must be >= 1")
-        self._lookup = lookup
-        self._combine = combine
-        self._top = top
-        self._capacity = capacity_per_level
-        self._levels: Dict[int, "OrderedDict[Itemset, Optional[Bitmap]]"] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def size(self) -> int:
-        """Current number of cached prefix entries across all levels."""
-        return sum(len(level) for level in self._levels.values())
-
-    def clear(self) -> None:
-        self._levels.clear()
-
-    def intersection(self, candidate: Itemset) -> Optional[Bitmap]:
-        """AND of the item bitmaps; None if any item has no bitmap."""
-        length = len(candidate)
-        if not length:
-            return self._top
-        value: Optional[Bitmap] = self._top
-        shared = 0
-        for depth in range(length, 0, -1):
-            level = self._levels.get(depth)
-            if level is None:
-                continue
-            cached = level.get(candidate[:depth], _MISSING)
-            if cached is not _MISSING:
-                level.move_to_end(candidate[:depth])
-                value = cached
-                shared = depth
-                break
-        self.hits += shared
-        self.misses += length - shared
-        for depth in range(shared, length):
-            if value is not None:
-                bitmap = self._lookup(candidate[depth])
-                value = (
-                    None if bitmap is None else self._combine(value, bitmap)
-                )
-            self._store(candidate[: depth + 1], value)
-        return value
-
-    def _store(self, prefix: Itemset, value: Optional[Bitmap]) -> None:
-        level = self._levels.setdefault(len(prefix), OrderedDict())
-        level[prefix] = value
-        level.move_to_end(prefix)
-        if len(level) > self._capacity:
-            level.popitem(last=False)
-            self.evictions += 1
-
-
-#: Cache-miss sentinel distinguishing "absent" from a cached ``None``
-#: (a prefix naming an out-of-universe item legitimately caches as None).
-_MISSING = object()
-
-
-def _int_bitmaps(
-    transactions: Sequence[Iterable[int]], universe: Optional[Iterable[int]]
-) -> Dict[int, int]:
-    """item -> arbitrary-precision bitmap over ``transactions``.
-
-    Items outside an explicit ``universe`` are silently dropped, matching
-    the engine contract that out-of-universe candidates have support 0.
-    """
-    if universe is None:
-        occurring: set = set()
-        for transaction in transactions:
-            occurring.update(transaction)
-        universe = occurring
-    bitmaps: Dict[int, int] = {item: 0 for item in universe}
-    for position, transaction in enumerate(transactions):
-        bit = 1 << position
-        for item in transaction:
-            if item in bitmaps:
-                bitmaps[item] |= bit
-    return bitmaps
 
 
 class PackedBitmapIndex:
@@ -379,10 +242,10 @@ class PackedBitmapIndex:
         return int(self._matrix.shape[1])
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "PackedBitmapIndex":
-        """Pack ``item -> int bitmap`` (the lazy vertical view) into a matrix."""
+    def from_database(cls, db) -> "PackedBitmapIndex":
+        """Pack the database's cached ``item_bitmaps()`` into a matrix."""
+        bitmaps = db.item_bitmaps()
+        num_rows = len(db)
         num_words = max(1, (num_rows + 63) // 64)
         matrix = _np.zeros((len(bitmaps), num_words), dtype=_np.uint64)
         rows: Dict[int, int] = {}
@@ -395,22 +258,6 @@ class PackedBitmapIndex:
                     value.to_bytes(num_bytes, "little"), dtype="<u8"
                 )
         return cls(matrix, rows, num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "PackedBitmapIndex":
-        transactions = list(transactions)
-        return cls.from_bitmaps(
-            _int_bitmaps(transactions, universe), len(transactions)
-        )
-
-    @classmethod
-    def from_database(cls, db) -> "PackedBitmapIndex":
-        """Build from a database, reusing its cached ``item_bitmaps``."""
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
 
     # ------------------------------------------------------------------
 
@@ -688,11 +535,10 @@ class PackedBitmapIndex:
 class IntBitmapIndex:
     """Pure-Python twin of :class:`PackedBitmapIndex`.
 
-    Same constructor surface and ``counts`` contract, but backed by
-    arbitrary-precision int bitmaps and the :class:`PrefixIntersector`
-    memo, so the ``packed``, ``roaring`` and ``shm`` engines keep working
-    (and keep their prefix-sharing advantage) on interpreters without
-    NumPy.
+    Same ``counts`` contract, but counting walks the database's own int
+    bitmaps through the :class:`PrefixIntersector` memo — no copy, no
+    packing — so every index engine keeps working (and keeps its
+    prefix-sharing advantage) on interpreters without NumPy.
     """
 
     def __init__(self, bitmaps: Dict[int, int], num_rows: int) -> None:
@@ -707,23 +553,8 @@ class IntBitmapIndex:
         return self._num_rows
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "IntBitmapIndex":
-        return cls(dict(bitmaps), num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "IntBitmapIndex":
-        transactions = list(transactions)
-        return cls(_int_bitmaps(transactions, universe), len(transactions))
-
-    @classmethod
     def from_database(cls, db) -> "IntBitmapIndex":
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
+        return cls(db.item_bitmaps(), len(db))
 
     def counts(
         self,
@@ -760,51 +591,41 @@ class IntBitmapIndex:
         return results
 
 
-def build_index(
-    transactions: Sequence[Iterable[int]],
-    universe: Optional[Iterable[int]] = None,
-    force_python: bool = False,
-):
-    """The best available shard index for ``transactions``."""
-    if HAVE_NUMPY and not force_python:
-        return PackedBitmapIndex.from_transactions(transactions, universe)
-    return IntBitmapIndex.from_transactions(transactions, universe)
+class IndexCounter(SupportCounter):
+    """The engine body of ``bitmap``, ``packed`` and ``roaring``.
 
-
-class PackedCounter(SupportCounter):
-    """The ``packed`` engine: batch counting on a packed vertical index.
-
-    The index is built on the first pass over a database and reused for
-    every later pass against the *same* database object (miners hold one
-    engine per run, so this caches exactly the per-run vertical view the
-    ``bitmap`` engine already memoises inside the database).
-
-    ``force_python`` pins the pure-Python fallback index — used by tests
-    and honoured when NumPy is missing anyway.
+    Subclasses name an ``index_class``.  The index is built from the
+    database's cached ``item_bitmaps()`` on the first pass and reused for
+    every later pass against the *same* database object (held by
+    weakref; a new database gets a new index).  Prefix sharing inside the
+    index is reported as ``prefix_cache_hits``/``prefix_cache_misses``
+    and as the ``prefix_cache.hits``/``prefix_cache.misses`` metrics.
     """
 
-    name = "packed"
+    #: the index :meth:`index_over` builds when NumPy is present
+    index_class: type
 
-    def __init__(self, force_python: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._force_python = force_python
         self._index = None
         self._index_db: Optional[Callable[[], object]] = None
         #: cumulative prefix-sharing accounting across all passes served
-        #: (bench records read these; the metrics registry gets them too)
         self.prefix_cache_hits = 0
         self.prefix_cache_misses = 0
 
+    @classmethod
+    def index_over(cls, db):
+        """A fresh ``index_class`` over ``db.item_bitmaps()``.
+
+        The one place the NumPy choice is made: without NumPy every
+        index engine counts on :class:`IntBitmapIndex`.
+        """
+        index_class = cls.index_class if HAVE_NUMPY else IntBitmapIndex
+        return index_class.from_database(db)
+
     def _index_for(self, db):
-        if (
-            self._index is None
-            or self._index_db is None
-            or self._index_db() is not db
-        ):
-            if self._force_python or not HAVE_NUMPY:
-                self._index = IntBitmapIndex.from_database(db)
-            else:
-                self._index = PackedBitmapIndex.from_database(db)
+        if self._index_db is None or self._index_db() is not db:
+            self._index = self.index_over(db)
             self._index_db = weakref.ref(db)
         return self._index
 
@@ -826,3 +647,17 @@ class PackedCounter(SupportCounter):
         super().reset()
         self.prefix_cache_hits = 0
         self.prefix_cache_misses = 0
+
+
+class BitmapCounter(IndexCounter):
+    """The ``bitmap`` engine: one Python int per item, prefix-memo ANDs."""
+
+    name = "bitmap"
+    index_class = IntBitmapIndex
+
+
+class PackedCounter(IndexCounter):
+    """The ``packed`` engine: vectorized batches on the uint64 matrix."""
+
+    name = "packed"
+    index_class = PackedBitmapIndex

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from repro.db.counting import (
+    AUTO_PACKED_MIN_ROWS,
+    AUTO_ROARING_MIN_ROWS,
     available_engines,
-    count_pairs,
-    count_singletons,
+    engine_decision,
     get_counter,
 )
 from repro.db.transaction_db import TransactionDatabase
+from repro.db.vertical import HAVE_NUMPY
 
 
 def small_db():
@@ -110,69 +112,50 @@ class TestFactory:
         assert {"naive", "bitmap", "hashtree", "trie"} <= set(engines)
 
 
-class TestArrayFastPaths:
-    def test_count_singletons_includes_zero_support_items(self):
-        counts = count_singletons(small_db())
-        assert counts[(5,)] == 0
-        assert counts[(2,)] == 4
-        assert len(counts) == 5
+class TestEngineDecision:
+    def test_explicit_name_passes_through(self):
+        decision = engine_decision(small_db(), "trie")
+        assert decision.engine == "trie"
+        assert decision.evidence == {"reason": "explicit"}
 
-    def test_count_pairs_over_frequent_items(self):
-        counts = count_pairs(small_db(), [1, 2, 3])
-        assert counts[(1, 2)] == 3
-        assert counts[(2, 3)] == 3
-        assert counts[(1, 3)] == 2
+    def test_small_database_keeps_the_default(self):
+        decision = engine_decision(small_db(), "auto")
+        assert decision.engine == "bitmap"
+        assert decision.evidence["rows"] == 5
 
-    def test_count_pairs_reports_zero_cooccurrence(self):
-        db = TransactionDatabase([[1], [2]])
-        assert count_pairs(db, [1, 2]) == {(1, 2): 0}
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="no NumPy: auto picks bitmap")
+    def test_dense_database_evidence(self):
+        # every row holds items 0-3 of a 5-item universe: density 0.8
+        rows = AUTO_ROARING_MIN_ROWS
+        db = TransactionDatabase([[0, 1, 2, 3]] * rows, universe=range(5))
+        decision = engine_decision(db, "auto")
+        assert decision.engine == "packed"
+        evidence = decision.evidence
+        assert (evidence["rows"], evidence["items"]) == (rows, 5)
+        assert evidence["nnz"] == 4 * rows
+        assert evidence["density"] == pytest.approx(0.8)
+        assert evidence["reason"] == "dense (density 0.8000 > 0.05)"
 
-    def test_count_pairs_ignores_other_items(self):
-        counts = count_pairs(small_db(), [1, 4])
-        assert counts == {(1, 4): 1}
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="no NumPy: auto picks bitmap")
+    def test_sparse_database_evidence(self):
+        # one item per row over a 100-item universe: density 0.01
+        rows = AUTO_ROARING_MIN_ROWS
+        db = TransactionDatabase([[t % 100] for t in range(rows)])
+        decision = engine_decision(db, "auto")
+        assert decision.engine == "roaring"
+        evidence = decision.evidence
+        assert (evidence["rows"], evidence["items"]) == (rows, 100)
+        assert evidence["nnz"] == rows
+        assert evidence["density"] == pytest.approx(0.01)
+        assert evidence["reason"] == "sparse (density 0.0100 <= 0.05)"
 
-
-class TestBitmapPrefixCache:
-    def test_warm_start_across_passes(self):
-        counter = get_counter("bitmap")
-        db = small_db()
-        counter.count(db, [(1, 2)])
-        hits_before = counter.prefix_cache_hits
-        # the 2-prefix of pass 3 is exactly the pass-2 candidate
-        counter.count(db, [(1, 2, 3)])
-        assert counter.prefix_cache_hits >= hits_before + 2
-
-    def test_new_database_invalidates_cache(self):
-        counter = get_counter("bitmap")
-        counter.count(small_db(), [(1, 2)])
-        other = TransactionDatabase([[1], [1, 2]], universe=range(1, 6))
-        assert counter.count(other, [(1, 2)])[(1, 2)] == 1
-        assert counter.count(other, [(1,)])[(1,)] == 2
-
-    def test_eviction_accounting_with_tiny_capacity(self):
-        counter = get_counter("bitmap")
-        counter.CACHE_CAPACITY_PER_LEVEL = 1
-        db = small_db()
-        counter.count(db, [(1, 2), (2, 3), (3, 4)])
-        assert counter.prefix_cache_evictions > 0
-        # exactness is unaffected by evictions
-        assert counter.count(db, CANDIDATES) == EXPECTED
-
-    def test_obs_metrics_emitted(self):
-        from repro.obs.instrument import Instrumentation
-
-        counter = get_counter("bitmap")
-        counter.obs = obs = Instrumentation()
-        counter.count(small_db(), [(1, 2), (1, 2, 3)])
-        assert obs.metrics.counter("prefix_cache.misses").value > 0
-        assert obs.metrics.gauge("engine.prefix_cache.size").value > 0
-
-    def test_reset_clears_cache_state(self):
-        counter = get_counter("bitmap")
-        db = small_db()
-        counter.count(db, [(1, 2)])
-        counter.reset()
-        assert counter.prefix_cache_hits == 0
-        assert counter.prefix_cache_misses == 0
-        assert counter._cache is None
-        assert counter.count(db, [(1, 2)])[(1, 2)] == 3
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="no NumPy: auto picks bitmap")
+    def test_below_roaring_rows_stays_packed(self):
+        rows = AUTO_PACKED_MIN_ROWS
+        db = TransactionDatabase([[t % 100] for t in range(rows)])
+        decision = engine_decision(db, "auto")
+        assert decision.engine == "packed"
+        assert decision.evidence["nnz"] == rows
+        assert decision.evidence["reason"].startswith(
+            "below roaring row threshold"
+        )

@@ -3,7 +3,8 @@
 The naive engine is the executable specification — a flat
 transaction-by-candidate scan with no shared state, no caching, and no
 vectorization.  Every other engine (and every forced engine variant:
-two-process shm, serial shm, pure-Python packed) must return
+two-process shm, serial shm, and ``packed``/``roaring`` with NumPy
+switched off) must return
 bit-identical counts on randomized databases, including the edge cases
 the fast paths are most likely to get wrong: empty transactions, the
 empty candidate ``()``, an empty candidate batch, and candidates naming
@@ -14,10 +15,10 @@ import random
 
 import pytest
 
+import repro.db.vertical as vertical
 from repro.db.counting import available_engines, get_counter
 from repro.db.shm import ShmShardedCounter
 from repro.db.transaction_db import TransactionDatabase
-from repro.db.vertical import PackedCounter
 
 NUM_TRIALS = 12
 
@@ -50,24 +51,34 @@ def random_candidates(rng, db):
     return candidates
 
 
+#: variants that count with ``HAVE_NUMPY`` monkeypatched off
+NO_NUMPY_SUFFIX = "-no-numpy"
+
+
 def variant_counters():
     """Engine factories covering every code path, not just the registry."""
     variants = {name: lambda n=name: get_counter(n) for name in available_engines()}
-    variants["packed-python"] = lambda: PackedCounter(force_python=True)
+    for name in ("packed", "roaring"):
+        variants[name + NO_NUMPY_SUFFIX] = lambda n=name: get_counter(n)
     variants["shm-serial"] = lambda: ShmShardedCounter(use_processes=False)
     variants["shm-2proc"] = lambda: ShmShardedCounter(num_shards=2)
     return variants
 
 
+def make_counter(variant, monkeypatch):
+    if variant.endswith(NO_NUMPY_SUFFIX):
+        monkeypatch.setattr(vertical, "HAVE_NUMPY", False)
+    return variant_counters()[variant]()
+
+
 @pytest.mark.parametrize("variant", sorted(variant_counters()))
-def test_randomised_equivalence_with_naive(variant):
-    factory = variant_counters()[variant]
+def test_randomised_equivalence_with_naive(variant, monkeypatch):
     rng = random.Random(2026)
     for trial in range(NUM_TRIALS):
         db = random_database(rng)
         candidates = random_candidates(rng, db)
         expected = get_counter("naive").count(db, candidates)
-        counter = factory()
+        counter = make_counter(variant, monkeypatch)
         try:
             actual = counter.count(db, candidates)
         finally:
@@ -78,9 +89,9 @@ def test_randomised_equivalence_with_naive(variant):
 
 
 @pytest.mark.parametrize("variant", sorted(variant_counters()))
-def test_empty_database(variant):
+def test_empty_database(variant, monkeypatch):
     db = TransactionDatabase([], universe=[1, 2, 3])
-    counter = variant_counters()[variant]()
+    counter = make_counter(variant, monkeypatch)
     try:
         counts = counter.count(db, [(), (1,), (1, 2), (9,)])
     finally:
@@ -91,9 +102,9 @@ def test_empty_database(variant):
 
 
 @pytest.mark.parametrize("variant", sorted(variant_counters()))
-def test_empty_batch_is_free(variant):
+def test_empty_batch_is_free(variant, monkeypatch):
     db = TransactionDatabase([[1, 2], [2]])
-    counter = variant_counters()[variant]()
+    counter = make_counter(variant, monkeypatch)
     try:
         assert counter.count(db, []) == {}
         assert counter.passes == 0
@@ -105,11 +116,11 @@ def test_empty_batch_is_free(variant):
 
 
 @pytest.mark.parametrize("variant", sorted(variant_counters()))
-def test_accounting_identical_across_engines(variant):
+def test_accounting_identical_across_engines(variant, monkeypatch):
     """passes / records_read / itemsets_counted must not depend on engine."""
     db = TransactionDatabase([[1, 2, 3], [1, 2], [3], []])
     batches = [[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)], [(1, 2, 3)]]
-    counter = variant_counters()[variant]()
+    counter = make_counter(variant, monkeypatch)
     try:
         for batch in batches:
             counter.count(db, batch)

@@ -152,8 +152,8 @@ class TestTraceMatchesStats:
         obs.finish()
         with open(metrics_path) as handle:
             document = json.load(handle)
+        assert document["counters"]["prefix_cache.hits"] > 0
         assert document["counters"]["prefix_cache.misses"] > 0
-        assert document["gauges"]["engine.prefix_cache.size"] > 0
 
 
 class TestShardedObservability:

@@ -16,12 +16,7 @@ import random
 
 import pytest
 
-from repro.db.roaring import (
-    CHUNK_SIZE,
-    RoaringCounter,
-    RoaringIndex,
-    measure_density,
-)
+from repro.db.roaring import CHUNK_SIZE, RoaringCounter, RoaringIndex
 from repro.db.counting import get_counter
 from repro.db.transaction_db import TransactionDatabase
 from repro.db.vertical import HAVE_NUMPY, IntBitmapIndex
@@ -165,26 +160,33 @@ def test_empty_and_all_ones_columns():
 
 
 def test_steps_down_to_int_bitmap_index_without_numpy(monkeypatch):
-    import repro.db.roaring as roaring_module
+    import repro.db.vertical as vertical
 
-    monkeypatch.setattr(roaring_module, "HAVE_NUMPY", False)
+    monkeypatch.setattr(vertical, "HAVE_NUMPY", False)
     counter = RoaringCounter()
     db = TransactionDatabase([[0, 1], [1]], universe=range(3))
     counts = counter.count(db, [(0,), (1,), (0, 1), (2,)])
     assert counts == {(0,): 1, (1,): 2, (0, 1): 1, (2,): 0}
     assert type(counter._index) is IntBitmapIndex
-    assert counter.container_counts() == {}
 
 
-def test_measure_density_evidence_shape():
-    db = TransactionDatabase([[0, 1], [1], []], universe=range(4))
-    evidence = measure_density(db)
-    assert evidence["rows"] == 3
-    assert evidence["items"] == 4
-    assert evidence["nnz"] == 3
-    assert evidence["density"] == pytest.approx(3 / 12.0)
-    assert evidence["max_item_density"] == pytest.approx(2 / 3.0)
-    assert 0.0 <= evidence["sparse_item_fraction"] <= 1.0
+@pytest.mark.skipif(not HAVE_NUMPY, reason="roaring rung needs NumPy")
+def test_build_gauges_describe_the_index():
+    from repro.obs.instrument import Instrumentation
+
+    db = multi_container_database()
+    counter = RoaringCounter()
+    counter.obs = obs = Instrumentation()
+    counter.count(db, [(0,), (0, 1)])
+    for kind, value in counter._index.container_counts().items():
+        gauge = obs.metrics.gauge("engine.roaring.containers.%s" % kind)
+        assert gauge.value == value
+    assert obs.metrics.gauge("engine.roaring.compressed_bytes").value == (
+        counter._index.compressed_bytes()
+    )
+    assert obs.metrics.gauge("engine.roaring.dense_bytes").value == (
+        counter._index.dense_bytes()
+    )
 
 
 def test_prefix_cache_accounting_and_reset():

@@ -5,8 +5,10 @@ import struct
 
 import pytest
 
-from repro.db.counting import get_counter
+from repro.core.pincer import PincerSearch
+from repro.db.counting import AUTO_PACKED_MIN_ROWS, get_counter
 from repro.db.disk import DiskTransactionDatabase
+from repro.db.shm import ShmShardedCounter
 from repro.db.snapshot import (
     HEADER_SIZE,
     SNAPSHOT_MAGIC,
@@ -26,6 +28,8 @@ from repro.db.vertical import HAVE_NUMPY, PackedBitmapIndex
 
 TRANSACTIONS = [[1, 2, 3], [1, 2], [2, 3], [3], [1], [2], [5, 7]] * 11
 DB = TransactionDatabase(TRANSACTIONS)
+#: big enough (>= AUTO_PACKED_MIN_ROWS) for ``auto`` to measure density
+LARGE_DB = TransactionDatabase(TRANSACTIONS * 8)
 CANDIDATES = [(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3), (5, 7), (9,)]
 EXPECTED = get_counter("naive").count(DB, CANDIDATES)
 
@@ -43,7 +47,7 @@ class TestRoundTrip:
         assert snap.universe == tuple(DB.universe)
         assert snap.num_words == max(1, (len(DB) + 63) // 64)
 
-    def test_int_bitmaps_identical_to_database(self, snap_path):
+    def test_bitmaps_identical_to_database(self, snap_path):
         assert load_snapshot(snap_path).int_bitmaps() == DB.item_bitmaps()
 
     def test_index_counts_match_naive(self, snap_path):
@@ -189,10 +193,15 @@ class TestPartitionedFormat:
         assert v2._matrix.tobytes() == v1._matrix.tobytes()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
-    def test_python_writer_is_byte_identical(self, v2_path, tmp_path):
+    def test_python_writer_is_byte_identical(
+        self, v2_path, tmp_path, monkeypatch
+    ):
+        import repro.db.snapshot as snapshot_module
+
+        monkeypatch.setattr(snapshot_module, "HAVE_NUMPY", False)
         other = write_partitioned_snapshot(
             tmp_path / "py.v2.snap", DB.universe, len(DB), iter(DB),
-            partition_rows=64, force_python=True,
+            partition_rows=64,
         )
         assert other.read_bytes() == v2_path.read_bytes()
 
@@ -278,6 +287,34 @@ class TestDiskIntegration:
         assert tuple(db.universe) == tuple(DB.universe)
         assert db.item_bitmaps() == DB.item_bitmaps()
         assert db.file_reads == 0  # still no basket I/O
+
+    @pytest.fixture
+    def large_snapshot_db(self, tmp_path):
+        assert len(LARGE_DB) >= AUTO_PACKED_MIN_ROWS
+        path = tmp_path / "large.dat"
+        path.write_text(
+            "\n".join(" ".join(str(i) for i in sorted(t)) for t in LARGE_DB)
+        )
+        DiskTransactionDatabase(path).snapshot()
+        return DiskTransactionDatabase.from_snapshot(
+            default_snapshot_path(path)
+        )
+
+    def test_auto_mine_never_reads_the_basket_file(self, large_snapshot_db):
+        db = large_snapshot_db
+        result = PincerSearch().mine(db, 0.1)
+        assert db.file_reads == 0
+        assert result.mfs == PincerSearch().mine(LARGE_DB, 0.1).mfs
+
+    def test_shm_serial_rung_never_reads_the_basket_file(
+        self, large_snapshot_db
+    ):
+        db = large_snapshot_db
+        with ShmShardedCounter(use_processes=False) as counter:
+            result = PincerSearch().mine(db, 0.1, counter=counter)
+            assert counter.plane == "serial"
+        assert db.file_reads == 0
+        assert result.mfs == PincerSearch().mine(LARGE_DB, 0.1).mfs
 
     def test_from_snapshot_requires_inferable_basket(self, tmp_path):
         path = snapshot_database(DB, tmp_path / "odd-name.bin")

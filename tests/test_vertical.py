@@ -1,23 +1,21 @@
-"""Unit tests for the packed vertical-bitmap index (``repro.db.vertical``)."""
+"""Unit tests for the vertical-bitmap indexes and the engine body they
+share (``repro.db.vertical``)."""
 
 import time
 
 import pytest
 
+import repro.db.vertical as vertical
 from repro.db.counting import CountingDeadline, get_counter
+from repro.db.roaring import RoaringIndex
 from repro.db.transaction_db import TransactionDatabase
 from repro.db.vertical import (
     HAVE_NUMPY,
     IntBitmapIndex,
-    LruPrefixCache,
-    PackedCounter,
+    PackedBitmapIndex,
     PrefixIntersector,
-    build_index,
     popcount,
 )
-
-if HAVE_NUMPY:
-    from repro.db.vertical import PackedBitmapIndex
 
 TRANSACTIONS = [[1, 2, 3], [1, 2], [2, 3], [3], []]
 GROUND_TRUTH = {
@@ -35,9 +33,10 @@ GROUND_TRUTH = {
 
 
 def both_indexes():
-    indexes = [IntBitmapIndex.from_transactions(TRANSACTIONS)]
+    db = TransactionDatabase(TRANSACTIONS)
+    indexes = [IntBitmapIndex.from_database(db)]
     if HAVE_NUMPY:
-        indexes.append(PackedBitmapIndex.from_transactions(TRANSACTIONS))
+        indexes.append(PackedBitmapIndex.from_database(db))
     return indexes
 
 
@@ -67,9 +66,10 @@ class TestIndexCounts:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="requires NumPy")
 class TestPackedIndex:
-    def test_round_trip_matches_int_bitmaps(self):
-        packed = PackedBitmapIndex.from_transactions(TRANSACTIONS)
-        plain = IntBitmapIndex.from_transactions(TRANSACTIONS)
+    def test_round_trip_matches_int_bitmap_index(self):
+        db = TransactionDatabase(TRANSACTIONS)
+        packed = PackedBitmapIndex.from_database(db)
+        plain = IntBitmapIndex.from_database(db)
         candidates = list(GROUND_TRUTH)
         assert packed.counts(candidates) == plain.counts(candidates)
 
@@ -77,7 +77,9 @@ class TestPackedIndex:
         # 64/65 rows straddle the packing word boundary
         for rows in (1, 63, 64, 65, 130):
             transactions = [[1] if t % 2 == 0 else [2] for t in range(rows)]
-            index = PackedBitmapIndex.from_transactions(transactions)
+            index = PackedBitmapIndex.from_database(
+                TransactionDatabase(transactions)
+            )
             assert index.num_words == max(1, (rows + 63) // 64)
             assert index.counts([(1,), (2,), (1, 2), ()]) == [
                 (rows + 1) // 2,
@@ -94,8 +96,8 @@ class TestPackedIndex:
     def test_long_candidate_from_mfcs(self):
         # pass-1 MFCS candidates can span the whole universe
         universe = list(range(200))
-        index = PackedBitmapIndex.from_transactions(
-            [universe, universe[:50]], universe
+        index = PackedBitmapIndex.from_database(
+            TransactionDatabase([universe, universe[:50]], universe)
         )
         assert index.counts([tuple(universe)]) == [1]
 
@@ -121,7 +123,9 @@ class TestPackedIndex:
         # huge item ids exceed MAX_TABLE_ITEM: the O(1) lookup table is
         # skipped but counting still works
         huge = PackedBitmapIndex.MAX_TABLE_ITEM + 5
-        index = PackedBitmapIndex.from_transactions([[1, huge], [huge]])
+        index = PackedBitmapIndex.from_database(
+            TransactionDatabase([[1, huge], [huge]])
+        )
         assert index._row_table is None
         assert index.counts([(1,), (huge,), (1, huge)]) == [1, 2, 1]
 
@@ -135,8 +139,8 @@ class TestPrefixIntersector:
         assert cache.intersection((1, 2)) == 0b0011
         assert cache.intersection((1, 2, 3)) == 0b0001
         # (1, 2) was reused from the stack; only item 3 was combined anew
-        assert cache.reused == 2
-        assert cache.intersections == 3
+        assert cache.hits == 2
+        assert cache.misses == 3
 
     def test_unknown_item_poisons_candidate_only(self):
         cache = PrefixIntersector(self.lookup, lambda a, b: a & b, 0b1111)
@@ -148,105 +152,77 @@ class TestPrefixIntersector:
         assert cache.intersection(()) == 0b1111
 
 
-class TestLruPrefixCache:
-    def lookup(self, item):
-        return {1: 0b0111, 2: 0b0011, 3: 0b0101, 4: 0b1001}.get(item)
-
-    def make(self, capacity=4096):
-        return LruPrefixCache(
-            self.lookup, lambda a, b: a & b, 0b1111,
-            capacity_per_level=capacity,
-        )
-
-    def test_results_match_direct_intersection(self):
-        cache = self.make()
-        assert cache.intersection((1, 2)) == 0b0011
-        assert cache.intersection((1, 2, 3)) == 0b0001
-        assert cache.intersection((1, 9)) is None
-        assert cache.intersection(()) == 0b1111
-
-    def test_cache_persists_across_batches(self):
-        cache = self.make()
-        cache.intersection((1, 2))
-        hits_before = cache.hits
-        # a later batch reuses the stored (1, 2) prefix: two hits
-        assert cache.intersection((1, 2, 4)) == 0b0001
-        assert cache.hits == hits_before + 2
-        assert cache.misses == 3  # items 1, 2, 4 combined exactly once
-
-    def test_eviction_bounds_each_level(self):
-        cache = self.make(capacity=2)
-        for prefix in ((1, 2), (1, 3), (1, 4)):
-            cache.intersection(prefix)
-        assert cache.evictions == 1
-        # level 1 holds only (1,); level 2 holds the 2 most recent
-        assert cache.size == 3
-        # the evicted (1, 2) is recomputed: misses, not hits
-        misses_before = cache.misses
-        cache.intersection((1, 2))
-        assert cache.misses == misses_before + 1
-
-    def test_lru_order_refreshes_on_hit(self):
-        cache = self.make(capacity=2)
-        cache.intersection((1, 2))
-        cache.intersection((1, 3))
-        cache.intersection((1, 2))  # refresh (1, 2)
-        cache.intersection((1, 4))  # evicts (1, 3), not (1, 2)
-        hits_before = cache.hits
-        cache.intersection((1, 2))
-        assert cache.hits == hits_before + 2
-
-    def test_cached_none_is_not_a_miss_sentinel_conflict(self):
-        cache = self.make()
-        assert cache.intersection((9,)) is None
-        misses_before = cache.misses
-        assert cache.intersection((9,)) is None  # served from cache
-        assert cache.misses == misses_before
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            self.make(capacity=0)
-
-    def test_clear(self):
-        cache = self.make()
-        cache.intersection((1, 2))
-        cache.clear()
-        assert cache.size == 0
+INDEX_CLASSES = {
+    "bitmap": IntBitmapIndex,
+    "packed": PackedBitmapIndex,
+    "roaring": RoaringIndex,
+}
 
 
-class TestBuildIndex:
-    def test_force_python(self):
-        index = build_index(TRANSACTIONS, force_python=True)
-        assert isinstance(index, IntBitmapIndex)
+@pytest.mark.parametrize("engine", sorted(INDEX_CLASSES))
+class TestIndexCounter:
+    """The engine body ``bitmap``, ``packed`` and ``roaring`` share."""
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires NumPy")
-    def test_prefers_numpy(self):
-        index = build_index(TRANSACTIONS)
-        assert isinstance(index, PackedBitmapIndex)
-
-
-class TestPackedCounter:
-    def test_index_cached_per_database(self):
-        counter = PackedCounter()
+    def test_index_cached_per_database(self, engine):
+        counter = get_counter(engine)
         db = TransactionDatabase(TRANSACTIONS)
         counter.count(db, [(1,)])
         first = counter._index
         counter.count(db, [(2,)])
         assert counter._index is first
         other = TransactionDatabase([[5]])
-        counter.count(other, [(5,)])
+        assert counter.count(other, [(5,), (1,)]) == {(5,): 1, (1,): 0}
         assert counter._index is not first
 
-    def test_force_python_counter_matches(self):
+    def test_reset_clears_accounting(self, engine):
+        counter = get_counter(engine)
         db = TransactionDatabase(TRANSACTIONS)
-        candidates = list(GROUND_TRUTH)
-        assert (
-            PackedCounter(force_python=True).count(db, candidates)
-            == GROUND_TRUTH
-        )
+        counter.count(db, [(1, 2), (1, 2, 3), (2, 3)])
+        assert counter.prefix_cache_misses > 0
+        counter.reset()
+        assert counter.prefix_cache_hits == 0
+        assert counter.prefix_cache_misses == 0
+        assert counter.count(db, list(GROUND_TRUTH)) == GROUND_TRUTH
 
-    def test_expired_deadline_aborts(self):
-        counter = PackedCounter()
+    def test_prefix_cache_metrics_emitted(self, engine):
+        from repro.obs.instrument import Instrumentation
+
+        counter = get_counter(engine)
+        counter.obs = obs = Instrumentation()
+        counter.count(TransactionDatabase(TRANSACTIONS), [(1, 2), (1, 2, 3)])
+        assert obs.metrics.counter("prefix_cache.hits").value == (
+            counter.prefix_cache_hits
+        )
+        assert obs.metrics.counter("prefix_cache.misses").value == (
+            counter.prefix_cache_misses
+        )
+        assert counter.prefix_cache_misses > 0
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires NumPy")
+    def test_builds_its_index_class(self, engine):
+        counter = get_counter(engine)
+        counter.count(TransactionDatabase(TRANSACTIONS), [(1,)])
+        assert type(counter._index) is INDEX_CLASSES[engine]
+
+    def test_falls_back_to_int_bitmap_index_without_numpy(
+        self, engine, monkeypatch
+    ):
+        monkeypatch.setattr(vertical, "HAVE_NUMPY", False)
+        counter = get_counter(engine)
+        db = TransactionDatabase(TRANSACTIONS)
+        counter.count(db, [(1,)])
+        assert type(counter._index) is IntBitmapIndex
+        # the index is the database's own vertical view, not a copy
+        assert counter._index._bitmaps is db.item_bitmaps()
+
+    def test_counts_match_without_numpy(self, engine, monkeypatch):
+        monkeypatch.setattr(vertical, "HAVE_NUMPY", False)
+        counter = get_counter(engine)
+        db = TransactionDatabase(TRANSACTIONS)
+        assert counter.count(db, list(GROUND_TRUTH)) == GROUND_TRUTH
+
+    def test_expired_deadline_aborts(self, engine):
+        counter = get_counter(engine)
         counter.deadline = time.perf_counter() - 1.0
         with pytest.raises(CountingDeadline):
             counter.count(TransactionDatabase(TRANSACTIONS), [(1,)])
