@@ -298,7 +298,6 @@ class PartitionedPincerMiner:
             engine = counter
             owned = False
         engine.obs = obs
-        engine.begin_query()
         started = time.perf_counter()
         stats = MiningStats(
             algorithm=self.name,

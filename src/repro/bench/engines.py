@@ -151,7 +151,7 @@ def run_counting_benchmark(
                     counter.prefix_cache_misses
                 )
             if isinstance(counter, ShmShardedCounter):
-                measured[name]["num_shards"] = len(counter.shard_rows)
+                measured[name]["num_shards"] = len(counter.worker_pids) or 1
                 measured[name]["last_shard_seconds"] = [
                     round(shard_seconds, 6)
                     for shard_seconds in counter.last_shard_seconds
@@ -166,10 +166,6 @@ def run_counting_benchmark(
                 )
                 measured[name]["steals"] = counter.steals
                 measured[name]["chunks_dispatched"] = counter.chunks_dispatched
-                if counter._scheduler is not None:
-                    measured[name]["scheduler_decisions"] = dict(
-                        counter._scheduler.decisions
-                    )
         finally:
             close = getattr(counter, "close", None)
             if close is not None:

@@ -21,11 +21,12 @@ Two comparisons are made:
   metrics written to files versus the same run with observability off.
   Enabled runs pay for JSON serialisation of every span, so this number
   is honest rather than tiny; it bounds what ``--trace`` costs a user.
-* **telemetry overhead** — a full run on the multi-process ``shm``
-  engine with the live heartbeat plane on (``--telemetry``) versus the
-  same engine with it off.  Workers publish seqlock heartbeats into the
-  shared segment and the coordinator polls them mid-pass; the budget for
-  all of that is +-2%, gated by the CI ``telemetry-smoke`` job.
+* **telemetry overhead** — full runs on an attached, warmed
+  two-worker ``shm`` engine with the live heartbeat plane on
+  (``--telemetry``) versus a second one with it off.  Workers publish
+  seqlock heartbeats into the shared segment and the coordinator polls
+  them mid-pass; the budget for all of that is +-2%, gated by the CI
+  ``telemetry-smoke`` job.
 
 Both sides use best-of-``repeats`` wall-clock, the same convention as
 :mod:`repro.bench.engines`.
@@ -101,47 +102,54 @@ def _time_mine_enabled(db, fraction: float, repeats: int) -> Dict[str, float]:
 _TELEMETRY_SHARDS = 2
 
 
-def _time_mine_sharded_once(db, fraction: float, telemetry: bool):
-    """One shm-engine run; returns (seconds, plane).
-
-    Both sides run with an *enabled* instrumentation bundle (live
-    registry, no trace file) so the general metrics/span accounting —
-    tracked separately as ``overhead_enabled_pct`` — is not billed to
-    the telemetry plane; only the heartbeat config differs.
-    """
-    counter = ShmShardedCounter(
-        num_shards=_TELEMETRY_SHARDS, use_processes=True
-    )
-    obs = capture(telemetry="auto") if telemetry else Instrumentation()
-    with counter:
-        started = time.perf_counter()
-        PincerSearch(adaptive=True).mine(
-            db, fraction, counter=counter, obs=obs
-        )
-        seconds = time.perf_counter() - started
-        plane = counter.plane
-    obs.finish()
-    return seconds, plane
+def _time_mine_on(db, fraction: float, counter, obs) -> float:
+    """Seconds for one mine on an already-built counter."""
+    started = time.perf_counter()
+    PincerSearch(adaptive=True).mine(db, fraction, counter=counter, obs=obs)
+    return time.perf_counter() - started
 
 
 def _time_mine_sharded(db, fraction: float, repeats: int) -> Dict:
     """Best-of seconds on the shm engine, heartbeat plane off vs on.
 
-    Telemetry is isolated from tracing here: the capture carries only the
-    telemetry config, so the difference against the plane-off run is
-    exactly what the segment writes, the seqlock publishes, and the
-    coordinator's mid-pass polls cost.  The off/on runs are interleaved
-    per repeat: process spawns dominate these timings, so drift on a
-    busy host must bias neither side of the best-of.
+    Each side's counter is attached once — workers spawned, index
+    published and, on the "on" side, the telemetry segment created —
+    and warmed with one mine.  The timed mines then alternate between
+    the two attached counters, so the difference is exactly what the
+    heartbeat publishes and the coordinator's mid-pass polls cost, not
+    the process spawns that dominate a cold mine of this size.  Both
+    sides run with an *enabled* instrumentation bundle (live registry,
+    no trace file) so the general metrics/span accounting — tracked
+    separately as ``overhead_enabled_pct`` — is not billed to the
+    telemetry plane; only the heartbeat config differs.
     """
-    off = on = float("inf")
-    plane = "serial"
-    for _ in range(max(1, repeats)):
-        seconds, _ = _time_mine_sharded_once(db, fraction, telemetry=False)
-        off = min(off, seconds)
-        seconds, plane = _time_mine_sharded_once(db, fraction, telemetry=True)
-        on = min(on, seconds)
-    return {"off": off, "on": on, "plane": plane}
+    sides = {
+        "off": (
+            ShmShardedCounter(num_shards=_TELEMETRY_SHARDS),
+            Instrumentation(),
+        ),
+        "on": (
+            ShmShardedCounter(num_shards=_TELEMETRY_SHARDS),
+            capture(telemetry="auto"),
+        ),
+    }
+    best = {"off": float("inf"), "on": float("inf")}
+    try:
+        for counter, obs in sides.values():
+            _time_mine_on(db, fraction, counter, obs)
+        for repeat in range(max(1, repeats)):
+            order = ("off", "on") if repeat % 2 == 0 else ("on", "off")
+            for side in order:
+                counter, obs = sides[side]
+                best[side] = min(
+                    best[side], _time_mine_on(db, fraction, counter, obs)
+                )
+        plane = sides["on"][0].plane
+    finally:
+        for counter, obs in sides.values():
+            counter.close()
+            obs.finish()
+    return {"off": best["off"], "on": best["on"], "plane": plane}
 
 
 def _replay_raw(db, batches: Sequence[Sequence], counter: SupportCounter) -> float:

@@ -37,14 +37,11 @@ logger = get_logger("core.adaptive")
 class PassRateEstimator:
     """EWMA of the observed counting throughput (candidates/second).
 
-    The miner times each pass's ``engine.count`` call and feeds the
-    smoothed rate back to the engine via
-    :meth:`repro.db.base.SupportCounter.note_pass_rate`.  Engines with an
-    internal mode choice — the shared-memory plane's row/candidate
-    scheduler (:class:`repro.db.shm.AdaptiveShardScheduler`) — use
-    it to predict whether the next pass is long enough to be worth
-    work-stealing coordination.  The EWMA keeps one noisy pass (a cold
-    cache, a page-in burst) from whipsawing that prediction.
+    A :class:`~repro.core.session.MiningSession` feeds it the candidates
+    each query sent to the engine and the query's mining seconds; the
+    smoothed rate is the session's ETA rate, which ``pincer serve``
+    divides candidate bounds by for its ETA quotes.  The EWMA keeps one
+    noisy query (a cold cache, a page-in burst) from whipsawing them.
     """
 
     def __init__(self, alpha: float = 0.5) -> None:

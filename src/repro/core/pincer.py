@@ -44,7 +44,7 @@ from ..db.counting import SupportCounter, resolve_counter
 from ..db.transaction_db import TransactionDatabase
 from ..obs.instrument import NOOP, Instrumentation
 from ..obs.logsetup import get_logger
-from .adaptive import AdaptivePolicy, AlwaysMaintain, PassRateEstimator
+from .adaptive import AdaptivePolicy, AlwaysMaintain
 from .bitset import candidate_upper_bound
 from .candidates import first_level_candidates
 from .itemset import Itemset
@@ -179,7 +179,6 @@ class PincerSearch:
         engine, decision = resolve_counter(db, self._engine, counter)
         obs = obs if obs is not None else NOOP
         engine.obs = obs
-        engine.begin_query()
         progress = obs.progress
         if progress.enabled:
             progress.start_run(
@@ -189,7 +188,6 @@ class PincerSearch:
             )
         policy = self._make_policy() if bottom_up else AlwaysMaintain()
         lattice = make_kernel(self._kernel, db.universe)
-        rate_estimator = PassRateEstimator()
         started = time.perf_counter()
 
         stats = MiningStats(
@@ -248,17 +246,7 @@ class PincerSearch:
                     for element in mfcs_elements:
                         if element not in supports:
                             batch[element] = None
-                    count_started = time.perf_counter()
                     supports.update(engine.count(db, batch))
-                    pass_rate = rate_estimator.observe(
-                        len(batch), time.perf_counter() - count_started
-                    )
-                    engine.note_pass_rate(pass_rate)
-                    if obs.enabled and pass_rate is not None:
-                        # the same EWMA the shard scheduler consults,
-                        # mirrored for the metrics document / serve's
-                        # Prometheus exposition
-                        obs.gauge("miner.pass_rate").set(round(pass_rate, 3))
                     pass_stats.bottom_up_candidates = len(uncounted_candidates)
                     # MFCS elements counted this pass (an element that
                     # doubles as a bottom-up candidate is billed once, as
@@ -442,7 +430,6 @@ class PincerSearch:
                 self._complete_bottom_up(
                     db, engine, supports, threshold, mfs_cover, frequents_seen,
                     stats, k, start_level, obs=obs, lattice=lattice,
-                    rate_estimator=rate_estimator,
                 )
 
             final_mfs = maximal_elements(mfs | frequents_seen)
@@ -545,7 +532,6 @@ class PincerSearch:
         start_level: Optional[int] = None,
         obs: Instrumentation = NOOP,
         lattice: Optional[LatticeKernel] = None,
-        rate_estimator: Optional[PassRateEstimator] = None,
     ) -> None:
         """Apriori with a frequency oracle — the post-abandonment sweep.
 
@@ -598,15 +584,7 @@ class PincerSearch:
                 pass_stats = stats.new_pass(pass_number)
                 pass_started = time.perf_counter()
                 with obs.span("sweep", k=level) as sweep_span:
-                    count_started = time.perf_counter()
                     supports.update(engine.count(db, unknown))
-                    if rate_estimator is not None:
-                        engine.note_pass_rate(
-                            rate_estimator.observe(
-                                len(unknown),
-                                time.perf_counter() - count_started,
-                            )
-                        )
                     pass_stats.bottom_up_candidates = len(unknown)
                     newly_frequent = [
                         c for c in unknown if supports[c] >= threshold

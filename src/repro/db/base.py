@@ -42,6 +42,11 @@ class SupportCounter:
     spans (nested under the miner's pass span) and engine metrics.  It
     defaults to the shared disabled bundle, whose cost in :meth:`count` is
     one attribute read and one truthiness check per pass.
+
+    Miners drive an engine through :meth:`count`,
+    :meth:`note_candidate_bound` and :meth:`close` alone; how an engine
+    splits a pass (the ``shm`` plane's work-stealing) is its own policy,
+    with no hook for a miner to steer it.
     """
 
     name = "abstract"
@@ -65,10 +70,10 @@ class SupportCounter:
     def _bill_records(self, db: "TransactionDatabase") -> None:
         """Account the records one pass reads.
 
-        The default engines read every transaction exactly once per pass.
-        Engines with their own accounting source (the shm engine sums
-        what its workers *report* having read) override this to defer
-        billing into :meth:`_count`.
+        Every engine reads each transaction exactly once per logical
+        pass, however it splits the pass; an engine bound to a slice of
+        the database (the partitioned plane's per-partition counters)
+        bills that slice's rows instead.
         """
         self.records_read += len(db)
 
@@ -116,15 +121,6 @@ class SupportCounter:
     ) -> Dict[Itemset, int]:
         raise NotImplementedError
 
-    def note_pass_rate(self, rate: Optional[float]) -> None:
-        """Observed per-candidate counting rate (candidates/second).
-
-        Miners feed the flight-recorder rate of the pass they just
-        finished; engines with an internal scheduler (the shared-memory
-        plane's row/candidate chooser) use it to predict whether the next
-        pass is worth parallel coordination.  Default: ignored.
-        """
-
     def note_candidate_bound(self, bound: Optional[int]) -> None:
         """Provable upper bound on the next pass's candidate count.
 
@@ -132,19 +128,6 @@ class SupportCounter:
         pass; engines with a live telemetry plane publish it so an
         attached ``pincer obs top`` can show an honest in-flight ETA.
         Default: ignored.
-        """
-
-    def begin_query(self) -> None:
-        """Reset per-query adaptive state on a reused engine.
-
-        Sessions and miners call this at the start of each logical query
-        so predictions learned from the *previous* query's shape (the
-        miner-fed pass rate steering the shared-memory plane's
-        row/candidate scheduler) cannot pollute the first-pass decisions
-        of an unrelated one.  Structural state that is a property of the
-        attached database — worker pools, shared segments, prefix
-        caches — deliberately survives; that reuse is the whole point of
-        a resident session.  Default: nothing to reset.
         """
 
     def close(self) -> None:

@@ -38,13 +38,13 @@ Engines provided:
     chunks.  ``auto`` picks it for large sparse databases
     (:func:`engine_decision` is the only density-based resolver).
 ``shm``
-    The process plane (:mod:`repro.db.shm`): support is additive over
-    row slices, so one packed index is published once via
-    ``multiprocessing.shared_memory`` (or a memory-mapped snapshot
-    file), attached — not copied — by every worker, with a per-pass
-    adaptive choice between row-sharding and candidate work-stealing.
-    Falls back to an mmap temp file when shared memory is unavailable,
-    then to one in-process index (serial).
+    The process plane (:mod:`repro.db.shm`): one packed index is
+    published once via ``multiprocessing.shared_memory`` (or a
+    memory-mapped snapshot file) and attached — not copied — by every
+    worker; every pass is split by candidate work-stealing over that
+    whole index, and a dead worker's share is recounted.  Falls back to
+    an mmap temp file when shared memory is unavailable, then to one
+    in-process index (serial).
 ``partitioned``
     The out-of-core tier (:mod:`repro.db.outofcore`): row partitions of
     a v2 snapshot attached/counted/detached under a byte budget, with

@@ -1,12 +1,12 @@
 """Zero-copy shared-memory data plane: the ``shm`` engine.
 
-Support is additive over a row partition of the database (the
-segmentation structure of Rajalakshmi et al., arXiv:1109.2427), so a
-pass can be split across worker processes and the partial counts
-summed.  Nothing about the pass/IO accounting changes — one ``count``
-call is still one logical pass over every transaction, whichever
-process touches it.  This module is the repository's only process
-plane, and it never copies the database into a worker:
+Support is additive over the candidates of a batch, so a pass can be
+split across worker processes that each count a share of the candidates
+against the whole database.  Nothing about the pass/IO accounting
+changes — one ``count`` call is still one logical pass over every
+transaction, whichever process counts which candidate.  This module is
+the repository's only process plane, and it never copies the database
+into a worker:
 
 * **One index, attached everywhere.**  The parent builds (or
   memory-maps, via a :mod:`repro.db.snapshot` file) the packed uint64
@@ -20,12 +20,17 @@ plane, and it never copies the database into a worker:
   into a shared batch block; counts come back through a preallocated
   shared ``uint32`` result array (one row per worker, summed by the
   parent).  The only pipe traffic is a tiny per-pass control message.
-* **Two sharding shapes.**  Because every worker sees the *whole* index,
-  each pass can be split either by transactions (word-aligned column
-  slices of the matrix: many rows, few candidates) or by candidates with
-  work-stealing chunks off a shared cursor (few rows, wide fused
-  C_k+MFCS batches — exactly Pincer's early passes).  The choice is made
-  per pass by :class:`AdaptiveShardScheduler`.
+* **One pass shape: candidate work-stealing.**  Workers claim chunks of
+  :func:`chunk_size` candidates off a shared cursor until the batch is
+  exhausted, so skew balances itself and a worker that never arrives
+  simply leaves its share to the others.  (Row segmentation, Rajalakshmi
+  et al. arXiv:1109.2427, lives in the budgeted partitioned plane,
+  :mod:`repro.db.outofcore`, where it is what bounds memory.)
+
+A worker that dies (broken pipe or EOF) or, with a telemetry plane,
+wedges is retired; the batch is recounted on the survivors, or in the
+parent when none is left, and the stall strike sends the next attach to
+the serial rung.  A worker's ``("error", …)`` reply raises.
 
 Fallback ladder, walked automatically: shared memory → ``mmap`` of a
 snapshot file → serial, one in-process ``packed`` index over the
@@ -35,10 +40,10 @@ when NumPy is absent, when only one worker is planned, when the workers
 cannot be spawned, and after the first stall strike.  All rungs produce
 byte-identical counts and identical pass/IO accounting.
 
-The worker-count heuristic targets one worker per core, but never slices
-so thin that per-worker fixed costs beat the counting itself: fewer than
-:data:`MIN_ROWS_PER_SHARD` transactions per worker are not worth a
-process.
+The worker-count heuristic targets one worker per core, but never plans
+so many workers that per-worker dispatch costs beat the counting itself:
+a database with fewer than :data:`MIN_ROWS_PER_SHARD` transactions per
+worker is not worth a process.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from ..obs.resources import rusage_snapshot
 from ..obs.telemetry import (
     STATE_COUNTING,
     STATE_IDLE,
-    STATE_STEALING,
     TelemetryConfig,
     TelemetryWriter,
 )
@@ -76,11 +80,12 @@ except ImportError:  # pragma: no cover - very old interpreters
     _shared_memory = None
 
 __all__ = [
-    "AdaptiveShardScheduler",
+    "MAX_CHUNK",
     "MAX_WORKERS_ENV",
     "MIN_ROWS_PER_SHARD",
     "ShmShardedCounter",
     "attach_segment",
+    "chunk_size",
     "default_num_shards",
 ]
 
@@ -93,20 +98,22 @@ INITIAL_ITEM_CAPACITY = 4 * INITIAL_BATCH_CAPACITY
 #: Below this many transactions a worker cannot amortise its dispatch cost.
 MIN_ROWS_PER_SHARD = 512
 
+#: Largest work-stealing chunk, in candidates.
+MAX_CHUNK = 4096
+
 #: Environment override capping worker counts fleet-wide (operators can
 #: pin CI boxes or shared hosts without touching call sites).
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 
-def default_num_shards(num_rows: int, max_workers: Optional[int] = None) -> int:
-    """One worker per core, capped so every row slice stays worth dispatching.
+def default_num_shards(num_rows: int) -> int:
+    """One worker per core, capped so every worker stays worth dispatching.
 
-    The ``REPRO_MAX_WORKERS`` environment variable caps the result even
-    when ``max_workers`` is passed explicitly — it is the operator's
-    ceiling, not a default.
+    The ``REPRO_MAX_WORKERS`` environment variable caps the result — it
+    is the operator's deployment ceiling, not a default.
     """
     cores = os.cpu_count() or 1
-    cap = max_workers if max_workers is not None else cores
+    cap = cores
     env_cap = os.environ.get(MAX_WORKERS_ENV)
     if env_cap:
         try:
@@ -117,10 +124,22 @@ def default_num_shards(num_rows: int, max_workers: Optional[int] = None) -> int:
             )
     shards = max(1, min(cap, num_rows // MIN_ROWS_PER_SHARD))
     logger.debug(
-        "shard plan: %d shards for %d rows (cores=%d, max_workers=%r, %s=%r)",
-        shards, num_rows, cores, max_workers, MAX_WORKERS_ENV, env_cap,
+        "shard plan: %d shards for %d rows (cores=%d, %s=%r)",
+        shards, num_rows, cores, MAX_WORKERS_ENV, env_cap,
     )
     return shards
+
+
+def chunk_size(num_candidates: int, num_workers: int) -> int:
+    """Candidates per work-stealing chunk: about four chunks per worker.
+
+    ``⌈n / (4 · workers)⌉``, clamped to ``[1, MAX_CHUNK]``.  Four chunks
+    per worker leave room for a fast worker to steal a slow one's share;
+    the floor of one spreads even a narrow pass over every worker instead
+    of handing it whole to the first claimant.
+    """
+    target = -(-num_candidates // (4 * num_workers))
+    return max(1, min(MAX_CHUNK, target))
 
 
 def attach_segment(name: str, untrack: Optional[bool] = None):
@@ -212,18 +231,6 @@ class _SharedBlock:
             os.unlink(self.name)
 
 
-def _word_bounds(num_words: int, num_workers: int) -> List[Tuple[int, int]]:
-    """Contiguous word ranges per worker (some may be empty on tiny dbs)."""
-    base, extra = divmod(num_words, num_workers)
-    bounds: List[Tuple[int, int]] = []
-    start = 0
-    for worker in range(num_workers):
-        stop = start + base + (1 if worker < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
@@ -233,10 +240,10 @@ def _shm_worker(connection, spec: Dict, cursor) -> None:
     """Attach the shared index, then serve count tasks until told to stop.
 
     ``spec`` describes the matrix (shared segment name, or snapshot path
-    plus offset for the mmap rung), this worker's word-aligned row shard,
-    and its slot in the result array.  Candidate batches arrive through
-    the shared batch block named in each task message; nothing bigger
-    than a small control dict ever crosses the pipe.
+    plus offset for the mmap rung) and this worker's slot in the result
+    array.  Candidate batches arrive through the shared batch block named
+    in each task message; nothing bigger than a small control dict ever
+    crosses the pipe.
     """
     import numpy as np
 
@@ -257,9 +264,7 @@ def _shm_worker(connection, spec: Dict, cursor) -> None:
                 offset=spec["matrix_offset"],
                 shape=spec["shape"],
             )
-        full_index = PackedBitmapIndex(matrix, {}, spec["num_rows"])
-        word_lo, word_hi = spec["word_range"]
-        slice_index = full_index.word_slice(word_lo, word_hi)
+        index = PackedBitmapIndex(matrix, {}, spec["num_rows"])
     except BaseException as exc:  # pragma: no cover - defensive
         connection.send(("error", repr(exc)))
         connection.close()
@@ -267,7 +272,7 @@ def _shm_worker(connection, spec: Dict, cursor) -> None:
     telemetry = TelemetryWriter.attach(spec.get("telemetry"))
     connection.send(("ready", os.getpid(), time.perf_counter() - started))
     if telemetry is not None:
-        telemetry.beat(state=STATE_IDLE, rows_total=slice_index.num_rows)
+        telemetry.beat(state=STATE_IDLE)
 
     worker_id = spec["worker"]
     num_workers = spec["num_workers"]
@@ -316,62 +321,40 @@ def _shm_worker(connection, spec: Dict, cursor) -> None:
 
             wall_started = time.perf_counter()
             cpu_started = time.process_time()
-            hits_before = full_index.prefix_hits + slice_index.prefix_hits
-            misses_before = full_index.prefix_misses + slice_index.prefix_misses
+            hits_before = index.prefix_hits
+            misses_before = index.prefix_misses
             chunks_taken = 0
-            beat_hook = telemetry.maybe_beat if telemetry is not None else None
-            if task["mode"] == "rows":
-                if telemetry is not None:
-                    telemetry.beat(state=STATE_COUNTING, candidates_total=n)
-                slice_index.counts_into(
-                    lengths, flat_rows, out, 0, n, offsets=offsets,
-                    deadline_check=beat_hook,
+            beat_hook = None
+            if telemetry is not None:
+                beat_hook = telemetry.maybe_beat
+                telemetry.beat(state=STATE_COUNTING, candidates_total=n)
+            chunk = task["chunk"]
+            while True:
+                with cursor.get_lock():
+                    chunk_id = cursor.value
+                    cursor.value = chunk_id + 1
+                lo = chunk_id * chunk
+                if lo >= n:
+                    break
+                hi = min(lo + chunk, n)
+                index.counts_into(
+                    lengths, flat_rows, out, lo, hi,
+                    offsets=offsets, deadline_check=beat_hook,
                 )
-                records_read = slice_index.num_rows
+                chunks_taken += 1
                 if telemetry is not None:
-                    telemetry.advance(
-                        candidates_done=n,
-                        rows_done=records_read,
-                        records_read=records_read,
-                    )
-            else:
-                if telemetry is not None:
-                    telemetry.beat(state=STATE_STEALING, candidates_total=n)
-                chunk = task["chunk"]
-                while True:
-                    with cursor.get_lock():
-                        chunk_id = cursor.value
-                        cursor.value = chunk_id + 1
-                    lo = chunk_id * chunk
-                    if lo >= n:
-                        break
-                    hi = min(lo + chunk, n)
-                    full_index.counts_into(
-                        lengths, flat_rows, out, lo, hi,
-                        offsets=offsets, deadline_check=beat_hook,
-                    )
-                    chunks_taken += 1
-                    if telemetry is not None:
-                        telemetry.advance(candidates_done=hi - lo)
-                        telemetry.note(cursor=chunk_id)
-                        telemetry.maybe_beat()
-                # the pass reads the database once logically, whichever
-                # worker touches which candidate; the parent bills |D|
-                records_read = 0
+                    telemetry.advance(candidates_done=hi - lo)
+                    telemetry.note(cursor=chunk_id)
+                    telemetry.maybe_beat()
             if telemetry is not None:
                 telemetry.beat(state=STATE_IDLE)
             meta = {
-                "records_read": records_read,
                 "seconds": time.perf_counter() - wall_started,
                 "cpu_seconds": time.process_time() - cpu_started,
                 "maxrss_kb": rusage_snapshot().get("maxrss_kb", 0),
                 "chunks_taken": chunks_taken,
-                "prefix_hits": full_index.prefix_hits
-                + slice_index.prefix_hits
-                - hits_before,
-                "prefix_misses": full_index.prefix_misses
-                + slice_index.prefix_misses
-                - misses_before,
+                "prefix_hits": index.prefix_hits - hits_before,
+                "prefix_misses": index.prefix_misses - misses_before,
             }
             connection.send(("done", meta))
         except BaseException as exc:  # pragma: no cover - defensive
@@ -380,7 +363,7 @@ def _shm_worker(connection, spec: Dict, cursor) -> None:
         del lengths_all, flat_all, results
     except NameError:  # stopped before the first task
         pass
-    del matrix, full_index, slice_index
+    del matrix, index
     if telemetry is not None:
         telemetry.close()
     _close_quietly(batch_segment, results_segment, matrix_segment)
@@ -415,9 +398,8 @@ def _attach_block(plane: str, name: str, untrack):
 class _ShmPlane:
     """Parent-side handle on the shared segments and worker specs."""
 
-    def __init__(self, plane: str, num_rows: int, num_words: int) -> None:
+    def __init__(self, plane: str, num_words: int) -> None:
         self.plane = plane  # "shm" | "mmap"
-        self.num_rows = num_rows
         self.num_words = num_words
         self.matrix_segment = None
         self.temp_snapshot: Optional[Path] = None
@@ -508,171 +490,32 @@ class _ShmPlane:
 
 
 # ----------------------------------------------------------------------
-# per-pass sharding shape
-# ----------------------------------------------------------------------
-
-
-class AdaptiveShardScheduler:
-    """Per-pass choice between row-sharding and candidate work-stealing.
-
-    With every worker attached to the *whole* shared index, a pass can be
-    partitioned along either axis:
-
-    * ``"rows"`` — each worker counts all candidates on its word-aligned
-      transaction slice; cheapest coordination, but a pass with few
-      candidates on many workers leaves the per-candidate vectorization
-      underfed, and static slices cannot absorb skew.
-    * ``"candidates"`` — workers steal fixed-size candidate chunks off a
-      shared cursor and count them against the full index; perfect for
-      the wide fused C_k+MFCS batches of Pincer's early passes, and skew
-      self-balances by construction.
-
-    The choice is structural when it must be (too few candidates to
-    slice, or fewer matrix words than workers) and measured when it can
-    be: per-mode EWMA throughput (candidates/second over observed
-    passes) picks the faster mode once both have been tried, with
-    hysteresis so a noisy pass cannot cause flapping.  The miner can feed
-    its flight-recorder per-candidate rate via :meth:`note_miner_rate`;
-    passes predicted to finish almost instantly stay in row mode, where
-    there is no cursor lock to contend on.
-    """
-
-    MIN_CHUNK = 64
-    MAX_CHUNK = 4096
-    #: A measured mode must beat the other by this factor to win.
-    HYSTERESIS = 1.2
-    #: Predicted pass wall-time below which stealing overhead dominates.
-    MIN_STEAL_SECONDS = 0.005
-
-    def __init__(
-        self,
-        num_workers: int,
-        chunk: Optional[int] = None,
-        alpha: float = 0.4,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        self.num_workers = num_workers
-        self._fixed_chunk = chunk
-        self._alpha = alpha
-        self._rates: Dict[str, Optional[float]] = {
-            "rows": None, "candidates": None,
-        }
-        self._miner_rate: Optional[float] = None
-        #: decisions taken so far, by mode (observability + tests)
-        self.decisions: Dict[str, int] = {"rows": 0, "candidates": 0}
-
-    def reset_query(self) -> None:
-        """Drop state describing the *previous* query's candidate shape.
-
-        The miner-fed rate predicts how fast the next pass counts, but
-        that prediction came from another query's candidates; carrying it
-        over would bias the first-pass mode choice.  The per-mode EWMAs
-        stay — they measure this database on this machine, which the next
-        query shares.
-        """
-        self._miner_rate = None
-
-    def chunk_for(self, num_candidates: int) -> int:
-        """Work-stealing chunk size: ~4 chunks per worker, clamped."""
-        if self._fixed_chunk:
-            return max(1, self._fixed_chunk)
-        target = -(-num_candidates // (4 * self.num_workers))
-        return max(self.MIN_CHUNK, min(self.MAX_CHUNK, target))
-
-    def choose(self, num_candidates: int, num_rows: int):
-        """-> ``(mode, chunk)`` for a pass of this shape."""
-        mode = self._pick(num_candidates, num_rows)
-        self.decisions[mode] += 1
-        return mode, self.chunk_for(num_candidates)
-
-    def _pick(self, num_candidates: int, num_rows: int) -> str:
-        if num_candidates < 2 * self.num_workers:
-            return "rows"  # not enough candidates to keep stealers busy
-        num_words = max(1, (num_rows + 63) // 64)
-        if num_words < self.num_workers:
-            return "candidates"  # row slices would idle some workers
-        if self._miner_rate:
-            predicted = num_candidates / self._miner_rate
-            if predicted < self.MIN_STEAL_SECONDS:
-                return "rows"
-        rows_rate = self._rates["rows"]
-        candidates_rate = self._rates["candidates"]
-        if rows_rate is not None and candidates_rate is not None:
-            if candidates_rate > rows_rate * self.HYSTERESIS:
-                return "candidates"
-            if rows_rate > candidates_rate * self.HYSTERESIS:
-                return "rows"
-            # within the hysteresis band: keep the cheaper coordination
-            return "rows"
-        # unmeasured: wide batches amortise stealing, narrow ones don't
-        if num_candidates >= self.num_workers * self.MIN_CHUNK:
-            return "candidates"
-        return "rows"
-
-    def observe(self, mode: str, num_candidates: int, seconds: float) -> None:
-        """Feed back a completed pass's throughput for ``mode``."""
-        if seconds <= 0.0 or num_candidates <= 0:
-            return
-        rate = num_candidates / seconds
-        previous = self._rates.get(mode)
-        self._rates[mode] = (
-            rate
-            if previous is None
-            else (1.0 - self._alpha) * previous + self._alpha * rate
-        )
-
-    def note_miner_rate(self, rate: Optional[float]) -> None:
-        """Accept the miner's observed per-candidate counting rate (c/s)."""
-        if rate and rate > 0.0:
-            self._miner_rate = rate
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 
 
 class ShmShardedCounter(SupportCounter):
-    """The ``shm`` engine: sharded counting over one shared index.
+    """The ``shm`` engine: work-stealing counting over one shared index.
 
     Parameters
     ----------
     num_shards:
-        Explicit worker count; default is the per-database heuristic
-        :func:`default_num_shards`.
-    max_workers:
-        Cap for the heuristic (ignored when ``num_shards`` is given).
-    use_processes:
-        True/False forces worker processes on/off; None (default) uses
-        processes whenever more than one worker is planned.
-    steal_chunk:
-        Candidate-mode work-stealing chunk size override (default: the
-        scheduler picks per pass).
+        Worker count; default is the per-database heuristic
+        :func:`default_num_shards`.  One worker counts on the serial
+        rung, in-process.
     """
 
     name = "shm"
 
-    def __init__(
-        self,
-        num_shards: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        use_processes: Optional[bool] = None,
-        steal_chunk: Optional[int] = None,
-    ) -> None:
+    def __init__(self, num_shards: Optional[int] = None) -> None:
         super().__init__()
         if num_shards is not None and num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self._num_shards = num_shards
-        self._max_workers = max_workers
-        self._use_processes = use_processes
-        self._steal_chunk = steal_chunk
         self._db_ref = None
         self._workers: List[multiprocessing.Process] = []
         self._connections: List[object] = []
         self.worker_pids: List[int] = []
-        #: rows per worker slice of the attached database
-        self.shard_rows: List[int] = []
         #: per-worker wall, CPU seconds and peak RSS (kB) of the latest
         #: pass (one entry on the serial rung)
         self.last_shard_seconds: List[float] = []
@@ -690,10 +533,7 @@ class ShmShardedCounter(SupportCounter):
         self._parent_index: Optional[PackedBitmapIndex] = None
         #: the serial rung's whole-database index
         self._serial_index = None
-        self._scheduler: Optional[AdaptiveShardScheduler] = None
         self._finalizer = None
-        #: word-aligned matrix column ranges per worker (for recovery)
-        self._word_ranges: List[Tuple[int, int]] = []
         #: which rung of the fallback ladder is serving: "shm", "mmap"
         #: or "serial"
         self.plane = "unattached"
@@ -701,8 +541,6 @@ class ShmShardedCounter(SupportCounter):
         self.last_attach_seconds = 0.0
         #: per-worker startup seconds reported at the latest attach
         self.worker_startup_seconds: List[float] = []
-        #: scheduler decision of the most recent pass
-        self.last_mode: Optional[str] = None
         #: work-stealing accounting (cumulative since attach)
         self.steals = 0
         self.chunks_dispatched = 0
@@ -718,17 +556,11 @@ class ShmShardedCounter(SupportCounter):
         attach_started = time.perf_counter()
         self._detach()
         num_rows = len(db)
-        workers = self._num_shards or default_num_shards(
-            num_rows, self._max_workers
-        )
+        workers = self._num_shards or default_num_shards(num_rows)
         workers = max(1, min(workers, num_rows) if num_rows else 1)
-        processes = (
-            self._use_processes if self._use_processes is not None else workers > 1
-        )
         if (
             HAVE_NUMPY
             and _shared_memory is not None
-            and processes
             and workers > 1
             # any stall strike sends the ladder to its serial rung
             and self._stall_strikes < 1
@@ -750,7 +582,6 @@ class ShmShardedCounter(SupportCounter):
             return
         self._serial_index = PackedCounter.index_over(db)
         self._db_ref = weakref.ref(db)
-        self.shard_rows = [num_rows]
         self.plane = "serial"
         self.last_attach_seconds = time.perf_counter() - attach_started
         logger.debug("serial rung: one index over %d rows", num_rows)
@@ -788,7 +619,7 @@ class ShmShardedCounter(SupportCounter):
         num_words = index.num_words
         plane: Optional[_ShmPlane] = None
         try:
-            plane = _ShmPlane("shm", index.num_rows, num_words)
+            plane = _ShmPlane("shm", num_words)
             segment = _shared_memory.SharedMemory(
                 create=True, size=int(matrix.nbytes)
             )
@@ -814,11 +645,7 @@ class ShmShardedCounter(SupportCounter):
             return False
         self._plane = plane
         self._parent_index = index
-        self._scheduler = AdaptiveShardScheduler(
-            workers, chunk=self._steal_chunk
-        )
         self.plane = plane.plane
-        self.shard_rows = self._slice_rows(index, workers)
         self.steals = 0
         self.chunks_dispatched = 0
         # leak-proofing: unlink whatever is still owned when the counter
@@ -855,7 +682,7 @@ class ShmShardedCounter(SupportCounter):
                 snapshot_database(db, temp_snapshot)
                 snapshot_path = temp_snapshot
                 snap = load_snapshot(snapshot_path)
-            plane = _ShmPlane("mmap", index.num_rows, num_words)
+            plane = _ShmPlane("mmap", num_words)
             plane.temp_snapshot = temp_snapshot
             return plane, {
                 "plane": "mmap",
@@ -865,17 +692,7 @@ class ShmShardedCounter(SupportCounter):
         except (OSError, ValueError):  # pragma: no cover - disk exhaustion
             return None, None
 
-    def _slice_rows(self, index, workers: int) -> List[int]:
-        rows = []
-        for word_lo, word_hi in _word_bounds(index.num_words, workers):
-            lo = min(index.num_rows, word_lo * 64)
-            hi = min(index.num_rows, word_hi * 64)
-            rows.append(hi - lo)
-        return rows
-
     def _spawn_shm_workers(self, plane, matrix_spec, index, workers) -> bool:
-        bounds = _word_bounds(index.num_words, workers)
-        self._word_ranges = list(bounds)
         processes: List = []
         connections: List = []
         self.worker_startup_seconds = []
@@ -885,12 +702,11 @@ class ShmShardedCounter(SupportCounter):
                 context = multiprocessing.get_context("fork")
             plane.cursor = context.Value("l", 0)
             untrack = context.get_start_method() != "fork"
-            for worker_id, word_range in enumerate(bounds):
+            for worker_id in range(workers):
                 spec = dict(
                     matrix_spec,
                     shape=(int(index._matrix.shape[0]), index.num_words),
                     num_rows=index.num_rows,
-                    word_range=word_range,
                     worker=worker_id,
                     num_workers=workers,
                     untrack=untrack,
@@ -964,7 +780,6 @@ class ShmShardedCounter(SupportCounter):
         self._connections = []
         self.worker_pids = []
         self.worker_startup_seconds = []
-        self.shard_rows = []
         self.last_shard_seconds = []
         self.last_shard_cpu_seconds = []
         self.last_shard_maxrss_kb = []
@@ -979,10 +794,7 @@ class ShmShardedCounter(SupportCounter):
             self._plane = None
         self._parent_index = None
         self._serial_index = None
-        self._scheduler = None
-        self._word_ranges = []
         self.plane = "unattached"
-        self.last_mode = None
 
     def __del__(self):  # pragma: no cover - interpreter teardown timing
         try:
@@ -1000,36 +812,10 @@ class ShmShardedCounter(SupportCounter):
     # counting
     # ------------------------------------------------------------------
 
-    def note_pass_rate(self, rate: Optional[float]) -> None:
-        """Miner-observed candidates/second: feeds the mode scheduler."""
-        if self._scheduler is not None:
-            self._scheduler.note_miner_rate(rate)
-
-    def begin_query(self) -> None:
-        """Forget the previous query's miner-fed rate.
-
-        The per-mode throughput EWMAs survive — they measure this
-        database on this machine — but the miner rate describes the
-        *previous* query's candidate shape and would skew the first-pass
-        mode choice of the next one.
-        """
-        if self._scheduler is not None:
-            self._scheduler.reset_query()
-
     def note_candidate_bound(self, bound: Optional[int]) -> None:
         """Miner-provided bound on the next pass's candidates (live ETA)."""
         if self._telemetry is not None and bound is not None:
             self._telemetry.note_bound(bound)
-
-    def _bill_records(self, db) -> None:
-        """Deferred: the workers *report* the records they read.
-
-        The parent sums the per-worker reports in :meth:`_count` instead
-        of assuming ``len(db)`` up front, so ``records_read`` (and through
-        it ``MiningStats.records_read``) reflects what the row slices
-        actually touched — the reports of a completed pass always sum to
-        ``len(db)``.
-        """
 
     def _count(self, db, candidates: List[Itemset]) -> Dict[Itemset, int]:
         if not self._attached_to(db):
@@ -1044,11 +830,11 @@ class ShmShardedCounter(SupportCounter):
 
     def _count_serial(self, candidates: List[Itemset]) -> List[int]:
         """The serial rung: the whole batch on the in-process index."""
-        index = self._serial_index
         started = time.perf_counter()
         cpu_started = time.process_time()
-        totals = index.counts(candidates, deadline_check=self._check_deadline)
-        self.records_read += index.num_rows
+        totals = self._serial_index.counts(
+            candidates, deadline_check=self._check_deadline
+        )
         self.last_shard_seconds = [time.perf_counter() - started]
         self.last_shard_cpu_seconds = [time.process_time() - cpu_started]
         self.last_shard_maxrss_kb = [rusage_snapshot().get("maxrss_kb", 0)]
@@ -1078,9 +864,7 @@ class ShmShardedCounter(SupportCounter):
         obs = self.obs
         if not obs.enabled:
             return
-        obs.gauge("shard.count").set(
-            max(len(self.last_shard_seconds), len(self.shard_rows))
-        )
+        obs.gauge("shard.count").set(len(self.last_shard_seconds))
         worker_seconds = obs.histogram("shard.worker_seconds")
         for seconds in self.last_shard_seconds:
             worker_seconds.observe(seconds)
@@ -1099,93 +883,61 @@ class ShmShardedCounter(SupportCounter):
 
     def _count_shared(self, candidates: List[Itemset]) -> List[int]:
         plane = self._plane
-        index = self._parent_index
         n = len(candidates)
-        lengths, flat_rows = index.map_candidates(candidates)
+        lengths, flat_rows = self._parent_index.map_candidates(candidates)
         plane.ensure_capacity(n, len(flat_rows))
         plane.lengths[:n] = lengths
         plane.flat[: len(flat_rows)] = flat_rows
-        mode, chunk = self._scheduler.choose(n, plane.num_rows)
-        self.last_mode = mode
+        chunk = chunk_size(n, plane.num_workers)
         task = plane.task_header()
-        task.update(
-            n=n, flat_len=len(flat_rows), mode=mode, chunk=chunk,
-            num_workers=plane.num_workers,
-        )
+        task.update(n=n, flat_len=len(flat_rows), chunk=chunk)
         if self._telemetry is not None:
-            self._telemetry.begin_pass(self.passes, n, mode)
-        pass_started = time.perf_counter()
+            self._telemetry.begin_pass(self.passes, n)
         self.last_shard_seconds = [0.0] * len(self._connections)
         self.last_shard_cpu_seconds = [0.0] * len(self._connections)
         self.last_shard_maxrss_kb = [0] * len(self._connections)
         dead: set = set()
-        metas: List[Dict] = []
         while True:
-            live = [
-                shard
-                for shard in range(len(self._connections))
-                if shard not in dead
-            ]
-            if mode == "candidates":
-                # stealing writes are scattered over every row, so each
-                # (re)attempt starts from zero; a retry after a stall
-                # recounts the full batch on the surviving workers —
-                # counts_into is a pure function of the shared matrix, so
-                # the recount is byte-identical to an undisturbed pass.
-                # The reset writes the raw ctypes object: no worker is
-                # mid-claim here, and a stalled worker may have died
-                # holding the cursor's lock
-                plane.results[:, :n] = 0
-                plane.cursor.get_obj().value = 0
-            if not live:
-                self._parent_recount_all(task)
-                break
+            # stealing writes are scattered over every result row, so each
+            # (re)attempt starts from zero; a retry after a dead or wedged
+            # worker recounts the full batch on the survivors —
+            # counts_into is a pure function of the shared matrix, so the
+            # recount is byte-identical to an undisturbed pass.  The reset
+            # writes the raw ctypes object: no worker is mid-claim here,
+            # and a retired worker may have died holding the cursor's lock
+            plane.results[:, :n] = 0
+            plane.cursor.get_obj().value = 0
             sent: List[int] = []
-            recovered: List[Dict] = []
-            for shard in live:
+            for shard in range(len(self._connections)):
+                if shard in dead:
+                    continue
                 try:
                     self._connections[shard].send(task)
                     sent.append(shard)
                 except (BrokenPipeError, OSError):
-                    if self._telemetry is None:
-                        self._detach()
-                        raise RuntimeError(
-                            "shm worker died mid-pass"
-                        ) from None
-                    # the worker died before this pass even reached it:
-                    # retire it now — rows mode recounts its word slice
-                    # in the parent, candidates mode lets the survivors
-                    # steal its share off the cursor
+                    # died before this pass reached it: it claimed no
+                    # chunk, so the survivors steal its share
                     self._retire_shm_worker(shard, dead)
-                    if mode == "rows":
-                        recovered.append(self._recover_shm_rows(shard, task))
             if not sent:
                 self._parent_recount_all(task)
+                metas = []
                 break
-            metas, retry = self._collect_replies(task, sent, dead)
-            metas.extend(recovered)
+            metas, retry = self._collect_replies(sent, dead)
             if not retry:
                 break
-        seconds = time.perf_counter() - pass_started
-        self._scheduler.observe(mode, n, seconds)
-        if mode == "candidates":
-            self.records_read += plane.num_rows
-            total_chunks = (n + chunk - 1) // chunk
-            self.chunks_dispatched += total_chunks
-            fair_share = -(-total_chunks // plane.num_workers)
-            steals = sum(
-                max(0, meta["chunks_taken"] - fair_share) for meta in metas
-            )
-            self.steals += steals
-        else:
-            steals = 0
+        total_chunks = -(-n // chunk)
+        self.chunks_dispatched += total_chunks
+        fair_share = -(-total_chunks // plane.num_workers)
+        steals = sum(
+            max(0, meta["chunks_taken"] - fair_share) for meta in metas
+        )
+        self.steals += steals
         totals = plane.results[: plane.num_workers, :n].sum(
             axis=0, dtype=_np.int64
         )
         if self._telemetry is not None:
             self._telemetry.end_pass(n)
         if self.obs.enabled:
-            self.obs.counter("scheduler.mode.%s" % mode).inc()
             self.obs.counter("shard.steals").inc(steals)
             hits = sum(meta["prefix_hits"] for meta in metas)
             misses = sum(meta["prefix_misses"] for meta in metas)
@@ -1194,21 +946,18 @@ class ShmShardedCounter(SupportCounter):
         return totals.tolist()
 
     def _collect_replies(
-        self, task: Dict, live: List[int], dead: set
+        self, live: List[int], dead: set
     ) -> Tuple[List[Dict], bool]:
         """Deadline- and stall-aware reply collection.
 
-        Returns ``(metas, retry)``.  ``retry`` is True only when a
-        candidates-mode worker stalled: its chunk claims are
-        unrecoverable (the shared cursor already moved past them), so
-        the caller must zero the results and re-run the task on the
-        surviving workers.  Rows-mode stalls are absorbed here — the
-        parent recounts the stalled worker's word slice into that
-        worker's result row, which no other process writes.
+        Returns ``(metas, retry)``.  ``retry`` is True when a worker died
+        (EOF on its pipe) or, with a telemetry plane, wedged mid-pass:
+        its chunk claims are unrecoverable (the shared cursor already
+        moved past them), so the caller must zero the results and re-run
+        the task on the surviving workers.
         """
-        mode = task["mode"]
         telemetry = self._telemetry
-        metas: List[Optional[Dict]] = [None] * len(self._connections)
+        metas: List[Dict] = []
         pending = set(live)
         retry = False
         while pending:
@@ -1224,15 +973,9 @@ class ShmShardedCounter(SupportCounter):
                 for event in telemetry.check_stalls(
                     pending, alive=self._worker_alive
                 ):
-                    if event.shard not in pending:
-                        continue
-                    pending.discard(event.shard)
-                    self._retire_shm_worker(event.shard, dead)
-                    if mode == "rows":
-                        metas[event.shard] = self._recover_shm_rows(
-                            event.shard, task
-                        )
-                    else:
+                    if event.shard in pending:
+                        pending.discard(event.shard)
+                        self._retire_shm_worker(event.shard, dead)
                         retry = True
             for shard in sorted(pending):
                 connection = self._connections[shard]
@@ -1241,40 +984,29 @@ class ShmShardedCounter(SupportCounter):
                         continue
                     reply = connection.recv()
                 except (EOFError, OSError):
-                    if telemetry is not None:
-                        # raced the watchdog to a dead worker: same
-                        # recovery, different messenger
-                        pending.discard(shard)
-                        self._retire_shm_worker(shard, dead)
-                        if mode == "rows":
-                            metas[shard] = self._recover_shm_rows(shard, task)
-                        else:
-                            retry = True
-                        continue
-                    self._detach()
-                    raise RuntimeError(
-                        "shm worker %d died mid-pass" % shard
-                    ) from None
+                    pending.discard(shard)
+                    self._retire_shm_worker(shard, dead)
+                    retry = True
+                    continue
                 if reply[0] != "done":
                     self._detach()
                     raise RuntimeError(
                         "shm worker %d failed: %s" % (shard, reply[1])
                     )
                 meta = reply[1]
-                metas[shard] = meta
-                self.records_read += meta["records_read"]
+                metas.append(meta)
                 self.last_shard_seconds[shard] = meta["seconds"]
                 self.last_shard_cpu_seconds[shard] = meta["cpu_seconds"]
                 self.last_shard_maxrss_kb[shard] = meta["maxrss_kb"]
                 pending.discard(shard)
-        return [meta for meta in metas if meta is not None], retry
+        return metas, retry
 
     # ------------------------------------------------------------------
     # stall recovery
     # ------------------------------------------------------------------
 
     def _retire_shm_worker(self, shard: int, dead: set) -> None:
-        """SIGKILL a stalled worker and take the stall strike."""
+        """SIGKILL a dead or stalled worker and take the stall strike."""
         dead.add(shard)
         worker = self._workers[shard]
         worker.kill()
@@ -1289,67 +1021,18 @@ class ShmShardedCounter(SupportCounter):
         if self.obs.enabled:
             self.obs.counter("telemetry.shards_reassigned").inc()
 
-    def _recover_shm_rows(self, shard: int, task: Dict) -> Dict:
-        """Recount a stalled worker's word slice into its result row.
-
-        The worker is already dead (SIGKILL), the row belongs to it
-        alone, and ``counts_into`` writes only ``out[lo:hi)`` — zeroing
-        the row first makes the parent's recount byte-identical to what
-        an undisturbed worker would have produced, even over a partial
-        write the victim left behind.
-        """
-        plane = self._plane
-        n = task["n"]
-        word_lo, word_hi = self._word_ranges[shard]
-        slice_index = self._parent_index.word_slice(word_lo, word_hi)
-        out = plane.results[shard]
-        out[:n] = 0
-        started = time.perf_counter()
-        cpu_started = time.process_time()
-        if n:
-            slice_index.counts_into(
-                plane.lengths[:n],
-                plane.flat[: task["flat_len"]],
-                out,
-                0,
-                n,
-                deadline_check=self._check_deadline,
-            )
-        meta = {
-            "records_read": slice_index.num_rows,
-            "seconds": time.perf_counter() - started,
-            "cpu_seconds": time.process_time() - cpu_started,
-            "maxrss_kb": rusage_snapshot().get("maxrss_kb", 0),
-            "chunks_taken": 0,
-            "prefix_hits": 0,
-            "prefix_misses": 0,
-        }
-        self.records_read += meta["records_read"]
-        self.last_shard_seconds[shard] += meta["seconds"]
-        self.last_shard_cpu_seconds[shard] += meta["cpu_seconds"]
-        self.last_shard_maxrss_kb[shard] = max(
-            self.last_shard_maxrss_kb[shard], meta["maxrss_kb"]
-        )
-        logger.warning(
-            "shard %d word slice [%d, %d) recounted by the parent (%.3fs)",
-            shard, word_lo, word_hi, meta["seconds"],
-        )
-        return meta
-
     def _parent_recount_all(self, task: Dict) -> None:
-        """Last resort: every worker stalled — the parent counts alone.
+        """Last resort: every worker is retired — the parent counts alone.
 
-        Every result row is zeroed first (no worker is left alive to
-        race the writes): rows mode leaves the previous pass's counts in
-        dead workers' rows, and the column sum must see only row 0.
+        The caller zeroed every result row for this attempt, and no
+        worker is left to write one, so the column sum sees only row 0.
         """
         plane = self._plane
         n = task["n"]
         logger.warning(
-            "all %d shm workers stalled; parent counting the batch alone",
+            "all %d shm workers retired; parent counting the batch alone",
             len(self._connections),
         )
-        plane.results[:, :n] = 0
         if n:
             self._parent_index.counts_into(
                 plane.lengths[:n],

@@ -40,7 +40,7 @@ __all__ = [
 _PROGRESS_COUNTERS = ("candidates", "mfcs_size", "mfs_size")
 
 #: telemetry-event fields rendered as Perfetto counter tracks
-_TELEMETRY_COUNTERS = ("candidates_per_s", "rows_per_s", "workers_active")
+_TELEMETRY_COUNTERS = ("candidates_per_s", "workers_active")
 
 
 def load_trace_events(path: str) -> List[Dict[str, Any]]:

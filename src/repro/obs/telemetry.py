@@ -64,7 +64,6 @@ __all__ = [
     "STATE_DONE",
     "STATE_IDLE",
     "STATE_NAMES",
-    "STATE_STEALING",
     "TelemetryCollector",
     "TelemetryConfig",
     "TelemetryReader",
@@ -79,18 +78,19 @@ logger = get_logger("obs.telemetry")
 # ----------------------------------------------------------------------
 
 MAGIC = b"PINCTELE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: header: magic, version, num_slots, slot_size, zero padding to 64 bytes
 _HEADER = struct.Struct("<8sIII44x")
 HEADER_SIZE = _HEADER.size  # 64
 
 #: slot payload, after the 8-byte sequence word:
-#: pid, state, pass_no, candidates_done, candidates_total, rows_done,
-#: rows_total, cursor, records_read, rss_kb, heartbeats (u64 each),
-#: mono_ts, wall_ts (f64), bound, reserved (u64)
+#: pid, state, pass_no, candidates_done, candidates_total, cursor,
+#: rss_kb, heartbeats (u64 each), mono_ts, wall_ts (f64), bound,
+#: reserved (u64), zero padding that keeps every slot on its own
+#: 64-byte cache lines
 _SEQ = struct.Struct("<Q")
-_PAYLOAD = struct.Struct("<11Q2d2Q")
+_PAYLOAD = struct.Struct("<8Q2d2Q24x")
 SLOT_SIZE = _SEQ.size + _PAYLOAD.size  # 128
 
 _PAYLOAD_FIELDS = (
@@ -99,10 +99,7 @@ _PAYLOAD_FIELDS = (
     "pass_no",
     "candidates_done",
     "candidates_total",
-    "rows_done",
-    "rows_total",
     "cursor",
-    "records_read",
     "rss_kb",
     "heartbeats",
     "mono_ts",
@@ -114,14 +111,12 @@ _PAYLOAD_FIELDS = (
 #: worker state enum published in the ``state`` field
 STATE_IDLE = 0
 STATE_COUNTING = 1
-STATE_STEALING = 2
-STATE_DONE = 3
-STATE_DEAD = 4
+STATE_DONE = 2
+STATE_DEAD = 3
 
 STATE_NAMES = {
     STATE_IDLE: "idle",
     STATE_COUNTING: "counting",
-    STATE_STEALING: "stealing",
     STATE_DONE: "done",
     STATE_DEAD: "dead",
 }
@@ -476,10 +471,7 @@ class TelemetryWriter:
                 int(values["pass_no"]),
                 int(values["candidates_done"]),
                 int(values["candidates_total"]),
-                int(values["rows_done"]),
-                int(values["rows_total"]),
                 int(values["cursor"]),
-                int(values["records_read"]),
                 int(values["rss_kb"]),
                 int(values["heartbeats"]),
                 float(values["mono_ts"]),
@@ -637,8 +629,8 @@ class TelemetryCollector:
     """Coordinator-side poller: per-shard rates -> metrics + trace.
 
     Each :meth:`poll` (throttled to the config's ``poll_interval``)
-    snapshots every worker slot, differentiates the cumulative counters
-    against the previous snapshot into candidates/rows rates, updates
+    snapshots every worker slot, differentiates the cumulative candidate
+    counter against the previous snapshot into a candidates rate, updates
     the ``telemetry.*`` gauges, and mirrors one schema-v3 ``telemetry``
     event into the trace.
     """
@@ -667,7 +659,6 @@ class TelemetryCollector:
         records = self._reader.workers()
         active = 0
         candidates_rate = 0.0
-        rows_rate = 0.0
         candidates_done = 0
         rss_max = 0
         beats = 0
@@ -677,26 +668,22 @@ class TelemetryCollector:
             beats += record.heartbeats
             candidates_done += record.candidates_done
             rss_max = max(rss_max, record.rss_kb)
-            if record.state in (STATE_COUNTING, STATE_STEALING):
+            if record.state == STATE_COUNTING:
                 active += 1
             previous = self._prev.get(record.slot)
             if previous is not None:
-                prev_ts, prev_candidates, prev_rows = previous
+                prev_ts, prev_candidates = previous
                 dt = record.mono_ts - prev_ts
                 if dt > 0:
                     candidates_rate += (
                         record.candidates_done - prev_candidates
                     ) / dt
-                    rows_rate += (record.rows_done - prev_rows) / dt
-            self._prev[record.slot] = (
-                record.mono_ts, record.candidates_done, record.rows_done
-            )
+            self._prev[record.slot] = (record.mono_ts, record.candidates_done)
         coordinator = self._reader.coordinator()
         summary = {
             "workers": sum(1 for record in records if record is not None),
             "workers_active": active,
             "candidates_per_s": round(candidates_rate, 3),
-            "rows_per_s": round(rows_rate, 3),
             "candidates_done": candidates_done,
             "rss_kb_max": rss_max,
             "heartbeats": beats,
@@ -710,7 +697,6 @@ class TelemetryCollector:
             obs.gauge("telemetry.candidates_per_s").set(
                 summary["candidates_per_s"]
             )
-            obs.gauge("telemetry.rows_per_s").set(summary["rows_per_s"])
             obs.gauge("telemetry.rss_kb_max").set(rss_max)
             obs.gauge("telemetry.heartbeats").set(beats)
             obs.tracer.emit_event("telemetry", **summary)
@@ -756,12 +742,9 @@ class EngineTelemetry:
 
     # -- coordinator beats --------------------------------------------
 
-    def begin_pass(
-        self, pass_no: int, num_candidates: int, mode: Optional[str] = None
-    ) -> None:
-        state = STATE_STEALING if mode == "candidates" else STATE_COUNTING
+    def begin_pass(self, pass_no: int, num_candidates: int) -> None:
         self.coordinator.beat(
-            state=state,
+            state=STATE_COUNTING,
             pass_no=pass_no,
             candidates_total=num_candidates,
         )

@@ -5,7 +5,7 @@ one pinned with ``pincer mine --telemetry NAME``) and watch, refreshed
 in place with ANSI escapes:
 
 * one row per shard worker: state, per-shard candidate throughput bar,
-  cumulative candidates/rows, RSS, heartbeat age;
+  cumulative candidates, RSS, heartbeat age;
 * the coordinator line: current pass, batch size, aggregate rate;
 * the candidate-bound ETA — the Geerts–Goethals–Van den Bussche bound
   published by the miner divided by the observed aggregate rate is a
@@ -36,12 +36,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from .telemetry import (
-    STATE_COUNTING,
-    STATE_STEALING,
-    HeartbeatRecord,
-    TelemetryReader,
-)
+from .telemetry import STATE_COUNTING, HeartbeatRecord, TelemetryReader
 
 __all__ = ["TopConsole", "format_frame", "format_serve_frame", "main"]
 
@@ -78,7 +73,7 @@ class TopConsole:
 
     def __init__(self, reader: TelemetryReader) -> None:
         self._reader = reader
-        # slot -> (mono_ts, candidates_done, rows_done)
+        # slot -> (mono_ts, candidates_done)
         self._prev: Dict[int, tuple] = {}
 
     def sample(self, now: Optional[float] = None) -> Dict[str, Any]:
@@ -93,12 +88,12 @@ class TopConsole:
             if record is not None:
                 previous = self._prev.get(record.slot)
                 if previous is not None:
-                    prev_ts, prev_candidates, _ = previous
+                    prev_ts, prev_candidates = previous
                     dt = record.mono_ts - prev_ts
                     if dt > 0:
                         rate = (record.candidates_done - prev_candidates) / dt
                 self._prev[record.slot] = (
-                    record.mono_ts, record.candidates_done, record.rows_done
+                    record.mono_ts, record.candidates_done
                 )
             rates.append(rate)
         return {
@@ -157,17 +152,16 @@ def format_frame(name: str, sample: Dict[str, Any]) -> str:
             lines.append("  w%-2d (no heartbeat)" % worker_id)
             continue
         rate = rates[worker_id]
-        busy = record.state in (STATE_COUNTING, STATE_STEALING)
+        busy = record.state == STATE_COUNTING
         bar = _bar(rate / peak if peak > 0 else (1.0 if busy else 0.0))
         lines.append(
-            "  w%-2d %-8s |%s| %9s  cand %-9d rows %-9d rss %-8s age %5.1fs"
+            "  w%-2d %-8s |%s| %9s  cand %-9d rss %-8s age %5.1fs"
             % (
                 worker_id,
                 record.state_name,
                 bar,
                 _human_rate(rate),
                 record.candidates_done,
-                record.rows_done,
                 _human_kb(record.rss_kb),
                 record.age(now),
             )

@@ -149,18 +149,3 @@ class TestPassRateEstimator:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 PassRateEstimator(alpha=bad)
-
-    def test_miner_feeds_engine_note_pass_rate(self):
-        # the pincer miner times every engine.count and forwards the
-        # smoothed rate through SupportCounter.note_pass_rate
-        from repro.core.pincer import PincerSearch
-        from repro.db.counting import get_counter
-        from repro.db.transaction_db import TransactionDatabase
-
-        rates = []
-        engine = get_counter("bitmap")
-        engine.note_pass_rate = rates.append
-        db = TransactionDatabase([[1, 2, 3], [1, 2], [2, 3]] * 5)
-        PincerSearch().mine(db, 0.2, counter=engine)
-        assert rates
-        assert all(r is None or r > 0.0 for r in rates)

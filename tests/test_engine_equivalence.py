@@ -60,7 +60,7 @@ def variant_counters():
     variants = {name: lambda n=name: get_counter(n) for name in available_engines()}
     for name in ("packed", "roaring"):
         variants[name + NO_NUMPY_SUFFIX] = lambda n=name: get_counter(n)
-    variants["shm-serial"] = lambda: ShmShardedCounter(use_processes=False)
+    variants["shm-serial"] = lambda: ShmShardedCounter(num_shards=1)
     variants["shm-2proc"] = lambda: ShmShardedCounter(num_shards=2)
     return variants
 

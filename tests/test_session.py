@@ -17,7 +17,6 @@ from repro.core.session import MiningSession, SessionClosedError
 from repro.core.supportcache import CachedSupportCounter, SupportCache
 from repro.db.base import EngineClosedError, SupportCounter
 from repro.db.counting import get_counter
-from repro.db.shm import AdaptiveShardScheduler
 from repro.db.transaction_db import TransactionDatabase
 from repro.obs import capture
 
@@ -147,30 +146,6 @@ class TestEngineLifetime:
         counter.close()
         with pytest.raises(EngineClosedError):
             counter.count(random_db(6), [(1,)])
-
-
-class TestSchedulerReset:
-    def test_reset_query_clears_miner_rate_only(self):
-        scheduler = AdaptiveShardScheduler(num_workers=2)
-        scheduler.note_miner_rate(5000.0)
-        scheduler.observe("rows", 100, 0.5)
-        assert scheduler._miner_rate is not None
-        scheduler.reset_query()
-        assert scheduler._miner_rate is None
-        # per-mode EWMAs describe the machine, not the query: they stay
-        assert scheduler._rates["rows"] is not None
-
-    def test_begin_query_reaches_shm_scheduler(self):
-        from repro.db.shm import ShmShardedCounter
-
-        db = random_db(7, rows=600)
-        with ShmShardedCounter(num_shards=2) as counter:
-            counter.count(db, [(1,), (2,)])
-            counter.note_pass_rate(1234.0)
-            if counter._scheduler is not None:
-                assert counter._scheduler._miner_rate is not None
-                counter.begin_query()
-                assert counter._scheduler._miner_rate is None
 
 
 class TestMakeMfcsFrom:

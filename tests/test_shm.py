@@ -1,11 +1,12 @@
 """Tests for the process plane (``repro.db.shm``): the ``shm`` engine.
 
 The shared-memory and mmap rungs need NumPy; the serial rung, the
-worker-count heuristics and the per-pass scheduler do not, so those run
-on bare interpreters too.
+worker-count heuristic and the work-stealing chunk rule do not, so those
+run on bare interpreters too.
 """
 
 import gc
+import glob
 import os
 import signal
 import time
@@ -16,10 +17,10 @@ from repro.db import shm as shm_mod
 from repro.db.base import EngineClosedError
 from repro.db.counting import CountingDeadline, get_counter
 from repro.db.shm import (
+    MAX_CHUNK,
     MIN_ROWS_PER_SHARD,
-    AdaptiveShardScheduler,
     ShmShardedCounter,
-    _word_bounds,
+    chunk_size,
     default_num_shards,
 )
 from repro.db.transaction_db import TransactionDatabase
@@ -34,13 +35,13 @@ try:
 except ImportError:  # pragma: no cover
     shared_memory = None
 
-# enough rows that word-aligned slices are non-trivial (> 64 per worker)
+# several 64-row matrix words, so every worker's chunks span many words
 TRANSACTIONS = [[1, 2, 3], [1, 2], [2, 3], [3], [1], [2], [4, 5]] * 60
 DB = TransactionDatabase(TRANSACTIONS)
 CANDIDATES = [(), (1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (4, 5), (9,)]
 EXPECTED = get_counter("naive").count(DB, CANDIDATES)
 
-# a batch wide enough to force candidate (work-stealing) mode
+# a batch wide enough that every worker steals several chunks
 WIDE = [(i,) for i in range(1, 600)]
 WIDE_EXPECTED = get_counter("naive").count(DB, WIDE)
 
@@ -55,20 +56,14 @@ def _segment_gone(name):
 
 
 class TestShardHeuristics:
-    def test_default_num_shards_respects_min_rows(self):
+    def test_default_num_shards_respects_min_rows(self, monkeypatch):
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
         assert default_num_shards(0) == 1
         assert default_num_shards(MIN_ROWS_PER_SHARD - 1) == 1
-        assert default_num_shards(MIN_ROWS_PER_SHARD, max_workers=8) == 1
-        assert default_num_shards(MIN_ROWS_PER_SHARD * 4, max_workers=2) == 2
-
-    def test_word_bounds_cover_words_exactly(self):
-        for words, workers in ((10, 3), (7, 7), (5, 1), (0, 1), (1, 3)):
-            bounds = _word_bounds(words, workers)
-            assert len(bounds) == workers
-            assert bounds[0][0] == 0
-            assert bounds[-1][1] == words
-            for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-                assert stop == start
+        monkeypatch.setattr(shm_mod.os, "cpu_count", lambda: 8)
+        assert default_num_shards(MIN_ROWS_PER_SHARD) == 1
+        monkeypatch.setattr(shm_mod.os, "cpu_count", lambda: 2)
+        assert default_num_shards(MIN_ROWS_PER_SHARD * 4) == 2
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
@@ -81,24 +76,23 @@ class TestWorkerCapEnv:
         monkeypatch.setattr(shm_mod.os, "cpu_count", lambda: 8)
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         assert default_num_shards(rows) == 2
-        # the env cap is the operator's ceiling: it beats an explicit,
-        # larger max_workers too
-        assert default_num_shards(rows, max_workers=8) == 2
 
     def test_env_variable_never_raises_the_count(self, monkeypatch):
         rows = MIN_ROWS_PER_SHARD * 100
+        monkeypatch.setattr(shm_mod.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("REPRO_MAX_WORKERS", "64")
-        assert default_num_shards(rows, max_workers=2) == 2
+        assert default_num_shards(rows) == 2
 
     def test_garbage_env_value_is_ignored(self, monkeypatch):
+        monkeypatch.setattr(shm_mod.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("REPRO_MAX_WORKERS", "plenty")
         rows = MIN_ROWS_PER_SHARD * 4
-        assert default_num_shards(rows, max_workers=2) == 2
+        assert default_num_shards(rows) == 2
 
 
 class TestSerialMode:
     def test_counts_match_naive(self):
-        with ShmShardedCounter(use_processes=False, num_shards=3) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             assert counter.worker_pids == []
             assert counter.plane == "serial"
@@ -152,7 +146,7 @@ class TestProcessMode:
 
 class TestDeadline:
     def test_expired_deadline_aborts_serial(self):
-        with ShmShardedCounter(use_processes=False) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             counter.deadline = time.perf_counter() - 1.0
             with pytest.raises(CountingDeadline):
                 counter.count(DB, [(1,)])
@@ -188,7 +182,7 @@ class TestDeadline:
 class TestShardResourceAttribution:
     @needs_numpy
     def test_worker_replies_carry_cpu_and_rss(self):
-        with ShmShardedCounter(num_shards=2, use_processes=True) as counter:
+        with ShmShardedCounter(num_shards=2) as counter:
             counter.count(DB, CANDIDATES)
             assert len(counter.last_shard_cpu_seconds) == 2
             assert len(counter.last_shard_maxrss_kb) == 2
@@ -199,7 +193,7 @@ class TestShardResourceAttribution:
 
     def test_serial_mode_attributes_cpu_per_shard(self):
         # the serial rung is one in-process index: one attribution entry
-        with ShmShardedCounter(num_shards=2, use_processes=False) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             counter.count(DB, CANDIDATES)
             assert len(counter.last_shard_cpu_seconds) == 1
             assert all(s >= 0.0 for s in counter.last_shard_cpu_seconds)
@@ -211,25 +205,22 @@ class TestShardResourceAttribution:
         # worker (the serial rung is one worker), so downstream metrics
         # code never branches on the rung
         shapes = {}
-        for processes in (False, True):
-            with ShmShardedCounter(
-                num_shards=2, use_processes=processes
-            ) as counter:
+        for shards in (1, 2):
+            with ShmShardedCounter(num_shards=shards) as counter:
                 counter.count(DB, CANDIDATES)
-                shapes[processes] = (
-                    len(counter.shard_rows),
+                shapes[shards] = (
                     len(counter.last_shard_seconds),
                     len(counter.last_shard_cpu_seconds),
                     len(counter.last_shard_maxrss_kb),
                 )
-        assert shapes[False] == (1, 1, 1, 1)
-        assert shapes[True] == (2, 2, 2, 2)
+        assert shapes[1] == (1, 1, 1)
+        assert shapes[2] == (2, 2, 2)
 
     def test_shard_metrics_include_cpu_and_rss(self):
         from repro.obs.instrument import Instrumentation
 
         obs = Instrumentation()
-        with ShmShardedCounter(num_shards=2, use_processes=False) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             counter.obs = obs
             counter.count(DB, CANDIDATES)
         document = obs.metrics.to_dict()
@@ -237,7 +228,7 @@ class TestShardResourceAttribution:
         assert "shard.max_rss_kb" in document["gauges"]
 
     def test_close_clears_attribution(self):
-        counter = ShmShardedCounter(num_shards=2, use_processes=False)
+        counter = ShmShardedCounter(num_shards=1)
         counter.count(DB, CANDIDATES)
         counter.close()
         assert counter.last_shard_cpu_seconds == []
@@ -298,61 +289,27 @@ class TestSpawnContextFallback:
             assert all(s >= 0.0 for s in counter.worker_startup_seconds)
 
 
-class TestAdaptiveShardScheduler:
-    def test_few_candidates_force_row_mode(self):
-        scheduler = AdaptiveShardScheduler(4)
-        mode, _ = scheduler.choose(3, num_rows=100_000)
-        assert mode == "rows"
+class TestChunkRule:
+    def test_about_four_chunks_per_worker(self):
+        assert chunk_size(8 * 300, num_workers=2) == 300
+        assert chunk_size(4 * 3 * 50, num_workers=3) == 50
+        # ceil: a remainder never spills into a fifth chunk per worker
+        assert chunk_size(8 * 300 + 1, num_workers=2) == 301
 
-    def test_tiny_matrix_forces_candidate_mode(self):
-        # 100 rows = 2 words < 4 workers: row slices would idle workers
-        scheduler = AdaptiveShardScheduler(4)
-        mode, _ = scheduler.choose(64, num_rows=100)
-        assert mode == "candidates"
+    def test_clamped_to_one_and_max_chunk(self):
+        assert chunk_size(1, num_workers=4) == 1
+        assert chunk_size(3, num_workers=8) == 1
+        assert chunk_size(10 ** 9, num_workers=2) == MAX_CHUNK == 4096
 
-    def test_wide_unmeasured_batch_steals(self):
-        scheduler = AdaptiveShardScheduler(2)
-        mode, chunk = scheduler.choose(10_000, num_rows=1_000_000)
-        assert mode == "candidates"
-        assert scheduler.MIN_CHUNK <= chunk <= scheduler.MAX_CHUNK
-
-    def test_fast_miner_rate_prefers_rows(self):
-        scheduler = AdaptiveShardScheduler(2)
-        scheduler.note_miner_rate(1e9)  # pass would finish in microseconds
-        mode, _ = scheduler.choose(10_000, num_rows=1_000_000)
-        assert mode == "rows"
-
-    def test_measured_rates_win_with_hysteresis(self):
-        scheduler = AdaptiveShardScheduler(2)
-        scheduler.observe("rows", 1000, 1.0)        # 1000 c/s
-        scheduler.observe("candidates", 1000, 0.5)  # 2000 c/s > 1.2x
-        mode, _ = scheduler.choose(1000, num_rows=1_000_000)
-        assert mode == "candidates"
-
-    def test_hysteresis_band_keeps_rows(self):
-        scheduler = AdaptiveShardScheduler(2)
-        scheduler.observe("rows", 1000, 1.0)
-        scheduler.observe("candidates", 1100, 1.0)  # only 1.1x faster
-        mode, _ = scheduler.choose(1000, num_rows=1_000_000)
-        assert mode == "rows"
-
-    def test_fixed_chunk_override(self):
-        scheduler = AdaptiveShardScheduler(2, chunk=17)
-        assert scheduler.chunk_for(100_000) == 17
-
-    def test_chunk_targets_four_per_worker(self):
-        scheduler = AdaptiveShardScheduler(2)
-        assert scheduler.chunk_for(8 * 300) == 300
-
-    def test_decision_ledger(self):
-        scheduler = AdaptiveShardScheduler(2)
-        scheduler.choose(1, num_rows=1_000_000)
-        scheduler.choose(10_000, num_rows=1_000_000)
-        assert scheduler.decisions == {"rows": 1, "candidates": 1}
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            AdaptiveShardScheduler(0)
+    @needs_numpy
+    def test_batch_smaller_than_worker_count_counts_exactly(self):
+        with ShmShardedCounter(num_shards=3) as counter:
+            assert counter.count(DB, [(2, 3)]) == {(2, 3): EXPECTED[(2, 3)]}
+            assert counter.count(DB, [(1,), (3,)]) == {
+                (1,): EXPECTED[(1,)], (3,): EXPECTED[(3,)],
+            }
+            assert counter.plane == "shm"
+            assert counter.chunks_dispatched == 3
 
 
 class TestEquivalence:
@@ -361,19 +318,6 @@ class TestEquivalence:
         with ShmShardedCounter(num_shards=2) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             assert counter.plane == "shm"
-
-    @needs_numpy
-    def test_wide_batch_uses_candidate_mode(self):
-        with ShmShardedCounter(num_shards=2) as counter:
-            assert counter.count(DB, WIDE) == WIDE_EXPECTED
-            assert counter.last_mode == "candidates"
-            assert counter.chunks_dispatched > 0
-
-    @needs_numpy
-    def test_narrow_batch_uses_row_mode(self):
-        with ShmShardedCounter(num_shards=2) as counter:
-            counter.count(DB, [(1,), (2,)])
-            assert counter.last_mode == "rows"
 
     @needs_numpy
     def test_capacity_growth_and_worker_reattach(self):
@@ -388,7 +332,7 @@ class TestEquivalence:
             assert counter.worker_pids == pids
 
     def test_serial_fallback_still_counts(self):
-        with ShmShardedCounter(num_shards=2, use_processes=False) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             assert counter.plane == "serial"
 
@@ -411,8 +355,8 @@ class TestAccounting:
 
     def test_records_read_is_passes_times_rows(self):
         with ShmShardedCounter(num_shards=2) as counter:
-            counter.count(DB, CANDIDATES)   # rows mode
-            counter.count(DB, WIDE)         # candidates mode
+            counter.count(DB, CANDIDATES)
+            counter.count(DB, WIDE)
             assert counter.passes == 2
             assert counter.records_read == 2 * len(DB)
 
@@ -435,7 +379,7 @@ class TestAccounting:
             assert all(s >= 0.0 for s in counter.worker_startup_seconds)
 
     @needs_numpy
-    def test_scheduler_metrics_are_emitted(self):
+    def test_steal_metrics_are_emitted(self):
         from repro.obs.instrument import Instrumentation
 
         obs = Instrumentation()
@@ -443,8 +387,8 @@ class TestAccounting:
             counter.obs = obs
             counter.count(DB, WIDE)
         document = obs.metrics.to_dict()
-        assert document["counters"]["scheduler.mode.candidates"] == 1
         assert "shard.steals" in document["counters"]
+        assert document["gauges"]["shard.count"] == 2
         assert "shard.attach_seconds" in document["gauges"]
 
 
@@ -469,26 +413,26 @@ class TestCleanup:
         gc.collect()
         assert all(_segment_gone(name) for name in names)
 
-    def test_worker_crash_mid_pass_raises_and_cleans_up(self):
+    def test_worker_killed_between_passes_is_recounted(self):
+        # telemetry off (the default): no watchdog, so the broken pipe
+        # alone must retire the worker and recount its share
+        before = set(glob.glob("/dev/shm/psm_*"))
         counter = ShmShardedCounter(num_shards=2)
-        counter.count(DB, CANDIDATES)
-        names = [segment.name for segment in counter._plane.owned]
-        victim = counter.worker_pids[0]
-        os.kill(victim, signal.SIGKILL)
-        deadline = time.time() + 5.0
-        while time.time() < deadline:  # wait for the pipe to break
-            try:
-                os.kill(victim, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.01)
-        with pytest.raises(RuntimeError, match="died mid-pass"):
-            counter.count(DB, CANDIDATES)
-        assert counter.worker_pids == []
-        assert all(_segment_gone(name) for name in names)
-        # the engine recovers by re-attaching on the next count
-        assert counter.count(DB, CANDIDATES) == EXPECTED
-        counter.close()
+        try:
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            assert counter.plane == "shm"
+            victim = counter._workers[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert not victim.is_alive()
+            assert counter.count(DB, WIDE) == WIDE_EXPECTED
+            assert counter.shards_reassigned == 1
+            # the stall strike sends the next attach to the serial rung
+            assert counter.count(DB, CANDIDATES) == EXPECTED
+            assert counter.plane == "serial"
+        finally:
+            counter.close()
+        assert set(glob.glob("/dev/shm/psm_*")) - before == set()
 
     def test_close_is_idempotent_then_counting_raises(self):
         counter = ShmShardedCounter(num_shards=2)
@@ -576,32 +520,9 @@ class TestFallbackLadder:
         with ShmShardedCounter(num_shards=2) as counter:
             results["mmap"] = counter.count(DB, WIDE)
         monkeypatch.setattr(shm_mod, "_shared_memory", real)
-        with ShmShardedCounter(num_shards=2, use_processes=False) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             results["serial"] = counter.count(DB, WIDE)
         assert results["shm"] == results["mmap"] == results["serial"]
-
-
-@needs_numpy
-class TestSchedulerPlumbing:
-    def test_note_pass_rate_reaches_the_scheduler(self):
-        with ShmShardedCounter(num_shards=2) as counter:
-            counter.count(DB, CANDIDATES)
-            counter.note_pass_rate(1e9)
-            assert counter._scheduler._miner_rate == 1e9
-
-    def test_fast_miner_rate_keeps_row_mode(self):
-        with ShmShardedCounter(num_shards=2) as counter:
-            counter.count(DB, CANDIDATES)
-            # predicted pass time ~ 600/1e9 s, far under MIN_STEAL_SECONDS
-            counter.note_pass_rate(1e9)
-            counter.count(DB, WIDE)
-            assert counter.last_mode == "rows"
-
-    def test_steal_chunk_override(self):
-        with ShmShardedCounter(num_shards=2, steal_chunk=10) as counter:
-            counter.count(DB, WIDE)
-            assert counter.last_mode == "candidates"
-            assert counter.chunks_dispatched == -(-len(WIDE) // 10)
 
 
 class TestPincerIntegration:

@@ -310,7 +310,7 @@ class TestDiskIntegration:
         self, large_snapshot_db
     ):
         db = large_snapshot_db
-        with ShmShardedCounter(use_processes=False) as counter:
+        with ShmShardedCounter(num_shards=1) as counter:
             result = PincerSearch().mine(db, 0.1, counter=counter)
             assert counter.plane == "serial"
         assert db.file_reads == 0

@@ -17,7 +17,6 @@ from repro.obs.telemetry import (
     STATE_COUNTING,
     STATE_IDLE,
     STATE_NAMES,
-    STATE_STEALING,
     HeartbeatRecord,
     TelemetryCollector,
     TelemetryConfig,
@@ -60,7 +59,6 @@ class TestSegment:
                 pass_no=3,
                 candidates_done=40,
                 candidates_total=100,
-                rows_done=500,
             )
             record = segment.reader().read(1)
             assert record is not None
@@ -69,7 +67,6 @@ class TestSegment:
             assert record.pass_no == 3
             assert record.candidates_done == 40
             assert record.candidates_total == 100
-            assert record.rows_done == 500
             assert record.heartbeats == 1
             assert record.mono_ts > 0.0
             assert record.rss_kb > 0
@@ -83,13 +80,12 @@ class TestSegment:
     def test_advance_accumulates_until_beat(self, plane):
         with TelemetrySegment(1, plane=plane) as segment:
             writer = segment.writer(1)
-            writer.advance(candidates_done=10, rows_done=5)
+            writer.advance(candidates_done=10)
             writer.advance(candidates_done=10)
             assert segment.reader().read(1) is None  # nothing published yet
             writer.beat(state=STATE_IDLE)
             record = segment.reader().read(1)
             assert record.candidates_done == 20
-            assert record.rows_done == 5
 
     def test_torn_write_reads_none(self, plane):
         with TelemetrySegment(1, plane=plane) as segment:
@@ -105,9 +101,9 @@ class TestSegment:
             assert spec["slot"] == 1
             writer = TelemetryWriter.attach(spec)
             assert writer is not None
-            writer.beat(state=STATE_STEALING, candidates_done=7)
+            writer.beat(state=STATE_COUNTING, candidates_done=7)
             record = segment.reader().read(1)
-            assert record.state_name == "stealing"
+            assert record.state_name == "counting"
             assert record.candidates_done == 7
             writer.close()
 
@@ -166,11 +162,12 @@ class TestSegment:
             assert segment.num_slots == 4  # coordinator + 3 workers
             assert _slot_offset(0) == HEADER_SIZE
             assert _slot_offset(2) == HEADER_SIZE + 2 * SLOT_SIZE
-            assert FORMAT_VERSION == 1
+            assert FORMAT_VERSION == 2
+            assert SLOT_SIZE == 128
 
     def test_state_names_cover_all_states(self):
         assert set(STATE_NAMES.values()) == {
-            "idle", "counting", "stealing", "done", "dead",
+            "idle", "counting", "done", "dead",
         }
 
 
@@ -205,15 +202,14 @@ class TestCollector:
             collector = TelemetryCollector(
                 segment.reader(), obs=obs, interval=0.0
             )
-            writer.beat(state=STATE_COUNTING, candidates_done=0, rows_done=0)
+            writer.beat(state=STATE_COUNTING, candidates_done=0)
             first = collector.poll(force=True)
             assert first["workers"] == 1
             assert first["workers_active"] == 1
-            writer.advance(candidates_done=500, rows_done=100)
+            writer.advance(candidates_done=500)
             writer.beat()
             summary = collector.poll(force=True)
             assert summary["candidates_per_s"] > 0
-            assert summary["rows_per_s"] > 0
             assert collector.last_summary is summary
         metrics = obs.metrics.to_dict()
         assert metrics["gauges"]["telemetry.workers_active"] == 1
@@ -261,10 +257,10 @@ class TestTopConsole:
                 state=STATE_COUNTING, pass_no=2, candidates_total=100, bound=4000
             )
             w0 = segment.writer(1)
-            w0.beat(state=STATE_COUNTING, candidates_done=0, rows_done=0)
+            w0.beat(state=STATE_COUNTING, candidates_done=0)
             console = TopConsole(segment.reader())
             console.sample()
-            w0.advance(candidates_done=50, rows_done=10)
+            w0.advance(candidates_done=50)
             w0.beat()
             frame = console.render(segment.name)
             assert "pass 2" in frame
@@ -305,7 +301,7 @@ class TestHeartbeatRecord:
             assert record.age(record.mono_ts + 1.5) == pytest.approx(1.5)
 
     def test_record_is_a_plain_value(self):
-        record = HeartbeatRecord(1, 2, (0,) * 15)
+        record = HeartbeatRecord(1, 2, (0,) * 12)
         assert record.slot == 1 and record.seq == 2
 
 
@@ -394,7 +390,6 @@ class TestSatellites:
             {
                 "v": 3, "type": "telemetry", "ts": 10.0, "workers": 2,
                 "workers_active": 2, "candidates_per_s": 123.0,
-                "rows_per_s": 456.0,
             },
             {
                 "v": 3, "type": "shard_stalled", "ts": 11.0, "shard": 1,
@@ -406,7 +401,6 @@ class TestSatellites:
         document = trace_to_perfetto(events)
         names = [e["name"] for e in document["traceEvents"]]
         assert "candidates_per_s" in names
-        assert "rows_per_s" in names
         assert "workers_active" in names
         stall = [e for e in document["traceEvents"] if e["ph"] == "i"]
         assert len(stall) == 1

@@ -31,7 +31,7 @@ DB = TransactionDatabase(TRANSACTIONS)
 CANDIDATES = [(), (1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (4, 5), (9,)]
 EXPECTED = get_counter("naive").count(DB, CANDIDATES)
 
-# wide enough to let the shm scheduler pick candidate (stealing) mode
+# wide enough that every worker steals several chunks
 WIDE = [(i % 6 + 1,) for i in range(600)]
 WIDE_EXPECTED = get_counter("naive").count(DB, WIDE)
 
@@ -180,7 +180,7 @@ class TestWatchdogUnit:
 
 
 # ----------------------------------------------------------------------
-# integration: the shared-memory plane (rows + candidates modes)
+# integration: the shared-memory plane
 # ----------------------------------------------------------------------
 
 
@@ -195,15 +195,9 @@ class TestShmPlaneRecovery:
     def _counter(self, obs):
         from repro.db.shm import ShmShardedCounter
 
-        counter = ShmShardedCounter(num_shards=3, use_processes=True)
+        counter = ShmShardedCounter(num_shards=3)
         counter.obs = obs
         return counter
-
-    def _force_mode(self, counter, mode):
-        scheduler = counter._scheduler
-        counter._scheduler.choose = lambda n, rows: (
-            mode, scheduler.chunk_for(n)
-        )
 
     def _resume(self, pid):
         try:
@@ -211,17 +205,16 @@ class TestShmPlaneRecovery:
         except (OSError, ProcessLookupError):
             pass
 
-    def test_rows_mode_wedged_worker(self, tmp_path):
-        obs, trace_path = _capture(tmp_path, "shm-rows-wedged")
+    def test_wedged_worker(self, tmp_path):
+        obs, trace_path = _capture(tmp_path, "shm-wedged")
         with self._counter(obs) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             if counter.plane not in ("shm", "mmap"):
                 pytest.skip("shared plane unavailable: %s" % counter.plane)
-            self._force_mode(counter, "rows")
             victim = counter.worker_pids[1]
             os.kill(victim, signal.SIGSTOP)
             try:
-                assert counter.count(DB, CANDIDATES) == EXPECTED
+                assert counter.count(DB, WIDE) == WIDE_EXPECTED
             finally:
                 self._resume(victim)
             assert counter.shards_reassigned == 1
@@ -229,32 +222,12 @@ class TestShmPlaneRecovery:
         events = _stall_events(trace_path)
         assert len(events) == 1 and events[0]["kind"] == "wedged"
 
-    def test_candidates_mode_wedged_worker(self, tmp_path):
-        obs, trace_path = _capture(tmp_path, "shm-cand-wedged")
+    def test_killed_worker(self, tmp_path):
+        obs, trace_path = _capture(tmp_path, "shm-killed")
         with self._counter(obs) as counter:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             if counter.plane not in ("shm", "mmap"):
                 pytest.skip("shared plane unavailable: %s" % counter.plane)
-            self._force_mode(counter, "candidates")
-            victim = counter.worker_pids[0]
-            os.kill(victim, signal.SIGSTOP)
-            try:
-                assert counter.count(DB, WIDE) == WIDE_EXPECTED
-            finally:
-                self._resume(victim)
-            # last_mode is None here: the stall forces a post-pass
-            # close() so the next attach can step down the ladder
-            assert counter.shards_reassigned == 1
-        obs.finish()
-        assert len(_stall_events(trace_path)) == 1
-
-    def test_rows_mode_killed_worker(self, tmp_path):
-        obs, trace_path = _capture(tmp_path, "shm-rows-killed")
-        with self._counter(obs) as counter:
-            assert counter.count(DB, CANDIDATES) == EXPECTED
-            if counter.plane not in ("shm", "mmap"):
-                pytest.skip("shared plane unavailable: %s" % counter.plane)
-            self._force_mode(counter, "rows")
             os.kill(counter.worker_pids[2], signal.SIGKILL)
             time.sleep(0.1)
             assert counter.count(DB, CANDIDATES) == EXPECTED
@@ -268,7 +241,6 @@ class TestShmPlaneRecovery:
             assert counter.count(DB, CANDIDATES) == EXPECTED
             if counter.plane not in ("shm", "mmap"):
                 pytest.skip("shared plane unavailable: %s" % counter.plane)
-            self._force_mode(counter, "candidates")
             for pid in counter.worker_pids:
                 os.kill(pid, signal.SIGKILL)
             time.sleep(0.1)
@@ -284,7 +256,6 @@ class TestShmPlaneRecovery:
             counter.count(DB, CANDIDATES)
             if counter.plane not in ("shm", "mmap"):
                 pytest.skip("shared plane unavailable: %s" % counter.plane)
-            self._force_mode(counter, "rows")
             victim = counter.worker_pids[0]
             os.kill(victim, signal.SIGSTOP)
             try:
