@@ -9,7 +9,7 @@ registry imports *them*, and a shared basement module breaks the cycle.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from .._types import CountingDeadline, Itemset
 from ..obs.instrument import NOOP, Instrumentation
@@ -101,7 +101,10 @@ class SupportCounter:
         if obs.enabled:
             with obs.span("count", engine=self.name, batch_size=len(batch)) as span:
                 result = self._count(db, batch)
-                span.set(records_read=self.records_read - records_before)
+                span.set(
+                    records_read=self.records_read - records_before,
+                    **self._span_attrs(),
+                )
             obs.counter("engine.passes").inc()
             obs.counter("engine.records_read").inc(
                 self.records_read - records_before
@@ -120,6 +123,11 @@ class SupportCounter:
         self, db: "TransactionDatabase", candidates: List[Itemset]
     ) -> Dict[Itemset, int]:
         raise NotImplementedError
+
+    def _span_attrs(self) -> Dict[str, Any]:
+        """Engine-specific attributes of the pass's ``count`` span, read
+        after :meth:`_count` returns.  Default: none."""
+        return {}
 
     def note_candidate_bound(self, bound: Optional[int]) -> None:
         """Provable upper bound on the next pass's candidate count.

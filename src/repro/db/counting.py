@@ -57,6 +57,14 @@ Engines provided:
 :class:`repro.db.vertical.IndexCounter`, over three index classes, each
 built from the database's cached ``item_bitmaps()``; without NumPy all
 three count on the pure-Python int-bitmap index.
+
+The paper speeds up passes 1 and 2 with a 1-D and a 2-D array over the
+items (Section 4.1.1) instead of counting candidates.  With NumPy,
+``packed`` and ``roaring`` count pass 2 that way: a batch whose pairs
+cover at least half the pairs over their items is answered from one
+bit-parallel all-pairs sweep, a triangular count array, inside the same
+billed pass (:func:`repro.db.vertical.sweep_pairs`).  Every other engine,
+``bitmap`` included, counts pass 2 pair by pair, as a candidate.
 """
 
 from __future__ import annotations

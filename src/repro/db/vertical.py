@@ -24,11 +24,20 @@ item with bit ``t`` set iff transaction ``t`` contains the item.
     :class:`PrefixIntersector`, but across the whole batch at once, with
     no per-candidate interpreter overhead.
 
+:func:`sweep_pairs`
+    Pass 2 as the paper's 2-D array (Section 4.1.1): the paper counts
+    the pairs of frequent items in a triangular array, not as candidates.
+    A batch whose pairs are dense over their items is answered from one
+    all-pairs AND + popcount sweep over those items' rows, so pass 2
+    costs ``C(|L1|, 2)`` bit-parallel row ANDs and no per-pair walk.
+
 :class:`IndexCounter` is the engine body of ``bitmap``, ``packed`` and
 ``roaring`` (:mod:`repro.db.roaring`): each is a subclass naming its
-index class.  The serial rung of the :mod:`repro.db.shm` process plane
-and the in-memory partitions of :mod:`repro.db.outofcore` build their
-indexes through :meth:`IndexCounter.index_over` as well.
+index class, and ``packed`` and ``roaring`` sweep dense pair batches
+before their index counts the rest.  The serial rung of the
+:mod:`repro.db.shm` process plane and the in-memory partitions of
+:mod:`repro.db.outofcore` build their indexes through
+:meth:`IndexCounter.index_over` as well, and never sweep.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
 )
 
@@ -57,6 +67,12 @@ except ImportError:  # pragma: no cover - exercised by the no-NumPy CI cells
 #: True when the packed NumPy matrix path is available.
 HAVE_NUMPY = _np is not None
 
+#: Words of AND work one vectorized step may gather (~32 MiB of uint64):
+#: the packed kernel's candidate chunks, the deadline cadence of every
+#: index walk and of the pass-2 sweep, and the largest block the sweep
+#: copies.
+WORK_BUDGET_WORDS = 1 << 22
+
 __all__ = [
     "BitmapCounter",
     "HAVE_NUMPY",
@@ -65,7 +81,9 @@ __all__ = [
     "PackedBitmapIndex",
     "PackedCounter",
     "PrefixIntersector",
+    "WORK_BUDGET_WORDS",
     "popcount",
+    "sweep_pairs",
 ]
 
 
@@ -96,6 +114,21 @@ elif _np is not None:  # pragma: no cover - NumPy 1.x
     def _popcount_words(words):
         as_bytes = _np.ascontiguousarray(words).view(_np.uint8)
         return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=_np.int64)
+
+
+def _pack_rows(bitmaps: Dict[int, int], items: Sequence[int], num_rows: int):
+    """``items``' int bitmaps as ``(len(items), ceil(num_rows / 64))``
+    little-endian uint64 rows; an item without a bitmap gets a zero row."""
+    num_words = max(1, (num_rows + 63) // 64)
+    matrix = _np.zeros((len(items), num_words), dtype=_np.uint64)
+    num_bytes = num_words * 8
+    for row, item in enumerate(items):
+        value = bitmaps.get(item)
+        if value:
+            matrix[row] = _np.frombuffer(
+                value.to_bytes(num_bytes, "little"), dtype="<u8"
+            )
+    return matrix
 
 
 Bitmap = TypeVar("Bitmap")
@@ -245,19 +278,9 @@ class PackedBitmapIndex:
     def from_database(cls, db) -> "PackedBitmapIndex":
         """Pack the database's cached ``item_bitmaps()`` into a matrix."""
         bitmaps = db.item_bitmaps()
-        num_rows = len(db)
-        num_words = max(1, (num_rows + 63) // 64)
-        matrix = _np.zeros((len(bitmaps), num_words), dtype=_np.uint64)
-        rows: Dict[int, int] = {}
-        num_bytes = num_words * 8
-        for row, item in enumerate(sorted(bitmaps)):
-            rows[item] = row
-            value = bitmaps[item]
-            if value:
-                matrix[row] = _np.frombuffer(
-                    value.to_bytes(num_bytes, "little"), dtype="<u8"
-                )
-        return cls(matrix, rows, num_rows)
+        items = sorted(bitmaps)
+        matrix = _pack_rows(bitmaps, items, len(db))
+        return cls(matrix, {item: row for row, item in enumerate(items)}, len(db))
 
     # ------------------------------------------------------------------
 
@@ -392,8 +415,7 @@ class PackedBitmapIndex:
     def _chunk_for(self, length: int, chunk_size: Optional[int]) -> int:
         if chunk_size:
             return chunk_size
-        # bound the gathered working set to ~32 MiB of uint64 words
-        budget = (1 << 22) // max(1, length * self.num_words)
+        budget = WORK_BUDGET_WORDS // max(1, length * self.num_words)
         return max(1, min(self.DEFAULT_CHUNK, budget))
 
     def _scratch(self, count: int):
@@ -569,12 +591,12 @@ class IntBitmapIndex:
         results = [0] * len(candidates)
         order = sorted(range(len(candidates)), key=lambda i: candidates[i])
         # Deadline cadence matches the packed path's chunk budget: check
-        # once per ~2^22 words of AND work, where one item-AND costs
-        # ``ceil(num_rows / 64)`` words.  The old per-4096-candidates
+        # once per WORK_BUDGET_WORDS words of AND work, where one item-AND
+        # costs ``ceil(num_rows / 64)`` words.  The old per-4096-candidates
         # stepping let a batch of long candidates over a wide database run
         # arbitrarily far past its deadline between checks.
         words_per_item = max(1, (self._num_rows + 63) // 64)
-        work_budget = max(1, (1 << 22) // words_per_item)
+        work_budget = max(1, WORK_BUDGET_WORDS // words_per_item)
         work = 0
         for position in order:
             if deadline_check is not None:
@@ -591,6 +613,89 @@ class IntBitmapIndex:
         return results
 
 
+def sweep_pairs(
+    db, candidates: List[Itemset], deadline_check: Callable[[], None]
+) -> Tuple[Dict[Itemset, int], List[Itemset]]:
+    """Count a batch's length-2 candidates in the paper's 2-D array.
+
+    Pass 2 counts every pair of frequent items, which the paper keeps in
+    a triangular 2-D array (Section 4.1.1) rather than in a candidate
+    structure.  When the batch holds at least half as many pairs as the
+    ``C(|S|, 2)`` pairs over their items ``S``, the rows of ``S`` are
+    copied from ``db.item_bitmaps()`` into one ``|S| x num_words``
+    uint64 block, each row is ANDed with itself and every later row, and
+    the popcounts fill the upper triangle of an ``|S| x |S|`` array that
+    answers every pair.  Rows go in slabs whose AND temporaries stay
+    within the fused kernel's :data:`PackedBitmapIndex.TILE_TARGET_BYTES`,
+    so a handful of items costs one vectorized call.  ``(b, a)`` reads
+    the cell of ``(a, b)`` and ``(a, a)`` the diagonal (its support); an
+    item outside the universe has an all-zero row.
+
+    The density test counts the pairs as given, duplicates included: a
+    duplicate never changes a count, and a batch that passes holds at
+    least ``C(|S|, 2) / 2`` pairs, so the sweep's row ANDs stay within a
+    small constant factor of the one AND per pair the index would do.
+
+    Returns ``(counts, rest)``: the swept pairs' counts and the candidates
+    left for the index.  Sparse pair batches, and blocks over
+    :data:`WORK_BUDGET_WORDS`, sweep nothing.
+    """
+    pairs = [candidate for candidate in candidates if len(candidate) == 2]
+    num_pairs, items = len(pairs), sorted(set(chain.from_iterable(pairs)))
+    del pairs  # batch-sized: gone before the result dict grows
+    size = len(items)
+    if (
+        not num_pairs
+        or size * max(1, (len(db) + 63) // 64) > WORK_BUDGET_WORDS
+        or 2 * num_pairs < size * (size - 1) // 2
+    ):
+        return {}, candidates
+    table = _pair_table(db, items, deadline_check)
+    # answer in candidate chunks: the result dict is the only batch-sized
+    # object left while it grows
+    keys = _np.array(items, dtype=_np.int64)
+    step = PackedBitmapIndex.DEFAULT_CHUNK
+    counts: Dict[Itemset, int] = {}
+    rest: List[Itemset] = []
+    for start in range(0, len(candidates), step):
+        chunk = candidates[start : start + step]
+        part = [candidate for candidate in chunk if len(candidate) == 2]
+        rest.extend(candidate for candidate in chunk if len(candidate) != 2)
+        rows = _np.searchsorted(
+            keys,
+            _np.fromiter(
+                chain.from_iterable(part), dtype=_np.int64, count=2 * len(part)
+            ),
+        ).reshape(-1, 2)
+        rows.sort(axis=1)  # (b, a) reads the cell of (a, b)
+        counts.update(zip(part, table[rows[:, 0], rows[:, 1]].tolist()))
+    return counts, rest
+
+
+def _pair_table(db, items: List[int], deadline_check: Callable[[], None]):
+    """Upper triangle (diagonal included) of the ``items`` x ``items``
+    support array: ``table[i, j]`` for ``i <= j`` counts the rows holding
+    both ``items[i]`` and ``items[j]``."""
+    block = _pack_rows(db.item_bitmaps(), items, len(db))
+    size, num_words = block.shape
+    # a count is at most len(db) < 64 * WORK_BUDGET_WORDS rows: int32 holds it
+    table = _np.zeros((size, size), dtype=_np.int32)
+    slab_words = PackedBitmapIndex.TILE_TARGET_BYTES // 8
+    lo = work = 0
+    while lo < size:
+        if work <= 0:
+            deadline_check()
+            work = WORK_BUDGET_WORDS
+        span = (size - lo) * num_words
+        hi = min(size, lo + max(1, slab_words // span))
+        table[lo:hi, lo:] = _popcount_words(
+            block[lo:hi, None] & block[None, lo:]
+        )
+        work -= (hi - lo) * span
+        lo = hi
+    return table
+
+
 class IndexCounter(SupportCounter):
     """The engine body of ``bitmap``, ``packed`` and ``roaring``.
 
@@ -600,6 +705,14 @@ class IndexCounter(SupportCounter):
     weakref; a new database gets a new index).  Prefix sharing inside the
     index is reported as ``prefix_cache_hits``/``prefix_cache_misses``
     and as the ``prefix_cache.hits``/``prefix_cache.misses`` metrics.
+
+    On the NumPy indexes (``packed``, ``roaring``) a batch whose pairs are
+    dense over their items — pass 2 — is counted by :func:`sweep_pairs`
+    first, inside the same billed pass; the index counts the rest (MFCS
+    elements, singletons, ``()``).  ``bitmap`` and NumPy-less runs never
+    sweep.  Swept pairs are neither prefix-cache hits nor misses: the
+    pass's ``count`` span reports them as ``pairs_swept`` (0 when the
+    index counted everything).
     """
 
     #: the index :meth:`index_over` builds when NumPy is present
@@ -612,6 +725,8 @@ class IndexCounter(SupportCounter):
         #: cumulative prefix-sharing accounting across all passes served
         self.prefix_cache_hits = 0
         self.prefix_cache_misses = 0
+        #: pairs the last pass answered from the 2-D array
+        self.last_pairs_swept = 0
 
     @classmethod
     def index_over(cls, db):
@@ -631,9 +746,19 @@ class IndexCounter(SupportCounter):
 
     def _count(self, db, candidates: List[Itemset]) -> Dict[Itemset, int]:
         index = self._index_for(db)
+        result: Dict[Itemset, int] = {}
+        if not isinstance(index, IntBitmapIndex):
+            result, candidates = sweep_pairs(
+                db, candidates, self._check_deadline
+            )
+        self.last_pairs_swept = len(result)
         hits_before = index.prefix_hits
         misses_before = index.prefix_misses
-        counts = index.counts(candidates, deadline_check=self._check_deadline)
+        counts = (
+            index.counts(candidates, deadline_check=self._check_deadline)
+            if candidates
+            else []
+        )
         hits = index.prefix_hits - hits_before
         misses = index.prefix_misses - misses_before
         self.prefix_cache_hits += hits
@@ -641,7 +766,11 @@ class IndexCounter(SupportCounter):
         if self.obs.enabled:
             self.obs.counter("prefix_cache.hits").inc(hits)
             self.obs.counter("prefix_cache.misses").inc(misses)
-        return dict(zip(candidates, counts))
+        result.update(zip(candidates, counts))
+        return result
+
+    def _span_attrs(self) -> Dict[str, int]:
+        return {"pairs_swept": self.last_pairs_swept}
 
     def reset(self) -> None:
         super().reset()

@@ -7,11 +7,13 @@ two-process shm, serial shm, and ``packed``/``roaring`` with NumPy
 switched off) must return
 bit-identical counts on randomized databases, including the edge cases
 the fast paths are most likely to get wrong: empty transactions, the
-empty candidate ``()``, an empty candidate batch, and candidates naming
-items outside the universe.
+empty candidate ``()``, an empty candidate batch, candidates naming
+items outside the universe, and a dense pass-2-shaped pair batch (the
+2-D array sweep of ``packed`` and ``roaring``).
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +27,8 @@ NUM_TRIALS = 12
 
 def random_database(rng):
     num_items = rng.randint(1, 20)
-    num_transactions = rng.randint(0, 60)
+    # up to three 64-row words, ragged tail included
+    num_transactions = rng.randint(0, 150)
     transactions = []
     for _ in range(num_transactions):
         size = rng.randint(0, min(8, num_items))
@@ -48,6 +51,14 @@ def random_candidates(rng, db):
     candidates.append((universe[0], max(universe) + 17))
     if candidates[0]:
         candidates.append(candidates[0])
+    # a dense pair batch, as pass 2 sends it: every pair over a random
+    # subset of at least half the universe (the 2-D array sweep of
+    # ``packed`` and ``roaring``), one of them twice
+    size = rng.randint(len(universe) // 2, len(universe))
+    pairs = list(combinations(rng.sample(universe, size), 2))
+    candidates.extend(tuple(sorted(pair)) for pair in pairs)
+    if pairs:
+        candidates.append(tuple(sorted(pairs[0])))
     return candidates
 
 
@@ -74,6 +85,7 @@ def make_counter(variant, monkeypatch):
 @pytest.mark.parametrize("variant", sorted(variant_counters()))
 def test_randomised_equivalence_with_naive(variant, monkeypatch):
     rng = random.Random(2026)
+    swept = 0
     for trial in range(NUM_TRIALS):
         db = random_database(rng)
         candidates = random_candidates(rng, db)
@@ -86,6 +98,10 @@ def test_randomised_equivalence_with_naive(variant, monkeypatch):
             if close is not None:
                 close()
         assert actual == expected, "trial %d: %s diverged" % (trial, variant)
+        swept += getattr(counter, "last_pairs_swept", 0)
+    # the dense pair batch must reach the sweep wherever one exists
+    if variant in ("packed", "roaring") and vertical.HAVE_NUMPY:
+        assert swept > 0
 
 
 @pytest.mark.parametrize("variant", sorted(variant_counters()))

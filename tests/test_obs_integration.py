@@ -19,6 +19,7 @@ from repro.db import io
 from repro.db.counting import get_counter
 from repro.db.shm import ShmShardedCounter
 from repro.db.transaction_db import TransactionDatabase
+from repro.db.vertical import HAVE_NUMPY
 from repro.obs import (
     capture,
     configure_logging,
@@ -141,6 +142,28 @@ class TestTraceMatchesStats:
             counters["mfcs.cover_node_visits"] / counters["mfcs.cover_queries"]
         )
         assert mean_visits <= 24
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the pair sweep needs NumPy")
+    def test_pass_two_reports_pairs_swept(self, tmp_path):
+        db = TransactionDatabase(TRANSACTIONS)
+        trace_path = str(tmp_path / "run.jsonl")
+        obs = capture(trace_path=trace_path)
+        PincerSearch(adaptive=True).mine(
+            db, 0.25, counter=get_counter("packed"), obs=obs
+        )
+        obs.finish()
+        assert validate_trace_file(trace_path) > 0
+        events = read_trace(trace_path)
+        passes = {
+            event["span"]: event["attrs"].get("pass_number")
+            for event in spans_named(events, "pass", "sweep")
+        }
+        swept = {
+            passes[event["parent"]]: event["attrs"]["pairs_swept"]
+            for event in spans_named(events, "count")
+        }
+        assert swept[1] == 0
+        assert swept[2] > 0
 
     def test_prefix_cache_metrics_emitted(self, tmp_path):
         db = TransactionDatabase(TRANSACTIONS)

@@ -191,10 +191,12 @@ def test_build_gauges_describe_the_index():
 
 def test_prefix_cache_accounting_and_reset():
     db = TransactionDatabase(
-        [[0, 1, 2], [0, 1], [1, 2], [0, 2]], universe=range(3)
+        [[0, 1, 2], [0, 1, 3], [1, 2], [0, 2]], universe=range(4)
     )
     counter = RoaringCounter()
-    counter.count(db, [(0, 1), (0, 1, 2), (0, 2)])
+    # two triples sharing the prefix (0, 1): the container walk reuses it
+    # (a dense pair batch would go to the 2-D array sweep, no prefix memo)
+    counter.count(db, [(0, 1, 2), (0, 1, 3)])
     assert counter.prefix_cache_hits > 0
     assert counter.prefix_cache_misses > 0
     counter.reset()

@@ -1,7 +1,9 @@
 """Unit tests for the vertical-bitmap indexes and the engine body they
 share (``repro.db.vertical``)."""
 
+import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.db.vertical import (
     PackedBitmapIndex,
     PrefixIntersector,
     popcount,
+    sweep_pairs,
 )
 
 TRANSACTIONS = [[1, 2, 3], [1, 2], [2, 3], [3], []]
@@ -226,6 +229,119 @@ class TestIndexCounter:
         counter.deadline = time.perf_counter() - 1.0
         with pytest.raises(CountingDeadline):
             counter.count(TransactionDatabase(TRANSACTIONS), [(1,)])
+
+
+def pair_database(rows, num_items=12, seed=5):
+    rng = random.Random(seed)
+    transactions = [
+        rng.sample(range(num_items), rng.randint(0, num_items // 2))
+        for _ in range(rows)
+    ]
+    return TransactionDatabase(transactions, universe=range(num_items))
+
+
+#: a pass-2 batch over items 0..11: every pair, plus what else pass 2
+#: sends (an MFCS element, a singleton, ``()``), and the pair shapes the
+#: sweep canonicalises: unsorted, repeated item, outside the universe,
+#: duplicate
+DENSE_BATCH = list(combinations(range(12), 2)) + [
+    tuple(range(12)),
+    (3,),
+    (),
+    (7, 2),
+    (4, 4),
+    (5, 99),
+    (0, 1),
+]
+
+
+@pytest.mark.parametrize("engine", sorted(INDEX_CLASSES))
+class TestPairSweep:
+    """Pass 2 as the paper's 2-D array: ``sweep_pairs`` inside the
+    ``packed`` and ``roaring`` bodies; ``bitmap`` never sweeps."""
+
+    def sweeps(self, engine):
+        return engine != "bitmap" and HAVE_NUMPY
+
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
+    def test_dense_batch_matches_naive(self, engine, rows):
+        db = pair_database(rows)
+        counter = get_counter(engine)
+        assert counter.count(db, DENSE_BATCH) == get_counter("naive").count(
+            db, DENSE_BATCH
+        )
+        # 66 pairs over 0..11, (7, 2), (4, 4) and (5, 99): one key each
+        assert counter.last_pairs_swept == (69 if self.sweeps(engine) else 0)
+
+    def test_sparse_batch_takes_the_index(self, engine):
+        db = pair_database(100)
+        batch = [(0, 1), (2, 3), (4, 5), (6, 7), (1, 2, 3)]
+        counter = get_counter(engine)
+        expected = get_counter("naive").count(db, batch)
+        assert counter.count(db, batch) == expected
+        assert counter.last_pairs_swept == 0
+
+    def test_over_budget_block_takes_the_index(self, engine, monkeypatch):
+        db = pair_database(200)  # 13 items x 4 words: one word over
+        monkeypatch.setattr(vertical, "WORK_BUDGET_WORDS", 13 * 4 - 1)
+        counter = get_counter(engine)
+        assert counter.count(db, DENSE_BATCH) == get_counter("naive").count(
+            db, DENSE_BATCH
+        )
+        assert counter.last_pairs_swept == 0
+
+    def test_no_sweep_without_numpy(self, engine, monkeypatch):
+        monkeypatch.setattr(vertical, "HAVE_NUMPY", False)
+        db = pair_database(100)
+        counter = get_counter(engine)
+        assert counter.count(db, DENSE_BATCH) == get_counter("naive").count(
+            db, DENSE_BATCH
+        )
+        assert counter.last_pairs_swept == 0
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="requires NumPy")
+class TestSweepDeadline:
+    def test_one_check_per_work_budget(self):
+        calls = []
+        counts, rest = sweep_pairs(
+            pair_database(200), DENSE_BATCH, lambda: calls.append(1)
+        )
+        assert len(counts) == 69 and len(rest) == 3
+        assert len(calls) == 1  # 13 x 13 x 4 words: far below the budget
+
+    def test_expired_deadline_raises_partway(self, monkeypatch):
+        # one row per slab, and a budget one slab exhausts: every slab
+        # checks, and the second check finds the deadline passed
+        monkeypatch.setattr(PackedBitmapIndex, "TILE_TARGET_BYTES", 8)
+        monkeypatch.setattr(vertical, "WORK_BUDGET_WORDS", 13 * 4)
+        calls = []
+
+        def deadline_check():
+            calls.append(1)
+            if len(calls) == 2:
+                raise CountingDeadline("expired")
+
+        with pytest.raises(CountingDeadline):
+            sweep_pairs(pair_database(200), DENSE_BATCH, deadline_check)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("engine", ["packed", "roaring"])
+    def test_engine_deadline_aborts_the_sweep(self, engine, monkeypatch):
+        monkeypatch.setattr(PackedBitmapIndex, "TILE_TARGET_BYTES", 8)
+        monkeypatch.setattr(vertical, "WORK_BUDGET_WORDS", 13 * 4)
+        counter = get_counter(engine)
+        calls = []
+
+        def check():  # the pass's check, the first slab's, then expired
+            calls.append(1)
+            if len(calls) == 3:
+                raise CountingDeadline("expired")
+
+        monkeypatch.setattr(counter, "_check_deadline", check)
+        with pytest.raises(CountingDeadline):
+            counter.count(pair_database(200), DENSE_BATCH)
+        assert len(calls) == 3
 
 
 def test_popcount():
