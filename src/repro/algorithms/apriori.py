@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set
 
 from ..core.candidates import first_level_candidates
 from ..core.itemset import Itemset
-from ..core.kernel import make_kernel
+from ..core.kernel import BitmaskKernel
 from ..core.lattice import maximal_elements
 from ..core.pincer import resolve_threshold
 from ..core.result import MiningResult, MiningTimeout
@@ -37,15 +37,14 @@ from ..obs.instrument import NOOP, Instrumentation
 class Apriori:
     """Classic levelwise frequent-itemset miner.
 
-    ``kernel`` selects the lattice kernel for candidate generation (see
-    :mod:`repro.core.kernel`); the default resolves to the bitmask kernel.
+    Candidate generation runs on the bitmask lattice kernel (see
+    :mod:`repro.core.kernel`), as Pincer-Search's does.
     """
 
     name = "apriori"
 
-    def __init__(self, engine: str = "auto", kernel: Optional[str] = None) -> None:
+    def __init__(self, engine: str = "auto") -> None:
         self._engine = engine
-        self._kernel = kernel
 
     def mine(
         self,
@@ -71,7 +70,7 @@ class Apriori:
         engine, decision = resolve_counter(db, self._engine, counter)
         obs = obs if obs is not None else NOOP
         engine.obs = obs
-        lattice = make_kernel(self._kernel, db.universe)
+        lattice = BitmaskKernel(db.universe)
         started = time.perf_counter()
 
         stats = MiningStats(
@@ -201,7 +200,6 @@ def apriori(
     *,
     min_count: Optional[int] = None,
     engine: str = "auto",
-    kernel: Optional[str] = None,
 ) -> MiningResult:
     """Functional one-shot entry point; see :class:`Apriori`.
 
@@ -210,6 +208,4 @@ def apriori(
     >>> sorted(apriori(db, 0.5).mfs)
     [(1, 2, 3)]
     """
-    return Apriori(engine=engine, kernel=kernel).mine(
-        db, min_support, min_count=min_count
-    )
+    return Apriori(engine=engine).mine(db, min_support, min_count=min_count)

@@ -131,7 +131,6 @@ def _mine_one_partition(
     universe: Tuple[int, ...],
     local_threshold: int,
     engine: str,
-    kernel: Optional[str],
     adaptive: bool,
     seed_family: Optional[List[Itemset]],
     seed_border: Optional[List[Itemset]],
@@ -154,7 +153,7 @@ def _mine_one_partition(
         seeded = all(
             count < local_threshold for count in border_counts.values()
         )
-    miner = PincerSearch(engine=engine, adaptive=adaptive, kernel=kernel)
+    miner = PincerSearch(engine=engine, adaptive=adaptive)
     if seeded:
         result = miner.mine(
             view, min_count=local_threshold, counter=counter,
@@ -193,7 +192,6 @@ def _mine_partition_task(spec: Dict[str, object]) -> Dict[str, object]:
         snap.universe,
         spec["local_threshold"],
         spec["engine"],
-        spec["kernel"],
         spec["adaptive"],
         spec["seed_family"],
         spec["seed_border"],
@@ -226,7 +224,7 @@ class PartitionedPincerMiner:
     sample_fraction:
         > 0 enables Toivonen sample seeding of the local mines (drawn
         with ``sample_seed``, threshold lowered by ``lowering``).
-    adaptive / engine / kernel:
+    adaptive / engine:
         Forwarded to the per-partition :class:`PincerSearch` miners.
     """
 
@@ -238,7 +236,6 @@ class PartitionedPincerMiner:
         memory_budget: Optional[int] = None,
         parallelism: int = 1,
         engine: str = "auto",
-        kernel: Optional[str] = None,
         sample_fraction: float = 0.0,
         lowering: float = 0.8,
         sample_seed: int = 0,
@@ -256,7 +253,6 @@ class PartitionedPincerMiner:
         self._memory_budget = memory_budget
         self._parallelism = parallelism
         self._engine = engine
-        self._kernel = kernel
         self._sample_fraction = sample_fraction
         self._lowering = lowering
         self._sample_seed = sample_seed
@@ -420,9 +416,9 @@ class PartitionedPincerMiner:
             sample_threshold = max(
                 1, int(self._lowering * fraction * len(sample))
             )
-            sample_result = Apriori(
-                engine=self._engine, kernel=self._kernel
-            ).mine(sample, min_count=sample_threshold)
+            sample_result = Apriori(engine=self._engine).mine(
+                sample, min_count=sample_threshold
+            )
             family = sorted(
                 maximal_elements(
                     itemset
@@ -465,7 +461,7 @@ class PartitionedPincerMiner:
                 _mine_one_partition(
                     handle, universe,
                     _local_threshold(threshold, handle.num_rows, len(db)),
-                    self._engine, self._kernel, self._adaptive,
+                    self._engine, self._adaptive,
                     seed_family, seed_border,
                 )
             )
@@ -486,7 +482,6 @@ class PartitionedPincerMiner:
                     threshold, handle.num_rows, len(db)
                 ),
                 "engine": self._engine,
-                "kernel": self._kernel,
                 "adaptive": self._adaptive,
                 "seed_family": seed_family,
                 "seed_border": seed_border,
@@ -611,9 +606,7 @@ class PartitionedPincerMiner:
         cache.store_batch(supports)
         cached = CachedSupportCounter(engine, cache)
         passes_before = engine.passes
-        final = PincerSearch(
-            engine=self._engine, adaptive=False, kernel=self._kernel
-        ).mine(
+        final = PincerSearch(engine=self._engine, adaptive=False).mine(
             db, min_count=threshold, counter=cached,
             initial_mfcs=seed, bottom_up=False,
         )

@@ -23,7 +23,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..core.itemset import Itemset
-from ..core.kernel import make_kernel
+from ..core.kernel import BitmaskKernel
 from ..core.pincer import resolve_threshold
 from ..core.result import MiningResult
 from ..core.stats import MiningStats
@@ -46,11 +46,9 @@ class TopDown:
         self,
         engine: str = "auto",
         max_frontier: int = 200_000,
-        kernel: Optional[str] = None,
     ) -> None:
         self._engine = engine
         self._max_frontier = max_frontier
-        self._kernel = kernel
 
     def mine(
         self,
@@ -74,8 +72,9 @@ class TopDown:
             engine_evidence=decision.evidence,
         )
         supports: Dict[Itemset, int] = {}
-        mfs: set = set()
-        lattice = make_kernel(self._kernel, db.universe)
+        lattice = BitmaskKernel(db.universe)
+        # the kernel's own cover, so MFCS-gen probes it without re-indexing
+        mfs = lattice.make_cover()
         frontier = lattice.make_mfcs(db.universe)
         pass_number = 0
 

@@ -42,7 +42,6 @@ from .algorithms.topdown import TopDown
 from .bench.experiments import ALL_EXPERIMENTS, build_database
 from .bench.harness import bench_budget, format_rows, run_sweep
 from .core.itemset import format_itemset
-from .core.kernel import KERNEL_NAMES
 from .core.pincer import PincerSearch
 from .datagen.configs import parse_name
 from .datagen.quest import QuestGenerator, generate
@@ -73,20 +72,19 @@ def _parse_bytes(text: str) -> int:
 def _make_miner(
     name: str,
     engine: str,
-    kernel: "str | None" = None,
     args: "argparse.Namespace | None" = None,
 ):
     def flag(key, default=None):
         return getattr(args, key, default) if args is not None else default
 
     if name == "pincer":
-        return PincerSearch(engine=engine, adaptive=True, kernel=kernel)
+        return PincerSearch(engine=engine, adaptive=True)
     if name == "pincer-pure":
-        return PincerSearch(engine=engine, adaptive=False, kernel=kernel)
+        return PincerSearch(engine=engine, adaptive=False)
     if name == "apriori":
-        return Apriori(engine=engine, kernel=kernel)
+        return Apriori(engine=engine)
     if name == "topdown":
-        return TopDown(engine=engine, kernel=kernel)
+        return TopDown(engine=engine)
     if name == "sampling":
         return SamplingMiner(
             sample_fraction=flag("sample_fraction") or 0.2,
@@ -103,7 +101,6 @@ def _make_miner(
             memory_budget=flag("memory_budget"),
             parallelism=flag("partition_parallelism") or 1,
             engine=engine,
-            kernel=kernel,
             sample_fraction=flag("sample_fraction") or 0.0,
             sample_seed=flag("sample_seed") or 0,
         )
@@ -173,12 +170,6 @@ def _add_mine_flags(parser: argparse.ArgumentParser) -> None:
         help="support-counting engine (auto resolves from measured "
         "density: roaring for large sparse databases, packed for large "
         "dense ones when NumPy is available, else bitmap)",
-    )
-    parser.add_argument(
-        "--kernel", default="auto",
-        choices=("auto",) + KERNEL_NAMES,
-        help="lattice kernel for candidate generation and MFS/MFCS "
-        "pruning (auto: REPRO_LATTICE_KERNEL or bitmask)",
     )
     parser.add_argument(
         "--snapshot", default=None, metavar="PATH",
@@ -304,7 +295,7 @@ def _make_cli_counter(args: argparse.Namespace):
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     db = _load_db(args)
-    miner = _make_miner(args.algorithm, args.engine, args.kernel, args)
+    miner = _make_miner(args.algorithm, args.engine, args)
     result = miner.mine(
         db, args.min_support / 100.0, obs=args.obs,
         counter=_make_cli_counter(args),
@@ -332,7 +323,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_rules(args: argparse.Namespace) -> int:
     db = _load_db(args)
-    miner = _make_miner(args.algorithm, args.engine, args.kernel, args)
+    miner = _make_miner(args.algorithm, args.engine, args)
     result = miner.mine(db, args.min_support / 100.0, obs=args.obs)
     rules = rules_from_mfs(
         db, result, min_confidence=args.min_confidence / 100.0,

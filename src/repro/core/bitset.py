@@ -29,8 +29,8 @@ kernel (:mod:`repro.core.kernel`) is built on:
     observability.
 
 Masks live strictly behind the kernel: nothing outside :mod:`repro.core`
-needs to know they exist, and the pure-tuple fallback path is kept intact
-for differential testing.
+needs to know they exist.  The tuple kernel never builds a universe; it is
+kept as the differential reference the bitmask kernel is tested against.
 """
 
 from __future__ import annotations
@@ -134,16 +134,12 @@ class ItemUniverse:
     # translation
     # ------------------------------------------------------------------
 
-    def bit_mask(self, item: int) -> int:
-        """The single-bit mask of one item; raises KeyError when unknown."""
-        return self._bit_mask_of[item]
-
     def mask_of(self, itemset_: Itemset) -> int:
         """Encode a canonical itemset as an int mask (interned).
 
-        Raises :class:`KeyError` for items outside the universe — kernel
-        callers guarantee their itemsets are drawn from the run's
-        universe, and the tuple fallback handles everything else.
+        Raises :class:`KeyError` for items outside the universe: the
+        bitmask kernel stores only masks of its run's universe (see
+        :mod:`repro.core.kernel`).
         """
         cached = self._mask_cache.get(itemset_)
         if cached is not None:

@@ -18,6 +18,11 @@ bitmask of member ids.  Then
 turning each query into a few arbitrary-precision integer operations.
 Removals just clear a bit in the ``alive`` mask; ids are recycled through
 a free list so long-running MFCS churn does not grow the masks forever.
+
+:class:`MaskCover` is the same index over the masks of one run's
+:class:`~repro.core.bitset.ItemUniverse`; the bitmask kernel keeps the
+MFS and the MFCS in it.  :class:`CoverIndex` is the tuple kernel's
+structure, kept as the differential reference.
 """
 
 from __future__ import annotations
@@ -172,10 +177,11 @@ class MaskCover:
 
     Probes arrive as masks too (``covers_mask``/``supersets_masks``), so
     the kernel's hot paths never materialise tuples; the tuple-facing
-    CoverIndex API is kept for the boundary and for drop-in container
-    compatibility.  Members outside the universe are delegated to a lazy
-    tuple-based :class:`CoverIndex` so behaviour matches CoverIndex on
-    every input.
+    CoverIndex API is kept for the boundary.  Every member is a mask of
+    the universe: adding an itemset that names an outside item raises
+    :class:`KeyError` and leaves the cover unchanged, while a tuple probe
+    naming one is simply not covered (``covers``/``in``/``discard`` are
+    False, ``supersets_of`` is empty).
 
     ``queries``/``node_visits`` count one query per cover question and
     one visit per item bitmap examined before the early exit — the
@@ -190,7 +196,6 @@ class MaskCover:
         self._slot_of: Dict[int, int] = {}  # member mask -> slot
         self._alive = 0
         self._free_slots: List[int] = []
-        self._foreign: Optional[CoverIndex] = None  # out-of-universe members
         self.queries = 0
         self.node_visits = 0
         for member in members:
@@ -201,34 +206,22 @@ class MaskCover:
         """The :class:`~repro.core.bitset.ItemUniverse` masks refer to."""
         return self._universe
 
-    @property
-    def has_foreign(self) -> bool:
-        """True when out-of-universe members live in the tuple side index.
-
-        Mask-level callers must fall back to the tuple API in that case —
-        ``covers_mask``/``supersets_masks`` see only in-universe members.
-        """
-        return bool(self._foreign)
-
     # ------------------------------------------------------------------
     # container protocol (tuple boundary)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        count = len(self._slot_of)
-        return count + len(self._foreign) if self._foreign else count
+        return len(self._slot_of)
 
     def __iter__(self) -> Iterator[Itemset]:
         return iter(self.members)
 
     def __contains__(self, member: Itemset) -> bool:
         mask = self._universe.raw_mask_of(member)
-        if mask is not None and mask in self._slot_of:
-            return True
-        return bool(self._foreign) and member in self._foreign
+        return mask is not None and mask in self._slot_of
 
     def __bool__(self) -> bool:
-        return bool(self._slot_of) or bool(self._foreign)
+        return bool(self._slot_of)
 
     def __repr__(self) -> str:
         return "MaskCover(%d members)" % len(self)
@@ -237,14 +230,11 @@ class MaskCover:
     def members(self) -> List[Itemset]:
         """Snapshot of the current members, decoded through the universe."""
         itemset_of = self._universe.itemset_of
-        decoded = [itemset_of(mask) for mask in self._slot_of]
-        if self._foreign:
-            decoded.extend(self._foreign.members)
-        return decoded
+        return [itemset_of(mask) for mask in self._slot_of]
 
     @property
     def member_masks(self) -> List[int]:
-        """Snapshot of the in-universe member masks."""
+        """Snapshot of the member masks."""
         return list(self._slot_of)
 
     # ------------------------------------------------------------------
@@ -252,18 +242,12 @@ class MaskCover:
     # ------------------------------------------------------------------
 
     def add(self, member: Itemset) -> bool:
-        mask = self._universe.try_mask_of(member)
-        if mask is None:
-            if self._foreign is None:
-                self._foreign = CoverIndex()
-            return self._foreign.add(member)
-        return self.add_mask(mask)
+        """Insert a member; KeyError (and no change) for an outside item."""
+        return self.add_mask(self._universe.mask_of(member))
 
     def discard(self, member: Itemset) -> bool:
         mask = self._universe.raw_mask_of(member)
-        if mask is not None and self.discard_mask(mask):
-            return True
-        return bool(self._foreign) and self._foreign.discard(member)
+        return mask is not None and self.discard_mask(mask)
 
     def add_mask(self, mask: int) -> bool:
         """Insert a member mask; returns False if already present."""
@@ -311,40 +295,32 @@ class MaskCover:
 
     def covers(self, probe: Itemset) -> bool:
         mask = self._universe.raw_mask_of(probe)
-        if mask is not None and self.covers_mask(mask):
-            return True
-        return bool(self._foreign) and self._foreign.covers(probe)
+        return mask is not None and self.covers_mask(mask)
 
     def covers_strictly(self, probe: Itemset) -> bool:
         """True iff some member is a *proper* superset of ``probe``."""
         mask = self._universe.raw_mask_of(probe)
-        if mask is not None:
-            matches = self._matches_mask(mask)
-            slot = self._slot_of.get(mask)
-            if slot is not None:
-                matches &= ~(1 << slot)
-            if matches:
-                return True
-        return bool(self._foreign) and self._foreign.covers_strictly(probe)
+        if mask is None:
+            return False
+        matches = self._matches_mask(mask)
+        slot = self._slot_of.get(mask)
+        if slot is not None:
+            matches &= ~(1 << slot)
+        return matches != 0
 
     def supersets_of(self, probe: Itemset) -> List[Itemset]:
         mask = self._universe.raw_mask_of(probe)
-        found: List[Itemset] = []
-        if mask is not None:
-            itemset_of = self._universe.itemset_of
-            found = [
-                itemset_of(member) for member in self.supersets_masks(mask)
-            ]
-        if self._foreign:
-            found.extend(self._foreign.supersets_of(probe))
-        return found
+        if mask is None:
+            return []
+        itemset_of = self._universe.itemset_of
+        return [itemset_of(member) for member in self.supersets_masks(mask)]
 
     def covers_mask(self, probe_mask: int) -> bool:
-        """True iff some in-universe member mask contains ``probe_mask``."""
+        """True iff some member mask contains ``probe_mask``."""
         return self._matches_mask(probe_mask) != 0
 
     def supersets_masks(self, probe_mask: int) -> List[int]:
-        """All in-universe member masks containing ``probe_mask``."""
+        """All member masks containing ``probe_mask``."""
         matches = self._matches_mask(probe_mask)
         masks = self._masks
         found: List[int] = []
@@ -415,3 +391,16 @@ def as_cover(family: object) -> "CoverIndex":
     if hasattr(family, "covers") and hasattr(family, "supersets_of"):
         return family  # type: ignore[return-value]
     return CoverIndex(family)  # type: ignore[arg-type]
+
+
+def mask_cover_of(universe, family: Iterable[Itemset]) -> MaskCover:
+    """``family`` as a :class:`MaskCover` over ``universe``.
+
+    A MaskCover over that universe passes through untouched; anything
+    else (a plain iterable, a CoverIndex, another universe's cover) is
+    indexed into a fresh one, raising :class:`KeyError` for a member that
+    names an outside item.
+    """
+    if isinstance(family, MaskCover) and family.universe is universe:
+        return family
+    return MaskCover(universe, family)

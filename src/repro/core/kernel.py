@@ -1,4 +1,4 @@
-"""Pluggable lattice kernels: tuple fallback vs interned bitmask algebra.
+"""Lattice kernels: the tuple reference and the interned bitmask algebra.
 
 PR 1 made support counting fast enough that the per-pass bottleneck moved
 to the pure-Python *lattice* side: the Apriori join, the new prune, the
@@ -6,19 +6,12 @@ recovery procedure, and MFCS-gen.  All of them operate on the public
 canonical-tuple vocabulary (:mod:`repro.core.itemset`), whose subset tests
 and ``k``-subset enumerations are linear-in-``k`` tuple churn per probe.
 
-A :class:`LatticeKernel` bundles those hot paths behind one interface so
-the miners can swap implementations:
-
-:class:`TupleKernel`
-    The seed behaviour, verbatim: the free functions of
-    :mod:`repro.core.candidates` plus :class:`~repro.core.cover.CoverIndex`
-    families.  Kept as the differential-testing reference and as the
-    fallback for exotic inputs.
+A :class:`LatticeKernel` bundles those hot paths behind one interface:
 
 :class:`BitmaskKernel`
-    The fast path.  A per-run :class:`~repro.core.bitset.ItemUniverse`
-    interns every itemset as an ``int`` mask, and the hot paths become
-    integer algebra executed in C:
+    The production kernel.  A per-run
+    :class:`~repro.core.bitset.ItemUniverse` interns every itemset as an
+    ``int`` mask, and the hot paths become integer algebra executed in C:
 
     * ``apriori_join`` buckets ``L_k`` by ``(k-1)``-prefix and emits
       ``prefix + (a, b)`` pairs per bucket — the seed's pairwise scan
@@ -28,24 +21,34 @@ the miners can swap implementations:
       masks — candidates are encoded uncached
       (:meth:`~repro.core.bitset.ItemUniverse.raw_mask_of`) so the
       throwaway fire-hose never touches the interning caches, and no
-      subset tuples are materialised at all when the MFS cover is
-      mask-native;
+      subset tuples are materialised at all;
     * the MFS and MFCS families live in a
       :class:`~repro.core.cover.MaskCover` — the inverted cover index
       rebuilt on masks, with O(1) lazy discards and scrub-on-reuse
       inserts — so MFCS-gen splits shrink to mask ANDNOT plus constant
       table edits (see :class:`~repro.core.mfcs.MFCS`).
 
+    Everything behind it is masks of its universe.  A frequent itemset
+    naming an outside item raises :class:`KeyError`; a candidate naming
+    one is dropped, since one of its subsets is neither frequent nor
+    covered.  An MFS passed as anything but the kernel's own MaskCover
+    is indexed into one once per call.
+
+:class:`TupleKernel`
+    The seed behaviour, verbatim: the free functions of
+    :mod:`repro.core.candidates` plus :class:`~repro.core.cover.CoverIndex`
+    families.  Kept as the differential-testing reference.
+
 Both kernels consume and produce plain canonical tuples — masks never
-escape — so every existing API keeps its types and the two kernels are
-interchangeable, which the differential tests exploit.  Selection:
-:func:`make_kernel` resolves ``None``/"auto" to the ``REPRO_LATTICE_KERNEL``
-environment variable, defaulting to ``bitmask``.
+escape — so every API keeps its types and the two kernels are
+interchangeable, which the differential tests exploit.  Only
+:class:`~repro.core.pincer.PincerSearch` and
+:class:`~repro.core.session.MiningSession` take a ``kernel``; every other
+miner runs the bitmask kernel.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from itertools import combinations
 from typing import Iterable, List, Optional, Set
@@ -53,14 +56,13 @@ from typing import Iterable, List, Optional, Set
 from .._types import CountingDeadline
 from . import candidates as _tuple_ops
 from .bitset import ItemUniverse
-from .cover import CoverIndex, MaskCover, as_cover
-from .itemset import Itemset, k_subsets
+from .cover import CoverIndex, MaskCover, as_cover, mask_cover_of
+from .itemset import Itemset
 from .mfcs import MFCS
 
 __all__ = [
     "BitmaskKernel",
     "DEFAULT_KERNEL",
-    "KERNEL_ENV_VAR",
     "KERNEL_NAMES",
     "LatticeKernel",
     "TupleKernel",
@@ -70,7 +72,6 @@ __all__ = [
 
 KERNEL_NAMES = ("tuple", "bitmask")
 DEFAULT_KERNEL = "bitmask"
-KERNEL_ENV_VAR = "REPRO_LATTICE_KERNEL"
 
 class LatticeKernel:
     """Interface of a lattice kernel (see module docstring).
@@ -90,9 +91,10 @@ class LatticeKernel:
 
     def make_mfcs_from(self, elements: Iterable[Itemset]) -> MFCS:
         """An MFCS seeded from an arbitrary family instead of the
-        full-universe singleton.  Non-maximal members are dropped on
-        insert, so any covering family is a valid seed (warm-start
-        queries hand the maximal family mined at a lower threshold).
+        full-universe singleton.  Non-maximal members are dropped with
+        one cover probe per distinct element, so any covering family is a
+        valid seed (warm-start queries hand the maximal family mined at a
+        lower threshold).
         """
         raise NotImplementedError
 
@@ -169,13 +171,7 @@ class TupleKernel(LatticeKernel):
 
 
 class BitmaskKernel(LatticeKernel):
-    """Interned-bitmask kernel over one run's :class:`ItemUniverse`.
-
-    Inputs containing items outside the universe (possible when the free
-    functions are driven directly in tests) fall back to the tuple
-    implementations rather than failing — the kernels must agree on every
-    input, not just well-formed mining states.
-    """
+    """Interned-bitmask kernel over one run's :class:`ItemUniverse`."""
 
     name = "bitmask"
 
@@ -194,16 +190,6 @@ class BitmaskKernel(LatticeKernel):
 
     def make_mfcs_from(self, elements: Iterable[Itemset]) -> MFCS:
         return MFCS(elements, kernel=self)
-
-    def _mask_cover(self, cover) -> "Optional[MaskCover]":
-        """``cover`` as a mask-queryable view of *this* universe, or None."""
-        if (
-            isinstance(cover, MaskCover)
-            and cover.universe is self.universe
-            and not cover.has_foreign
-        ):
-            return cover
-        return None
 
     # ------------------------------------------------------------------
     # candidate generation
@@ -258,20 +244,13 @@ class BitmaskKernel(LatticeKernel):
         return found
 
     def apriori_prune(self, candidates, level_frequents):
-        frequents = list(level_frequents)
-        masks = self.universe.masks_of
-        try:
-            frequent_masks = set(masks(frequents))
-        except KeyError:
-            return _tuple_ops.apriori_prune(candidates, set(frequents))
+        frequent_masks = set(self.universe.masks_of(level_frequents))
         raw_mask_of = self.universe.raw_mask_of
         kept: Set[Itemset] = set()
         for candidate in candidates:
             mask = raw_mask_of(candidate)
             if mask is None:
-                # a foreign item: the subsets retaining it cannot be in
-                # the (all in-universe) frequent set
-                continue
+                continue  # a subset naming the outside item is not frequent
             remaining = mask
             keep = True
             while remaining:
@@ -287,43 +266,26 @@ class BitmaskKernel(LatticeKernel):
     def recovery(self, level_frequents, mfs, k):
         # the tuple procedure already queries through the cover; handing
         # it a mask-native MFS keeps the supersets_of step sub-linear
-        return _tuple_ops.recovery(level_frequents, as_cover(mfs), k)
+        return _tuple_ops.recovery(
+            level_frequents, mask_cover_of(self.universe, mfs), k
+        )
 
     def pincer_prune(self, candidates, level_frequents, mfs):
-        mfs_cover = as_cover(mfs)
-        frequents = list(level_frequents)
-        try:
-            frequent_masks = set(self.universe.masks_of(frequents))
-        except KeyError:
-            return _tuple_ops.pincer_prune(candidates, set(frequents), mfs_cover)
+        mfs_cover = mask_cover_of(self.universe, mfs)
+        frequent_masks = set(self.universe.masks_of(level_frequents))
         raw_mask_of = self.universe.raw_mask_of
-        itemset_of = self.universe.itemset_of
-        covers = mfs_cover.covers
-        mask_view = self._mask_cover(mfs_cover)
-        covers_mask = mask_view.covers_mask if mask_view is not None else None
+        covers_mask = mfs_cover.covers_mask
         has_cover = bool(mfs_cover)
         kept: Set[Itemset] = set()
-        frequent_set: Optional[Set[Itemset]] = None  # built only on fallback
         for candidate in candidates:
             mask = raw_mask_of(candidate)
             if mask is None:
-                if covers(candidate):
-                    continue
-                if frequent_set is None:
-                    frequent_set = set(frequents)
-                if all(
-                    subset in frequent_set or covers(subset)
-                    for subset in k_subsets(candidate, len(candidate) - 1)
-                ):
-                    kept.add(candidate)
+                # a subset naming the outside item is neither frequent
+                # nor covered
                 continue
-            if has_cover:
-                # already under a maximal itemset (Observation 2)?
-                if covers_mask is not None:
-                    if covers_mask(mask):
-                        continue
-                elif covers(candidate):
-                    continue
+            # already under a maximal itemset (Observation 2)?
+            if has_cover and covers_mask(mask):
+                continue
             remaining = mask
             keep = True
             while remaining:
@@ -332,13 +294,7 @@ class BitmaskKernel(LatticeKernel):
                 subset_mask = mask ^ bit
                 if subset_mask in frequent_masks:
                     continue
-                if not has_cover:
-                    keep = False
-                    break
-                if covers_mask is not None:
-                    if covers_mask(subset_mask):
-                        continue
-                elif covers(itemset_of(subset_mask)):
+                if has_cover and covers_mask(subset_mask):
                     continue
                 keep = False
                 break
@@ -348,7 +304,7 @@ class BitmaskKernel(LatticeKernel):
 
     def generate_candidates(self, level_frequents, mfs, k):
         frequents = list(level_frequents)
-        mfs_cover = as_cover(mfs)
+        mfs_cover = mask_cover_of(self.universe, mfs)
         if k == 1 and not mfs_cover:
             # every pair's 1-subsets are its two (frequent) parents and
             # there is no MFS to prune under, so the join output already
@@ -362,15 +318,15 @@ class BitmaskKernel(LatticeKernel):
 
 
 def resolve_kernel_name(name: Optional[str] = None) -> str:
-    """Normalise a kernel name; ``None``/"auto" honours the environment.
+    """Normalise a kernel name; ``None`` is the default (bitmask) kernel.
 
     >>> resolve_kernel_name("tuple")
     'tuple'
-    >>> resolve_kernel_name(None) in KERNEL_NAMES
-    True
+    >>> resolve_kernel_name(None)
+    'bitmask'
     """
-    if name is None or name == "auto":
-        name = os.environ.get(KERNEL_ENV_VAR, "").strip().lower() or DEFAULT_KERNEL
+    if name is None:
+        name = DEFAULT_KERNEL
     if name not in KERNEL_NAMES:
         raise ValueError(
             "unknown lattice kernel %r (choose from %s)"

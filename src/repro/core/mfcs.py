@@ -24,14 +24,15 @@ Two documented amendments (DESIGN.md A4/A5) refine the paper's pseudocode:
 
 All containment bookkeeping runs through a cover structure, so splitting
 on an infrequent itemset touches only the elements that actually contain
-it.  By default that structure is :class:`~repro.core.cover.CoverIndex`
-(the tuple fallback); when a bitmask lattice kernel is supplied the MFCS
-runs on the kernel's :class:`~repro.core.cover.MaskCover` and the whole
-MFCS-gen loop stays in mask algebra: an element split is one ANDNOT per
-infrequent item, discarding the split element is O(1), and re-inserting
-a replacement reuses the freed slot so the cover index pays only for the
-single item that changed — the per-element tuple rebuilds and O(|element|)
-index updates of the fallback disappear entirely.
+it.  The kernel that builds the MFCS picks that structure once, and with
+it the path every operation runs.  The bitmask kernel's
+:class:`~repro.core.cover.MaskCover` keeps the whole MFCS-gen loop in
+mask algebra: an element split is one ANDNOT per infrequent item,
+discarding the split element is O(1), and re-inserting a replacement
+reuses the freed slot so the cover index pays only for the single item
+that changed.  The tuple kernel, or no kernel, keeps the seed
+:class:`~repro.core.cover.CoverIndex` and tuple splits: the differential
+reference.  Seeding from a family costs one cover probe per element.
 """
 
 from __future__ import annotations
@@ -39,46 +40,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Set
 
 from .bitset import popcount
-from .cover import CoverIndex, MaskCover, as_cover
+from .cover import CoverIndex, MaskCover, as_cover, mask_cover_of
 from .itemset import Itemset, is_subset, sort_itemsets, without_item
 from .lattice import is_antichain
-
-
-def _mask_prober(cover: object, universe: object):
-    """A ``mask -> bool`` cover probe for any cover structure.
-
-    Mask-native covers of the same universe answer directly; anything else
-    (a CoverIndex, a MaskCover holding foreign members or built
-    on another universe) is probed through the decoded tuple.
-    """
-    if (
-        isinstance(cover, MaskCover)
-        and cover.universe is universe
-        and not cover.has_foreign
-    ):
-        return cover.covers_mask
-    itemset_of = universe.itemset_of
-    covers = cover.covers
-
-    def probe(mask: int) -> bool:
-        return covers(itemset_of(mask))
-
-    return probe
-
-
-def _native_cover(cover: object, universe: object) -> Optional[MaskCover]:
-    """``cover`` as a same-universe, foreign-free :class:`MaskCover`.
-
-    Returns None when the cover cannot answer raw mask queries directly
-    (different universe, foreign members, or another cover type).
-    """
-    if (
-        isinstance(cover, MaskCover)
-        and cover.universe is universe
-        and not cover.has_foreign
-    ):
-        return cover
-    return None
 
 
 class MFCS:
@@ -98,30 +62,34 @@ class MFCS:
         elements: Iterable[Itemset] = (),
         kernel: Optional[object] = None,
     ) -> None:
-        """``kernel`` (a :class:`~repro.core.kernel.LatticeKernel`) selects
-        the cover structure and, when it carries an
-        :class:`~repro.core.bitset.ItemUniverse`, enables the mask fast
-        paths; None keeps the seed CoverIndex behaviour."""
-        self._universe = getattr(kernel, "universe", None)
+        """``kernel`` (a :class:`~repro.core.kernel.LatticeKernel`) builds
+        the cover index: a :class:`MaskCover` runs every operation in mask
+        algebra, a :class:`CoverIndex` (the tuple kernel, or None) the
+        seed tuple path.  ``elements`` may be any family; only its maximal
+        members are kept."""
         self._index = (
             kernel.make_cover() if kernel is not None else CoverIndex()
         )
-        #: the all-mask fast paths apply when the index is a MaskCover of
-        #: this universe (foreign members are re-checked per operation)
-        self._mask_native = (
-            self._universe is not None
-            and isinstance(self._index, MaskCover)
-            and self._index.universe is self._universe
-        )
+        self._mask_native = isinstance(self._index, MaskCover)
         #: lifetime count of Observation-1 applications (infrequent
         #: itemsets excluded) and of elements split by them — the
         #: top-down work the trace/metrics layer reports per pass
         self.exclusions = 0
         self.splits = 0
-        # longest-first insertion makes construction from an arbitrary
-        # family keep only its maximal members
-        for element in sorted(set(elements), key=len, reverse=True):
-            self.add(element)
+        # longest-first, no later distinct element can contain an earlier
+        # one, so a single cover probe per element keeps the antichain
+        ordered = sorted(set(elements), key=len, reverse=True)
+        index = self._index
+        if self._mask_native:
+            mask_of = index.universe.mask_of
+            for element in ordered:
+                mask = mask_of(element)
+                if mask and not index.covers_mask(mask):
+                    index.add_mask(mask)
+        else:
+            for element in ordered:
+                if element and not index.covers(element):
+                    index.add(element)
 
     @classmethod
     def for_universe(
@@ -171,37 +139,28 @@ class MFCS:
         """Insert ``element`` unless it is already covered; prune its subsets.
 
         Maintains the antichain/minimality property.  Returns True when the
-        element was actually inserted.
+        element was actually inserted.  On a mask MFCS an element naming
+        an item outside the universe raises :class:`KeyError` and changes
+        nothing.
         """
         if not element:
             return False
         index = self._index
-        if self._mask_native and not index.has_foreign:
-            mask = self._universe.try_mask_of(element)
-            if mask is not None:
-                if index.covers_mask(mask):
-                    return False
-                for member_mask in index.member_masks:
-                    if not member_mask & ~mask:
-                        index.discard_mask(member_mask)
-                index.add_mask(mask)
-                return True
-        if self._index.covers(element):
+        if self._mask_native:
+            mask = index.universe.mask_of(element)
+            if index.covers_mask(mask):
+                return False
+            for member_mask in index.member_masks:
+                if not member_mask & ~mask:
+                    index.discard_mask(member_mask)
+            index.add_mask(mask)
+            return True
+        if index.covers(element):
             return False
-        universe = self._universe
-        element_mask = (
-            universe.try_mask_of(element) if universe is not None else None
-        )
-        for member in self._index.members:
-            if element_mask is not None:
-                member_mask = universe.try_mask_of(member)
-                if member_mask is not None:
-                    if not member_mask & ~element_mask:
-                        self._index.discard(member)
-                    continue
+        for member in index.members:
             if is_subset(member, element):
-                self._index.discard(member)
-        self._index.add(element)
+                index.discard(member)
+        index.add(element)
         return True
 
     def remove(self, element: Itemset) -> None:
@@ -222,189 +181,7 @@ class MFCS:
         """
         if not infrequent:
             raise ValueError("cannot exclude the empty itemset")
-        protected_cover = as_cover(protected) if protected is not None else None
-        self._exclude(infrequent, protected_cover, None)
-
-    def _exclude(
-        self,
-        infrequent: Itemset,
-        protected: Optional[CoverIndex],
-        budget: Optional[List[int]],
-    ) -> bool:
-        """Split every element containing ``infrequent``.
-
-        ``budget`` (a one-element mutable list of remaining work units,
-        where one unit ≈ one item-mask lookup) implements the adaptive
-        version's work cap; returns False when it ran out mid-split.
-        """
-        self.exclusions += 1
-        universe = self._universe
-        if self._mask_native and not self._index.has_foreign:
-            infrequent_mask = universe.raw_mask_of(infrequent)
-            if infrequent_mask is not None:
-                return self._exclude_mask(
-                    infrequent_mask,
-                    len(infrequent),
-                    _mask_prober(protected, universe)
-                    if protected is not None
-                    else None,
-                    budget,
-                    _native_cover(protected, universe)
-                    if protected is not None
-                    else None,
-                )
-        for element in self._index.supersets_of(infrequent):
-            if budget is not None:
-                budget[0] -= len(element) * len(infrequent)
-                if budget[0] < 0:
-                    return False
-            self.splits += 1
-            self._index.discard(element)
-            element_mask = (
-                universe.try_mask_of(element) if universe is not None else None
-            )
-            for item in infrequent:
-                if element_mask is not None and item in universe:
-                    # mask split: drop one bit, decode through the intern
-                    # cache instead of rebuilding the tuple item by item
-                    replacement = universe.itemset_of(
-                        element_mask & ~universe.bit_mask(item)
-                    )
-                else:
-                    replacement = without_item(element, item)
-                if not replacement:
-                    continue  # amendment A5: never store the empty itemset
-                if self._index.covers(replacement):
-                    continue
-                if protected is not None and protected.covers(replacement):
-                    continue
-                # A replacement is never a *superset* of a remaining
-                # element (it lost an item of a former antichain member
-                # that every split sibling retains — see tests), so a
-                # plain insert keeps the antichain property.
-                self._index.add(replacement)
-        return True
-
-    def _exclude_mask(
-        self,
-        infrequent_mask: int,
-        infrequent_len: int,
-        protected_covers,  # Optional[Callable[[int], bool]]
-        budget: Optional[List[int]],
-        protected_index: Optional[MaskCover] = None,
-    ) -> bool:
-        """All-mask :meth:`_exclude`: split/cover/insert never leave masks.
-
-        The discarded element's slot is recycled by the next insert, so
-        the dominant churn — replace an element by a one-item-smaller
-        subset — costs O(1) cover-index edits instead of O(|element|).
-        ``protected_covers`` is a prebuilt ``mask -> bool`` probe (see
-        :func:`_mask_prober`) or None; ``protected_index`` is the same
-        cover as a raw :class:`MaskCover` when it can be refined directly
-        (see :func:`_native_cover`).
-        """
-        index = self._index
-        matches = index._matches_mask  # truthy iff some member covers
-        add_mask = index.add_mask
-        discard_mask = index.discard_mask
-        splits = 0
-        if protected_index is not None and not protected_index._alive:
-            # an empty protected cover rejects nothing — hoistable
-            # because the protected cover never mutates during an update
-            protected_index = None
-            protected_covers = None
-        if infrequent_len == 2:
-            # Pair split — the dominant pass-2 workload.  Both
-            # replacements share the core ``E \ {a, b}``; one exact core
-            # query plus one item-bitmap AND per replacement answers both
-            # cover checks (a witness of ``E \ {a}`` is a core witness
-            # that also holds ``b``), halving the query count.
-            # ``table[pos]`` must be read live inside the loop: inserts
-            # recycle freed slots and scrub their table bits, so a
-            # snapshot taken up front would misattribute items to reused
-            # slots.  The protected cover never mutates during an
-            # update, so its item bitmaps can be hoisted.
-            bit_a = infrequent_mask & -infrequent_mask
-            bit_b = infrequent_mask ^ bit_a
-            pos_a = bit_a.bit_length() - 1
-            pos_b = bit_b.bit_length() - 1
-            table = index._table
-            if protected_index is not None:
-                protected_matches = protected_index._matches_mask
-                protected_slots_a = protected_index._table[pos_a]
-                protected_slots_b = protected_index._table[pos_b]
-            # inline supersets_masks: the probe is exactly the two known
-            # item positions, so the containing slots are one AND away
-            index.queries += 1
-            index.node_visits += 2
-            slot_masks = index._masks
-            remaining_slots = table[pos_a] & table[pos_b] & index._alive
-            elements = []
-            while remaining_slots:
-                low = remaining_slots & -remaining_slots
-                remaining_slots ^= low
-                elements.append(slot_masks[low.bit_length() - 1])
-            for element_mask in elements:
-                if budget is not None:
-                    budget[0] -= popcount(element_mask) * 2
-                    if budget[0] < 0:
-                        self.splits += splits
-                        return False
-                splits += 1
-                discard_mask(element_mask)
-                core = element_mask & ~infrequent_mask
-                core_matches = matches(core)
-                protected_core = None
-                replacement = element_mask ^ bit_a  # retains item b
-                if replacement and not core_matches & table[pos_b]:
-                    if protected_index is not None:
-                        if protected_core is None:
-                            protected_core = protected_matches(core)
-                        covered = protected_core & protected_slots_b
-                    elif protected_covers is not None:
-                        covered = protected_covers(replacement)
-                    else:
-                        covered = 0
-                    if not covered:
-                        add_mask(replacement)
-                replacement = element_mask ^ bit_b  # retains item a
-                if replacement and not core_matches & table[pos_a]:
-                    if protected_index is not None:
-                        if protected_core is None:
-                            protected_core = protected_matches(core)
-                        covered = protected_core & protected_slots_a
-                    elif protected_covers is not None:
-                        covered = protected_covers(replacement)
-                    else:
-                        covered = 0
-                    if not covered:
-                        add_mask(replacement)
-            self.splits += splits
-            return True
-        for element_mask in index.supersets_masks(infrequent_mask):
-            if budget is not None:
-                budget[0] -= popcount(element_mask) * infrequent_len
-                if budget[0] < 0:
-                    self.splits += splits
-                    return False
-            splits += 1
-            discard_mask(element_mask)
-            remaining = infrequent_mask
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                replacement = element_mask & ~bit
-                if not replacement:
-                    continue  # amendment A5: never store the empty itemset
-                if matches(replacement):
-                    continue
-                if protected_covers is not None and protected_covers(
-                    replacement
-                ):
-                    continue
-                add_mask(replacement)
-        self.splits += splits
-        return True
+        self.update([infrequent], protected=protected)
 
     def update(
         self,
@@ -430,62 +207,187 @@ class MFCS:
           incremental maximal-clique maintenance over the frequent-pair
           graph, whose cost must be bounded *during* the update.
 
-        Returns True when fully applied.
+        ``protected`` should be the building kernel's own cover; any
+        other family is indexed into one once per call.  An infrequent
+        itemset naming an item outside a mask MFCS's universe is under no
+        element, so it splits nothing.  Returns True when fully applied.
         """
-        protected_cover = as_cover(protected) if protected is not None else None
+        if protected is not None:
+            protected = (
+                mask_cover_of(self._index.universe, protected)
+                if self._mask_native
+                else as_cover(protected)
+            )
         budget = [work_cap] if work_cap is not None else None
         singletons = []
         larger = []
         for infrequent in infrequent_sets:
             (singletons if len(infrequent) == 1 else larger).append(infrequent)
+        index = self._index
         if singletons and not self._exclude_items(
-            {s[0] for s in singletons}, protected_cover, budget
+            {s[0] for s in singletons}, protected, budget
         ):
             return False
-        if size_cap is not None and len(self._index) > size_cap:
+        if size_cap is not None and len(index) > size_cap:
             return False
-        if larger and self._mask_native and not self._index.has_foreign:
-            # hoist the mask dispatch out of the per-infrequent loop: the
-            # protected prober and the raw encoder are loop-invariant
-            # (mask-native splits insert masks only, so the index cannot
-            # grow a foreign side mid-update)
-            protected_probe = (
-                _mask_prober(protected_cover, self._universe)
-                if protected_cover is not None
-                else None
-            )
-            protected_native = (
-                _native_cover(protected_cover, self._universe)
-                if protected_cover is not None
-                else None
-            )
-            raw_mask_of = self._universe.raw_mask_of
-            index = self._index
-            for infrequent in larger:
-                infrequent_mask = raw_mask_of(infrequent)
-                if infrequent_mask is None:
-                    completed = self._exclude(
-                        infrequent, protected_cover, budget
-                    )
-                else:
-                    self.exclusions += 1
-                    completed = self._exclude_mask(
-                        infrequent_mask,
-                        len(infrequent),
-                        protected_probe,
-                        budget,
-                        protected_native,
-                    )
-                if not completed:
-                    return False
-                if size_cap is not None and len(index) > size_cap:
-                    return False
-            return True
+        split = self._split_mask if self._mask_native else self._split
         for infrequent in larger:
-            if not self._exclude(infrequent, protected_cover, budget):
+            self.exclusions += 1
+            if not split(infrequent, protected, budget):
                 return False
-            if size_cap is not None and len(self._index) > size_cap:
+            if size_cap is not None and len(index) > size_cap:
                 return False
+        return True
+
+    def _split(
+        self,
+        infrequent: Itemset,
+        protected: Optional[CoverIndex],
+        budget: Optional[List[int]],
+    ) -> bool:
+        """Split every element containing ``infrequent`` (tuple path).
+
+        ``budget`` (a one-element mutable list of remaining work units,
+        where one unit ≈ one item-mask lookup) implements the adaptive
+        version's work cap; returns False when it ran out mid-split.
+        """
+        index = self._index
+        for element in index.supersets_of(infrequent):
+            if budget is not None:
+                budget[0] -= len(element) * len(infrequent)
+                if budget[0] < 0:
+                    return False
+            self.splits += 1
+            index.discard(element)
+            for item in infrequent:
+                replacement = without_item(element, item)
+                if not replacement:
+                    continue  # amendment A5: never store the empty itemset
+                if index.covers(replacement):
+                    continue
+                if protected is not None and protected.covers(replacement):
+                    continue
+                # A replacement is never a *superset* of a remaining
+                # element (it lost an item of a former antichain member
+                # that every split sibling retains — see tests), so a
+                # plain insert keeps the antichain property.
+                index.add(replacement)
+        return True
+
+    def _split_mask(
+        self,
+        infrequent: Itemset,
+        protected: Optional[MaskCover],
+        budget: Optional[List[int]],
+    ) -> bool:
+        """All-mask :meth:`_split`: split/cover/insert never leave masks.
+
+        The discarded element's slot is recycled by the next insert, so
+        the dominant churn — replace an element by a one-item-smaller
+        subset — costs O(1) cover-index edits instead of O(|element|).
+        The batch is encoded uncached: infrequent itemsets are seen once.
+        """
+        index = self._index
+        infrequent_mask = index.universe.raw_mask_of(infrequent)
+        if infrequent_mask is None:
+            return True  # no element holds an outside item
+        matches = index._matches_mask  # truthy iff some member covers
+        add_mask = index.add_mask
+        discard_mask = index.discard_mask
+        splits = 0
+        if protected is not None and not protected._alive:
+            # an empty protected cover rejects nothing — hoistable
+            # because the protected cover never mutates during an update
+            protected = None
+        if len(infrequent) == 2:
+            # Pair split — the dominant pass-2 workload.  Both
+            # replacements share the core ``E \ {a, b}``; one exact core
+            # query plus one item-bitmap AND per replacement answers both
+            # cover checks (a witness of ``E \ {a}`` is a core witness
+            # that also holds ``b``), halving the query count.
+            # ``table[pos]`` must be read live inside the loop: inserts
+            # recycle freed slots and scrub their table bits, so a
+            # snapshot taken up front would misattribute items to reused
+            # slots.  The protected cover never mutates during an
+            # update, so its item bitmaps can be hoisted.
+            bit_a = infrequent_mask & -infrequent_mask
+            bit_b = infrequent_mask ^ bit_a
+            pos_a = bit_a.bit_length() - 1
+            pos_b = bit_b.bit_length() - 1
+            table = index._table
+            if protected is not None:
+                protected_matches = protected._matches_mask
+                protected_slots_a = protected._table[pos_a]
+                protected_slots_b = protected._table[pos_b]
+            # inline supersets_masks: the probe is exactly the two known
+            # item positions, so the containing slots are one AND away
+            index.queries += 1
+            index.node_visits += 2
+            slot_masks = index._masks
+            remaining_slots = table[pos_a] & table[pos_b] & index._alive
+            elements = []
+            while remaining_slots:
+                low = remaining_slots & -remaining_slots
+                remaining_slots ^= low
+                elements.append(slot_masks[low.bit_length() - 1])
+            for element_mask in elements:
+                if budget is not None:
+                    budget[0] -= popcount(element_mask) * 2
+                    if budget[0] < 0:
+                        self.splits += splits
+                        return False
+                splits += 1
+                discard_mask(element_mask)
+                core = element_mask & ~infrequent_mask
+                core_matches = matches(core)
+                protected_core = None
+                replacement = element_mask ^ bit_a  # retains item b
+                if replacement and not core_matches & table[pos_b]:
+                    if protected is not None:
+                        protected_core = protected_matches(core)
+                        covered = protected_core & protected_slots_b
+                    else:
+                        covered = 0
+                    if not covered:
+                        add_mask(replacement)
+                replacement = element_mask ^ bit_b  # retains item a
+                if replacement and not core_matches & table[pos_a]:
+                    if protected is not None:
+                        if protected_core is None:
+                            protected_core = protected_matches(core)
+                        covered = protected_core & protected_slots_a
+                    else:
+                        covered = 0
+                    if not covered:
+                        add_mask(replacement)
+            self.splits += splits
+            return True
+        protected_covers = (
+            protected.covers_mask if protected is not None else None
+        )
+        for element_mask in index.supersets_masks(infrequent_mask):
+            if budget is not None:
+                budget[0] -= popcount(element_mask) * len(infrequent)
+                if budget[0] < 0:
+                    self.splits += splits
+                    return False
+            splits += 1
+            discard_mask(element_mask)
+            remaining = infrequent_mask
+            while remaining:
+                bit = remaining & -remaining
+                remaining ^= bit
+                replacement = element_mask & ~bit
+                if not replacement:
+                    continue  # amendment A5: never store the empty itemset
+                if matches(replacement):
+                    continue
+                if protected_covers is not None and protected_covers(
+                    replacement
+                ):
+                    continue
+                add_mask(replacement)
+        self.splits += splits
         return True
 
     def _exclude_items(
@@ -505,57 +407,47 @@ class MFCS:
         exactly the sequential MFCS-gen result.
         """
         self.exclusions += len(items)
-        universe = self._universe
-        batch_mask = 0
-        if universe is not None and all(item in universe for item in items):
-            for item in items:
-                batch_mask |= universe.bit_mask(item)
-        if batch_mask and self._mask_native and not self._index.has_foreign:
-            return self._exclude_items_mask(batch_mask, protected, budget)
+        if self._mask_native:
+            return self._exclude_items_mask(items, protected, budget)
+        index = self._index
         replacements = []
-        for element in self._index.members:
-            element_mask = (
-                universe.try_mask_of(element) if batch_mask else None
-            )
-            if element_mask is not None:
-                # mask fast path: membership is one AND, the strip one
-                # ANDNOT + interned decode
-                if not element_mask & batch_mask:
-                    continue
-                stripped = universe.itemset_of(element_mask & ~batch_mask)
-            else:
-                if not any(item in items for item in element):
-                    continue
-                stripped = tuple(
-                    item for item in element if item not in items
-                )
+        for element in index.members:
+            if not any(item in items for item in element):
+                continue
             if budget is not None:
                 budget[0] -= len(element)
                 if budget[0] < 0:
                     return False
             self.splits += 1
-            self._index.discard(element)
-            replacements.append(stripped)
+            index.discard(element)
+            replacements.append(
+                tuple(item for item in element if item not in items)
+            )
         # longest-first: a later (shorter) replacement can never swallow an
         # earlier one, so a plain covers-check keeps the antichain intact
         for replacement in sorted(replacements, key=len, reverse=True):
             if not replacement:
                 continue
-            if self._index.covers(replacement):
+            if index.covers(replacement):
                 continue
             if protected is not None and protected.covers(replacement):
                 continue
-            self._index.add(replacement)
+            index.add(replacement)
         return True
 
     def _exclude_items_mask(
         self,
-        batch_mask: int,
-        protected: Optional[CoverIndex],
+        items: "set[int]",
+        protected: Optional[MaskCover],
         budget: Optional[List[int]],
     ) -> bool:
         """All-mask :meth:`_exclude_items` (same semantics, no tuples)."""
         index = self._index
+        universe = index.universe
+        # an outside item is in no element, so it strips nothing
+        batch_mask = universe.raw_mask_of(
+            [item for item in items if item in universe]
+        )
         stripped_masks: List[int] = []
         for element_mask in index.member_masks:
             if not element_mask & batch_mask:
@@ -569,9 +461,7 @@ class MFCS:
             stripped_masks.append(element_mask & ~batch_mask)
         covers_mask = index.covers_mask
         protected_covers = (
-            _mask_prober(protected, self._universe)
-            if protected is not None
-            else None
+            protected.covers_mask if protected is not None else None
         )
         for replacement in sorted(stripped_masks, key=popcount, reverse=True):
             if not replacement:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..db.counting import SupportCounter, resolve_counter
@@ -96,9 +97,10 @@ class PincerSearch:
         counts.  Off by default for paper fidelity.
     kernel:
         Lattice-kernel name (see :mod:`repro.core.kernel`): ``"bitmask"``
-        (interned masks, the default), ``"tuple"`` (the seed fallback), or
-        ``"auto"``/None to honour ``REPRO_LATTICE_KERNEL``.  Both kernels
-        produce identical results; the differential tests rely on it.
+        (interned masks; None selects it) or ``"tuple"`` (the seed
+        reference), or a kernel instance.  Both kernels produce identical
+        results; the differential tests and the ledger's reference
+        answers rely on it.
     """
 
     def __init__(
@@ -158,7 +160,8 @@ class PincerSearch:
         both (any itemset frequent now was frequent then, hence under
         some old maximal member; any strict superset of an old maximal
         member was infrequent then, hence infrequent now).  Sessions,
-        not end callers, supply this.
+        not end callers, supply this.  An element naming an item outside
+        ``db.universe`` raises :class:`ValueError`.
 
         ``bottom_up=False`` runs the top-down half alone: no Apriori
         candidates, only MFCS classification and descent.  Amendments
@@ -175,6 +178,15 @@ class PincerSearch:
                 "bottom_up=False needs an initial_mfcs seed: the top-down "
                 "half alone has no candidate stream to fall back on"
             )
+        if initial_mfcs is not None:
+            outside = set(chain.from_iterable(initial_mfcs)).difference(
+                db.universe
+            )
+            if outside:
+                raise ValueError(
+                    "initial_mfcs names item %r, which is not in the "
+                    "database's universe" % min(outside)
+                )
         threshold, fraction = resolve_threshold(db, min_support, min_count)
         engine, decision = resolve_counter(db, self._engine, counter)
         obs = obs if obs is not None else NOOP
@@ -429,7 +441,7 @@ class PincerSearch:
                 start_level = k if not mfs else None
                 self._complete_bottom_up(
                     db, engine, supports, threshold, mfs_cover, frequents_seen,
-                    stats, k, start_level, obs=obs, lattice=lattice,
+                    stats, k, lattice, start_level, obs=obs,
                 )
 
             final_mfs = maximal_elements(mfs | frequents_seen)
@@ -529,9 +541,9 @@ class PincerSearch:
         frequents_seen: Set[Itemset],
         stats: MiningStats,
         pass_number: int,
+        lattice: LatticeKernel,
         start_level: Optional[int] = None,
         obs: Instrumentation = NOOP,
-        lattice: Optional[LatticeKernel] = None,
     ) -> None:
         """Apriori with a frequency oracle — the post-abandonment sweep.
 
@@ -549,8 +561,6 @@ class PincerSearch:
         i.e. the MFS was still empty at abandonment); None rebuilds from
         level 1.
         """
-        if lattice is None:
-            lattice = make_kernel(None, db.universe)
         if start_level is not None and start_level >= 1:
             current = sorted(
                 f for f in frequents_seen if len(f) == start_level
@@ -649,7 +659,6 @@ def pincer_search(
     adaptive: bool = True,
     policy: Optional[AdaptivePolicy] = None,
     prune_uncovered: bool = False,
-    kernel: Optional[str] = None,
     obs: Optional[Instrumentation] = None,
     initial_mfcs: Optional[List[Itemset]] = None,
     bottom_up: bool = True,
@@ -666,7 +675,6 @@ def pincer_search(
         adaptive=adaptive,
         policy=policy,
         prune_uncovered=prune_uncovered,
-        kernel=kernel,
     )
     return miner.mine(
         db, min_support, min_count=min_count, obs=obs,

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Set, Tuple
 from .candidates import first_level_candidates
 from .cover import CoverIndex
 from .itemset import Itemset
-from .kernel import make_kernel
+from .kernel import BitmaskKernel
 from .lattice import maximal_elements
 
 #: An anti-monotone predicate over canonical itemsets.
@@ -63,20 +63,15 @@ class PredicatePincer:
         raises on a violation.
     check_antimonotone:
         Disable the on-the-fly verification for speed.
-    kernel:
-        Lattice-kernel name (see :mod:`repro.core.kernel`); None resolves
-        to the default (bitmask) kernel.
     """
 
     def __init__(
         self,
         predicate: Predicate,
         check_antimonotone: bool = True,
-        kernel: "str | None" = None,
     ) -> None:
         self._predicate = predicate
         self._check = check_antimonotone
-        self._kernel = kernel
 
     # ------------------------------------------------------------------
 
@@ -100,7 +95,7 @@ class PredicatePincer:
 
         satisfied: Set[Itemset] = set()
         maximal: Set[Itemset] = set()
-        lattice = make_kernel(self._kernel, universe_set)
+        lattice = BitmaskKernel(universe_set)
         maximal_cover = lattice.make_cover()
         mfcs = lattice.make_mfcs(universe_set)
         candidates: List[Itemset] = first_level_candidates(universe_set)

@@ -652,7 +652,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "'pincer snapshot')",
     )
     parser.add_argument("--engine", default="auto")
-    parser.add_argument("--kernel", default=None)
     parser.add_argument(
         "--cost-budget", type=int, default=DEFAULT_COST_BUDGET,
         help="admission-control budget in candidate-bound units",
@@ -715,10 +714,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         db = db_io.load(args.input)
         key = args.input
-    kernel = None if args.kernel in (None, "auto") else args.kernel
     try:
         with MiningSession(
-            db, engine=args.engine, kernel=kernel, obs=obs, key=key
+            db, engine=args.engine, obs=obs, key=key
         ) as session:
             server = MiningServer(
                 session, args.socket, cost_budget=args.cost_budget, obs=obs,

@@ -1,17 +1,24 @@
 """Differential tests: bitmask lattice kernel vs the tuple reference.
 
-The two kernels must agree operation by operation on any input — the
-bitmask kernel is a pure performance substitution.  These tests drive
-them side by side on randomized lattice states and on the edge cases the
-miners are known to produce.
+The two kernels must agree operation by operation on any input drawn
+from the run's universe, whatever form the MFS takes — the bitmask
+kernel is a pure performance substitution.  These tests drive them side
+by side on randomized lattice states and on the edge cases the miners
+are known to produce; ``TestOutsideItems`` pins the bitmask kernel's
+contract for items outside its universe.
 """
 
+import inspect
 import random
 from itertools import combinations
 
 import pytest
 
-from repro.core.cover import MaskCover
+from repro.algorithms.apriori import Apriori, apriori
+from repro.algorithms.partitioned import PartitionedPincerMiner
+from repro.algorithms.topdown import TopDown
+from repro.cli import build_parser
+from repro.core.cover import CoverIndex, MaskCover
 from repro.core.kernel import (
     DEFAULT_KERNEL,
     KERNEL_NAMES,
@@ -21,12 +28,21 @@ from repro.core.kernel import (
     resolve_kernel_name,
 )
 from repro.core.mfcs import MFCS
+from repro.core.pincer import PincerSearch, pincer_search
+from repro.core.predicate import PredicatePincer
+from repro.core.session import MiningSession
+from repro.db.transaction_db import TransactionDatabase
 
 UNIVERSE = list(range(1, 16))
 
 
 def both_kernels():
     return TupleKernel(), BitmaskKernel(UNIVERSE)
+
+
+def mfs_forms(kernel, mfs):
+    """The MFS as the kernel's own cover, a plain list and a CoverIndex."""
+    return kernel.make_cover(mfs), list(mfs), CoverIndex(mfs)
 
 
 def random_level(rng, k, count):
@@ -46,10 +62,23 @@ class TestSelection:
         assert DEFAULT_KERNEL == "bitmask"
         assert resolve_kernel_name(None) in KERNEL_NAMES
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LATTICE_KERNEL", "tuple")
-        assert resolve_kernel_name(None) == "tuple"
-        assert resolve_kernel_name("auto") == "tuple"
+    def test_only_pincer_search_and_session_take_a_kernel(self):
+        db = TransactionDatabase([[1, 2, 3], [1, 2], [2, 3], [1, 2, 3]])
+        reference = PincerSearch(kernel="tuple").mine(db, 0.5)
+        assert reference.mfs == PincerSearch().mine(db, 0.5).mfs
+        with MiningSession(db, engine="bitmap", kernel="tuple") as session:
+            assert session.mine(0.5).mfs == reference.mfs
+        for miner in (
+            Apriori, apriori, TopDown, PredicatePincer,
+            PartitionedPincerMiner, pincer_search,
+        ):
+            assert "kernel" not in inspect.signature(miner).parameters
+        for command in ("mine", "rules"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [command, "db.dat", "--min-support", "1",
+                     "--kernel", "tuple"]
+                )
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -87,14 +116,6 @@ class TestDifferentialCandidateGeneration:
                     bitmask_kernel.apriori_prune(candidates, level)
                 )
 
-    def test_prune_with_foreign_items_falls_back(self):
-        tuple_kernel, bitmask_kernel = both_kernels()
-        level = {(1, 2), (1, 99), (2, 99)}  # 99 is outside the universe
-        candidates = {(1, 2, 99), (1, 2, 3)}
-        assert tuple_kernel.apriori_prune(candidates, level) == (
-            bitmask_kernel.apriori_prune(candidates, level)
-        )
-
     def test_recovery_randomized(self):
         rng = random.Random(13)
         tuple_kernel, bitmask_kernel = both_kernels()
@@ -102,11 +123,13 @@ class TestDifferentialCandidateGeneration:
             for _ in range(10):
                 level = sorted(random_level(rng, k, 12))
                 mfs = sorted(random_level(rng, k + 2, 4))
-                assert tuple_kernel.recovery(
+                expected = tuple_kernel.recovery(
                     level, tuple_kernel.make_cover(mfs), k
-                ) == bitmask_kernel.recovery(
-                    level, bitmask_kernel.make_cover(mfs), k
                 )
+                for family in mfs_forms(bitmask_kernel, mfs):
+                    assert bitmask_kernel.recovery(level, family, k) == (
+                        expected
+                    )
 
     def test_pincer_prune_randomized(self):
         rng = random.Random(14)
@@ -116,11 +139,13 @@ class TestDifferentialCandidateGeneration:
                 level = random_level(rng, k, 15)
                 candidates = random_level(rng, k + 1, 12)
                 mfs = random_level(rng, k + 2, 3)
-                assert tuple_kernel.pincer_prune(
+                expected = tuple_kernel.pincer_prune(
                     candidates, level, tuple_kernel.make_cover(mfs)
-                ) == bitmask_kernel.pincer_prune(
-                    candidates, level, bitmask_kernel.make_cover(mfs)
                 )
+                for family in mfs_forms(bitmask_kernel, mfs):
+                    assert bitmask_kernel.pincer_prune(
+                        candidates, level, family
+                    ) == expected
 
     def test_generate_candidates_randomized(self):
         rng = random.Random(15)
@@ -129,11 +154,43 @@ class TestDifferentialCandidateGeneration:
             for _ in range(10):
                 level = random_level(rng, k, 12)
                 mfs = random_level(rng, k + 2, 3)
-                assert tuple_kernel.generate_candidates(
+                expected = tuple_kernel.generate_candidates(
                     level, tuple_kernel.make_cover(mfs), k
-                ) == bitmask_kernel.generate_candidates(
-                    level, bitmask_kernel.make_cover(mfs), k
                 )
+                for family in mfs_forms(bitmask_kernel, mfs):
+                    assert bitmask_kernel.generate_candidates(
+                        level, family, k
+                    ) == expected
+
+
+class TestOutsideItems:
+    """Everything behind the bitmask kernel is a mask of its universe."""
+
+    def test_foreign_frequent_itemset_raises(self):
+        _, bitmask_kernel = both_kernels()
+        level = {(1, 2), (1, 99), (2, 99)}  # 99 is outside the universe
+        with pytest.raises(KeyError):
+            bitmask_kernel.apriori_prune({(1, 2, 3)}, level)
+        with pytest.raises(KeyError):
+            bitmask_kernel.pincer_prune(
+                {(1, 2, 3)}, level, bitmask_kernel.make_cover()
+            )
+        # an MFS member is a frequent itemset too
+        with pytest.raises(KeyError):
+            bitmask_kernel.pincer_prune({(1, 2, 3)}, {(1, 2)}, [(1, 99)])
+
+    def test_foreign_candidate_is_dropped(self):
+        # (1, 99) is a subset of the candidate (1, 2, 99) that is neither
+        # frequent nor covered, so the tuple reference drops it as well
+        tuple_kernel, bitmask_kernel = both_kernels()
+        level = {(1, 2), (1, 3), (2, 3)}
+        candidates = {(1, 2, 3), (1, 2, 99)}
+        mfs = [(4, 5, 6)]
+        assert bitmask_kernel.apriori_prune(candidates, level) == {(1, 2, 3)}
+        for kernel in (tuple_kernel, bitmask_kernel):
+            assert kernel.pincer_prune(
+                candidates, level, kernel.make_cover(mfs)
+            ) == {(1, 2, 3)}
 
 
 class TestEdgeCases:
@@ -216,19 +273,20 @@ class TestMaskNativeMFCS:
 
     def test_protected_mfs_respected(self):
         # amendment A4: replacements covered by the MFS are dropped,
-        # identically under both kernels
+        # identically under both kernels and whatever form the MFS takes
         rng = random.Random(22)
         for trial in range(10):
             protected = sorted(random_level(rng, 4, 3))
             infrequents = sorted(random_level(rng, 2, 6))
-            results = []
-            for kernel in both_kernels():
-                completed, state = self.run_updates(
-                    kernel, infrequents, protected=protected
-                )
-                assert completed
-                results.append(state)
-            assert results[0] == results[1]
+            tuple_kernel, bitmask_kernel = both_kernels()
+            completed, expected = self.run_updates(
+                tuple_kernel, infrequents, protected=protected
+            )
+            assert completed
+            for family in mfs_forms(bitmask_kernel, protected):
+                mfcs = bitmask_kernel.make_mfcs(UNIVERSE)
+                assert mfcs.update(infrequents, protected=family)
+                assert sorted(mfcs) == expected
 
     def test_work_cap_abandons_identically(self):
         infrequents = [tuple(pair) for pair in combinations(range(1, 9), 2)]

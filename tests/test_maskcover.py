@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.bitset import ItemUniverse
 from repro.core.cover import CoverIndex, MaskCover
+from repro.core.kernel import BitmaskKernel
 
 
 UNIVERSE_ITEMS = list(range(1, 25))
@@ -142,26 +143,39 @@ class TestLazyDiscardAndSlotReuse:
         assert sorted(mask_cover.members) == sorted(reference.members)
 
 
-class TestForeignMembers:
-    def test_foreign_members_delegate(self):
+class TestOutsideItems:
+    """Members are masks of the universe; probes may name anything."""
+
+    def test_add_raises_and_leaves_cover_unchanged(self):
         cover = fresh([(1, 2)])
-        assert not cover.has_foreign
-        assert cover.add((100, 200))  # outside the universe
-        assert cover.has_foreign
-        assert (100, 200) in cover
-        assert cover.covers((100,))
-        assert sorted(cover.supersets_of((100,))) == [(100, 200)]
-        assert len(cover) == 2
+        with pytest.raises(KeyError):
+            cover.add((1, 100))  # 100 is outside the universe
+        assert cover.members == [(1, 2)]
+        assert cover.member_masks == [cover.universe.mask_of((1, 2))]
+        with pytest.raises(KeyError):
+            MaskCover(cover.universe, [(100, 200)])
 
-    def test_foreign_discard(self):
-        cover = fresh([(100, 200)])
-        assert cover.discard((100, 200))
-        assert not cover.covers((100,))
-        assert not cover.discard((100, 200))
+    def test_probe_naming_outside_item_is_not_covered(self):
+        cover = fresh([(1, 2), (1, 2, 3)])
+        for probe in [(100,), (1, 100), (1, 2, 100)]:
+            assert not cover.covers(probe)
+            assert not cover.covers_strictly(probe)
+            assert cover.supersets_of(probe) == []
+            assert probe not in cover
+            assert not cover.discard(probe)
+        assert sorted(cover.members) == [(1, 2), (1, 2, 3)]
 
-    def test_mask_queries_skip_foreign(self):
-        # documented contract: covers_mask sees in-universe members only
-        cover = fresh([(100, 200)])
-        assert cover.covers((100,))
-        assert not cover.covers_mask(0)
-        assert cover.member_masks == []
+    def test_mask_mfcs_add_raises_and_leaves_it_unchanged(self):
+        kernel = BitmaskKernel(UNIVERSE_ITEMS)
+        mfcs = kernel.make_mfcs_from([(1, 2), (3,)])
+        with pytest.raises(KeyError):
+            mfcs.add((1, 2, 3, 100))  # would swallow both elements
+        assert sorted(mfcs) == [(1, 2), (3,)]
+        assert not mfcs.covers((1, 100))
+        assert (1, 100) not in mfcs
+        mfcs.remove((1, 100))
+        # an infrequent itemset naming the item is under no element
+        assert mfcs.update([(100,), (1, 100)])
+        assert sorted(mfcs) == [(1, 2), (3,)]
+        with pytest.raises(KeyError):
+            kernel.make_mfcs_from([(1, 100)])

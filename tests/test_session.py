@@ -11,7 +11,9 @@ import random
 import pytest
 
 from repro.core.bitset import ItemUniverse
-from repro.core.kernel import BitmaskKernel, TupleKernel
+from repro.core.cover import CoverIndex, MaskCover
+from repro.core.kernel import BitmaskKernel, TupleKernel, make_kernel
+from repro.core.lattice import maximal_elements
 from repro.core.pincer import PincerSearch, pincer_search
 from repro.core.session import MiningSession, SessionClosedError
 from repro.core.supportcache import CachedSupportCounter, SupportCache
@@ -158,6 +160,69 @@ class TestMakeMfcsFrom:
 
     def test_empty_seed_is_empty(self):
         assert len(TupleKernel().make_mfcs_from([])) == 0
+
+    @pytest.mark.parametrize("kernel_name", ["tuple", "bitmask"])
+    def test_seed_probes_once_per_distinct_element(
+        self, kernel_name, monkeypatch
+    ):
+        # an antichain plus some of its subsets, shuffled: seeding must
+        # keep exactly the antichain in linear time, one cover probe per
+        # distinct element and no scan over the members
+        rng = random.Random(3)
+        universe = range(1, 41)
+        antichain = maximal_elements(
+            tuple(sorted(rng.sample(universe, rng.randint(2, 10))))
+            for _ in range(600)
+        )
+        family = list(antichain)
+        for member in antichain:
+            for _ in range(3):
+                size = rng.randint(1, len(member))
+                family.append(tuple(sorted(rng.sample(member, size))))
+        rng.shuffle(family)
+        assert len(family) > 1800
+        cover_class, probe_name = (
+            (CoverIndex, "covers")
+            if kernel_name == "tuple"
+            else (MaskCover, "covers_mask")
+        )
+        probe = getattr(cover_class, probe_name)
+        probes = []
+
+        def counted(cover, argument):
+            probes.append(argument)
+            return probe(cover, argument)
+
+        def no_scan(cover):
+            pytest.fail("seeding scanned the members")
+
+        kernel = make_kernel(kernel_name, universe)
+        with monkeypatch.context() as patch:
+            patch.setattr(cover_class, probe_name, counted)
+            patch.setattr(MaskCover, "member_masks", property(no_scan))
+            patch.setattr(CoverIndex, "members", property(no_scan))
+            mfcs = kernel.make_mfcs_from(family)
+        assert sorted(mfcs) == sorted(maximal_elements(family))
+        assert len(probes) == len(set(family))
+
+
+class TestSeedValidation:
+    def test_outside_item_rejected_by_name(self):
+        db = TransactionDatabase([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
+        with pytest.raises(ValueError, match="99"):
+            PincerSearch().mine(db, 0.5, initial_mfcs=[(1, 2, 3, 99)])
+
+    @pytest.mark.parametrize("kernel", ["tuple", "bitmask"])
+    def test_valid_seed_mines_like_a_cold_start(self, kernel):
+        db = random_db(12)
+        miner = PincerSearch(engine="bitmap", kernel=kernel)
+        seed = sorted(miner.mine(db, 0.03).mfs)
+        warm = miner.mine(db, 0.06, initial_mfcs=seed)
+        cold = miner.mine(db, 0.06)
+        assert repr(sorted(warm.mfs)) == repr(sorted(cold.mfs))
+        assert [warm.supports[member] for member in sorted(warm.mfs)] == [
+            cold.supports[member] for member in sorted(cold.mfs)
+        ]
 
 
 class TestMiningSession:
