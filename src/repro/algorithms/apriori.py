@@ -10,7 +10,10 @@ The miner runs on the same substrate as Pincer-Search (same database
 class, counting engines, stats, and result type), which is the paper's own
 fairness argument for its evaluation: "since both Apriori and
 Pincer-Search algorithms are using the same data structure, the comparison
-is fair" (Section 4.1.1).
+is fair" (Section 4.1.1).  That includes pass 2's 2-D array: both miners
+hold level 2 as the same lazy :class:`~repro.db.base.PairLevel`, count it
+through the same batch and adapter (:mod:`repro.db.vertical`), and take
+the frequent pairs from the same count array.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from ..db.counting import (
     resolve_counter,
 )
 from ..db.transaction_db import TransactionDatabase
+from ..db.vertical import level_counts, pass_batch
 from ..obs.instrument import NOOP, Instrumentation
 
 
@@ -104,21 +108,18 @@ class Apriori:
                 pass_started = time.perf_counter()
 
                 with obs.span("pass", k=k) as pass_span:
+                    batch, _ = pass_batch(candidates, (), supports)
                     try:
-                        counts = engine.count(db, candidates)
+                        answer = engine.count(db, batch)
                     except CountingDeadline:
                         stats.passes.pop()  # the aborted pass never finished
                         elapsed = time.perf_counter() - started
                         stats.seconds = elapsed
                         raise MiningTimeout(self.name, elapsed, stats) from None
-                    supports.update(counts)
+                    counted = level_counts(candidates, answer, supports)
                     pass_stats.bottom_up_candidates = len(candidates)
 
-                    level_frequents = sorted(
-                        candidate
-                        for candidate in candidates
-                        if counts[candidate] >= threshold
-                    )
+                    level_frequents = counted.frequent(threshold)
                     pass_stats.frequent_found = len(level_frequents)
                     pass_stats.infrequent_found = len(candidates) - len(
                         level_frequents
@@ -131,19 +132,26 @@ class Apriori:
                         stats.seconds = elapsed
                         raise MiningTimeout(self.name, elapsed, stats)
                     with obs.span("generate"):
-                        try:
-                            joined = lattice.apriori_join(
-                                level_frequents, deadline=engine.deadline
+                        if k == 1:
+                            # pass 2 counts every pair over L1, the 2-D
+                            # array Pincer-Search counts it in (§4.1.1)
+                            candidates = lattice.generate_candidates(
+                                level_frequents, (), k
                             )
-                        except CountingDeadline:
-                            elapsed = time.perf_counter() - started
-                            stats.seconds = elapsed
-                            raise MiningTimeout(
-                                self.name, elapsed, stats
-                            ) from None
-                        candidates = sorted(
-                            lattice.apriori_prune(joined, level_frequents)
-                        )
+                        else:
+                            try:
+                                joined = lattice.apriori_join(
+                                    level_frequents, deadline=engine.deadline
+                                )
+                            except CountingDeadline:
+                                elapsed = time.perf_counter() - started
+                                stats.seconds = elapsed
+                                raise MiningTimeout(
+                                    self.name, elapsed, stats
+                                ) from None
+                            candidates = sorted(
+                                lattice.apriori_prune(joined, level_frequents)
+                            )
                     pass_stats.seconds = time.perf_counter() - pass_started
                     if obs.enabled:
                         pass_span.set(**pass_stats.to_dict())

@@ -41,7 +41,11 @@ A :class:`LatticeKernel` bundles those hot paths behind one interface:
 
 Both kernels consume and produce plain canonical tuples — masks never
 escape — so every API keeps its types and the two kernels are
-interchangeable, which the differential tests exploit.  Only
+interchangeable, which the differential tests exploit.  One output is
+lazy: the bitmask kernel's level 2 (``generate_candidates`` at k = 1) is
+a :class:`~repro.db.base.PairLevel`, L1's items standing for their
+pairs, which ``len()``s, iterates and compares as the tuple kernel's
+set of pairs.  Only
 :class:`~repro.core.pincer.PincerSearch` and
 :class:`~repro.core.session.MiningSession` take a ``kernel``; every other
 miner runs the bitmask kernel.
@@ -54,8 +58,9 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Set
 
 from .._types import CountingDeadline
+from ..db.base import PairLevel
 from . import candidates as _tuple_ops
-from .bitset import ItemUniverse
+from .bitset import ItemUniverse, bits_of
 from .cover import CoverIndex, MaskCover, as_cover, mask_cover_of
 from .itemset import Itemset
 from .mfcs import MFCS
@@ -133,8 +138,12 @@ class LatticeKernel:
         level_frequents: Iterable[Itemset],
         mfs: Iterable[Itemset],
         k: int,
-    ) -> Set[Itemset]:
-        """Pincer-Search's full candidate generation: join+recovery+prune."""
+    ) -> "Set[Itemset] | PairLevel":
+        """Pincer-Search's full candidate generation: join+recovery+prune.
+
+        At k = 1 a kernel may hand level 2 over as a lazy
+        :class:`~repro.db.base.PairLevel` (the bitmask kernel does).
+        """
         frequents = list(level_frequents)
         mfs_cover = as_cover(mfs)
         found = self.apriori_join(frequents)
@@ -303,18 +312,63 @@ class BitmaskKernel(LatticeKernel):
         return kept
 
     def generate_candidates(self, level_frequents, mfs, k):
+        """Join + recovery + new prune; level 2 (k = 1) comes back as a
+        lazy :class:`~repro.db.base.PairLevel` whose pairs are never
+        built here — the miners count it as the paper's 2-D array."""
         frequents = list(level_frequents)
         mfs_cover = mask_cover_of(self.universe, mfs)
-        if k == 1 and not mfs_cover:
-            # every pair's 1-subsets are its two (frequent) parents and
-            # there is no MFS to prune under, so the join output already
-            # *is* the pruned candidate set — the paper's "no candidate
-            # generation process for 2-itemsets is needed"
-            return self.apriori_join(frequents)
+        if k == 1:
+            return self._pair_level(frequents, mfs_cover)
         found = self.apriori_join(frequents)
         if mfs_cover and frequents:
             found |= self.recovery(frequents, mfs_cover, k)
         return self.pincer_prune(found, frequents, mfs_cover)
+
+    def _pair_level(self, frequents, mfs_cover: MaskCover) -> PairLevel:
+        """Level 2 as a :class:`PairLevel`, with no pair built.
+
+        With no MFS it is every pair over L1's items — the paper's "no
+        candidate generation process for 2-itemsets is needed".  With
+        one, the k = 1 recovery pairs each L1 item with every item of
+        each MFS member longer than one item, and both 1-subsets of every
+        pair it yields are frequent or covered, so the new prune drops
+        exactly the covered pairs.  The level is therefore the pairs over
+        L1 and those members' items with at least one item in L1, less
+        the covered ones; a covered pair has both items in one long
+        member, so only such pairs are probed.
+        """
+        singles = sorted({itemset_[0] for itemset_ in frequents})
+        if not mfs_cover or not singles:
+            return PairLevel(singles)
+        # the new prune raises for an outside item; so does this
+        single_mask = 0
+        for mask in self.universe.masks_of(frequents):
+            single_mask |= mask
+        long_mask = 0
+        for mask in mfs_cover.member_masks:
+            if mask & (mask - 1):
+                long_mask |= mask
+        if not long_mask:
+            return PairLevel(singles)
+        positions = list(bits_of(single_mask | long_mask))
+        items = [self.universe.items[position] for position in positions]
+        in_l1 = bytes((single_mask >> position) & 1 for position in positions)
+        n = len(items)
+        keep = bytearray()
+        for i in range(n):
+            # row i of the condensed mask: a pair needs an item of L1
+            keep += b"\x01" * (n - i - 1) if in_l1[i] else in_l1[i + 1:]
+        level = PairLevel(items, keep if 0 in keep else None)
+        bits = [1 << position for position in positions]
+        long_items = [i for i in range(n) if long_mask & bits[i]]
+        return level.without(
+            (items[min(i, j)], items[max(i, j)])
+            for i in long_items
+            if in_l1[i]
+            for j in long_items
+            if (j > i or not in_l1[j])  # each pair once, never (i, i)
+            and mfs_cover.covers_mask(bits[i] | bits[j])
+        )
 
 
 def resolve_kernel_name(name: Optional[str] = None) -> str:

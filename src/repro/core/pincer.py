@@ -25,6 +25,17 @@ amendments (DESIGN.md):
 * **A3/A4/A6** — see :mod:`repro.core.candidates` and
   :mod:`repro.core.mfcs`.
 
+Pass 2 (Section 4.1.1): level 2 is every pair of frequent items, which
+the paper counts in a 2-D array.  The kernel hands it over as a lazy
+:class:`~repro.db.base.PairLevel`, the pass counts it as one
+:class:`~repro.db.base.PairBatch` beside the uncounted MFCS elements,
+and the shared adapter (:func:`~repro.db.vertical.level_counts`) turns
+whatever the engine answers into the level's count array.  The frequent
+pairs come out of it with one ``np.nonzero``, the infrequent ones are
+built only when MFCS-gen runs, and ``supports`` takes every counted pair
+in one bulk update; the miner never sorts, batches or classifies the
+``C(|L1|, 2)`` pair tuples.
+
 Adaptivity (Section 3.5): a pluggable
 :class:`~repro.core.adaptive.AdaptivePolicy` may abandon the MFCS mid-run;
 the algorithm then completes the remaining levels bottom-up.  To stay
@@ -43,6 +54,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..db.counting import SupportCounter, resolve_counter
 from ..db.transaction_db import TransactionDatabase
+from ..db.vertical import as_level, level_counts, pass_batch
 from ..obs.instrument import NOOP, Instrumentation
 from ..obs.logsetup import get_logger
 from .adaptive import AdaptivePolicy, AlwaysMaintain
@@ -249,23 +261,20 @@ class PincerSearch:
                 cover_visits_before = mfcs.cover_node_visits
                 with obs.span("pass", k=k) as pass_span:
                     # ----- one database read: C_k plus unclassified MFCS
-                    # elements (the engine emits the nested "count" span)
+                    # elements (the engine emits the nested "count" span);
+                    # level 2 stays the lazy pair level throughout
                     mfcs_elements = sorted(mfcs)
-                    uncounted_candidates = [
-                        c for c in candidates if c not in supports
-                    ]
-                    batch = dict.fromkeys(uncounted_candidates)
-                    for element in mfcs_elements:
-                        if element not in supports:
-                            batch[element] = None
-                    supports.update(engine.count(db, batch))
-                    pass_stats.bottom_up_candidates = len(uncounted_candidates)
+                    batch, num_bottom_up = pass_batch(
+                        candidates, mfcs_elements, supports
+                    )
+                    counted = level_counts(
+                        candidates, engine.count(db, batch), supports
+                    )
+                    pass_stats.bottom_up_candidates = num_bottom_up
                     # MFCS elements counted this pass (an element that
                     # doubles as a bottom-up candidate is billed once, as
                     # the bottom-up side)
-                    pass_stats.mfcs_candidates = len(batch) - len(
-                        uncounted_candidates
-                    )
+                    pass_stats.mfcs_candidates = len(batch) - num_bottom_up
 
                     with obs.span("prune"):
                         # ----- classify the MFCS elements (paper line 7
@@ -284,18 +293,16 @@ class PincerSearch:
                                 infrequent_mfcs.append(element)
 
                         # ----- classify the bottom-up candidates (paper
-                        # lines 8-9)
-                        frequent_in_ck = [
-                            c for c in candidates if supports[c] >= threshold
-                        ]
-                        infrequent_in_ck = [
-                            c for c in candidates if supports[c] < threshold
-                        ]
+                        # lines 8-9); the infrequent ones are built only
+                        # if MFCS-gen runs
+                        frequent_in_ck = counted.frequent(threshold)
                         level_frequents = [
                             c for c in frequent_in_ck if not mfs_cover.covers(c)
                         ]
                         pass_stats.frequent_found = len(frequent_in_ck)
-                        pass_stats.infrequent_found = len(infrequent_in_ck)
+                        pass_stats.infrequent_found = len(candidates) - len(
+                            frequent_in_ck
+                        )
                         pass_stats.pruned_as_mfs_subsets = len(
                             frequent_in_ck
                         ) - len(level_frequents)
@@ -344,7 +351,7 @@ class PincerSearch:
                             size_cap = policy.update_size_cap
                             work_cap = policy.update_work_cap
                         completed = mfcs.update(
-                            infrequent_in_ck,
+                            counted.infrequent(threshold),
                             protected=mfs_cover,
                             size_cap=size_cap,
                             work_cap=work_cap,
@@ -398,7 +405,7 @@ class PincerSearch:
                             pass_stats.maximal_found,
                             longest_maximal,
                         )
-                        candidates = sorted(next_candidates)
+                        candidates = as_level(next_candidates)
 
                     pass_stats.seconds = time.perf_counter() - pass_started
                     if pass_stats.total_candidates:

@@ -59,12 +59,19 @@ built from the database's cached ``item_bitmaps()``; without NumPy all
 three count on the pure-Python int-bitmap index.
 
 The paper speeds up passes 1 and 2 with a 1-D and a 2-D array over the
-items (Section 4.1.1) instead of counting candidates.  With NumPy,
-``packed`` and ``roaring`` count pass 2 that way: a batch whose pairs
-cover at least half the pairs over their items is answered from one
-bit-parallel all-pairs sweep, a triangular count array, inside the same
-billed pass (:func:`repro.db.vertical.sweep_pairs`).  Every other engine,
-``bitmap`` included, counts pass 2 pair by pair, as a candidate.
+items (Section 4.1.1) instead of counting candidates.  Both miners hold
+level 2 as a lazy :class:`~repro.db.base.PairLevel` and count it as a
+:class:`~repro.db.base.PairBatch`: L1's items, never ``C(|L1|, 2)``
+tuples.  With NumPy, ``packed`` and ``roaring`` answer that batch from
+one bit-parallel all-pairs sweep, a triangular count array, inside the
+same billed pass, and hand the array back as it is
+(:class:`repro.db.vertical.PairCounts`).  Every other engine, ``bitmap``
+included, counts the batch listed, pass 2 pair by pair as candidates,
+and so does any wrapper that lists it (the support cache, the layer
+ledger's probe); a listed batch dense in pairs still takes the sweep on
+``packed`` and ``roaring`` (:func:`repro.db.vertical.sweep_pairs`).  One
+adapter (:func:`repro.db.vertical.level_counts`) turns every answer into
+the level's count array.
 """
 
 from __future__ import annotations

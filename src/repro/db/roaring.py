@@ -39,8 +39,10 @@ cardinality directly, never materialising the result.
 :class:`RoaringCounter` is the engine registered as ``roaring``: the
 shared :class:`~repro.db.vertical.IndexCounter` body over a
 :class:`RoaringIndex` built from ``db.item_bitmaps()``.  That body counts
-a dense pair batch (pass 2) in the paper's 2-D array
-(:func:`~repro.db.vertical.sweep_pairs`) before the walk sees the rest.  Whether a
+pass 2's pairs — the miners' lazy pair batch, or a dense listed one — in
+the paper's 2-D array before the walk sees the rest; the containers hold
+no flat rows, so the array's rows are packed from ``db.item_bitmaps()``
+(:mod:`repro.db.vertical`).  Whether a
 database *should* be counted this way is
 :func:`repro.db.counting.engine_decision`'s call — ``auto`` picks
 ``roaring`` only for large sparse databases — so the engine applies no

@@ -24,26 +24,45 @@ item with bit ``t`` set iff transaction ``t`` contains the item.
     :class:`PrefixIntersector`, but across the whole batch at once, with
     no per-candidate interpreter overhead.
 
-:func:`sweep_pairs`
-    Pass 2 as the paper's 2-D array (Section 4.1.1): the paper counts
-    the pairs of frequent items in a triangular array, not as candidates.
-    A batch whose pairs are dense over their items is answered from one
-    all-pairs AND + popcount sweep over those items' rows, so pass 2
-    costs ``C(|L1|, 2)`` bit-parallel row ANDs and no per-pair walk.
+Pass 2 as the paper's 2-D array (Section 4.1.1)
+    The paper counts the pairs of frequent items in a triangular array,
+    not as candidates.  :func:`_pair_table` ANDs each of the items' rows
+    with itself and every later row and popcounts the results, so pass 2
+    costs ``C(|L1|, 2)`` bit-parallel row ANDs and no per-pair walk.  The
+    miners hand level 2 over as a lazy
+    :class:`~repro.db.base.PairBatch`; ``packed`` and ``roaring`` answer
+    it with the array itself, a :class:`PairCounts`, without mapping a
+    single pair.  A *listed* batch whose pairs are dense over their items
+    goes through :func:`sweep_pairs`, which reads its pairs' cells one by
+    one.
+
+The shared adapter
+    :func:`pass_batch` builds a pass's batch around its level and
+    :func:`level_counts` turns any engine's answer into the level's
+    counts (:class:`LevelCounts`): a :class:`PairCounts` as it is, any
+    other answer — every engine's dict, every listed batch's — itemset
+    by itemset.  Level 2 is then classified with one ``np.nonzero``,
+    and tuples are built only for the pairs asked for; without NumPy the
+    counts are a list and one comprehension classifies them.  It is the
+    one place an engine's dict becomes the count array, so neither miner
+    branches on engine, kernel or NumPy.
 
 :class:`IndexCounter` is the engine body of ``bitmap``, ``packed`` and
 ``roaring`` (:mod:`repro.db.roaring`): each is a subclass naming its
-index class, and ``packed`` and ``roaring`` sweep dense pair batches
-before their index counts the rest.  The serial rung of the
-:mod:`repro.db.shm` process plane and the in-memory partitions of
+index class, and ``packed`` and ``roaring`` answer pass 2's pairs from
+the 2-D array before their index counts the rest (``packed`` gathers the
+rows from its own matrix, ``roaring`` packs them).  The serial rung of
+the :mod:`repro.db.shm` process plane and the in-memory partitions of
 :mod:`repro.db.outofcore` build their indexes through
-:meth:`IndexCounter.index_over` as well, and never sweep.
+:meth:`IndexCounter.index_over` as well, and never sweep: they count a
+pair batch listed, and the adapter reads their dict.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
+from collections.abc import Mapping
 from itertools import chain
 from typing import (
     Callable,
@@ -57,7 +76,7 @@ from typing import (
 )
 
 from .._types import Itemset
-from .base import SupportCounter
+from .base import PairBatch, PairLevel, SupportCounter
 
 try:  # NumPy is optional (the ``[fast]`` extra); everything degrades.
     import numpy as _np
@@ -78,10 +97,15 @@ __all__ = [
     "HAVE_NUMPY",
     "IndexCounter",
     "IntBitmapIndex",
+    "LevelCounts",
     "PackedBitmapIndex",
     "PackedCounter",
+    "PairCounts",
     "PrefixIntersector",
     "WORK_BUDGET_WORDS",
+    "as_level",
+    "level_counts",
+    "pass_batch",
     "popcount",
     "sweep_pairs",
 ]
@@ -346,6 +370,16 @@ class PackedBitmapIndex:
         """
         lengths, flat_items = self.flatten_candidates(candidates)
         return lengths, self.map_items(flat_items)
+
+    def item_rows(self, items: Sequence[int]):
+        """``items``' rows of the matrix, gathered into a fresh
+        ``(len(items), num_words)`` block; an item outside the universe
+        gets a zero row."""
+        rows = self.map_items(_np.asarray(items, dtype=_np.int64))
+        block = _np.zeros((len(items), self.num_words), dtype=_np.uint64)
+        known = rows >= 0
+        block[known] = self._matrix[rows[known]]
+        return block
 
     def counts_into(
         self,
@@ -613,8 +647,22 @@ class IntBitmapIndex:
         return results
 
 
+def _sweeps(db, size: int, num_pairs: int) -> bool:
+    """Whether ``num_pairs`` pairs over ``size`` items go to the 2-D array:
+    at least half of the ``C(size, 2)`` pairs, in a block within
+    :data:`WORK_BUDGET_WORDS`."""
+    return (
+        num_pairs > 0
+        and size * max(1, (len(db) + 63) // 64) <= WORK_BUDGET_WORDS
+        and 2 * num_pairs >= size * (size - 1) // 2
+    )
+
+
 def sweep_pairs(
-    db, candidates: List[Itemset], deadline_check: Callable[[], None]
+    db,
+    candidates: List[Itemset],
+    deadline_check: Callable[[], None],
+    index=None,
 ) -> Tuple[Dict[Itemset, int], List[Itemset]]:
     """Count a batch's length-2 candidates in the paper's 2-D array.
 
@@ -622,14 +670,18 @@ def sweep_pairs(
     a triangular 2-D array (Section 4.1.1) rather than in a candidate
     structure.  When the batch holds at least half as many pairs as the
     ``C(|S|, 2)`` pairs over their items ``S``, the rows of ``S`` are
-    copied from ``db.item_bitmaps()`` into one ``|S| x num_words``
-    uint64 block, each row is ANDed with itself and every later row, and
-    the popcounts fill the upper triangle of an ``|S| x |S|`` array that
-    answers every pair.  Rows go in slabs whose AND temporaries stay
-    within the fused kernel's :data:`PackedBitmapIndex.TILE_TARGET_BYTES`,
-    so a handful of items costs one vectorized call.  ``(b, a)`` reads
-    the cell of ``(a, b)`` and ``(a, a)`` the diagonal (its support); an
-    item outside the universe has an all-zero row.
+    taken into one ``|S| x num_words`` uint64 block (:func:`_item_rows`:
+    gathered from ``index``'s matrix when it is a
+    :class:`PackedBitmapIndex`, else packed from ``db.item_bitmaps()``)
+    and :func:`_pair_table` ANDs each row with itself and every later
+    row into the upper triangle of an ``|S| x |S|`` count array that
+    answers every pair.  ``(b, a)`` reads the cell of ``(a, b)`` and
+    ``(a, a)`` the diagonal (its support); an item outside the universe
+    has an all-zero row.
+
+    This is the listed batch's sweep: a batch kept lazy as a
+    :class:`PairBatch` is answered from the same array without mapping a
+    single pair (:class:`IndexCounter`).
 
     The density test counts the pairs as given, duplicates included: a
     duplicate never changes a count, and a batch that passes holds at
@@ -643,14 +695,9 @@ def sweep_pairs(
     pairs = [candidate for candidate in candidates if len(candidate) == 2]
     num_pairs, items = len(pairs), sorted(set(chain.from_iterable(pairs)))
     del pairs  # batch-sized: gone before the result dict grows
-    size = len(items)
-    if (
-        not num_pairs
-        or size * max(1, (len(db) + 63) // 64) > WORK_BUDGET_WORDS
-        or 2 * num_pairs < size * (size - 1) // 2
-    ):
+    if not _sweeps(db, len(items), num_pairs):
         return {}, candidates
-    table = _pair_table(db, items, deadline_check)
+    table = _pair_table(_item_rows(db, index, items), deadline_check)
     # answer in candidate chunks: the result dict is the only batch-sized
     # object left while it grows
     keys = _np.array(items, dtype=_np.int64)
@@ -672,11 +719,28 @@ def sweep_pairs(
     return counts, rest
 
 
-def _pair_table(db, items: List[int], deadline_check: Callable[[], None]):
-    """Upper triangle (diagonal included) of the ``items`` x ``items``
-    support array: ``table[i, j]`` for ``i <= j`` counts the rows holding
-    both ``items[i]`` and ``items[j]``."""
-    block = _pack_rows(db.item_bitmaps(), items, len(db))
+def _item_rows(db, index, items: Sequence[int]):
+    """``items``' rows as one ``(len(items), num_words)`` uint64 block.
+
+    A :class:`PackedBitmapIndex` already holds them: they are gathered
+    from its matrix by row index.  Any other index has no flat rows, so
+    they are packed from ``db.item_bitmaps()`` (~5 us a row).
+    """
+    if isinstance(index, PackedBitmapIndex):
+        return index.item_rows(items)
+    return _pack_rows(db.item_bitmaps(), items, len(db))
+
+
+def _pair_table(block, deadline_check: Callable[[], None]):
+    """Upper triangle (diagonal included) of the support array over the
+    items whose rows ``block`` holds: ``table[i, j]`` for ``i <= j``
+    counts the transactions holding both item ``i`` and item ``j``.
+
+    Rows go in slabs whose AND temporaries stay within the fused
+    kernel's :data:`PackedBitmapIndex.TILE_TARGET_BYTES`, so a handful
+    of items costs one vectorized call; ``deadline_check`` runs once per
+    :data:`WORK_BUDGET_WORDS` words of AND work.
+    """
     size, num_words = block.shape
     # a count is at most len(db) < 64 * WORK_BUDGET_WORDS rows: int32 holds it
     table = _np.zeros((size, size), dtype=_np.int32)
@@ -696,6 +760,162 @@ def _pair_table(db, items: List[int], deadline_check: Callable[[], None]):
     return table
 
 
+def _condensed(table):
+    """The strict upper triangle of ``table``, row by row: one count per
+    pair of ``combinations(range(size), 2)``, in that order."""
+    size = table.shape[0]
+    return table[_np.triu(_np.ones((size, size), dtype=bool), 1)]
+
+
+def _pairs_at(level: PairLevel, positions) -> List[Itemset]:
+    """The pairs at ``positions`` (ascending) of ``level``'s iteration
+    order, built as tuples only for those positions."""
+    if level.keep is not None:
+        kept = _np.flatnonzero(_np.frombuffer(level.keep, dtype=_np.uint8))
+        positions = kept[positions]
+    n = len(level.items)
+    rows = _np.arange(n, dtype=_np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # where each row's pairs begin
+    first = _np.searchsorted(starts, positions, side="right") - 1
+    second = positions - starts[first] + first + 1
+    items = _np.asarray(level.items)
+    return list(zip(items[first].tolist(), items[second].tolist()))
+
+
+class PairCounts(Mapping):
+    """``packed``'s and ``roaring``'s answer to a :class:`PairBatch`.
+
+    ``counts`` is the 2-D array condensed: one support per pair of
+    ``combinations(level.items, 2)``, the level's pairs among them;
+    ``rest`` holds the rest of the batch.  As a mapping it answers every
+    itemset of the batch, so it compares equal to the dict any engine
+    returns for the listed batch; :func:`level_counts` reads the array
+    without mapping a pair.
+    """
+
+    def __init__(self, level: PairLevel, counts, rest: Dict[Itemset, int]):
+        self.level = level
+        self.counts = counts
+        self.rest = rest
+
+    def __len__(self) -> int:
+        return len(self.level) + len(self.rest)
+
+    def __iter__(self):
+        return chain(self.level, self.rest)
+
+    def __getitem__(self, itemset_: Itemset) -> int:
+        if itemset_ in self.level:
+            return int(self.counts[self.level.position(itemset_)])
+        return self.rest[itemset_]
+
+    def counts_of(self, level: PairLevel):
+        """The supports of ``level``'s pairs, in its order (``level`` has
+        this answer's items)."""
+        if level.keep is None:
+            return self.counts
+        return self.counts[_np.frombuffer(level.keep, dtype=bool)]
+
+
+class LevelCounts:
+    """A counted level: one support per itemset, in the level's order.
+
+    Level 2 with NumPy holds an array and classifies it with one
+    ``np.nonzero``, building tuples only for the pairs asked for; every
+    other level holds a list and classifies it with one comprehension.
+    """
+
+    def __init__(self, level, counts) -> None:
+        self.level = level
+        self.counts = counts
+
+    def frequent(self, threshold: int) -> List[Itemset]:
+        """The level's itemsets with support ``>= threshold``, in order."""
+        if isinstance(self.counts, list):
+            return [
+                itemset_
+                for itemset_, count in zip(self.level, self.counts)
+                if count >= threshold
+            ]
+        return _pairs_at(self.level, _np.flatnonzero(self.counts >= threshold))
+
+    def infrequent(self, threshold: int) -> List[Itemset]:
+        """The level's itemsets with support ``< threshold``, in order."""
+        if isinstance(self.counts, list):
+            return [
+                itemset_
+                for itemset_, count in zip(self.level, self.counts)
+                if count < threshold
+            ]
+        return _pairs_at(self.level, _np.flatnonzero(self.counts < threshold))
+
+
+def as_level(candidates) -> "PairLevel | List[Itemset]":
+    """A generated level in the shape the miners count it: level 2 as a
+    :class:`PairLevel` (a kernel's set of pairs becomes one), any other
+    level as a sorted list."""
+    if isinstance(candidates, PairLevel):
+        return candidates
+    ordered = sorted(candidates)
+    if ordered and len(ordered[0]) == 2:
+        return PairLevel.of(ordered)
+    return ordered
+
+
+def pass_batch(
+    level, others: Sequence[Itemset], supports: Dict[Itemset, int]
+) -> Tuple[object, int]:
+    """One pass's batch: ``level`` plus ``others`` (the pass's MFCS
+    elements), and how many of its itemsets are the level's.
+
+    An itemset already in ``supports`` is not counted again, and one of
+    ``others`` that is also in the level is billed once, as the level's.
+    Level 2 stays lazy: its batch is a :class:`PairBatch`, and the pairs
+    already in ``supports`` are found from the dict side, never by
+    probing every pair.
+    """
+    if isinstance(level, PairLevel):
+        pairs = level.without(
+            [itemset_ for itemset_ in supports
+             if len(itemset_) == 2 and itemset_ in level]
+        )
+        rest = [
+            other for other in others
+            if other not in supports and other not in level
+        ]
+        return PairBatch(pairs, rest), len(pairs)
+    batch = dict.fromkeys(c for c in level if c not in supports)
+    num_level = len(batch)
+    batch.update((other, None) for other in others if other not in supports)
+    return list(batch), num_level
+
+
+def level_counts(level, answer, supports: Dict[Itemset, int]) -> LevelCounts:
+    """The shared adapter: a pass's answer as its level's counts.
+
+    ``answer`` is any engine's answer to the batch :func:`pass_batch`
+    built for ``level``.  Everything it counted is stored in
+    ``supports`` in bulk, and the level's itemsets an earlier pass
+    counted are read back from there.  A :class:`PairCounts` gives
+    level 2 its array as is; any other answer — every engine's dict,
+    and every listed batch's — is read itemset by itemset, into an
+    array for level 2 when NumPy is present.
+    """
+    if isinstance(answer, PairCounts):
+        counts = answer.counts_of(level)
+        supports.update(zip(level, counts.tolist()))
+        supports.update(answer.rest)
+        return LevelCounts(level, counts)
+    supports.update(answer)
+    if HAVE_NUMPY and isinstance(level, PairLevel):
+        counts = _np.fromiter(
+            map(supports.__getitem__, level), dtype=_np.int64, count=len(level)
+        )
+    else:
+        counts = [supports[itemset_] for itemset_ in level]
+    return LevelCounts(level, counts)
+
+
 class IndexCounter(SupportCounter):
     """The engine body of ``bitmap``, ``packed`` and ``roaring``.
 
@@ -706,11 +926,17 @@ class IndexCounter(SupportCounter):
     index is reported as ``prefix_cache_hits``/``prefix_cache_misses``
     and as the ``prefix_cache.hits``/``prefix_cache.misses`` metrics.
 
-    On the NumPy indexes (``packed``, ``roaring``) a batch whose pairs are
-    dense over their items — pass 2 — is counted by :func:`sweep_pairs`
-    first, inside the same billed pass; the index counts the rest (MFCS
-    elements, singletons, ``()``).  ``bitmap`` and NumPy-less runs never
-    sweep.  Swept pairs are neither prefix-cache hits nor misses: the
+    On the NumPy indexes (``packed``, ``roaring``) pass 2's pairs are
+    answered from the paper's 2-D array inside the same billed pass, and
+    the index counts the rest (MFCS elements, singletons, ``()``).  A
+    :class:`~repro.db.base.PairBatch` reaches them unlisted: its level's
+    items give the array's rows directly, and the answer is a
+    :class:`PairCounts` holding the array, with no per-pair mapping.  A
+    listed batch whose pairs are dense over their items goes through
+    :func:`sweep_pairs`.  ``packed`` gathers the rows from its own
+    matrix; ``roaring`` packs them from ``db.item_bitmaps()``.
+    ``bitmap`` and NumPy-less runs never sweep and count a PairBatch
+    listed.  Swept pairs are neither prefix-cache hits nor misses: the
     pass's ``count`` span reports them as ``pairs_swept`` (0 when the
     index counted everything).
     """
@@ -744,14 +970,33 @@ class IndexCounter(SupportCounter):
             self._index_db = weakref.ref(db)
         return self._index
 
-    def _count(self, db, candidates: List[Itemset]) -> Dict[Itemset, int]:
+    def _takes_pair_batches(self) -> bool:
+        return HAVE_NUMPY and self.index_class is not IntBitmapIndex
+
+    def _count(self, db, candidates):
         index = self._index_for(db)
-        result: Dict[Itemset, int] = {}
-        if not isinstance(index, IntBitmapIndex):
-            result, candidates = sweep_pairs(
-                db, candidates, self._check_deadline
-            )
-        self.last_pairs_swept = len(result)
+        answer = None
+        if isinstance(candidates, PairBatch):
+            level = candidates.level
+            if _sweeps(db, len(level.items), len(level)):
+                table = _pair_table(
+                    _item_rows(db, index, level.items), self._check_deadline
+                )
+                # the array answers the level; the index fills the rest
+                answer = PairCounts(level, _condensed(table), {})
+                candidates = candidates.rest
+            else:
+                candidates = list(candidates)
+        if answer is not None:
+            result = answer.rest
+            self.last_pairs_swept = len(answer.level)
+        else:
+            result = {}
+            if not isinstance(index, IntBitmapIndex):
+                result, candidates = sweep_pairs(
+                    db, candidates, self._check_deadline, index
+                )
+            self.last_pairs_swept = len(result)
         hits_before = index.prefix_hits
         misses_before = index.prefix_misses
         counts = (
@@ -767,7 +1012,7 @@ class IndexCounter(SupportCounter):
             self.obs.counter("prefix_cache.hits").inc(hits)
             self.obs.counter("prefix_cache.misses").inc(misses)
         result.update(zip(candidates, counts))
-        return result
+        return result if answer is None else answer
 
     def _span_attrs(self) -> Dict[str, int]:
         return {"pairs_swept": self.last_pairs_swept}

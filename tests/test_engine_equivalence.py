@@ -8,8 +8,9 @@ switched off) must return
 bit-identical counts on randomized databases, including the edge cases
 the fast paths are most likely to get wrong: empty transactions, the
 empty candidate ``()``, an empty candidate batch, candidates naming
-items outside the universe, and a dense pass-2-shaped pair batch (the
-2-D array sweep of ``packed`` and ``roaring``).
+items outside the universe, a dense pass-2-shaped pair batch (the
+2-D array sweep of ``packed`` and ``roaring``), and pass 2 as the miners
+send it, a lazy :class:`~repro.db.base.PairBatch`.
 """
 
 import random
@@ -18,6 +19,7 @@ from itertools import combinations
 import pytest
 
 import repro.db.vertical as vertical
+from repro.db.base import PairBatch, PairLevel
 from repro.db.counting import available_engines, get_counter
 from repro.db.shm import ShmShardedCounter
 from repro.db.transaction_db import TransactionDatabase
@@ -82,6 +84,20 @@ def make_counter(variant, monkeypatch):
     return variant_counters()[variant]()
 
 
+def lazy_pass_two_batch(rng, db):
+    """Pass 2 as the miners send it: a pair level over a random item
+    subset (one of its pairs already counted, in odd trials) plus one
+    long MFCS element."""
+    universe = list(db.universe) or [0]
+    items = sorted(rng.sample(universe, rng.randint(0, len(universe))))
+    level = PairLevel(items)
+    if len(items) > 2 and rng.random() < 0.5:
+        level = level.without([tuple(items[:2])])
+    size = min(len(universe), 6)
+    element = tuple(sorted(rng.sample(universe, size)))
+    return PairBatch(level, [element] if size > 2 else [])
+
+
 @pytest.mark.parametrize("variant", sorted(variant_counters()))
 def test_randomised_equivalence_with_naive(variant, monkeypatch):
     rng = random.Random(2026)
@@ -89,16 +105,29 @@ def test_randomised_equivalence_with_naive(variant, monkeypatch):
     for trial in range(NUM_TRIALS):
         db = random_database(rng)
         candidates = random_candidates(rng, db)
+        # its own generator: the other inputs stay as they were drawn
+        lazy = lazy_pass_two_batch(random.Random(7000 + trial), db)
         expected = get_counter("naive").count(db, candidates)
+        lazy_expected = get_counter("naive").count(db, list(lazy))
         counter = make_counter(variant, monkeypatch)
         try:
             actual = counter.count(db, candidates)
+            swept += getattr(counter, "last_pairs_swept", 0)
+            lazy_actual = counter.count(db, lazy)
+            lazy_swept = getattr(counter, "last_pairs_swept", 0)
         finally:
             close = getattr(counter, "close", None)
             if close is not None:
                 close()
         assert actual == expected, "trial %d: %s diverged" % (trial, variant)
-        swept += getattr(counter, "last_pairs_swept", 0)
+        assert lazy_actual == lazy_expected, (
+            "trial %d: %s diverged on the lazy batch" % (trial, variant)
+        )
+        # packed and roaring answer the lazy level from the 2-D array (an
+        # empty batch is free and counts nothing)
+        sweeps = variant in ("packed", "roaring") and vertical.HAVE_NUMPY
+        if len(lazy):
+            assert lazy_swept == (len(lazy.level) if sweeps else 0), variant
     # the dense pair batch must reach the sweep wherever one exists
     if variant in ("packed", "roaring") and vertical.HAVE_NUMPY:
         assert swept > 0

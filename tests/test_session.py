@@ -7,10 +7,19 @@ drives that differentially on both the serial and shm engines.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
+import repro.db.vertical as vertical
+from repro.algorithms.apriori import Apriori
+from repro.algorithms.brute_force import brute_force_frequents, brute_force_mfs
 from repro.core.bitset import ItemUniverse
+from repro.core.candidates import (
+    apriori_join,
+    apriori_prune,
+    first_level_candidates,
+)
 from repro.core.cover import CoverIndex, MaskCover
 from repro.core.kernel import BitmaskKernel, TupleKernel, make_kernel
 from repro.core.lattice import maximal_elements
@@ -355,3 +364,154 @@ class TestWarmStartRandomized:
         cold = pincer_search(db, 0.06)
         seeded = pincer_search(db, 0.06, initial_mfcs=sorted(low.mfs))
         assert sorted(seeded.mfs) == sorted(cold.mfs)
+
+
+def pass_counts(result):
+    return [
+        {key: value for key, value in p.to_dict().items() if key != "seconds"}
+        for p in result.stats.passes
+    ]
+
+
+def apriori_reference_passes(db, threshold):
+    """(candidates, frequent) per Apriori pass, from brute force and the
+    tuple join/prune."""
+    frequents = brute_force_frequents(db, min_count=threshold)
+    level, passes = first_level_candidates(db.universe), []
+    while level:
+        found = [c for c in level if c in frequents]
+        passes.append((len(level), len(found)))
+        level = sorted(apriori_prune(apriori_join(found), set(found)))
+    return passes
+
+
+#: engine variants of the ladder; "-no-numpy" counts with NumPy switched off
+LADDER_ENGINES = [
+    "naive", "bitmap", "packed", "roaring", "shm", "packed-no-numpy",
+]
+
+
+class TestPairLevelLadder:
+    """Level 2 kept lazy end to end, on every engine and without NumPy:
+    each configuration mines brute force's MFS, stores every pair it
+    counted with its true support, and bills per pass exactly what the
+    tuple kernel on ``bitmap`` bills."""
+
+    CONFIGS = {
+        "pure": dict(adaptive=False),
+        "adaptive": dict(adaptive=True),
+        "prune-uncovered": dict(adaptive=False, prune_uncovered=True),
+    }
+
+    @staticmethod
+    def engine(variant, monkeypatch):
+        if variant.endswith("-no-numpy"):
+            monkeypatch.setattr(vertical, "HAVE_NUMPY", False)
+            return variant[: -len("-no-numpy")]
+        return variant
+
+    @staticmethod
+    def check_pairs(db, result, reference):
+        pairs = sorted(p for p in result.supports if len(p) == 2)
+        assert pairs == sorted(p for p in reference.supports if len(p) == 2)
+        truth = get_counter("naive").count(db, pairs)
+        assert {p: result.supports[p] for p in pairs} == truth
+
+    @pytest.mark.parametrize("variant", LADDER_ENGINES)
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_pincer_configurations(self, variant, seed, monkeypatch):
+        db = random_db(seed, num_items=18, rows=300)
+        engine = self.engine(variant, monkeypatch)
+        warm_level_two = 0
+        for support in (0.04, 0.08):
+            threshold = db.absolute_support(support)
+            truth = sorted(brute_force_mfs(db, min_count=threshold))
+            seed_family = sorted(
+                PincerSearch(engine="bitmap").mine(db, support / 2).mfs
+            )
+            for name, options in sorted(self.CONFIGS.items()) + [
+                ("warm", dict(adaptive=False)),
+            ]:
+                initial = seed_family if name == "warm" else None
+                reference = PincerSearch(
+                    kernel="tuple", engine="bitmap", **options
+                ).mine(db, support, initial_mfcs=initial)
+                for kernel in ("tuple", "bitmask"):
+                    result = PincerSearch(
+                        engine=engine, kernel=kernel, **options
+                    ).mine(db, support, initial_mfcs=initial)
+                    label = (name, kernel, support)
+                    assert sorted(result.mfs) == truth, label
+                    assert pass_counts(result) == pass_counts(reference), label
+                    self.check_pairs(db, result, reference)
+                passes = reference.stats.passes
+                if name == "warm" and len(passes) > 1:
+                    warm_level_two += passes[0].maximal_found > 0
+        # the warm seed's MFS covered singletons before level 2 (which is
+        # then a strict subset of the pairs over its items)
+        assert warm_level_two
+
+    @pytest.mark.parametrize("variant", LADDER_ENGINES)
+    def test_apriori(self, variant, monkeypatch):
+        db = random_db(43, num_items=18, rows=300)
+        engine = self.engine(variant, monkeypatch)
+        for support in (0.04, 0.08):
+            threshold = db.absolute_support(support)
+            result = Apriori(engine=engine).mine(db, support)
+            assert sorted(result.mfs) == sorted(
+                brute_force_mfs(db, min_count=threshold)
+            )
+            assert [
+                (p.bottom_up_candidates, p.frequent_found)
+                for p in result.stats.passes
+            ] == apriori_reference_passes(db, threshold)
+            # every pair over L1 was counted, with its true support
+            frequent_items = sorted(
+                itemset_[0] for itemset_, count in result.supports.items()
+                if len(itemset_) == 1 and count >= threshold
+            )
+            pairs = sorted(p for p in result.supports if len(p) == 2)
+            assert pairs == list(combinations(frequent_items, 2))
+            truth = get_counter("naive").count(db, pairs)
+            assert {p: result.supports[p] for p in pairs} == truth
+
+    @pytest.mark.parametrize("engine", ["packed", "roaring", "bitmap"])
+    def test_listing_engine_mines_identically(self, engine):
+        # the layer ledger's probe lists every batch that is not a list
+        # before counting: pass 2 then takes the listed path, with the
+        # same answer, supports and billing
+        def listing(counter):
+            count = counter.count
+
+            def listed(db, candidates):
+                if not isinstance(candidates, list):
+                    candidates = list(candidates)
+                return count(db, candidates)
+
+            counter.count = listed
+            return counter
+
+        db = random_db(44, num_items=18, rows=300)
+        seed_family = sorted(PincerSearch(engine="bitmap").mine(db, 0.02).mfs)
+        for miner, initial in (
+            (PincerSearch(adaptive=False), None),
+            (PincerSearch(), None),
+            (PincerSearch(adaptive=False), seed_family),
+            (Apriori(), None),
+        ):
+            outcomes = []
+            for wrap in (False, True):
+                counter = get_counter(engine)
+                if wrap:
+                    listing(counter)
+                options = {} if initial is None else {"initial_mfcs": initial}
+                result = miner.mine(db, 0.04, counter=counter, **options)
+                outcomes.append((
+                    repr(sorted(result.mfs)),
+                    repr(sorted(result.supports.items())),
+                    pass_counts(result),
+                    counter.passes,
+                    counter.itemsets_counted,
+                    counter.records_read,
+                ))
+            assert outcomes[0] == outcomes[1], miner.name

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import repro.db.vertical as vertical
+from repro.db.base import PairBatch, PairLevel
 from repro.db.counting import CountingDeadline, get_counter
 from repro.db.roaring import RoaringIndex
 from repro.db.transaction_db import TransactionDatabase
@@ -298,6 +299,39 @@ class TestPairSweep:
             db, DENSE_BATCH
         )
         assert counter.last_pairs_swept == 0
+
+    def test_lazy_batch_matches_naive(self, engine):
+        # pass 2 as the miners send it: the pair level kept lazy, one
+        # pair already counted, plus an MFCS element
+        db = pair_database(200)
+        level = PairLevel(range(12)).without([(2, 7)])
+        batch = PairBatch(level, [tuple(range(12))])
+        expected = get_counter("naive").count(db, list(batch))
+        counter = get_counter(engine)
+        assert counter.count(db, batch) == expected
+        assert counter.last_pairs_swept == (65 if self.sweeps(engine) else 0)
+        assert counter.itemsets_counted == 66
+
+
+def test_packed_pass_two_reads_its_own_matrix(monkeypatch):
+    # once the index exists, pass 2 reads no int bitmap: packed gathers
+    # the swept rows from its matrix (roaring, with no flat rows, packs)
+    db = pair_database(200)
+    batch = PairBatch(PairLevel(range(12)), [tuple(range(12))])
+    naive = get_counter("naive")
+    expected_listed = naive.count(db, DENSE_BATCH)
+    expected_lazy = naive.count(db, list(batch))
+    counter = get_counter("packed")
+    counter.count(db, [(0,)])  # builds the index
+
+    def no_bitmaps():
+        raise AssertionError("pass 2 re-packed rows from item_bitmaps()")
+
+    monkeypatch.setattr(db, "item_bitmaps", no_bitmaps)
+    assert counter.count(db, DENSE_BATCH) == expected_listed
+    assert counter.last_pairs_swept == (69 if HAVE_NUMPY else 0)
+    assert counter.count(db, batch) == expected_lazy
+    assert counter.last_pairs_swept == (66 if HAVE_NUMPY else 0)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="requires NumPy")
