@@ -10,22 +10,23 @@ The miner runs on the same substrate as Pincer-Search (same database
 class, counting engines, stats, and result type), which is the paper's own
 fairness argument for its evaluation: "since both Apriori and
 Pincer-Search algorithms are using the same data structure, the comparison
-is fair" (Section 4.1.1).  That includes pass 2's 2-D array: both miners
-hold level 2 as the same lazy :class:`~repro.db.base.PairLevel`, count it
-through the same batch and adapter (:mod:`repro.db.vertical`), and take
-the frequent pairs from the same count array.
+is fair" (Section 4.1.1).  It runs the same loop, too:
+:func:`repro.core.pincer.levelwise` is Apriori from level 0 with nothing
+known, and Pincer-Search's fallback once it abandons the MFCS.  That
+includes pass 2's 2-D array: level 2 is the lazy
+:class:`~repro.db.base.PairLevel`, counted through the same batch and
+adapter (:mod:`repro.db.vertical`) as Pincer-Search's own pass 2.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from ..core.candidates import first_level_candidates
 from ..core.itemset import Itemset
 from ..core.kernel import BitmaskKernel
 from ..core.lattice import maximal_elements
-from ..core.pincer import resolve_threshold
+from ..core.pincer import levelwise, resolve_threshold
 from ..core.result import MiningResult, MiningTimeout
 from ..core.stats import MiningStats
 from ..db.counting import (
@@ -34,15 +35,15 @@ from ..db.counting import (
     resolve_counter,
 )
 from ..db.transaction_db import TransactionDatabase
-from ..db.vertical import level_counts, pass_batch
 from ..obs.instrument import NOOP, Instrumentation
 
 
 class Apriori:
     """Classic levelwise frequent-itemset miner.
 
-    Candidate generation runs on the bitmask lattice kernel (see
-    :mod:`repro.core.kernel`), as Pincer-Search's does.
+    Its loop is :func:`repro.core.pincer.levelwise`, the one Pincer-Search
+    completes with after abandoning the MFCS; candidate generation runs
+    on the bitmask lattice kernel (see :mod:`repro.core.kernel`).
     """
 
     name = "apriori"
@@ -67,14 +68,21 @@ class Apriori:
         Apriori cannot avoid discovering them all.  With long maximal
         itemsets that blow-up makes the run effectively unbounded (the
         phenomenon the paper's Figure 4 measures), so ``time_budget``
-        (seconds, checked at pass boundaries) raises
-        :class:`~repro.core.result.MiningTimeout` instead of thrashing.
+        (seconds, checked before each pass, inside each pass and inside
+        the join) raises :class:`~repro.core.result.MiningTimeout` instead
+        of thrashing.  The engine's deadline is cleared on every exit.
         """
         threshold, fraction = resolve_threshold(db, min_support, min_count)
         engine, decision = resolve_counter(db, self._engine, counter)
         obs = obs if obs is not None else NOOP
         engine.obs = obs
-        lattice = BitmaskKernel(db.universe)
+        progress = obs.progress
+        if progress.enabled:
+            progress.start_run(
+                algorithm=self.name,
+                num_transactions=len(db),
+                min_support_count=threshold,
+            )
         started = time.perf_counter()
 
         stats = MiningStats(
@@ -84,9 +92,6 @@ class Apriori:
         )
         supports: Dict[Itemset, int] = {}
         all_frequents: Set[Itemset] = set()
-        candidates: List[Itemset] = first_level_candidates(db.universe)
-        k = 0
-
         if time_budget is not None:
             engine.deadline = started + time_budget
 
@@ -97,84 +102,36 @@ class Apriori:
             num_transactions=len(db),
             min_support_count=threshold,
         )
-        with run_span:
-            while candidates:
-                k += 1
-                elapsed = time.perf_counter() - started
-                if time_budget is not None and elapsed > time_budget:
-                    stats.seconds = elapsed
-                    raise MiningTimeout(self.name, elapsed, stats)
-                pass_stats = stats.new_pass(k)
-                pass_started = time.perf_counter()
-
-                with obs.span("pass", k=k) as pass_span:
-                    batch, _ = pass_batch(candidates, (), supports)
-                    try:
-                        answer = engine.count(db, batch)
-                    except CountingDeadline:
-                        stats.passes.pop()  # the aborted pass never finished
-                        elapsed = time.perf_counter() - started
-                        stats.seconds = elapsed
-                        raise MiningTimeout(self.name, elapsed, stats) from None
-                    counted = level_counts(candidates, answer, supports)
-                    pass_stats.bottom_up_candidates = len(candidates)
-
-                    level_frequents = counted.frequent(threshold)
-                    pass_stats.frequent_found = len(level_frequents)
-                    pass_stats.infrequent_found = len(candidates) - len(
-                        level_frequents
-                    )
-                    all_frequents.update(level_frequents)
-
-                    elapsed = time.perf_counter() - started
-                    if time_budget is not None and elapsed > time_budget:
-                        pass_stats.seconds = time.perf_counter() - pass_started
-                        stats.seconds = elapsed
-                        raise MiningTimeout(self.name, elapsed, stats)
-                    with obs.span("generate"):
-                        if k == 1:
-                            # pass 2 counts every pair over L1, the 2-D
-                            # array Pincer-Search counts it in (§4.1.1)
-                            candidates = lattice.generate_candidates(
-                                level_frequents, (), k
-                            )
-                        else:
-                            try:
-                                joined = lattice.apriori_join(
-                                    level_frequents, deadline=engine.deadline
-                                )
-                            except CountingDeadline:
-                                elapsed = time.perf_counter() - started
-                                stats.seconds = elapsed
-                                raise MiningTimeout(
-                                    self.name, elapsed, stats
-                                ) from None
-                            candidates = sorted(
-                                lattice.apriori_prune(joined, level_frequents)
-                            )
-                    pass_stats.seconds = time.perf_counter() - pass_started
-                    if obs.enabled:
-                        pass_span.set(**pass_stats.to_dict())
-                        obs.counter("miner.candidates.bottom_up").inc(
-                            pass_stats.bottom_up_candidates
-                        )
-                        obs.counter("miner.frequent_found").inc(
-                            pass_stats.frequent_found
-                        )
-
-            engine.deadline = None
-            stats.seconds = time.perf_counter() - started
-            stats.records_read = engine.records_read
-            if obs.enabled:
-                run_span.set(
-                    passes=stats.num_passes,
-                    total_candidates=stats.total_candidates,
-                    mfs_size=len(maximal_elements(all_frequents)),
-                    records_read=stats.records_read,
+        try:
+            with run_span:
+                levelwise(
+                    db, engine, threshold, BitmaskKernel(db.universe), stats,
+                    supports, all_frequents, obs=obs,
                 )
-                obs.counter("miner.runs").inc()
+                mfs = frozenset(maximal_elements(all_frequents))
+                stats.seconds = time.perf_counter() - started
+                stats.records_read = engine.records_read
+                if obs.enabled:
+                    run_span.set(
+                        passes=stats.num_passes,
+                        total_candidates=stats.total_candidates,
+                        mfs_size=len(mfs),
+                        records_read=stats.records_read,
+                    )
+                    obs.counter("miner.runs").inc()
+        except CountingDeadline:
+            stats.seconds = time.perf_counter() - started
+            raise MiningTimeout(self.name, stats.seconds, stats) from None
+        finally:
+            engine.deadline = None
+        if progress.enabled:
+            progress.on_finish(
+                mfs_size=len(mfs),
+                passes=stats.num_passes,
+                seconds=stats.seconds,
+            )
         return MiningResult(
-            mfs=frozenset(maximal_elements(all_frequents)),
+            mfs=mfs,
             supports=supports,
             num_transactions=len(db),
             min_support_count=threshold,

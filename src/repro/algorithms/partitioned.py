@@ -86,7 +86,7 @@ from ..db.outofcore import (
 )
 from ..db.shm import MAX_WORKERS_ENV
 from ..db.snapshot import load_snapshot
-from ..db.transaction_db import TransactionDatabase
+from ..db.transaction_db import TransactionDatabase, UniverseView
 from ..obs.instrument import NOOP, Instrumentation
 from ..obs.logsetup import get_logger
 from .apriori import Apriori
@@ -94,31 +94,6 @@ from .apriori import Apriori
 logger = get_logger("algorithms.partitioned")
 
 __all__ = ["PartitionedPincerMiner", "partitioned_mine"]
-
-
-class _PartitionView:
-    """The database surface a partition-local mine needs.
-
-    The :class:`~repro.db.outofcore.HandleCounter` never reads rows from
-    the db argument — it counts through its handle — so the miner only
-    needs the partition's length and the shared universe (for candidate
-    generation, thresholds, and the termination guard).
-    """
-
-    def __init__(self, num_rows: int, universe: Tuple[int, ...]) -> None:
-        self._num_rows = num_rows
-        self._universe = universe
-
-    def __len__(self) -> int:
-        return self._num_rows
-
-    @property
-    def universe(self) -> Tuple[int, ...]:
-        return self._universe
-
-    @property
-    def num_items(self) -> int:
-        return len(self._universe)
 
 
 def _local_threshold(threshold: int, partition_rows: int, total_rows: int) -> int:
@@ -143,7 +118,7 @@ def _mine_one_partition(
     """
     started = time.perf_counter()
     counter = HandleCounter(handle)
-    view = _PartitionView(handle.num_rows, universe)
+    view = UniverseView(handle.num_rows, universe)
     seeded = False
     if seed_family:
         # Toivonen validity gate: the sample family seeds this partition

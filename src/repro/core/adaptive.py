@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs.logsetup import get_logger
+from ..obs.metrics import Ewma
 
 logger = get_logger("core.adaptive")
 
@@ -45,21 +46,17 @@ class PassRateEstimator:
     """
 
     def __init__(self, alpha: float = 0.5) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self._alpha = alpha
-        #: smoothed candidates/second; None until the first observation
-        self.rate: "float | None" = None
+        self._ewma = Ewma(alpha)
+
+    @property
+    def rate(self) -> "float | None":
+        """Smoothed candidates/second; None until the first observation."""
+        return self._ewma.value
 
     def observe(self, num_candidates: int, seconds: float) -> "float | None":
         """Record one pass; returns the updated smoothed rate."""
         if num_candidates > 0 and seconds > 0.0:
-            rate = num_candidates / seconds
-            self.rate = (
-                rate
-                if self.rate is None
-                else (1.0 - self._alpha) * self.rate + self._alpha * rate
-            )
+            self._ewma.observe(num_candidates / seconds)
         return self.rate
 
 

@@ -38,11 +38,18 @@ in one bulk update; the miner never sorts, batches or classifies the
 
 Adaptivity (Section 3.5): a pluggable
 :class:`~repro.core.adaptive.AdaptivePolicy` may abandon the MFCS mid-run;
-the algorithm then completes the remaining levels bottom-up.  To stay
-complete — and to keep the Observation-2 savings — the frequent
-``k``-itemsets that had been pruned as subsets of discovered maximal
-itemsets are *virtually* restored for candidate generation: they rejoin
-the Apriori join as known-frequent itemsets and are never re-counted.
+the algorithm then completes the remaining levels with :func:`levelwise`,
+the loop :class:`~repro.algorithms.apriori.Apriori` runs.  To stay
+complete — and to keep the Observation-2 savings — the discovered maximal
+itemsets are its oracle: their subsets rejoin the Apriori join as
+known-frequent itemsets and are never counted (amendment A6).
+
+This module holds the two pass loops of the package.  Every other miner
+runs one of them: ``Apriori`` the levelwise loop from level 0,
+:class:`~repro.algorithms.topdown.TopDown` the pincer loop's top-down half
+(``bottom_up=False``) from the full universe, and
+:class:`~repro.core.predicate.PredicatePincer` the pure pincer loop over a
+counter that asks a predicate.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ from contextlib import contextmanager
 from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..db.counting import SupportCounter, resolve_counter
+from ..db.base import PairBatch, PairLevel
+from ..db.counting import CountingDeadline, SupportCounter, resolve_counter
 from ..db.transaction_db import TransactionDatabase
 from ..db.vertical import as_level, level_counts, pass_batch
 from ..obs.instrument import NOOP, Instrumentation
@@ -176,20 +184,17 @@ class PincerSearch:
         ``db.universe`` raises :class:`ValueError`.
 
         ``bottom_up=False`` runs the top-down half alone: no Apriori
-        candidates, only MFCS classification and descent.  Amendments
-        A1/A2 make that a complete maximal miner by itself, and with a
-        tight ``initial_mfcs`` (e.g. the maximal union of per-partition
-        mines, which already covers every frequent itemset) it touches
-        the database only where classifications flip.  Because the
-        bottom-up stream an adaptive abandonment would fall back to does
-        not exist in this mode, the MFCS is unconditionally maintained
-        to the end; ``initial_mfcs`` is required.
+        candidates, only MFCS classification and descent, from
+        ``initial_mfcs`` or else the full universe (Section 3.1's pure
+        top-down search, :class:`~repro.algorithms.topdown.TopDown`).
+        Amendments A1/A2 make that a complete maximal miner by itself,
+        and with a tight ``initial_mfcs`` (e.g. the maximal union of
+        per-partition mines, which already covers every frequent
+        itemset) it touches the database only where classifications
+        flip.  The adaptive default does not apply in this mode: the
+        MFCS is maintained to the end unless an explicit ``policy``
+        caps it.
         """
-        if not bottom_up and initial_mfcs is None:
-            raise ValueError(
-                "bottom_up=False needs an initial_mfcs seed: the top-down "
-                "half alone has no candidate stream to fall back on"
-            )
         if initial_mfcs is not None:
             outside = set(chain.from_iterable(initial_mfcs)).difference(
                 db.universe
@@ -210,7 +215,11 @@ class PincerSearch:
                 num_transactions=len(db),
                 min_support_count=threshold,
             )
-        policy = self._make_policy() if bottom_up else AlwaysMaintain()
+        policy = (
+            self._make_policy()
+            if bottom_up or self._policy_prototype is not None
+            else AlwaysMaintain()
+        )
         lattice = make_kernel(self._kernel, db.universe)
         started = time.perf_counter()
 
@@ -422,20 +431,19 @@ class PincerSearch:
 
             if not maintaining:
                 # The MFCS was abandoned (Section 3.5's adaptive fallback)
-                # or never maintained: finish bottom-up with an Apriori
-                # sweep over the not-yet-covered region.  If no maximal
-                # itemset was discovered before abandonment, no pruning
-                # ever removed a frequent itemset and the levels
-                # classified so far are complete — the sweep resumes right
-                # at the current level.  Otherwise it rebuilds every level
-                # from the bottom, because the maintained phase's
-                # candidate generation only guarantees completeness
-                # jointly with the MFCS (the recovery procedure misses
-                # candidates both of whose join parents are subsets of two
-                # *different* MFS members — see DESIGN.md A6).  Either
-                # way, already-counted itemsets and subsets of discovered
-                # maximal itemsets are classified from cache, so only
-                # genuinely unknown itemsets reach the engine.
+                # or never maintained: finish with Apriori's own loop,
+                # the counts so far as its cache and the MFS as its
+                # known-frequent oracle.  If no maximal itemset was
+                # discovered before abandonment, no pruning ever removed a
+                # frequent itemset and the levels classified bottom-up so
+                # far are complete — the sweep resumes right at the
+                # current level.  Otherwise it rebuilds every level from
+                # the bottom, because the maintained phase's candidate
+                # generation only guarantees completeness jointly with the
+                # MFCS (the recovery procedure misses candidates both of
+                # whose join parents are subsets of two *different* MFS
+                # members — see DESIGN.md A6).  Either way only genuinely
+                # unknown itemsets reach the engine.
                 logger.info(
                     "MFCS abandoned after pass %d; completing bottom-up", k
                 )
@@ -445,10 +453,11 @@ class PincerSearch:
                         reason=getattr(policy, "abandon_reason", None)
                         or "policy",
                     )
-                start_level = k if not mfs else None
-                self._complete_bottom_up(
-                    db, engine, supports, threshold, mfs_cover, frequents_seen,
-                    stats, k, lattice, start_level, obs=obs,
+                levelwise(
+                    db, engine, threshold, lattice, stats, supports,
+                    frequents_seen, known=mfs_cover,
+                    level=k if bottom_up and not mfs else 0,
+                    pass_number=k, phase="sweep", obs=obs,
                 )
 
             final_mfs = maximal_elements(mfs | frequents_seen)
@@ -536,100 +545,6 @@ class PincerSearch:
         obs.counter("mfcs.cover_node_visits").inc(cover_node_visits)
         obs.gauge("mfcs.size").set(pass_stats.mfcs_size_after)
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _complete_bottom_up(
-        db: TransactionDatabase,
-        engine: SupportCounter,
-        supports: Dict[Itemset, int],
-        threshold: int,
-        mfs_cover,
-        frequents_seen: Set[Itemset],
-        stats: MiningStats,
-        pass_number: int,
-        lattice: LatticeKernel,
-        start_level: Optional[int] = None,
-        obs: Instrumentation = NOOP,
-    ) -> None:
-        """Apriori with a frequency oracle — the post-abandonment sweep.
-
-        Classic levelwise search in which a candidate is classified
-        without touching the database when (a) its support is already
-        cached from the maintained phase, or (b) it is a subset of a
-        discovered maximal frequent itemset (Observation 2).  Only the
-        remaining unknowns are counted, one pass per level that has any.
-        Every frequent itemset encountered lands in ``frequents_seen``,
-        from which the caller's final ``maximal_elements`` derives the
-        MFS.
-
-        ``start_level`` resumes from an already-complete level (valid
-        only when the maintained phase never pruned a frequent itemset,
-        i.e. the MFS was still empty at abandonment); None rebuilds from
-        level 1.
-        """
-        if start_level is not None and start_level >= 1:
-            current = sorted(
-                f for f in frequents_seen if len(f) == start_level
-            )
-            level = start_level
-        else:
-            current = []
-            level = 0
-        while True:
-            level += 1
-            if level == 1:
-                candidates = first_level_candidates(db.universe)
-            else:
-                joined = lattice.apriori_join(current)
-                candidates = sorted(lattice.apriori_prune(joined, current))
-            if not candidates:
-                break
-            frequent: List[Itemset] = []
-            unknown: List[Itemset] = []
-            for candidate in candidates:
-                count = supports.get(candidate)
-                if count is not None:
-                    if count >= threshold:
-                        frequent.append(candidate)
-                elif mfs_cover.covers(candidate):
-                    frequent.append(candidate)  # known frequent, uncounted
-                else:
-                    unknown.append(candidate)
-            if unknown:
-                pass_number += 1
-                pass_stats = stats.new_pass(pass_number)
-                pass_started = time.perf_counter()
-                with obs.span("sweep", k=level) as sweep_span:
-                    supports.update(engine.count(db, unknown))
-                    pass_stats.bottom_up_candidates = len(unknown)
-                    newly_frequent = [
-                        c for c in unknown if supports[c] >= threshold
-                    ]
-                    pass_stats.frequent_found = len(newly_frequent)
-                    pass_stats.infrequent_found = len(unknown) - len(
-                        newly_frequent
-                    )
-                    pass_stats.seconds = time.perf_counter() - pass_started
-                    if obs.enabled:
-                        sweep_span.set(**pass_stats.to_dict())
-                frequent.extend(newly_frequent)
-                progress = obs.progress
-                if progress.enabled:
-                    progress.on_pass(
-                        k=level,
-                        candidates=len(unknown),
-                        mfcs_size=0,
-                        candidate_bound=candidate_upper_bound(
-                            len(frequent), level
-                        ),
-                        phase="sweep",
-                    )
-            current = sorted(frequent)
-            frequents_seen.update(current)
-            if not current:
-                break
-
 
 def _count_recovered(
     lattice: LatticeKernel,
@@ -639,6 +554,118 @@ def _count_recovered(
     """How many surviving candidates the plain join alone missed."""
     plain = lattice.apriori_join(level_frequents)
     return sum(1 for candidate in next_candidates if candidate not in plain)
+
+
+def levelwise(
+    db: TransactionDatabase,
+    engine: SupportCounter,
+    threshold: int,
+    lattice: LatticeKernel,
+    stats: MiningStats,
+    supports: Dict[Itemset, int],
+    frequents: Set[Itemset],
+    *,
+    known=None,
+    level: int = 0,
+    pass_number: int = 0,
+    phase: str = "pass",
+    obs: Instrumentation = NOOP,
+) -> None:
+    """Apriori's levelwise loop, with a count cache and a frequency oracle.
+
+    Level ``k + 1`` joins the frequent ``k``-itemsets and prunes the
+    joins with an infrequent ``k``-subset (Observation 1); level 2 is the
+    lazy :class:`~repro.db.base.PairLevel` over the frequent items.  A
+    candidate is classified without the database when ``supports``
+    already holds its count, or when it is uncounted and ``known`` (a
+    cover of itemsets known frequent) covers it; the rest are counted in
+    one pass per level that has any.  Every count lands in ``supports``
+    and every frequent itemset in ``frequents``; the passes are appended
+    to ``stats`` as ``pass_number + 1``, ``+ 2``, ..., each under a
+    ``phase`` span and progress event.
+
+    :class:`~repro.algorithms.apriori.Apriori` runs it from level 0 with
+    nothing known.  :class:`PincerSearch` runs it once it stops
+    maintaining the MFCS, with its counts and its MFS as the oracle,
+    resuming after ``level`` (whose frequent itemsets must all be in
+    ``frequents``) or, at 0, rebuilding from level 1.  A set
+    ``engine.deadline`` is checked before each level and inside the join;
+    passing it raises :class:`~repro.db.counting.CountingDeadline`.
+    """
+    progress = obs.progress
+    current = sorted(f for f in frequents if len(f) == level) if level else []
+    while True:
+        if level == 0:
+            candidates = first_level_candidates(db.universe)
+        else:
+            with obs.span("generate"):
+                if level == 1:
+                    candidates = as_level(
+                        lattice.generate_candidates(current, (), 1)
+                    )
+                else:
+                    joined = lattice.apriori_join(
+                        current, deadline=engine.deadline
+                    )
+                    candidates = sorted(lattice.apriori_prune(joined, current))
+        if not candidates:
+            return
+        level += 1
+        if engine.deadline is not None and time.perf_counter() > engine.deadline:
+            raise CountingDeadline("levelwise search passed its deadline")
+        # cached pairs are found from the dict side, as pass_batch does
+        if isinstance(candidates, PairLevel):
+            cached = [s for s in supports if len(s) == 2 and s in candidates]
+            unknown = candidates.without(cached)
+        else:
+            cached = [c for c in candidates if c in supports]
+            unknown = [c for c in candidates if c not in supports]
+        frequent = [c for c in cached if supports[c] >= threshold]
+        if known is not None:
+            covered = [c for c in unknown if known.covers(c)]
+            if covered:
+                frequent += covered  # known frequent, never counted
+                if isinstance(unknown, PairLevel):
+                    unknown = unknown.without(covered)
+                else:
+                    covered = set(covered)
+                    unknown = [c for c in unknown if c not in covered]
+        if unknown:
+            pass_number += 1
+            pass_started = time.perf_counter()
+            with obs.span(phase, k=level) as pass_span:
+                batch = (
+                    PairBatch(unknown)
+                    if isinstance(unknown, PairLevel)
+                    else unknown
+                )
+                counted = level_counts(
+                    unknown, engine.count(db, batch), supports
+                ).frequent(threshold)
+                pass_stats = stats.new_pass(pass_number)
+                pass_stats.bottom_up_candidates = len(unknown)
+                pass_stats.frequent_found = len(counted)
+                pass_stats.infrequent_found = len(unknown) - len(counted)
+                pass_stats.seconds = time.perf_counter() - pass_started
+                if obs.enabled:
+                    pass_span.set(**pass_stats.to_dict())
+                    obs.counter("miner.candidates.bottom_up").inc(
+                        pass_stats.bottom_up_candidates
+                    )
+                    obs.counter("miner.frequent_found").inc(len(counted))
+            frequent += counted
+            if progress.enabled:
+                progress.on_pass(
+                    k=level,
+                    candidates=len(unknown),
+                    mfcs_size=0,
+                    candidate_bound=candidate_upper_bound(len(frequent), level),
+                    phase=phase,
+                )
+        current = sorted(frequent)
+        frequents.update(current)
+        if not current:
+            return
 
 
 def resolve_threshold(

@@ -9,16 +9,17 @@ predicate; "attribute set is NOT a key of this relation" (minimal-keys
 discovery, reference [11] of the paper) and "episode occurs in enough
 windows" are others.
 
-:class:`PredicatePincer` runs the same two-way search as the main miner —
-levelwise candidates from the bottom, an MFCS frontier from the top — but
-evaluates an oracle callback instead of counting a database.  The oracle
-is consulted once per distinct set (answers are memoised), and the
-*batch* in which sets are asked mirrors the passes of the main algorithm,
-so oracle-call accounting matches the paper's candidate accounting.
+:class:`PredicatePincer` runs the main miner itself — pure
+:class:`~repro.core.pincer.PincerSearch` at ``min_count=1`` over a
+:class:`~repro.db.transaction_db.UniverseView` — through a counter that
+answers 1 for a set satisfying the predicate and 0 otherwise.  The
+predicate is asked once per distinct set (answers are memoised), and each
+batch of questions is one pass of the main algorithm, so oracle-call
+accounting is the paper's candidate accounting.
 
-For database frequency the main :class:`~repro.core.pincer.PincerSearch`
-is faster (it counts whole batches per pass); this module is the right
-tool when evaluating the predicate has nothing to do with transactions.
+For database frequency, counting the database directly is faster (an
+engine counts a whole batch per pass); this module is the right tool when
+evaluating the predicate has nothing to do with transactions.
 """
 
 from __future__ import annotations
@@ -26,18 +27,26 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Set, Tuple
 
-from .candidates import first_level_candidates
+from ..db.base import SupportCounter
+from ..db.transaction_db import UniverseView
 from .cover import CoverIndex
 from .itemset import Itemset
-from .kernel import BitmaskKernel
 from .lattice import maximal_elements
+from .pincer import PincerSearch
 
 #: An anti-monotone predicate over canonical itemsets.
 Predicate = Callable[[Itemset], bool]
 
 
 class OracleStats:
-    """Accounting for one predicate-mining run."""
+    """Accounting for one predicate-mining run.
+
+    ``oracle_calls`` counts distinct sets asked; ``rounds`` the search's
+    passes, each one batch of questions; ``maximal_found_top_down`` the
+    maximal sets those passes found as MFCS elements.  Both come from
+    :class:`~repro.core.stats.MiningStats`, so an iteration answered
+    entirely from earlier answers asks nothing and counts in neither.
+    """
 
     def __init__(self) -> None:
         self.oracle_calls = 0
@@ -49,6 +58,33 @@ class OracleStats:
             "OracleStats(calls=%d, rounds=%d, top_down=%d)"
             % (self.oracle_calls, self.rounds, self.maximal_found_top_down)
         )
+
+
+class _PredicateCounter(SupportCounter):
+    """Counts a set as 1 when the predicate holds and 0 when it fails.
+
+    At ``min_count=1`` that makes "frequent" mean "satisfies".  Answers
+    are memoised, so the predicate is asked once per distinct set, and
+    with ``check`` on every batch is followed by the anti-monotonicity
+    check over all answers so far.
+    """
+
+    name = "predicate"
+
+    def __init__(self, predicate: Predicate, check: bool) -> None:
+        super().__init__()
+        self._predicate = predicate
+        self._check = check
+        self.answers: Dict[Itemset, bool] = {}
+
+    def _count(self, db, candidates: List[Itemset]) -> Dict[Itemset, int]:
+        answers = self.answers
+        for candidate in candidates:
+            if candidate not in answers:
+                answers[candidate] = bool(self._predicate(candidate))
+        if self._check:
+            _verify_antimonotonicity(answers)
+        return {candidate: int(answers[candidate]) for candidate in candidates}
 
 
 class PredicatePincer:
@@ -83,87 +119,37 @@ class PredicatePincer:
         Returns ``(maximal_sets, stats)``.  An empty result means not even
         a single element satisfies the predicate.
         """
-        universe_set = tuple(sorted(set(universe)))
-        stats = OracleStats()
-        cache: Dict[Itemset, bool] = {}
-
-        def ask(candidate: Itemset) -> bool:
-            if candidate not in cache:
-                stats.oracle_calls += 1
-                cache[candidate] = bool(self._predicate(candidate))
-            return cache[candidate]
-
-        satisfied: Set[Itemset] = set()
-        maximal: Set[Itemset] = set()
-        lattice = BitmaskKernel(universe_set)
-        maximal_cover = lattice.make_cover()
-        mfcs = lattice.make_mfcs(universe_set)
-        candidates: List[Itemset] = first_level_candidates(universe_set)
-        k = 0
-
-        while candidates or len(mfcs) > 0:
-            k += 1
-            if k > 2 * len(universe_set) + 4:
-                raise AssertionError("predicate search failed to terminate")
-            stats.rounds += 1
-
-            frontier = sorted(mfcs)
-            failing_frontier: List[Itemset] = []
-            for element in frontier:
-                if ask(element):
-                    maximal.add(element)
-                    maximal_cover.add(element)
-                    mfcs.remove(element)
-                    stats.maximal_found_top_down += 1
-                else:
-                    failing_frontier.append(element)
-
-            level_true = []
-            failing: List[Itemset] = []
-            for candidate in candidates:
-                if ask(candidate):
-                    if not maximal_cover.covers(candidate):
-                        level_true.append(candidate)
-                        satisfied.add(candidate)
-                else:
-                    failing.append(candidate)
-
-            if self._check:
-                self._verify_antimonotonicity(cache)
-
-            mfcs.update(failing, protected=maximal_cover)
-            mfcs.update(failing_frontier, protected=maximal_cover)
-            candidates = sorted(
-                lattice.generate_candidates(level_true, maximal_cover, k)
-            )
-
-        result = maximal_elements(maximal | satisfied)
-        return result, stats
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _verify_antimonotonicity(cache: Dict[Itemset, bool]) -> None:
-        """Check anti-monotonicity over every evaluated (subset, superset).
-
-        A violation is a false set with a true superset; a cover index of
-        the true sets answers that in one query per false set.  Cost is
-        linear in the evaluated family per round — acceptable for the
-        oracle-mining sizes this class targets, and switchable off via
-        ``check_antimonotone=False``.
-        """
-        trues = CoverIndex(
-            candidate for candidate, value in cache.items() if value
+        counter = _PredicateCounter(self._predicate, self._check)
+        result = PincerSearch(adaptive=False).mine(
+            UniverseView(1, sorted(set(universe))), min_count=1,
+            counter=counter,
         )
-        for candidate, value in cache.items():
-            if value:
-                continue
-            witnesses = trues.supersets_of(candidate)
-            if witnesses:
-                raise ValueError(
-                    "predicate is not anti-monotone: %r holds but its "
-                    "subset %r does not" % (witnesses[0], candidate)
-                )
+        stats = OracleStats()
+        stats.oracle_calls = len(counter.answers)
+        stats.rounds = result.stats.num_passes
+        stats.maximal_found_top_down = result.stats.total_maximal_found_in_mfcs
+        return set(result.mfs), stats
+
+
+def _verify_antimonotonicity(answers: Dict[Itemset, bool]) -> None:
+    """Check anti-monotonicity over every evaluated (subset, superset).
+
+    A violation is a false set with a true superset; a cover index of the
+    true sets answers that in one query per false set.  Cost is linear in
+    the evaluated family per round — acceptable for the oracle-mining
+    sizes this class targets, and switchable off via
+    ``check_antimonotone=False``.
+    """
+    trues = CoverIndex(candidate for candidate, value in answers.items() if value)
+    for candidate, value in answers.items():
+        if value:
+            continue
+        witnesses = trues.supersets_of(candidate)
+        if witnesses:
+            raise ValueError(
+                "predicate is not anti-monotone: %r holds but its "
+                "subset %r does not" % (witnesses[0], candidate)
+            )
 
 
 def maximal_satisfying_sets(

@@ -227,3 +227,30 @@ class TransactionDatabase:
         for transaction in self._transactions:
             seen.update(transaction)
         return tuple(sorted(seen))
+
+
+class UniverseView:
+    """A database known only by its length and item universe.
+
+    The surface a miner needs when its counter never reads rows from the
+    database argument: the partitioned miner's per-partition counters
+    count through their partition handle, and the predicate miner's
+    counter asks its predicate.  The miner still takes the universe (for
+    candidate generation and the termination guard) and the length (for
+    thresholds and record accounting) from the view.
+    """
+
+    def __init__(self, num_rows: int, universe: Iterable[int]) -> None:
+        self._num_rows = num_rows
+        self._universe: Itemset = tuple(universe)
+
+    def __len__(self) -> int:
+        return self._num_rows
+
+    @property
+    def universe(self) -> Itemset:
+        return self._universe
+
+    @property
+    def num_items(self) -> int:
+        return len(self._universe)

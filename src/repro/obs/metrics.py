@@ -14,6 +14,11 @@ one attribute update per observation:
   want cheap summaries, and keeping the per-observation cost at a handful
   of scalar updates is what lets engines observe every batch.
 
+:class:`Ewma`, the one exponentially weighted moving average, lives here
+too but outside the registry: the session's ETA rate, the request log's
+slow-query baseline and the stall watchdog's inter-beat intervals each
+hold their own.
+
 Disabled instrumentation uses :data:`NULL_INSTRUMENT` — a single object
 answering ``inc``/``set``/``observe`` with a no-op — handed out by
 :class:`NullRegistry` without allocating anything per call.
@@ -43,6 +48,7 @@ from .schema import SCHEMA_VERSION
 
 __all__ = [
     "Counter",
+    "Ewma",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -168,6 +174,32 @@ class Histogram:
             "p95": round(self.percentile(95.0), 9),
             "p99": round(self.percentile(99.0), 9),
         }
+
+
+class Ewma:
+    """Exponentially weighted moving average.
+
+    ``value`` is None until the first :meth:`observe`, which sets it
+    exactly; each later observation moves it ``alpha`` of the way toward
+    the new value.
+    """
+
+    __slots__ = ("alpha", "value")
+
+    def __init__(self, alpha: float) -> None:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        self.alpha = alpha
+        self.value: "float | None" = None
+
+    def observe(self, value: float) -> float:
+        """Fold in ``value``; returns the updated average."""
+        self.value = (
+            value
+            if self.value is None
+            else (1.0 - self.alpha) * self.value + self.alpha * value
+        )
+        return self.value
 
 
 class _NullInstrument:

@@ -28,6 +28,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from .metrics import Ewma
 from .schema import SCHEMA_VERSION
 
 __all__ = ["RequestLog", "SlowQueryRing"]
@@ -118,13 +119,10 @@ class RequestLog:
         slow_factor: float = DEFAULT_SLOW_FACTOR,
         alpha: float = 0.3,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
         self.path = path
         self.slow_min_seconds = float(slow_min_seconds)
         self.slow_factor = float(slow_factor)
-        self._alpha = alpha
-        self._ewma: Optional[float] = None
+        self._baseline = Ewma(alpha)
         self._lock = threading.Lock()
         self._handle = open(path, "a", encoding="utf-8")
         self.ring = (
@@ -168,25 +166,19 @@ class RequestLog:
                 and isinstance(seconds, (int, float))
             ):
                 slow = self._is_slow(float(seconds))
-                self._observe(float(seconds))
+                self._baseline.observe(float(seconds))
                 if slow and self.ring is not None:
                     self.ring.snapshot(payload, spans)
                     self.slow_recorded += 1
         return payload
 
     def _is_slow(self, seconds: float) -> bool:
-        if self._ewma is None:
+        baseline = self._baseline.value
+        if baseline is None:
             # no baseline yet: only the absolute floor applies
             return seconds > self.slow_min_seconds
-        threshold = max(self.slow_min_seconds, self.slow_factor * self._ewma)
+        threshold = max(self.slow_min_seconds, self.slow_factor * baseline)
         return seconds > threshold
-
-    def _observe(self, seconds: float) -> None:
-        self._ewma = (
-            seconds
-            if self._ewma is None
-            else (1.0 - self._alpha) * self._ewma + self._alpha * seconds
-        )
 
     # ------------------------------------------------------------------
 

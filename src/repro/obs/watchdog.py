@@ -30,6 +30,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .logsetup import get_logger
+from .metrics import Ewma
 from .telemetry import (
     HeartbeatRecord,
     TelemetryConfig,
@@ -103,7 +104,7 @@ class StallWatchdog:
         self._reader = reader
         self._config = config if config is not None else TelemetryConfig()
         self._obs = obs
-        self._ewma: Dict[int, float] = {}
+        self._ewma: Dict[int, Ewma] = {}
         self._last_beat: Dict[int, tuple] = {}  # slot -> (beats, mono_ts)
         self._first_seen: Dict[int, float] = {}
         self._flagged: Dict[int, StallEvent] = {}
@@ -116,7 +117,8 @@ class StallWatchdog:
         config = self._config
         if config.stall_after is not None:
             return config.stall_after
-        interval = self._ewma.get(slot, config.min_stall_seconds)
+        ewma = self._ewma.get(slot)
+        interval = config.min_stall_seconds if ewma is None else ewma.value
         return max(config.min_stall_seconds, config.stall_factor * interval)
 
     def _observe(self, slot: int, record: Optional[HeartbeatRecord]) -> None:
@@ -131,12 +133,9 @@ class StallWatchdog:
                 interval = max(
                     _MIN_INTERVAL, (record.mono_ts - prev_ts) / delta
                 )
-                ewma = self._ewma.get(slot)
-                self._ewma[slot] = (
-                    interval
-                    if ewma is None
-                    else (1.0 - _ALPHA) * ewma + _ALPHA * interval
-                )
+                if slot not in self._ewma:
+                    self._ewma[slot] = Ewma(_ALPHA)
+                self._ewma[slot].observe(interval)
         if previous is None or record.heartbeats != previous[0]:
             self._last_beat[slot] = (record.heartbeats, record.mono_ts)
 

@@ -9,6 +9,7 @@ from repro.algorithms.brute_force import (
     brute_force_mfs,
 )
 from repro.algorithms.topdown import TopDown, top_down
+from repro.core.pincer import PincerSearch
 from repro.core.result import MiningTimeout
 from repro.db.counting import get_counter
 from repro.db.transaction_db import TransactionDatabase
@@ -112,6 +113,13 @@ class TestTopDown:
         with pytest.raises(RuntimeError, match="frontier exploded"):
             TopDown(max_frontier=10).mine(db, 1.0)
 
+    def test_frontier_guard_holds_after_a_long_maximal_itemset(self):
+        # (1..14) is maximal in pass 2, longer than any adaptive length
+        # cap; the frontier of 15-containing sets then grows past 50
+        db = TransactionDatabase([list(range(1, 15))] * 5 + [[15]] * 5)
+        with pytest.raises(RuntimeError, match="frontier exploded"):
+            TopDown(max_frontier=50).mine(db, min_count=5)
+
     def test_empty_database(self):
         result = top_down(TransactionDatabase([]), 0.5)
         assert result.mfs == frozenset()
@@ -120,6 +128,25 @@ class TestTopDown:
         db = TransactionDatabase([[1], [2], [3], [4]])
         result = top_down(db, 0.9)
         assert result.mfs == frozenset()
+
+    @pytest.mark.parametrize("minsup", [0.25, 0.5, 0.75])
+    def test_is_pincer_search_top_down_half(self, minsup):
+        # the unseeded top-down half of Pincer-Search is this miner
+        db = TransactionDatabase(
+            [[1, 2, 3, 4], [1, 2, 3], [2, 3, 5], [1, 4, 5], [2, 3, 4, 5]]
+        )
+        expected = top_down(db, minsup)
+        result = PincerSearch().mine(db, minsup, bottom_up=False)
+        assert result.mfs == expected.mfs == brute_force_mfs(db, minsup)
+
+        def counts(stats):
+            return [
+                {k: v for k, v in p.to_dict().items() if k != "seconds"}
+                for p in stats.passes
+            ]
+
+        assert counts(result.stats) == counts(expected.stats)
+        assert expected.algorithm == expected.stats.algorithm == "top-down"
 
 
 class TestCrossAlgorithmAgreement:

@@ -84,6 +84,17 @@ class TestAprioriBudgetEndToEnd:
         )
         assert counter.deadline is None
 
+    def test_deadline_cleared_after_timeout(self):
+        counter = get_counter("bitmap")
+        db = TransactionDatabase([[1, 2, 3]] * 5 + [[4]] * 2)
+        with pytest.raises(MiningTimeout):
+            Apriori().mine(db, 0.3, counter=counter, time_budget=0.0)
+        assert counter.deadline is None
+        # the caller's counter keeps working, timed or not
+        assert counter.count(db, [(1,)]) == {(1,): 5}
+        result = Apriori().mine(db, 0.3, counter=counter)
+        assert set(result.mfs) == {(1, 2, 3)}
+
     def test_budgeted_and_unbudgeted_agree_when_finishing(self):
         db = TransactionDatabase([[1, 2, 3]] * 5 + [[4]] * 2)
         with_budget = Apriori().mine(db, 0.3, time_budget=60.0)

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.pincer import PincerSearch
 from repro.db import io
 from repro.db.counting import get_counter
@@ -26,6 +27,7 @@ from repro.obs import (
     validate_metrics_file,
     validate_trace_file,
 )
+from repro.obs.progress import ProgressReporter
 
 TRANSACTIONS = [
     [1, 2, 3, 4], [1, 2, 3], [1, 2, 3], [1, 2], [2, 3], [1, 3],
@@ -177,6 +179,44 @@ class TestTraceMatchesStats:
             document = json.load(handle)
         assert document["counters"]["prefix_cache.hits"] > 0
         assert document["counters"]["prefix_cache.misses"] > 0
+
+
+class TestSweepProgress:
+    def test_fallback_reports_sweep_phase(self, tmp_path):
+        # a warm seed and a policy that abandons after pass 2: the sweep
+        # rebuilds from level 1 and counts level 3 as pass 3
+        db = TransactionDatabase(
+            [[1, 2, 3, 4]] * 4 + [[5, 6, 7, 8, 9]] * 2 + [[5, 6, 7]]
+            + [[1, 5], [2, 6], [3, 7], [4, 8]]
+        )
+        seed = sorted(PincerSearch().mine(db, min_count=2).mfs)
+        reporter = ProgressReporter(stream=None)
+        trace_path = str(tmp_path / "run.jsonl")
+        obs = capture(trace_path=trace_path, progress=reporter)
+        policy = AdaptivePolicy(frequent_ratio_floor=1.0, min_ratio_sample=1)
+        result = PincerSearch(policy=policy).mine(
+            db, min_count=3, obs=obs, initial_mfcs=seed
+        )
+        obs.finish()
+
+        phases = [event["phase"] for event in reporter.events]
+        assert phases == ["start", "pass", "pass", "abandon", "sweep", "finish"]
+        (sweep,) = [e for e in reporter.events if e["phase"] == "sweep"]
+        last = result.stats.passes[-1]
+        assert last.pass_number == 3
+        assert sweep["k"] == 3  # the level the sweep counted
+        assert sweep["candidates"] == last.total_candidates == 1
+        assert sweep["mfcs_size"] == 0
+
+        assert validate_trace_file(trace_path) > 0
+        events = read_trace(trace_path)
+        (span,) = spans_named(events, "sweep")
+        assert span["attrs"]["pass_number"] == 3
+        mirrored = [
+            event for event in events
+            if event["type"] == "progress" and event["phase"] == "sweep"
+        ]
+        assert [event["k"] for event in mirrored] == [3]
 
 
 class TestShardedObservability:

@@ -1,7 +1,10 @@
 """Algorithm-level tests for Pincer-Search (repro.core.pincer)."""
 
+from itertools import combinations
+
 import pytest
 
+from repro.algorithms.brute_force import brute_force_mfs
 from repro.core.adaptive import AdaptivePolicy, AlwaysMaintain, NeverMaintain
 from repro.core.pincer import PincerSearch, pincer_search, resolve_threshold
 from repro.core.result import MiningResult
@@ -136,6 +139,41 @@ class TestPolicies:
         result = pincer_search(db, 2 / 6, policy=policy)
         pure = pincer_search(db, 2 / 6, adaptive=False)
         assert result.mfs == pure.mfs
+
+    def test_rebuild_classifies_covered_pairs_without_counting(self):
+        # the warm seed's (1, 2, 3, 4) is maximal in pass 1, so pass 2 never
+        # counts its pairs; abandoning after pass 2 rebuilds from level 1,
+        # where the MFS classifies those pairs frequent with no count and
+        # the sweep counts only (5, 6, 7), which nothing covers
+        db = TransactionDatabase(
+            [[1, 2, 3, 4]] * 4 + [[5, 6, 7, 8, 9]] * 2 + [[5, 6, 7]]
+            + [[1, 5], [2, 6], [3, 7], [4, 8]]
+        )
+        seed = sorted(pincer_search(db, min_count=2).mfs)
+        assert (1, 2, 3, 4) in seed
+        counter = get_counter("bitmap")
+        counted = []
+        count = counter.count
+
+        def spy(db, candidates):
+            batch = list(candidates)
+            counted.append(batch)
+            return count(db, batch)
+
+        counter.count = spy
+        policy = AdaptivePolicy(frequent_ratio_floor=1.0, min_ratio_sample=1)
+        result = PincerSearch(policy=policy).mine(
+            db, min_count=3, counter=counter, initial_mfcs=seed
+        )
+        assert policy.abandon_reason == "frequent-ratio"
+        assert set(result.mfs) == brute_force_mfs(db, min_count=3)
+        everything = set().union(*counted)
+        for pair in combinations((1, 2, 3, 4), 2):
+            assert pair not in everything
+            assert pair not in result.supports
+        # pass 3 is the sweep's level 3
+        assert counted[2:] == [[(5, 6, 7)]]
+        assert [p.pass_number for p in result.stats.passes] == [1, 2, 3]
 
     def test_observation2_prunes_mfs_subsets(self):
         # with a concentrated database the pure pincer discovers the long

@@ -10,6 +10,8 @@ from repro.core.predicate import (
     maximal_satisfying_sets,
 )
 from repro.core.lattice import is_antichain
+from repro.core.pincer import PincerSearch
+from repro.db.transaction_db import TransactionDatabase
 
 
 class TestBasics:
@@ -103,6 +105,31 @@ class TestAgainstBruteForce:
             ) == brute_force_maximal_satisfying_sets(
                 range(1, n + 1), predicate
             )
+
+    def test_frequency_predicate_runs_pure_pincer_search(self):
+        # frequency is one anti-monotone predicate: the oracle miner asks
+        # exactly what pure Pincer-Search counts, once per distinct itemset
+        rng = random.Random(33)
+        for trial in range(30):
+            db = TransactionDatabase([
+                rng.sample(range(12), rng.randint(0, 7))
+                for _ in range(rng.randint(10, 60))
+            ])
+            threshold = rng.randint(2, 6)
+            miner = PincerSearch(adaptive=False, engine="naive")
+            mined = miner.mine(db, min_count=threshold)
+
+            def predicate(candidate, db=db, threshold=threshold):
+                return db.support_count(candidate) >= threshold
+
+            result, stats = PredicatePincer(predicate).mine(db.universe)
+            assert result == set(mined.mfs)
+            assert result == brute_force_maximal_satisfying_sets(
+                db.universe, predicate
+            )
+            assert stats.oracle_calls == len(mined.supports)
+            assert stats.oracle_calls == mined.stats.total_candidates
+            assert stats.rounds == mined.stats.num_passes
 
     def test_randomised_weight_thresholds(self):
         rng = random.Random(32)

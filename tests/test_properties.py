@@ -13,7 +13,7 @@ from repro.algorithms.apriori import apriori
 from repro.algorithms.brute_force import brute_force_frequents, brute_force_mfs
 from repro.algorithms.topdown import top_down
 from repro.borders.borders import negative_border
-from repro.core.adaptive import AdaptivePolicy
+from repro.core.adaptive import AdaptivePolicy, NeverMaintain
 from repro.core.candidates import apriori_join, apriori_prune
 from repro.core.cover import CoverIndex
 from repro.core.itemset import is_subset
@@ -63,7 +63,7 @@ def test_pincer_adaptive_equals_brute_force(raw, min_count):
 
 
 @settings(max_examples=60, deadline=None)
-@given(transactions, min_counts, st.integers(min_value=0, max_value=3))
+@given(transactions, min_counts, st.integers(min_value=0, max_value=4))
 def test_pincer_with_hostile_policies_equals_brute_force(raw, min_count, mode):
     # policies tuned to abandon the MFCS at awkward moments
     policy = [
@@ -72,6 +72,7 @@ def test_pincer_with_hostile_policies_equals_brute_force(raw, min_count, mode):
         AdaptivePolicy(futile_passes=1, min_passes=1, abandon_length_cap=1),
         AdaptivePolicy(frequent_ratio_floor=1.0, min_ratio_sample=1,
                        abandon_length_cap=1),
+        NeverMaintain(),
     ][mode]
     db = build_db(raw)
     truth = brute_force_mfs(db, min_count=min_count)
@@ -82,9 +83,20 @@ def test_pincer_with_hostile_policies_equals_brute_force(raw, min_count, mode):
 @given(transactions, min_counts)
 def test_apriori_equals_brute_force(raw, min_count):
     db = build_db(raw)
-    assert set(apriori(db, min_count=min_count).mfs) == brute_force_mfs(
-        db, min_count=min_count
-    )
+    result = apriori(db, min_count=min_count)
+    assert set(result.mfs) == brute_force_mfs(db, min_count=min_count)
+    # a Pincer-Search that never keeps the MFCS runs Apriori's own loop
+    never = pincer_search(db, min_count=min_count, policy=NeverMaintain())
+    assert never.mfs == result.mfs
+    assert never.supports == result.supports
+
+    def counts(stats):
+        return [
+            {key: value for key, value in p.to_dict().items() if key != "seconds"}
+            for p in stats.passes
+        ]
+
+    assert counts(never.stats) == counts(result.stats)
 
 
 @settings(max_examples=60, deadline=None)
