@@ -70,7 +70,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..borders.borders import negative_border
-from ..core.bitset import ItemUniverse
 from ..core.itemset import Itemset
 from ..core.lattice import maximal_elements
 from ..core.pincer import PincerSearch, resolve_threshold
@@ -577,7 +576,7 @@ class PartitionedPincerMiner:
         # pre-warm the cache with the verified counts: the final miner's
         # first classification is then served entirely from cache, and
         # real partition sweeps happen only where the MFCS descends
-        cache = SupportCache(ItemUniverse(universe))
+        cache = SupportCache()
         cache.store_batch(supports)
         cached = CachedSupportCounter(engine, cache)
         passes_before = engine.passes

@@ -117,8 +117,8 @@ class CellResult:
 
 MinerFactory = Callable[[], object]
 
-#: The two miners of the paper's evaluation.  Factories, because policy
-#: objects are stateful per run.
+#: The two miners of the paper's evaluation, as factories: each cell
+#: mines with a fresh miner.
 PAPER_MINERS: Dict[str, MinerFactory] = {
     "pincer-search": lambda: PincerSearch(adaptive=True),
     "apriori": lambda: Apriori(),

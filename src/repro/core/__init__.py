@@ -13,7 +13,6 @@ from .candidates import (
 from .cover import CoverIndex, MaskCover
 from .itemset import EMPTY, Itemset, itemset
 from .kernel import BitmaskKernel, LatticeKernel, TupleKernel, make_kernel
-from .maskstore import CompressedMaskStore
 from .mfcs import MFCS
 from .pincer import PincerSearch, pincer_search, resolve_threshold
 from .predicate import PredicatePincer, maximal_satisfying_sets
@@ -26,7 +25,6 @@ __all__ = [
     "AdaptivePolicy",
     "AlwaysMaintain",
     "BitmaskKernel",
-    "CompressedMaskStore",
     "CoverIndex",
     "InconsistentInstance",
     "ItemUniverse",

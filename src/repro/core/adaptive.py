@@ -128,6 +128,12 @@ class AdaptivePolicy:
             raise ValueError("mfcs_ratio_cap must be positive")
         if self.futile_passes < 0 or self.min_passes < 1:
             raise ValueError("pass thresholds must be non-negative / positive")
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the last run: :class:`~repro.core.pincer.PincerSearch`
+        calls this as each mine starts, so one policy instance serves
+        every mine alike and ``abandon_reason`` describes the latest."""
         self._futile_streak = 0
         self._abandoned = False
         self.abandon_reason: "str | None" = None
@@ -315,6 +321,9 @@ class NeverMaintain(AdaptivePolicy):
 
     def __init__(self) -> None:
         super().__init__()
+
+    def reset(self) -> None:
+        super().reset()
         self._abandoned = True
         self.abandon_reason = "never-maintain"
 

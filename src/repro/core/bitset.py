@@ -152,13 +152,6 @@ class ItemUniverse:
         self._tuple_cache.setdefault(mask, itemset_)
         return mask
 
-    def try_mask_of(self, itemset_: Itemset) -> Optional[int]:
-        """Like :meth:`mask_of` but None for out-of-universe itemsets."""
-        try:
-            return self.mask_of(itemset_)
-        except KeyError:
-            return None
-
     def raw_mask_of(self, itemset_: Itemset) -> Optional[int]:
         """Uncached encode; None for out-of-universe itemsets.
 

@@ -107,8 +107,10 @@ class PincerSearch:
         :class:`AdaptivePolicy` may abandon the MFCS; when False the pure
         algorithm maintains it to the end.
     policy:
-        Explicit policy instance, overriding ``adaptive``.  Policies are
-        stateful, so give each :meth:`mine` call a fresh one.
+        Explicit policy instance, overriding ``adaptive``.  Each
+        :meth:`mine` resets it as it starts (see
+        :meth:`AdaptivePolicy.reset`), so its ``abandon_reason`` reads
+        the latest mine's.
     prune_uncovered:
         Extension beyond the paper: additionally drop bottom-up candidates
         not covered by MFS ∪ MFCS.  Such candidates are provably
@@ -147,6 +149,7 @@ class PincerSearch:
 
     def _make_policy(self) -> AdaptivePolicy:
         if self._policy_prototype is not None:
+            self._policy_prototype.reset()
             return self._policy_prototype
         return AdaptivePolicy() if self._adaptive else AlwaysMaintain()
 

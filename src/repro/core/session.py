@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from ..db.counting import resolve_counter
@@ -36,16 +37,12 @@ from ..db.transaction_db import TransactionDatabase
 from ..obs.instrument import NOOP, Instrumentation
 from ..rules.from_mfs import expand_mfs_supports
 from ..rules.generation import AssociationRule, generate_rules
-from .adaptive import AdaptivePolicy, PassRateEstimator
-from .bitset import ItemUniverse, candidate_upper_bound
+from .adaptive import PassRateEstimator
+from .bitset import candidate_upper_bound
 from .itemset import Itemset
 from .pincer import PincerSearch, resolve_threshold
 from .result import MiningResult
-from .supportcache import (
-    DEFAULT_MAX_ENTRIES,
-    CachedSupportCounter,
-    SupportCache,
-)
+from .supportcache import CachedSupportCounter, SupportCache
 
 __all__ = ["MiningSession", "SessionClosedError"]
 
@@ -66,16 +63,15 @@ class MiningSession:
     engine:
         Engine name as accepted by the one-shot miners (default
         ``"auto"``).
-    kernel / adaptive / policy / prune_uncovered:
-        Forwarded to :class:`~repro.core.pincer.PincerSearch`.
+    kernel:
+        Forwarded to :class:`~repro.core.pincer.PincerSearch`, which
+        mines every query with its adaptive default policy.
     obs:
         Session-wide instrumentation; each query's spans and the
         ``cache.*`` metrics land here.
-    cache_entries:
-        Bound for the support cache (see :class:`SupportCache`).
     key:
-        Snapshot identity string the cache is keyed by (e.g. the
-        snapshot path).  Purely descriptive for in-memory databases.
+        Snapshot identity string (e.g. the snapshot path), reported by
+        :meth:`stats`.  Purely descriptive for in-memory databases.
     """
 
     def __init__(
@@ -84,11 +80,7 @@ class MiningSession:
         *,
         engine: str = "auto",
         kernel: Optional[str] = None,
-        adaptive: bool = True,
-        policy: Optional[AdaptivePolicy] = None,
-        prune_uncovered: bool = False,
         obs: Optional[Instrumentation] = None,
-        cache_entries: int = DEFAULT_MAX_ENTRIES,
         key: Optional[str] = None,
     ) -> None:
         self.db = db
@@ -96,19 +88,11 @@ class MiningSession:
         self.key = key if key is not None else "mem-%x" % id(db)
         engine_obj, decision = resolve_counter(db, engine, None)
         self.decision = decision
-        self.cache = SupportCache(
-            ItemUniverse(db.universe), max_entries=cache_entries, key=self.key
-        )
+        self.cache = SupportCache()
         #: the cached facade every query counts through; the session owns
         #: the wrapped engine's lifetime
         self.counter = CachedSupportCounter(engine_obj, self.cache)
-        self._miner = PincerSearch(
-            engine=engine,
-            adaptive=adaptive,
-            policy=policy,
-            prune_uncovered=prune_uncovered,
-            kernel=kernel,
-        )
+        self._miner = PincerSearch(engine=engine, kernel=kernel)
         #: absolute threshold -> MFS mined there (the warm-start ledger)
         self._mined: Dict[int, frozenset] = {}
         self._lock = threading.Lock()
@@ -151,16 +135,12 @@ class MiningSession:
         ``span_sink`` collects the query's closed span events for the
         caller (the serve slow-query recorder); ``timings`` receives
         ``queue_wait_s``, the time spent waiting for the session lock —
-        the honest queue-wait a serve access log should report.
+        the honest queue-wait a serve access log should report — and
+        ``cache_hits`` / ``cache_misses``, this query's own cache
+        lookups, which concurrent queries never touch.
         """
         threshold, _ = resolve_threshold(self.db, min_support, min_count)
-        wait_started = time.perf_counter()
-        with self._lock:
-            if timings is not None:
-                timings["queue_wait_s"] = timings.get("queue_wait_s", 0.0) + (
-                    time.perf_counter() - wait_started
-                )
-            self._ensure_open()
+        with self._query_lock(timings):
             seed = self._warm_seed(threshold) if warm_start else None
             misses_before = self.cache.misses
             mine_started = time.perf_counter()
@@ -213,13 +193,7 @@ class MiningSession:
         )
         if depth is None:
             depth = max((len(member) for member in result.mfs), default=0)
-        wait_started = time.perf_counter()
-        with self._lock:
-            if timings is not None:
-                timings["queue_wait_s"] = timings.get("queue_wait_s", 0.0) + (
-                    time.perf_counter() - wait_started
-                )
-            self._ensure_open()
+        with self._query_lock(timings):
             with self.obs.bind(sink=span_sink, request_id=request_id):
                 supports = expand_mfs_supports(
                     self.db, result, depth, counter=self.counter
@@ -248,13 +222,14 @@ class MiningSession:
         are already known, else pessimistically all items.  Warm
         evidence (a mined threshold at or below the query's) marks the
         query cheap regardless of the bound, because its passes resolve
-        from cache.  Never touches the data plane.
+        from cache.  Never touches the data plane, and bills no cache
+        hit or miss: pricing is not a query.
         """
         threshold, _ = resolve_threshold(self.db, min_support, min_count)
         known = 0
         frequent_singletons = 0
         for item in self.db.universe:
-            cached = self.cache.get((item,))
+            cached = self.cache.peek((item,))
             if cached is None:
                 continue
             known += 1
@@ -312,6 +287,28 @@ class MiningSession:
         if self.closed:
             raise SessionClosedError("session %s is closed" % self.key)
 
+    @contextmanager
+    def _query_lock(self, timings: Optional[Dict[str, float]]):
+        """Hold the session lock for one query phase on an open session.
+
+        Adds to ``timings`` (when given) the wait for the lock and the
+        cache hits and misses the phase billed.  Both are read inside
+        the lock, so a concurrent query's lookups never land here.
+        """
+        wait_started = time.perf_counter()
+        with self._lock:
+            if timings is not None:
+                _add(timings, "queue_wait_s", time.perf_counter() - wait_started)
+            self._ensure_open()
+            cache = self.cache
+            hits, misses = cache.hits, cache.misses
+            try:
+                yield
+            finally:
+                if timings is not None:
+                    _add(timings, "cache_hits", cache.hits - hits)
+                    _add(timings, "cache_misses", cache.misses - misses)
+
     def _best_seed_threshold(self, threshold: int) -> Optional[int]:
         """Largest mined threshold at or below ``threshold``, or None."""
         eligible = [t for t in self._mined if t <= threshold]
@@ -330,3 +327,7 @@ class MiningSession:
         if best is None:
             return None
         return sorted(self._mined[best])
+
+
+def _add(timings: Dict[str, float], key: str, amount: float) -> None:
+    timings[key] = timings.get(key, 0) + amount

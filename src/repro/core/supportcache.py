@@ -7,19 +7,13 @@ threshold) for free, which is the whole economics of a resident session:
 one hot snapshot, many differently-parameterized queries, each pass
 consulting the cache before touching the data plane.
 
-:class:`SupportCache` is the store, in two generations.  The *young*
-generation is a plain ``itemset tuple -> count`` dict — the hot path,
-one hash lookup per candidate with no mask interning at all, because
-the cache sits in front of engines that count thousands of candidates
-per second and must never cost more than the counting it saves.  On
-filling, young is compressed wholesale into the *old* generation via
-the block machinery of :mod:`repro.core.maskstore` (interned masks,
-sorted, LEB128 varint deltas — a few bytes per entry instead of ~100 of
-dict overhead), and the previous old generation is dropped: segmented
-LRU without per-entry bookkeeping.  Old-generation probes pay one mask
-computation and one cache-resident block decode; hits are promoted back
-into young, so anything still in use stays on the fast path.  The count
-payload rides in the maskstore's slot channel.
+:class:`SupportCache` is the store: one plain ``itemset tuple -> count``
+dict — one hash lookup per candidate with no mask interning at all,
+because the cache sits in front of engines that count thousands of
+candidates per second and must never cost more than the counting it
+saves.  It is bounded by :data:`MAX_ENTRIES`: a store that would grow
+past the bound empties the dict first (a *rotation*), and whatever is
+still in use is counted once more and stored again.
 
 :class:`CachedSupportCounter` is the insertion point: a duck-typed
 wrapper around any :class:`~repro.db.base.SupportCounter` that partitions
@@ -30,9 +24,9 @@ sweep, rules expansion — gets cache semantics uniformly, and a fully
 cached batch bills no pass and never wakes the worker plane.
 
 Exactness: the cache stores the engine's own counts verbatim, keyed by
-interned mask, so a cached classification is byte-for-byte the
-classification a cold count would have produced (the differential ladder
-in ``tests/test_session.py`` proves this end to end).
+itemset, so a cached classification is byte-for-byte the classification
+a cold count would have produced (the differential ladder in
+``tests/test_session.py`` proves this end to end).
 """
 
 from __future__ import annotations
@@ -41,48 +35,25 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .._types import Itemset
 from ..db.base import SupportCounter
-from .bitset import ItemUniverse
-from .maskstore import CompressedMaskStore
 
-__all__ = ["DEFAULT_MAX_ENTRIES", "CachedSupportCounter", "SupportCache"]
+__all__ = ["MAX_ENTRIES", "CachedSupportCounter", "SupportCache"]
 
-#: Default cache bound (entries across both generations).  At a few
-#: bytes per entry this is single-digit MiB — roomy next to the lattice
-#: frontiers the miner already holds.
-DEFAULT_MAX_ENTRIES = 1_000_000
+#: Cache bound in entries; a store past it empties the cache first.
+#: At ~100 bytes of dict machinery per entry this is tens of MiB —
+#: roomy next to the lattice frontiers the miner already holds.
+MAX_ENTRIES = 500_000
 
 
 class SupportCache:
-    """Bounded mask -> support-count store for one snapshot.
+    """Bounded itemset -> support-count store for one database.
 
-    Parameters
-    ----------
-    universe:
-        The database's :class:`~repro.core.bitset.ItemUniverse`; cache
-        keys are its interned masks, which ties the cache to one item
-        vocabulary the way the session ties it to one snapshot id.
-    max_entries:
-        Total bound across both generations.  Each generation holds up
-        to half; filling the young dict compresses it into the old
-        generation and drops the previous old generation wholesale.
-    key:
-        Opaque snapshot identity, carried for introspection — sessions
-        refuse to share a cache across different snapshot keys.
+    ``hits`` and ``misses`` bill every :meth:`get` and every distinct
+    candidate of a :meth:`partition`; :meth:`peek` bills nothing.
+    ``rotations`` counts the times the bound emptied the store.
     """
 
-    def __init__(
-        self,
-        universe: ItemUniverse,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        key: Optional[str] = None,
-    ) -> None:
-        if max_entries < 2:
-            raise ValueError("max_entries must be at least 2")
-        self.universe = universe
-        self.max_entries = max_entries
-        self.key = key
-        self._young: Dict[Itemset, int] = {}
-        self._old = CompressedMaskStore()
+    def __init__(self) -> None:
+        self._counts: Dict[Itemset, int] = {}
         self.hits = 0
         self.misses = 0
         self.rotations = 0
@@ -90,16 +61,19 @@ class SupportCache:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._young) + len(self._old)
+        return len(self._counts)
 
     def encoded_bytes(self) -> int:
-        """Resident payload bytes: dict entries priced at their
-        compressed cost-to-be plus the old generation's actual bytes."""
-        return 8 * len(self._young) + self._old.encoded_bytes()
+        """Payload bytes: one 8-byte count per entry."""
+        return 8 * len(self._counts)
+
+    def peek(self, itemset_: Itemset) -> Optional[int]:
+        """Cached support of ``itemset_``, or None.  Bills nothing."""
+        return self._counts.get(itemset_)
 
     def get(self, itemset_: Itemset) -> Optional[int]:
         """Cached support of ``itemset_``, or None.  Bills hit/miss."""
-        count = self._lookup(itemset_)
+        count = self._counts.get(itemset_)
         if count is None:
             self.misses += 1
         else:
@@ -107,7 +81,11 @@ class SupportCache:
         return count
 
     def put(self, itemset_: Itemset, count: int) -> None:
-        self._store(itemset_, count)
+        counts = self._counts
+        if itemset_ not in counts and len(counts) >= MAX_ENTRIES:
+            counts.clear()
+            self.rotations += 1
+        counts[itemset_] = count
 
     def partition(
         self, candidates: Iterable[Itemset]
@@ -143,44 +121,6 @@ class SupportCache:
             "misses": self.misses,
             "rotations": self.rotations,
         }
-
-    # ------------------------------------------------------------------
-
-    def _lookup(self, itemset_: Itemset) -> Optional[int]:
-        count = self._young.get(itemset_)
-        if count is not None:
-            return count
-        if not self._old:  # pre-rotation: the young dict is everything
-            return None
-        mask = self.universe.try_mask_of(itemset_)
-        if mask is None:  # foreign items cannot have been counted here
-            return None
-        count = self._old.get(mask)
-        if count is not None:
-            # old-generation hit: promote back to the fast path, and so
-            # the next rotation keeps it
-            self._store(itemset_, count)
-        return count
-
-    def _store(self, itemset_: Itemset, count: int) -> None:
-        if (
-            itemset_ not in self._young
-            and len(self._young) >= self.max_entries // 2
-        ):
-            self._old = CompressedMaskStore.from_dict(self._compress_young())
-            self._young = {}
-            self.rotations += 1
-        self._young[itemset_] = count
-
-    def _compress_young(self) -> Dict[int, int]:
-        """Young entries as interned masks (foreign itemsets dropped)."""
-        mask_of = self.universe.try_mask_of
-        out: Dict[int, int] = {}
-        for itemset_, count in self._young.items():
-            mask = mask_of(itemset_)
-            if mask is not None:
-                out[mask] = count
-        return out
 
 
 class CachedSupportCounter:

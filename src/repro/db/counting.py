@@ -33,7 +33,7 @@ Engines provided:
     databases when NumPy is installed.
 ``roaring``
     The compressed tier (:mod:`repro.db.roaring`): per-item hybrid
-    containers (sorted-array / packed-bitmap / run) in 2^16-row chunks,
+    containers (sorted-array / packed-bitmap) in 2^16-row chunks,
     with container-level fused intersect+popcount that skips absent
     chunks.  ``auto`` picks it for large sparse databases
     (:func:`engine_decision` is the only density-based resolver).

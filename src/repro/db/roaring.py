@@ -7,8 +7,8 @@ tiny fraction of it.  Real basket data is dominated by exactly those
 sparse low-support items, so this module stores each item's vertical
 bitmap as a *hybrid container index* in the style of Roaring bitmaps
 (Chambi et al.): the row space is cut into 2^16-row chunks, and each
-column picks the cheapest of three container forms for its payload —
-sized in bytes exactly like roaring's array/bitmap/run decision:
+column picks the cheaper of two container forms for its payload — sized
+in bytes exactly like roaring's array/bitmap decision:
 
 ``array``
     A sorted vector of row positions — the form for sparse columns.
@@ -21,15 +21,16 @@ sized in bytes exactly like roaring's array/bitmap/run decision:
     chunk-aligned span* — chunks before the first and past the last set
     bit are never stored, and an AND of two bitmap containers touches
     only the chunks in the overlap of both spans.
-``run``
-    Sorted ``[start, stop)`` intervals — the clustered form (a column
-    set in one contiguous stretch of transactions costs 16 bytes).
+
+Roaring's third form, ``[start, stop)`` run intervals for clustered
+columns, is left out: no column of the benchmark's datasets picks it,
+and a clustered column's counts are the same in the bitmap form.
 
 The fused intersect+popcount dispatches on the container pair:
 array∧array is a ``searchsorted`` probe, array∧bitmap a word
 gather-and-test, bitmap∧bitmap a word AND over the span overlap (zero
 work when the spans are disjoint — the absent chunks are skipped
-wholesale), array∧run an interval ``searchsorted``.
+wholesale).
 Support counting walks the sorted candidate stream with the same
 prefix-sharing discipline as :class:`~repro.db.vertical.PrefixIntersector`
 and *fuses* the final AND with the popcount — when the next candidate
@@ -54,7 +55,7 @@ differential suite in ``tests/test_roaring.py`` pins this).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .._types import Itemset
 from .vertical import IndexCounter
@@ -90,8 +91,6 @@ if _np is not None:
 
     from .vertical import _popcount_words
 
-    _ONES = _np.uint64(0xFFFFFFFFFFFFFFFF)
-
     class _Sparse:
         """Sorted int64 row positions of a whole column (array form).
 
@@ -126,42 +125,6 @@ if _np is not None:
             self.words = words
             self.card = card
 
-    class _Run:
-        """Sorted, disjoint ``[start, stop)`` int64 intervals (run form).
-
-        Run-vs-bitmap intersections expand to dense words lazily, once,
-        and cache the expansion — runs are chosen only when there are
-        very few of them, so the expansion is cheap and rare.
-        """
-
-        __slots__ = ("runs", "card", "_dense")
-        kind = "run"
-
-        def __init__(self, runs, card: int) -> None:
-            self.runs = runs
-            self.card = card
-            self._dense = None
-
-        def dense(self) -> "_Dense":
-            if self._dense is None:
-                runs = self.runs
-                lo = int(runs[0, 0]) >> 6
-                hi = ((int(runs[-1, 1]) - 1) >> 6) + 1
-                words = _np.zeros(hi - lo, dtype=_np.uint64)
-                for start, stop in runs.tolist():
-                    first = (start >> 6) - lo
-                    last = ((stop - 1) >> 6) - lo
-                    head = _ONES << _np.uint64(start & 63)
-                    tail = _ONES >> _np.uint64(63 - ((stop - 1) & 63))
-                    if first == last:
-                        words[first] |= head & tail
-                    else:
-                        words[first] |= head
-                        words[first + 1 : last] = _ONES
-                        words[last] |= tail
-                self._dense = _Dense(lo, words, self.card)
-            return self._dense
-
     def _probe_sparse(positions, other):
         """Bool mask: which sorted ``positions`` are set in ``other``.
 
@@ -175,16 +138,11 @@ if _np is not None:
                 _np.searchsorted(theirs, positions), mode="clip"
             )
             return got == positions
-        if type(other) is _Dense:
-            bits = _gather_bits(positions, other)
-            if type(bits) is tuple:
-                valid, bits = bits
-                return valid & (bits != 0)
-            return bits != 0
-        runs = other.runs
-        idx = _np.searchsorted(runs[:, 0], positions, side="right") - 1
-        stops = runs[:, 1].take(_np.maximum(idx, 0))
-        return (idx >= 0) & (positions < stops)
+        bits = _gather_bits(positions, other)
+        if type(bits) is tuple:
+            valid, bits = bits
+            return valid & (bits != 0)
+        return bits != 0
 
     def _gather_bits(positions, dense):
         """Per-position bit values gathered from a dense container.
@@ -214,34 +172,11 @@ if _np is not None:
                 _np.searchsorted(theirs, positions), mode="clip"
             )
             return int(_np.count_nonzero(got == positions))
-        if type(other) is _Dense:
-            bits = _gather_bits(positions, other)
-            if type(bits) is tuple:
-                valid, bits = bits
-                return int(_np.count_nonzero(valid & (bits != 0)))
-            return int(_np.count_nonzero(bits))
-        return int(_np.count_nonzero(_probe_sparse(positions, other)))
-
-    def _run_intersect(runs_a, runs_b):
-        """Interval-merge intersection of two run lists (None when empty)."""
-        list_a = runs_a.tolist()
-        list_b = runs_b.tolist()
-        out: List[Tuple[int, int]] = []
-        card = 0
-        i = j = 0
-        while i < len(list_a) and j < len(list_b):
-            start = max(list_a[i][0], list_b[j][0])
-            stop = min(list_a[i][1], list_b[j][1])
-            if start < stop:
-                out.append((start, stop))
-                card += stop - start
-            if list_a[i][1] <= list_b[j][1]:
-                i += 1
-            else:
-                j += 1
-        if not out:
-            return None
-        return _np.array(out, dtype=_np.int64), card
+        bits = _gather_bits(positions, other)
+        if type(bits) is tuple:
+            valid, bits = bits
+            return int(_np.count_nonzero(valid & (bits != 0)))
+        return int(_np.count_nonzero(bits))
 
     def _dense_overlap(a, b):
         """Word slices of two dense containers over their span overlap."""
@@ -266,15 +201,6 @@ if _np is not None:
             if not kept.shape[0]:
                 return None
             return _Sparse(kept)
-        if ta is _Run and tb is _Run:
-            merged = _run_intersect(a.runs, b.runs)
-            if merged is None:
-                return None
-            return _Run(*merged)
-        if ta is _Run:
-            a = a.dense()
-        if tb is _Run:
-            b = b.dense()
         overlap = _dense_overlap(a, b)
         if overlap is None:
             return None
@@ -298,13 +224,6 @@ if _np is not None:
             if ta is not _Sparse or (tb is _Sparse and b.card < a.card):
                 a, b = b, a
             return _probe_count(a.positions, b)
-        if ta is _Run:
-            if tb is _Run:
-                merged = _run_intersect(a.runs, b.runs)
-                return 0 if merged is None else merged[1]
-            a = a.dense()
-        if tb is _Run:
-            b = b.dense()
         overlap = _dense_overlap(a, b)
         if overlap is None:
             return 0
@@ -346,11 +265,11 @@ class RoaringIndex:
 
     @staticmethod
     def _build_column(value: int, num_rows: int):
-        """Cheapest whole-column container for one item's bitmap.
+        """Cheaper whole-column container for one item's bitmap.
 
-        Byte costs: array ``8*card``, run ``16*runs``, bitmap ``8*words``
-        over the occupied chunk-aligned span; ties prefer the array form
-        (its probe is the cheapest intersection).  Empty columns return
+        Byte costs: array ``8*card``, bitmap ``8*words`` over the
+        occupied chunk-aligned span; ties prefer the array form (its
+        probe is the cheaper intersection).  Empty columns return
         ``None`` and are not stored at all.
         """
         if not value:
@@ -358,45 +277,23 @@ class RoaringIndex:
         data = value.to_bytes((num_rows + 7) // 8 or 1, "little")
         data += b"\x00" * (-len(data) % 8)
         # the whole container decision runs at word level — positions are
-        # unpacked only if the array/run form actually wins, so a dense
+        # unpacked only if the array form actually wins, so a dense
         # column never pays for bit unpacking at all
         words_all = _np.frombuffer(data, dtype=_np.uint64)
         occupied = _np.flatnonzero(words_all)
         occ_vals = words_all.take(occupied)
         card = int(_popcount_words(occ_vals[None, :])[0])
-        # run count without positions: a run of L set bits contains L-1
-        # adjacent pairs, so num_runs = card - pairs (pairs inside a word
-        # via w & (w >> 1); pairs straddling consecutive words via the
-        # high bit of one and the low bit of the next)
-        pairs = int(
-            _popcount_words(
-                (occ_vals & (occ_vals >> _np.uint64(1)))[None, :]
-            )[0]
-        )
-        if occupied.shape[0] > 1:
-            adjacent = occupied[1:] == occupied[:-1] + 1
-            straddle = (
-                (occ_vals[:-1] >> _np.uint64(63)) & occ_vals[1:]
-            ) & _np.uint64(1)
-            pairs += int(_np.count_nonzero(adjacent & (straddle != 0)))
         chunk_bytes = CHUNK_SIZE // 8
         first_chunk = int(occupied[0]) // CHUNK_WORDS
         last_chunk = int(occupied[-1]) // CHUNK_WORDS
         lo_byte = first_chunk * chunk_bytes
         hi_byte = min(len(data), (last_chunk + 1) * chunk_bytes)
         sparse_bytes = 8 * card
-        run_bytes = 16 * (card - pairs)
         dense_bytes = 8 * ((hi_byte - lo_byte + 7) // 8)
-        if min(sparse_bytes, run_bytes) <= dense_bytes:
+        if sparse_bytes <= dense_bytes:
             bits = _np.unpackbits(occ_vals.view(_np.uint8), bitorder="little")
             flat = _np.flatnonzero(bits)
-            positions = occupied.take(flat >> 6) * 64 + (flat & 63)
-            if sparse_bytes <= run_bytes:
-                return _Sparse(positions)
-            breaks = _np.flatnonzero(_np.diff(positions) > 1)
-            starts = _np.concatenate(([positions[0]], positions[breaks + 1]))
-            stops = _np.concatenate((positions[breaks], [positions[-1]])) + 1
-            return _Run(_np.stack([starts, stops], axis=1), card)
+            return _Sparse(occupied.take(flat >> 6) * 64 + (flat & 63))
         piece = data[lo_byte:hi_byte]
         piece += b"\x00" * (-len(piece) % 8)
         words = _np.frombuffer(piece, dtype=_np.uint8).view(_np.uint64).copy()
@@ -406,7 +303,7 @@ class RoaringIndex:
 
     def container_counts(self) -> Dict[str, int]:
         """How many columns each container kind is serving."""
-        tally = {"array": 0, "bitmap": 0, "run": 0}
+        tally = {"array": 0, "bitmap": 0}
         for container in self._columns.values():
             tally[container.kind] += 1
         return tally
@@ -417,10 +314,8 @@ class RoaringIndex:
         for container in self._columns.values():
             if container.kind == "array":
                 total += 8 * container.card
-            elif container.kind == "bitmap":
-                total += 8 * int(container.words.shape[0])
             else:
-                total += 16 * int(container.runs.shape[0])
+                total += 8 * int(container.words.shape[0])
         return total
 
     def dense_bytes(self) -> int:

@@ -387,7 +387,6 @@ class MiningServer:
         eta = self._eta_seconds(inflight_cost)
         timings: Dict[str, float] = {}
         spans: List[Dict[str, Any]] = []
-        cache_before = self.session.cache.stats()
         started = time.perf_counter()
         try:
             payload, result_size, passes = runner(
@@ -411,12 +410,10 @@ class MiningServer:
         finally:
             self._release(cost)
         seconds = time.perf_counter() - started
-        cache_after = self.session.cache.stats()
-        # deltas are attributed to this query; under concurrency they
-        # are approximate (the session lock serializes the mining, so
-        # misattribution needs interleaved bookkeeping windows)
-        cache_hits = max(0, cache_after["hits"] - cache_before["hits"])
-        cache_misses = max(0, cache_after["misses"] - cache_before["misses"])
+        # the session counts these under its lock: this query's own
+        # lookups, whatever ran beside it
+        cache_hits = timings["cache_hits"]
+        cache_misses = timings["cache_misses"]
         with self._admission:
             self.queries_answered += 1
         self.metrics.counter("serve.queries").inc()

@@ -50,8 +50,6 @@ class TestItemUniverse:
         universe = ItemUniverse([1, 2])
         with pytest.raises(KeyError):
             universe.mask_of((1, 3))
-        assert universe.try_mask_of((1, 3)) is None
-        assert universe.try_mask_of((1, 2)) == 0b11
 
     def test_raw_mask_of_does_not_intern(self):
         universe = ItemUniverse(range(8))

@@ -17,6 +17,23 @@ def toy_db():
     return TransactionDatabase([[1, 2, 3], [1, 2, 3], [1, 2], [3, 4]])
 
 
+def abandoning_db():
+    # at min_count=3 pass 2 finds 9 frequent of 28 pairs, so a policy
+    # with a frequent-ratio floor of 1.0 abandons the MFCS there
+    return TransactionDatabase(
+        [[1, 2, 3, 4]] * 4 + [[5, 6, 7, 8, 9]] * 2 + [[5, 6, 7]]
+        + [[1, 5], [2, 6], [3, 7], [4, 8]]
+    )
+
+
+def pass_stats(result):
+    """Every per-pass field but the wall clock."""
+    return [
+        {key: value for key, value in p.to_dict().items() if key != "seconds"}
+        for p in result.stats.passes
+    ]
+
+
 class TestBasicMining:
     def test_finds_single_maximal_itemset(self):
         result = pincer_search(toy_db(), 0.5)
@@ -145,10 +162,7 @@ class TestPolicies:
         # counts its pairs; abandoning after pass 2 rebuilds from level 1,
         # where the MFS classifies those pairs frequent with no count and
         # the sweep counts only (5, 6, 7), which nothing covers
-        db = TransactionDatabase(
-            [[1, 2, 3, 4]] * 4 + [[5, 6, 7, 8, 9]] * 2 + [[5, 6, 7]]
-            + [[1, 5], [2, 6], [3, 7], [4, 8]]
-        )
+        db = abandoning_db()
         seed = sorted(pincer_search(db, min_count=2).mfs)
         assert (1, 2, 3, 4) in seed
         counter = get_counter("bitmap")
@@ -174,6 +188,19 @@ class TestPolicies:
         # pass 3 is the sweep's level 3
         assert counted[2:] == [[(5, 6, 7)]]
         assert [p.pass_number for p in result.stats.passes] == [1, 2, 3]
+
+    def test_explicit_policy_starts_every_mine_afresh(self):
+        # the policy abandons after pass 2; a second mine on the same
+        # miner must maintain the MFCS through passes 1 and 2 again
+        policy = AdaptivePolicy(frequent_ratio_floor=1.0, min_ratio_sample=1)
+        miner = PincerSearch(policy=policy)
+        first, second = (
+            miner.mine(abandoning_db(), min_count=3) for _ in range(2)
+        )
+        assert [p.mfcs_candidates for p in first.stats.passes[:2]] == [1, 1]
+        assert pass_stats(second) == pass_stats(first)
+        assert second.mfs == first.mfs
+        assert policy.abandon_reason == "frequent-ratio"
 
     def test_observation2_prunes_mfs_subsets(self):
         # with a concentrated database the pure pincer discovers the long

@@ -4,8 +4,8 @@ The roaring engine must return *byte-identical* counts to the naive
 scan on dense and sparse data alike — which engine serves a database is
 :func:`repro.db.counting.engine_decision`'s performance call, never a
 correctness one.  These tests pin that: randomized databases shaped to
-exercise every container kind (sparse array columns, dense bitmap spans,
-clustered run columns), plus the degenerate shapes the container ops
+exercise both container kinds (sparse array columns, dense bitmap spans,
+clustered columns), plus the degenerate shapes the container ops
 special-case — empty columns, all-ones columns, single-row chunks,
 duplicate candidates, and candidates naming items that occur nowhere.
 Without NumPy the engine counts on ``IntBitmapIndex``, and the same
@@ -92,11 +92,12 @@ def test_matches_naive_across_density(density):
 
 
 def multi_container_database():
-    """A multi-chunk db whose columns hit all three container kinds.
+    """A multi-chunk db whose columns hit both container kinds.
 
-    Item 0 is dense (bitmap span), item 1 is one solid run, item 2 is
-    all-ones, items 3+ are a sparse tail; the row count crosses a chunk
-    boundary so span arithmetic and absent-chunk skipping both fire.
+    Item 0 is dense, item 1 is one solid run, item 2 is all-ones (all
+    three bitmap spans), items 3+ are a sparse tail; the row count
+    crosses a chunk boundary so span arithmetic and absent-chunk
+    skipping both fire.
     """
     rng = random.Random(11)
     num_rows = CHUNK_SIZE + 4096
@@ -134,8 +135,9 @@ def test_container_kinds_match_column_shapes():
     db = multi_container_database()
     index = RoaringIndex.from_database(db)
     mix = index.container_counts()
-    assert mix["bitmap"] >= 1  # the dense item-0 column
-    assert mix["run"] >= 2  # the solid-run and all-ones columns
+    assert set(mix) == {"array", "bitmap"}
+    # the dense item-0 column, the solid-run and the all-ones columns
+    assert mix["bitmap"] >= 3
     assert mix["array"] >= 200  # the sparse tail
     # compression must beat the flat packed layout on this shape
     assert index.compressed_bytes() < index.dense_bytes()

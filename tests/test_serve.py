@@ -418,6 +418,54 @@ class TestQueryPlane:
             assert record["op"] == "mine"
             assert record["seconds"] >= 0
 
+    def test_per_query_cache_fields_sum_to_session_totals(
+        self, db, tmp_path
+    ):
+        # two clients overlap their queries; each record must carry its
+        # own query's lookups, and pricing must bill none
+        access = str(tmp_path / "access.jsonl")
+        plan = [
+            {"op": "mine", "min_support": support}
+            for support in (9.0, 7.0, 5.0, 3.0, 7.0, 9.0)
+        ] + [
+            {"op": "rules", "min_support": support, "min_confidence": 50}
+            for support in (7.0, 5.0)
+        ]
+        with MiningSession(db, engine="bitmap") as session, \
+                RequestLog(access) as log:
+            server = MiningServer(
+                session, str(tmp_path / "billed.sock"),
+                cost_budget=10**9, request_log=log,
+            ).start()
+            try:
+                errors = []
+
+                def client():
+                    try:
+                        for message in plan:
+                            reply = request(
+                                server.socket_path, message, timeout=120.0
+                            )
+                            assert reply["ok"], reply
+                    except Exception as exc:  # pragma: no cover
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=client) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=180.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+            finally:
+                server.close()
+            hits, misses = session.cache.hits, session.cache.misses
+        assert validate_request_log_file(access) == 2 * len(plan)
+        with open(access) as handle:
+            records = [json.loads(line) for line in handle]
+        assert sum(record["cache_hits"] for record in records) == hits
+        assert sum(record["cache_misses"] for record in records) == misses
+
     def test_rules_record_validates_without_a_pass_count(
         self, db, tmp_path
     ):

@@ -11,10 +11,10 @@ from itertools import combinations
 
 import pytest
 
+import repro.core.supportcache as supportcache
 import repro.db.vertical as vertical
 from repro.algorithms.apriori import Apriori
 from repro.algorithms.brute_force import brute_force_frequents, brute_force_mfs
-from repro.core.bitset import ItemUniverse
 from repro.core.candidates import (
     apriori_join,
     apriori_prune,
@@ -45,22 +45,23 @@ def random_db(seed: int, num_items: int = 24, rows: int = 300):
 
 class TestSupportCache:
     def test_put_get_roundtrip(self):
-        cache = SupportCache(ItemUniverse(range(10)))
+        cache = SupportCache()
         cache.put((1, 2), 7)
         assert cache.get((1, 2)) == 7
         assert cache.get((1, 3)) is None
         assert cache.hits == 1 and cache.misses == 1
 
     def test_partition_splits_and_dedups(self):
-        cache = SupportCache(ItemUniverse(range(10)))
+        cache = SupportCache()
         cache.put((1,), 5)
         hits, misses = cache.partition([(1,), (2,), (1,), (2,)])
         assert hits == {(1,): 5}
         assert misses == [(2,)]
 
-    def test_rotation_never_corrupts(self):
+    def test_rotation_never_corrupts(self, monkeypatch):
+        monkeypatch.setattr(supportcache, "MAX_ENTRIES", 50)
         rng = random.Random(11)
-        cache = SupportCache(ItemUniverse(range(40)), max_entries=50)
+        cache = SupportCache()
         reference = {}
         for _ in range(3000):
             key = tuple(sorted(rng.sample(range(40), rng.randint(1, 4))))
@@ -72,22 +73,13 @@ class TestSupportCache:
             # bounded cache may have evicted, but must never be wrong
             assert got is None or got == reference[probe]
         assert cache.rotations > 0
-        assert len(cache) <= cache.max_entries
-
-    def test_foreign_items_dropped_at_rotation(self):
-        universe = ItemUniverse(range(5))
-        cache = SupportCache(universe)
-        cache.put((99,), 3)  # not in the universe: young-only
-        cache.put((1,), 2)
-        assert cache.get((99,)) == 3
-        compressed = cache._compress_young()
-        assert set(compressed) == {universe.try_mask_of((1,))}
+        assert len(cache) <= supportcache.MAX_ENTRIES
 
 
 class TestCachedCounter:
     def test_all_hit_batch_bills_no_pass(self):
         db = random_db(1)
-        cache = SupportCache(ItemUniverse(db.universe))
+        cache = SupportCache()
         counter = CachedSupportCounter(get_counter("bitmap"), cache)
         first = counter.count(db, [(1,), (2,)])
         passes = counter.passes
@@ -97,7 +89,7 @@ class TestCachedCounter:
 
     def test_partial_hit_forwards_only_misses(self):
         db = random_db(2)
-        cache = SupportCache(ItemUniverse(db.universe))
+        cache = SupportCache()
         counter = CachedSupportCounter(get_counter("bitmap"), cache)
         counter.count(db, [(1,)])
         before = counter.inner.itemsets_counted
@@ -107,7 +99,7 @@ class TestCachedCounter:
 
     def test_results_match_uncached_engine(self):
         db = random_db(3)
-        cache = SupportCache(ItemUniverse(db.universe))
+        cache = SupportCache()
         cached = CachedSupportCounter(get_counter("bitmap"), cache)
         plain = get_counter("bitmap")
         batch = [(i,) for i in db.universe] + [(1, 2), (2, 3)]
@@ -117,9 +109,7 @@ class TestCachedCounter:
 
     def test_delegation_reads_and_writes_inner(self):
         inner = get_counter("bitmap")
-        counter = CachedSupportCounter(
-            inner, SupportCache(ItemUniverse(range(4)))
-        )
+        counter = CachedSupportCounter(inner, SupportCache())
         counter.deadline = 123.0
         assert inner.deadline == 123.0
         assert counter.name == inner.name
@@ -129,7 +119,7 @@ class TestCachedCounter:
     def test_cache_metrics_emitted(self, tmp_path):
         db = random_db(4)
         obs = capture(metrics_path=str(tmp_path / "metrics.json"))
-        cache = SupportCache(ItemUniverse(db.universe))
+        cache = SupportCache()
         counter = CachedSupportCounter(get_counter("bitmap"), cache)
         counter.obs = obs
         counter.count(db, [(1,), (2,)])
@@ -267,7 +257,10 @@ class TestMiningSession:
             cold = session.estimate_cost(0.05)
             assert not cold["warm"]
             session.mine(0.05)
+            lookups = (session.cache.hits, session.cache.misses)
             warm = session.estimate_cost(0.05)
+            # pricing reads the cached singletons without billing them
+            assert (session.cache.hits, session.cache.misses) == lookups
             assert warm["warm"]
             assert warm["singletons_known"]
             higher = session.estimate_cost(0.2)
@@ -308,8 +301,10 @@ class TestRequestContext:
             session.mine(
                 0.05, request_id="req-9", span_sink=spans, timings=timings
             )
+            totals = session.cache.hits, session.cache.misses
         obs.finish()
         assert timings["queue_wait_s"] >= 0.0
+        assert (timings["cache_hits"], timings["cache_misses"]) == totals
         assert spans, "bound sink must collect the query's closed spans"
         assert all(
             e["attrs"]["request_id"] == "req-9" for e in spans
