@@ -83,7 +83,6 @@ from ..db.outofcore import (
     PartitionedCounter,
     SnapshotPartitionHandle,
 )
-from ..db.shm import MAX_WORKERS_ENV
 from ..db.snapshot import load_snapshot
 from ..db.transaction_db import TransactionDatabase, UniverseView
 from ..obs.instrument import NOOP, Instrumentation
@@ -92,7 +91,11 @@ from .apriori import Apriori
 
 logger = get_logger("algorithms.partitioned")
 
-__all__ = ["PartitionedPincerMiner", "partitioned_mine"]
+__all__ = ["MAX_WORKERS_ENV", "PartitionedPincerMiner", "partitioned_mine"]
+
+#: Environment override capping the phase-I worker count (operators can
+#: pin CI boxes or shared hosts without touching call sites).
+MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 
 def _local_threshold(threshold: int, partition_rows: int, total_rows: int) -> int:
@@ -466,7 +469,7 @@ class PartitionedPincerMiner:
         try:
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
                 return list(pool.map(_mine_partition_task, specs))
-        except (OSError, RuntimeError) as exc:  # pragma: no cover - platform
+        except (OSError, RuntimeError) as exc:
             logger.warning(
                 "partition worker pool failed (%s); mining serially", exc
             )

@@ -13,9 +13,8 @@ benchmark smoke job tracks across PRs::
     python -m repro.bench.engines --out benchmarks/BENCH_counting.json
 
 The JSON carries the benchmark cell (T10.I4.D100K at 1.5% by default),
-the host's core count (the ``shm`` speedup only materialises with
-multiple cores), and the headline ratios ``speedup_packed_vs_bitmap`` and
-``speedup_shm_vs_packed``.
+the host's core count, and the headline ratio
+``speedup_packed_vs_bitmap``.
 
 ``--density-sweep`` instead runs the compressed-tier cells — a sparse
 Zipf long-tail basket set and a dense Quest workload — reporting
@@ -40,7 +39,6 @@ from ..datagen import generate, parse_name, zipf_baskets
 from ..db.base import SupportCounter
 from ..db.counting import available_engines, engine_decision, get_counter
 from ..db.roaring import RoaringIndex
-from ..db.shm import ShmShardedCounter
 from ..db.transaction_db import TransactionDatabase
 from ..db.vertical import HAVE_NUMPY
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
@@ -97,7 +95,7 @@ def time_engine(
     """Best-of-``repeats`` seconds to serve all ``batches``.
 
     A warm-up run is not separated out: per-database state an engine
-    builds once and reuses (the vertical index, shard workers) is part
+    builds once and reuses (the vertical index) is part
     of what a mining run pays, so the first repeat carries it and
     best-of keeps the steady-state figure.
     """
@@ -150,22 +148,6 @@ def run_counting_benchmark(
                 measured[name]["prefix_cache_misses"] = (
                     counter.prefix_cache_misses
                 )
-            if isinstance(counter, ShmShardedCounter):
-                measured[name]["num_shards"] = len(counter.worker_pids) or 1
-                measured[name]["last_shard_seconds"] = [
-                    round(shard_seconds, 6)
-                    for shard_seconds in counter.last_shard_seconds
-                ]
-                measured[name]["worker_startup_seconds"] = [
-                    round(startup, 6)
-                    for startup in counter.worker_startup_seconds
-                ]
-                measured[name]["plane"] = counter.plane
-                measured[name]["attach_seconds"] = round(
-                    counter.last_attach_seconds, 6
-                )
-                measured[name]["steals"] = counter.steals
-                measured[name]["chunks_dispatched"] = counter.chunks_dispatched
         finally:
             close = getattr(counter, "close", None)
             if close is not None:
@@ -185,11 +167,8 @@ def run_counting_benchmark(
     }
     bitmap = measured.get("bitmap", {}).get("seconds")
     packed = measured.get("packed", {}).get("seconds")
-    shm = measured.get("shm", {}).get("seconds")
     if bitmap and packed:
         record["speedup_packed_vs_bitmap"] = round(bitmap / packed, 3)
-    if packed and shm:
-        record["speedup_shm_vs_packed"] = round(packed / shm, 3)
     return record
 
 

@@ -21,12 +21,6 @@ Two comparisons are made:
   metrics written to files versus the same run with observability off.
   Enabled runs pay for JSON serialisation of every span, so this number
   is honest rather than tiny; it bounds what ``--trace`` costs a user.
-* **telemetry overhead** — full runs on an attached, warmed
-  two-worker ``shm`` engine with the live heartbeat plane on
-  (``--telemetry``) versus a second one with it off.  Workers publish
-  seqlock heartbeats into the shared segment and the coordinator polls
-  them mid-pass; the budget for all of that is +-2%, gated by the CI
-  ``telemetry-smoke`` job.
 
 Both sides use best-of-``repeats`` wall-clock, the same convention as
 :mod:`repro.bench.engines`.
@@ -45,8 +39,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.pincer import PincerSearch
 from ..db.base import SupportCounter
 from ..db.counting import engine_decision, get_counter
-from ..db.shm import ShmShardedCounter
-from ..obs.instrument import Instrumentation, capture
+from ..obs.instrument import capture
 from .engines import record_batches
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
 from .trajectory import record_run
@@ -95,61 +88,6 @@ def _time_mine_enabled(db, fraction: float, repeats: int) -> Dict[str, float]:
             os.remove(trace_path)
             os.remove(metrics_path)
     return {"seconds": best, "trace_events": events}
-
-
-#: shard count for the telemetry pair — small enough to spawn quickly on
-#: two-core CI runners, large enough that heartbeats actually interleave
-_TELEMETRY_SHARDS = 2
-
-
-def _time_mine_on(db, fraction: float, counter, obs) -> float:
-    """Seconds for one mine on an already-built counter."""
-    started = time.perf_counter()
-    PincerSearch(adaptive=True).mine(db, fraction, counter=counter, obs=obs)
-    return time.perf_counter() - started
-
-
-def _time_mine_sharded(db, fraction: float, repeats: int) -> Dict:
-    """Best-of seconds on the shm engine, heartbeat plane off vs on.
-
-    Each side's counter is attached once — workers spawned, index
-    published and, on the "on" side, the telemetry segment created —
-    and warmed with one mine.  The timed mines then alternate between
-    the two attached counters, so the difference is exactly what the
-    heartbeat publishes and the coordinator's mid-pass polls cost, not
-    the process spawns that dominate a cold mine of this size.  Both
-    sides run with an *enabled* instrumentation bundle (live registry,
-    no trace file) so the general metrics/span accounting — tracked
-    separately as ``overhead_enabled_pct`` — is not billed to the
-    telemetry plane; only the heartbeat config differs.
-    """
-    sides = {
-        "off": (
-            ShmShardedCounter(num_shards=_TELEMETRY_SHARDS),
-            Instrumentation(),
-        ),
-        "on": (
-            ShmShardedCounter(num_shards=_TELEMETRY_SHARDS),
-            capture(telemetry="auto"),
-        ),
-    }
-    best = {"off": float("inf"), "on": float("inf")}
-    try:
-        for counter, obs in sides.values():
-            _time_mine_on(db, fraction, counter, obs)
-        for repeat in range(max(1, repeats)):
-            order = ("off", "on") if repeat % 2 == 0 else ("on", "off")
-            for side in order:
-                counter, obs = sides[side]
-                best[side] = min(
-                    best[side], _time_mine_on(db, fraction, counter, obs)
-                )
-        plane = sides["on"][0].plane
-    finally:
-        for counter, obs in sides.values():
-            counter.close()
-            obs.finish()
-    return {"off": best["off"], "on": best["on"], "plane": plane}
 
 
 def _replay_raw(db, batches: Sequence[Sequence], counter: SupportCounter) -> float:
@@ -201,7 +139,6 @@ def run_overhead_benchmark(
         guarded = min(guarded, _replay_guarded(db, batches, counter))
     disabled = _time_mine_disabled(db, fraction, repeats)
     enabled = _time_mine_enabled(db, fraction, repeats)
-    sharded = _time_mine_sharded(db, fraction, repeats)
 
     record: Dict = {
         "benchmark": "obs-overhead",
@@ -221,13 +158,6 @@ def run_overhead_benchmark(
             100.0 * (enabled["seconds"] - disabled) / disabled, 3
         ),
         "trace_events_per_run": enabled["trace_events"],
-        "telemetry_shards": _TELEMETRY_SHARDS,
-        "telemetry_plane": sharded["plane"],
-        "mine_seconds_sharded": round(sharded["off"], 6),
-        "mine_seconds_telemetry": round(sharded["on"], 6),
-        "overhead_telemetry_pct": round(
-            100.0 * (sharded["on"] - sharded["off"]) / sharded["off"], 3
-        ),
     }
     return record
 

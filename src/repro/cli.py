@@ -5,8 +5,7 @@ Subcommands cover the end-to-end workflow:
 * ``generate`` — synthesise a Quest benchmark database to a file;
 * ``snapshot`` — serialise a database's packed vertical index to a
   memory-mappable ``.snap`` file (see :mod:`repro.db.snapshot`); later
-  ``mine --snapshot`` runs skip the basket re-parse and the shared-memory
-  engine maps the file directly;
+  ``mine --snapshot`` runs skip the basket re-parse;
 * ``mine``     — discover the maximum frequent set of a database file;
 * ``rules``    — mine and then emit association rules (MFS-first);
 * ``serve``    — hold one database resident (engine attached, support
@@ -21,9 +20,8 @@ Subcommands cover the end-to-end workflow:
   converts a trace or metrics file for Perfetto/Prometheus, ``obs
   report`` prints a span-tree profile with wall/CPU/memory columns
   (``--request ID`` isolates one serve query, ``--requests`` lists the
-  ids), and ``obs top`` attaches a live per-shard console to a mine
-  started with ``--telemetry NAME`` and/or a serve daemon's query plane
-  with ``--serve SOCKET``.
+  ids), and ``obs top`` attaches a live console to a serve daemon's
+  query plane with ``--serve SOCKET``.
 
 Run ``pincer <subcommand> --help`` for the full flag list.
 """
@@ -143,12 +141,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         help="cap the trace at N events; excess events are dropped and "
         "a single 'truncated' marker records how many",
     )
-    group.add_argument(
-        "--telemetry", nargs="?", const="auto", default=None, metavar="NAME",
-        help="publish live shared-memory shard heartbeats; pass NAME to "
-        "pin the segment name so 'pincer obs top NAME' can attach from "
-        "another terminal (bare flag generates a name)",
-    )
 
 
 def _add_mine_flags(parser: argparse.ArgumentParser) -> None:
@@ -174,8 +166,7 @@ def _add_mine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--snapshot", default=None, metavar="PATH",
         help="packed-bitmap snapshot of the input (written by 'pincer "
-        "snapshot'): skips the basket parse, and the shm engine "
-        "memory-maps it directly",
+        "snapshot'): skips the basket parse",
     )
     outofcore = parser.add_argument_group(
         "out-of-core (--algorithm/--engine partitioned)"
@@ -522,9 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.set_defaults(handler=_cmd_obs_report)
     obs_top = obs_sub.add_parser(
         "top",
-        help="live per-shard console over a running mine's telemetry "
-        "segment (started with --telemetry NAME) and/or a serve "
-        "daemon's query plane (--serve SOCKET)",
+        help="live console over a serve daemon's query plane "
+        "(--serve SOCKET)",
         add_help=False,
     )
     obs_top.add_argument("rest", nargs=argparse.REMAINDER)
@@ -593,7 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile=args.profile,
         progress=args.progress,
         trace_max_events=args.trace_max_events,
-        telemetry=args.telemetry,
     )
     args.obs = obs
     sampler = None

@@ -83,7 +83,7 @@ def _engine_scope(engine: SupportCounter, owned: bool):
 
     Caller-supplied counters are the caller's to manage (the bench
     harness reuses one across runs); miner-created ones would otherwise
-    leak worker pools and shared-memory segments until GC.
+    keep their mapped partitions until GC.
     """
     try:
         yield engine
@@ -329,9 +329,6 @@ class PincerSearch:
                     if obs.enabled:
                         pass_span.set(candidate_bound=bound)
                         obs.gauge("miner.candidate_bound").set(bound)
-                    # engines with a live telemetry plane publish the
-                    # bound so `pincer obs top` can show an honest ETA
-                    engine.note_candidate_bound(bound)
                     maintaining = policy.keep_after_classification(
                         k, len(frequent_in_ck), len(candidates), longest_maximal,
                         mfcs_size=len(mfcs), candidate_bound=bound,

@@ -1,8 +1,8 @@
 """Resident mining sessions: one hot database, many cheap queries.
 
 A :class:`MiningSession` owns what a one-shot ``mine()`` call rebuilds
-from scratch every time: the resolved counting engine (with its worker
-pool / shared-memory plane attached), a cross-threshold
+from scratch every time: the resolved counting engine (with its index
+built once), a cross-threshold
 :class:`~repro.core.supportcache.SupportCache`, and the ledger of
 already-answered thresholds that powers warm-start MFCS seeding.  A
 query against a warm session is then mostly cache arithmetic:
@@ -58,8 +58,8 @@ class MiningSession:
     ----------
     db:
         The hot database.  The session attaches one engine to it and
-        keeps that attachment (worker pools, shared segments, prefix
-        caches) alive across queries.
+        keeps that attachment (the built index, mapped partitions)
+        alive across queries.
     engine:
         Engine name as accepted by the one-shot miners (default
         ``"auto"``).

@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List
 
-#: Version of the :meth:`MiningStats.to_dict` document — shared with the
-#: trace/metrics event schema (see :mod:`repro.obs.schema`).
-STATS_SCHEMA_VERSION = 1
+from ..obs.schema import STATS_SCHEMA_VERSION
 
 
 @dataclass

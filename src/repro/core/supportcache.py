@@ -129,11 +129,11 @@ class CachedSupportCounter:
     Duck-typed rather than subclassed: every attribute other than the
     cache plumbing reads and writes through to the wrapped engine, so
     miner-side wiring (``engine.obs = obs``, deadline setting, pass/IO
-    accounting reads, ``note_candidate_bound``, ``close``) behaves as if
-    the engine were bare.  ``count`` is the only interception: hits are
-    answered from the cache, misses go to the engine in one batch, and
-    the engine's answers are stored back.  An all-hit batch never
-    reaches the engine — no pass billed, no worker woken.
+    accounting reads, ``close``) behaves as if the engine were bare.
+    ``count`` is the only interception: hits are answered from the
+    cache, misses go to the engine in one batch, and the engine's
+    answers are stored back.  An all-hit batch never reaches the
+    engine — no pass billed.
     """
 
     def __init__(self, inner: SupportCounter, cache: SupportCache) -> None:

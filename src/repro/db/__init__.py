@@ -6,7 +6,6 @@ from .counting import (
     HashTreeCounter,
     NaiveCounter,
     PackedCounter,
-    ShmShardedCounter,
     SupportCounter,
     TrieCounter,
     available_engines,
@@ -49,7 +48,6 @@ __all__ = [
     "PrefixIntersector",
     "RoaringCounter",
     "RoaringIndex",
-    "ShmShardedCounter",
     "Snapshot",
     "SnapshotFormatError",
     "SupportCounter",

@@ -2,7 +2,7 @@
 batch every engine accepts.
 
 Lives below :mod:`repro.db.counting` so that engine modules
-(:mod:`repro.db.vertical`, :mod:`repro.db.shm`) can subclass
+(:mod:`repro.db.vertical`, :mod:`repro.db.outofcore`) can subclass
 :class:`SupportCounter` without importing the engine registry — the
 registry imports *them*, and a shared basement module breaks the cycle.
 
@@ -160,11 +160,12 @@ class EngineClosedError(RuntimeError):
     """A counting request reached an engine after its :meth:`close`.
 
     Closing is the *external* lifecycle boundary — a session or miner
-    declaring the engine's resources (worker pools, shared segments)
-    released.  Engines detach and re-attach internally all the time
-    (fallback-ladder steps, stall recovery), which never trips this;
-    only a caller-visible ``close()`` makes later ``count()`` calls an
-    error instead of a silent use-after-free of a dead worker pool.
+    declaring the engine's resources (mapped partitions) released.
+    Engines detach and re-attach internally (the partitioned plane
+    evicts and re-maps partitions under its budget), which never trips
+    this; only a caller-visible ``close()`` makes later ``count()``
+    calls an error instead of a silent use-after-free of an unmapped
+    region.
     """
 
 
@@ -181,10 +182,10 @@ class SupportCounter:
     defaults to the shared disabled bundle, whose cost in :meth:`count` is
     one attribute read and one truthiness check per pass.
 
-    Miners drive an engine through :meth:`count`,
-    :meth:`note_candidate_bound` and :meth:`close` alone; how an engine
-    splits a pass (the ``shm`` plane's work-stealing) is its own policy,
-    with no hook for a miner to steer it.
+    Miners drive an engine through :meth:`count` and :meth:`close`
+    alone; how an engine splits a pass (the partitioned plane's
+    partition sweep) is its own policy, with no hook for a miner to
+    steer it.
     """
 
     name = "abstract"
@@ -229,7 +230,7 @@ class SupportCounter:
         if self.closed:
             raise EngineClosedError(
                 "%s engine was closed; counting on it would run against "
-                "released worker pools / shared segments" % self.name
+                "released resources" % self.name
             )
         if isinstance(candidates, list) or (
             isinstance(candidates, PairBatch) and self._takes_pair_batches()
@@ -280,17 +281,8 @@ class SupportCounter:
         after :meth:`_count` returns.  Default: none."""
         return {}
 
-    def note_candidate_bound(self, bound: Optional[int]) -> None:
-        """Provable upper bound on the next pass's candidate count.
-
-        Miners feed the Geerts–Goethals–Van den Bussche bound after each
-        pass; engines with a live telemetry plane publish it so an
-        attached ``pincer obs top`` can show an honest in-flight ETA.
-        Default: ignored.
-        """
-
     def close(self) -> None:
-        """Release engine-held resources (worker pools, shared segments).
+        """Release engine-held resources (mapped partitions).
 
         Idempotent: the first call releases, later calls are free.  A
         closed engine refuses further :meth:`count` calls with
@@ -308,8 +300,7 @@ class SupportCounter:
         """Release attached resources without sealing the engine.
 
         Internal lifecycle step: engines detach when they re-attach to a
-        new database, step down the fallback ladder, or recover from a
-        stalled pool — and must keep serving ``count()`` afterwards.
+        new database — and must keep serving ``count()`` afterwards.
         No-op for in-process engines.
         """
 

@@ -37,14 +37,6 @@ Engines provided:
     with container-level fused intersect+popcount that skips absent
     chunks.  ``auto`` picks it for large sparse databases
     (:func:`engine_decision` is the only density-based resolver).
-``shm``
-    The process plane (:mod:`repro.db.shm`): one packed index is
-    published once via ``multiprocessing.shared_memory`` (or a
-    memory-mapped snapshot file) and attached — not copied — by every
-    worker; every pass is split by candidate work-stealing over that
-    whole index, and a dead worker's share is recounted.  Falls back to
-    an mmap temp file when shared memory is unavailable, then to one
-    in-process index (serial).
 ``partitioned``
     The out-of-core tier (:mod:`repro.db.outofcore`): row partitions of
     a v2 snapshot attached/counted/detached under a byte budget, with
@@ -85,7 +77,6 @@ from .base import SupportCounter
 from .hash_tree import HashTree
 from .outofcore import PartitionedCounter
 from .roaring import RoaringCounter
-from .shm import ShmShardedCounter
 from .transaction_db import TransactionDatabase
 from .trie import CandidateTrie
 from .vertical import HAVE_NUMPY, BitmapCounter, PackedCounter, popcount
@@ -103,7 +94,6 @@ __all__ = [
     "PackedCounter",
     "PartitionedCounter",
     "RoaringCounter",
-    "ShmShardedCounter",
     "SupportCounter",
     "TrieCounter",
     "available_engines",
@@ -186,7 +176,6 @@ _ENGINES = {
     "bitmap": BitmapCounter,
     "packed": PackedCounter,
     "roaring": RoaringCounter,
-    "shm": ShmShardedCounter,
     "partitioned": PartitionedCounter,
 }
 

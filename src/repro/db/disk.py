@@ -204,8 +204,8 @@ class DiskTransactionDatabase:
 
         Default location is the basket file plus ``.snap``.  The written
         snapshot immediately backs this instance too, so subsequent
-        ``item_bitmaps`` users (the counting engines, the shared-memory
-        plane's mmap fallback) read it instead of the baskets.
+        ``item_bitmaps`` users (the counting engines) read it instead of
+        the baskets.
 
         With ``num_partitions`` or ``partition_rows`` the partitioned v2
         layout is written by *streaming* the baskets — memory stays

@@ -9,13 +9,11 @@ both the universe array and the matrix start on 8-byte boundaries, so a
 reader can hand the OS page cache the whole index with one
 ``numpy.memmap`` call and zero parsing.
 
-This is the pre-parallel tax killer for out-of-core mining: a
+This removes the parse tax of out-of-core mining: a
 :class:`repro.db.disk.DiskTransactionDatabase` normally pays one full
 basket parse for the metadata pass and another to build bitmaps.  With a
 snapshot (``pincer snapshot data.dat``), both are replaced by one
-``open`` + header read, and the shared-memory counting plane
-(:mod:`repro.db.shm`) can fall back to mapping this file directly when
-POSIX shared memory is unavailable.
+``open`` + header read.
 
 Layout (version 1)::
 
@@ -608,9 +606,8 @@ class Snapshot:
         multi-partition v2 file the partition matrices are word-aligned
         column slices of the logical matrix, so this concatenates them
         into one resident array — a copy of the full matrix, appropriate
-        only for consumers that need the whole index in memory anyway
-        (the shared-memory parent attach path).  Budget-respecting
-        consumers use :attr:`partitions` instead.
+        only for consumers that need the whole index in memory anyway.
+        Budget-respecting consumers use :attr:`partitions` instead.
         """
         rows = {item: row for row, item in enumerate(self.universe)}
         if self.num_partitions == 1:

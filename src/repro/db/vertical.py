@@ -51,9 +51,8 @@ The shared adapter
 ``roaring`` (:mod:`repro.db.roaring`): each is a subclass naming its
 index class, and ``packed`` and ``roaring`` answer pass 2's pairs from
 the 2-D array before their index counts the rest (``packed`` gathers the
-rows from its own matrix, ``roaring`` packs them).  The serial rung of
-the :mod:`repro.db.shm` process plane and the in-memory partitions of
-:mod:`repro.db.outofcore` build their indexes through
+rows from its own matrix, ``roaring`` packs them).  The in-memory
+partitions of :mod:`repro.db.outofcore` build their indexes through
 :meth:`IndexCounter.index_over` as well, and never sweep: they count a
 pair batch listed, and the adapter reads their dict.
 """
@@ -314,23 +313,47 @@ class PackedBitmapIndex:
         deadline_check: Optional[Callable[[], None]] = None,
         chunk_size: Optional[int] = None,
     ) -> List[int]:
-        """Support counts parallel to ``candidates`` (batch, vectorized)."""
-        total = len(candidates)
-        results = _np.zeros(total, dtype=_np.int64)
+        """Support counts parallel to ``candidates`` (batch, vectorized).
+
+        Candidates are grouped by length and each group is counted in
+        chunks of AND + popcount; a candidate naming an item outside the
+        universe counts 0.
+        """
         lengths, flat_rows = self.map_candidates(candidates)
-        self.counts_into(
-            lengths, flat_rows, results,
-            deadline_check=deadline_check, chunk_size=chunk_size,
-        )
-        return results.tolist()
+        out = _np.zeros(len(lengths), dtype=_np.int64)
+        offsets = _np.zeros(len(lengths), dtype=_np.intp)
+        _np.cumsum(lengths[:-1], out=offsets[1:])
+        out[lengths == 0] = self._num_rows  # () holds everywhere
+        for length in _np.unique(lengths):
+            length = int(length)
+            if length == 0:
+                continue
+            positions = _np.nonzero(lengths == length)[0]
+            group = flat_rows[offsets[positions][:, None] + _np.arange(length)]
+            # candidates naming an item outside the universe keep count 0
+            known = (group >= 0).all(axis=1)
+            if not known.all():
+                positions = positions[known]
+                group = group[known]
+            chunk = self._chunk_for(length, chunk_size)
+            fused = self.num_words >= self.FUSED_MIN_WORDS
+            for start in range(0, len(group), chunk):
+                if deadline_check is not None:
+                    deadline_check()
+                block = group[start : start + chunk]
+                if fused:
+                    counted = self._fused_counts_tiled(block)
+                else:
+                    counted = _popcount_words(self._intersect(block))
+                out[positions[start : start + chunk]] = counted
+        return out.tolist()
 
     @staticmethod
     def flatten_candidates(candidates: Sequence[Itemset]):
         """Ragged candidate list -> ``(lengths, flat item vector)``.
 
         The flat encoding lets per-length groups be sliced without any
-        per-candidate Python work — and is exactly what crosses the
-        shared-memory plane (:mod:`repro.db.shm`) instead of pickles.
+        per-candidate Python work.
         """
         total = len(candidates)
         lengths = _np.fromiter(
@@ -362,12 +385,8 @@ class PackedBitmapIndex:
         )
 
     def map_candidates(self, candidates: Sequence[Itemset]):
-        """Candidates -> ``(lengths, flat matrix-row vector)``.
-
-        This is the parent-side half of a shared-memory count: the row
-        mapping happens once, and workers consume raw row ids with no
-        item-table of their own.
-        """
+        """Candidates -> ``(lengths, flat matrix-row vector)``, with row
+        id -1 marking an item outside the universe."""
         lengths, flat_items = self.flatten_candidates(candidates)
         return lengths, self.map_items(flat_items)
 
@@ -381,64 +400,13 @@ class PackedBitmapIndex:
         block[known] = self._matrix[rows[known]]
         return block
 
-    def counts_into(
-        self,
-        lengths,
-        flat_rows,
-        out,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        deadline_check: Optional[Callable[[], None]] = None,
-        chunk_size: Optional[int] = None,
-        offsets=None,
-    ) -> None:
-        """Count candidates ``[lo, hi)`` of a flat-encoded batch into ``out``.
-
-        ``lengths``/``flat_rows`` come from :meth:`map_candidates` (row id
-        -1 marks an out-of-universe item: the candidate counts 0); ``out``
-        is any integer array of at least ``len(lengths)`` — including a
-        worker's slice of a shared result block.  Only ``out[lo:hi]`` is
-        written, so concurrent workers with disjoint ranges never race.
-        """
-        total = len(lengths)
-        if hi is None:
-            hi = total
-        if offsets is None:
-            offsets = _np.zeros(total, dtype=_np.intp)
-            _np.cumsum(lengths[:-1], out=offsets[1:])
-        span_lengths = lengths[lo:hi]
-        span_offsets = offsets[lo:hi]
-        out[lo:hi][span_lengths == 0] = self._num_rows  # () holds everywhere
-        for length in _np.unique(span_lengths):
-            length = int(length)
-            if length == 0:
-                continue
-            positions = _np.nonzero(span_lengths == length)[0]
-            group = flat_rows[span_offsets[positions][:, None] + _np.arange(length)]
-            known = (group >= 0).all(axis=1)
-            # candidates naming an item outside the universe keep count 0
-            if not known.all():
-                out[lo + positions[~known]] = 0
-                positions = positions[known]
-                group = group[known]
-            chunk = self._chunk_for(length, chunk_size)
-            fused = self.num_words >= self.FUSED_MIN_WORDS
-            for start in range(0, len(group), chunk):
-                if deadline_check is not None:
-                    deadline_check()
-                block = group[start : start + chunk]
-                if fused:
-                    counted = self._fused_counts_tiled(block)
-                else:
-                    counted = _popcount_words(self._intersect(block))
-                out[lo + positions[start : start + chunk]] = counted
-
     def word_slice(self, word_lo: int, word_hi: int) -> "PackedBitmapIndex":
         """A zero-copy view of transactions ``[64*word_lo, 64*word_hi)``.
 
-        Row shards of the shared-memory plane are word-aligned so each
-        worker counts its transaction range by slicing matrix *columns* —
-        no data moves, and tail bits beyond ``num_rows`` stay zero.
+        The partitioned plane's windowed counting (:mod:`repro.db.outofcore`)
+        counts a word-aligned transaction range by slicing matrix
+        *columns* — no data moves, and tail bits beyond ``num_rows`` stay
+        zero.
         """
         rows_before = min(self._num_rows, word_lo * 64)
         rows_in = max(0, min(self._num_rows, word_hi * 64) - rows_before)

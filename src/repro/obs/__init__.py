@@ -20,13 +20,8 @@ Zero-dependency observability for the miners and counting engines:
   exporters (``python -m repro.obs.export``);
 * :mod:`repro.obs.report` — the indented span-tree trace report
   (``python -m repro.obs.report``);
-* :mod:`repro.obs.telemetry` — the live shared-memory heartbeat plane
-  (``--telemetry``): seqlock heartbeat slots published by shard workers,
-  plus the reader/collector side the engines poll mid-pass;
-* :mod:`repro.obs.watchdog` — the stall watchdog that turns silent
-  heartbeats into ``shard_stalled`` events and mid-pass reassignment;
 * :mod:`repro.obs.top` — the ``pincer obs top`` live operator console
-  over a telemetry segment and/or a serve daemon (``--serve SOCKET``);
+  over a serve daemon (``--serve SOCKET``);
 * :mod:`repro.obs.requestlog` — the query plane's JSONL access log
   (schema v4 ``request`` records) and the bounded slow-query snapshot
   ring ``pincer serve --access-log`` writes;
@@ -43,7 +38,7 @@ from .export import load_trace_events, metrics_to_prometheus, trace_to_perfetto
 from .instrument import Instrumentation, NOOP, capture
 from .logsetup import ROOT_LOGGER_NAME, configure_logging, get_logger
 from .progress import NOOP_PROGRESS, NoopProgress, ProgressReporter
-from .resources import SamplingProfiler, SpanProfiler, rusage_snapshot
+from .resources import SamplingProfiler, SpanProfiler
 from .metrics import (
     Counter,
     Gauge,
@@ -68,23 +63,11 @@ from .schema import (
     validate_trace_lines,
 )
 from .slo import SloWindow
-from .telemetry import (
-    EngineTelemetry,
-    HeartbeatRecord,
-    TelemetryCollector,
-    TelemetryConfig,
-    TelemetryReader,
-    TelemetrySegment,
-    TelemetryWriter,
-)
 from .tracing import NOOP_SPAN, NOOP_TRACER, NoopSpan, NoopTracer, Span, Tracer
-from .watchdog import StallEvent, StallWatchdog
 
 __all__ = [
     "Counter",
-    "EngineTelemetry",
     "Gauge",
-    "HeartbeatRecord",
     "Histogram",
     "Instrumentation",
     "MetricsRegistry",
@@ -108,20 +91,12 @@ __all__ = [
     "SlowQueryRing",
     "Span",
     "SpanProfiler",
-    "StallEvent",
-    "StallWatchdog",
-    "TelemetryCollector",
-    "TelemetryConfig",
-    "TelemetryReader",
-    "TelemetrySegment",
-    "TelemetryWriter",
     "Tracer",
     "capture",
     "configure_logging",
     "get_logger",
     "load_trace_events",
     "metrics_to_prometheus",
-    "rusage_snapshot",
     "trace_to_perfetto",
     "validate_metrics_document",
     "validate_metrics_file",

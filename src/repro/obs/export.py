@@ -14,9 +14,7 @@ industry-standard formats tooling already exists for:
   to ``repro_<name>_total``, gauges to ``repro_<name>``, histograms to
   the summary-style ``_count``/``_sum`` pair plus ``_min``/``_max``/
   ``_stddev``/``_p50``/``_p95``/``_p99`` gauges (the registry keeps
-  summaries and a sampling reservoir, not buckets).  ``telemetry``
-  events become per-second throughput counter tracks and
-  ``shard_stalled`` events instant markers in the Perfetto view.
+  summaries and a sampling reservoir, not buckets).
 
 Run as a module::
 
@@ -38,9 +36,6 @@ __all__ = [
 
 #: progress-event fields rendered as Perfetto counter tracks
 _PROGRESS_COUNTERS = ("candidates", "mfcs_size", "mfs_size")
-
-#: telemetry-event fields rendered as Perfetto counter tracks
-_TELEMETRY_COUNTERS = ("candidates_per_s", "workers_active")
 
 
 def load_trace_events(path: str) -> List[Dict[str, Any]]:
@@ -71,8 +66,7 @@ def trace_to_perfetto(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     starts = [
         event["ts"]
         for event in events
-        if event.get("type")
-        in ("span", "progress", "truncated", "telemetry", "shard_stalled")
+        if event.get("type") in ("span", "progress", "truncated")
         and isinstance(event.get("ts"), (int, float))
     ]
     origin = min(starts) if starts else 0.0
@@ -119,43 +113,6 @@ def trace_to_perfetto(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                             "args": {field: value},
                         }
                     )
-        elif kind == "telemetry":
-            for field in _TELEMETRY_COUNTERS:
-                value = event.get(field)
-                if isinstance(value, (int, float)):
-                    trace_events.append(
-                        {
-                            "name": field,
-                            "cat": "repro",
-                            "ph": "C",
-                            "ts": micros(event["ts"]),
-                            "pid": pid,
-                            "tid": 1,
-                            "args": {field: value},
-                        }
-                    )
-        elif kind == "shard_stalled":
-            trace_events.append(
-                {
-                    "name": "shard %d %s (%.1fs)"
-                    % (
-                        event.get("shard", -1),
-                        event.get("kind", "stalled"),
-                        event.get("age_s", 0.0),
-                    ),
-                    "cat": "repro",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": micros(event.get("ts", origin)),
-                    "pid": pid,
-                    "tid": 1,
-                    "args": {
-                        key: event[key]
-                        for key in ("shard", "kind", "age_s", "threshold_s", "pid")
-                        if key in event
-                    },
-                }
-            )
         elif kind == "truncated":
             trace_events.append(
                 {

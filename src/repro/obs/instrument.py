@@ -34,7 +34,6 @@ from .metrics import (
     NullRegistry,
 )
 from .progress import NOOP_PROGRESS, NoopProgress, ProgressReporter
-from .telemetry import TelemetryConfig
 from .tracing import NOOP_SPAN, NOOP_TRACER, NoopSpan, NoopTracer, Span, Tracer
 
 __all__ = ["Instrumentation", "NOOP", "capture"]
@@ -51,15 +50,11 @@ class Instrumentation:
         metrics: Optional[MetricsRegistry] = None,
         metrics_path: Optional[str] = None,
         progress: Optional[Union[ProgressReporter, NoopProgress]] = None,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics_path = metrics_path
         self.progress = progress if progress is not None else NOOP_PROGRESS
-        #: live telemetry plane request; multi-process engines that see a
-        #: config here build an EngineTelemetry segment at attach
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     # delegation shims — the whole instrumented surface in one namespace
@@ -140,7 +135,6 @@ def capture(
     profile: bool = False,
     progress: Optional[Union[bool, ProgressReporter, NoopProgress]] = None,
     trace_max_events: Optional[int] = None,
-    telemetry: Optional[Union[bool, str, TelemetryConfig]] = None,
 ) -> Instrumentation:
     """Build an :class:`Instrumentation` from output paths.
 
@@ -154,22 +148,13 @@ def capture(
     trace file (a ``truncated`` marker replaces the overflow);
     ``progress`` threads a heartbeat reporter through to the miners —
     pass a :class:`~repro.obs.progress.ProgressReporter` or ``True`` for
-    a default stderr reporter; ``telemetry`` requests the live
-    shared-memory heartbeat plane (``True``/``"auto"`` for a generated
-    segment name, a string to pin the name for ``pincer obs top``, or a
-    full :class:`~repro.obs.telemetry.TelemetryConfig`).
+    a default stderr reporter.
     """
     if progress is True:
         progress = ProgressReporter()
     elif progress is False:
         progress = None
-    telemetry = TelemetryConfig.from_option(telemetry)
-    if (
-        trace_path is None
-        and metrics_path is None
-        and progress is None
-        and telemetry is None
-    ):
+    if trace_path is None and metrics_path is None and progress is None:
         if profile:
             raise ValueError("profile=True requires a trace_path to land in")
         return NOOP
@@ -201,5 +186,4 @@ def capture(
         metrics=metrics,
         metrics_path=metrics_path,
         progress=progress,
-        telemetry=telemetry,
     )

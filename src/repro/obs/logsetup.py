@@ -2,7 +2,7 @@
 
 Library modules obtain loggers through :func:`get_logger`, which roots
 everything under the ``repro`` namespace (``repro.core.pincer``,
-``repro.db.shm``, ...) so one call configures the whole tree.  The
+``repro.serve``, ...) so one call configures the whole tree.  The
 package installs a :class:`logging.NullHandler` on the root ``repro``
 logger at import, per library convention — silence by default, no
 "no handler could be found" warnings, and the *application* (the CLI's

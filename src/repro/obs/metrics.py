@@ -15,25 +15,22 @@ one attribute update per observation:
   of scalar updates is what lets engines observe every batch.
 
 :class:`Ewma`, the one exponentially weighted moving average, lives here
-too but outside the registry: the session's ETA rate, the request log's
-slow-query baseline and the stall watchdog's inter-beat intervals each
-hold their own.
+too but outside the registry: the session's ETA rate and the request
+log's slow-query baseline each hold their own.
 
 Disabled instrumentation uses :data:`NULL_INSTRUMENT` — a single object
 answering ``inc``/``set``/``observe`` with a no-op — handed out by
 :class:`NullRegistry` without allocating anything per call.
 
-Instrument *creation* (the name → instrument lookup) and cross-process
-merges are guarded by a lock, so a coordinator thread — the telemetry
-collector, a daemon front-end — can write into the same registry as the
-mining thread.  Individual ``inc``/``set``/``observe`` calls stay
-lock-free: they are single attribute updates, and the GIL already makes
-them atomic enough for monotonic counters and last-write gauges.
+Instrument *creation* (the name → instrument lookup) is guarded by a
+lock, so the serve daemon's front-end threads can write into the same
+registry as the mining thread.  Individual ``inc``/``set``/``observe``
+calls stay lock-free: they are single attribute updates, and the GIL
+already makes them atomic enough for monotonic counters and last-write
+gauges.
 
 Registries serialise to the versioned ``metrics`` document of
-:mod:`repro.obs.schema` via :meth:`MetricsRegistry.to_dict`, and
-cross-process aggregation (the shm engine's workers) goes through
-:meth:`MetricsRegistry.merge_counters`.
+:mod:`repro.obs.schema` via :meth:`MetricsRegistry.to_dict`.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ import json
 import math
 import random
 import threading
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, List, Union
 
 from .schema import SCHEMA_VERSION
 
@@ -228,10 +225,10 @@ NULL_INSTRUMENT = _NullInstrument()
 class MetricsRegistry:
     """Named counters/gauges/histograms plus JSON serialisation.
 
-    Instrument creation and :meth:`merge_counters` are serialised by an
-    internal lock, so a coordinator thread (the telemetry collector, a
-    daemon front-end) and the mining thread can share one registry; the
-    hot-path writes on an *already created* instrument stay lock-free.
+    Instrument creation is serialised by an internal lock, so the serve
+    daemon's front-end threads and the mining thread can share one
+    registry; the hot-path writes on an *already created* instrument
+    stay lock-free.
     """
 
     enabled = True
@@ -270,15 +267,6 @@ class MetricsRegistry:
                 if instrument is None:
                     instrument = self._histograms[name] = Histogram()
         return instrument
-
-    def merge_counters(self, values: Mapping[str, int]) -> None:
-        """Add a mapping of counter increments (per-shard aggregation)."""
-        with self._lock:
-            for name, amount in values.items():
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self._counters[name] = Counter()
-                counter.inc(amount)
 
     # ------------------------------------------------------------------
 

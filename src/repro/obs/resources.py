@@ -21,10 +21,6 @@ Both are strictly opt-in.  The span profiler costs two clock reads plus
 (under tracemalloc) two allocation-counter reads per span; nothing here
 runs when profiling is off, so the disabled-overhead budget of
 :mod:`repro.bench.obs_overhead` is untouched.
-
-:func:`rusage_snapshot` is the shared OS-level accounting helper: the
-shm engine's workers use it to report their own CPU time and high-water
-RSS over the result channel (see :mod:`repro.db.shm`).
 """
 
 from __future__ import annotations
@@ -35,37 +31,11 @@ import time
 import tracemalloc
 from typing import Any, Dict, List, Optional
 
-try:  # Unix only; the snapshot degrades gracefully elsewhere
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-Unix platforms
-    _resource = None
-
 __all__ = [
     "SamplingProfiler",
     "SpanProfiler",
     "fold_stack",
-    "rusage_snapshot",
 ]
-
-
-def rusage_snapshot() -> Dict[str, float]:
-    """OS resource accounting for the calling process.
-
-    Returns ``{"cpu_user_s", "cpu_system_s", "maxrss_kb"}``; all zeros
-    when the platform has no :mod:`resource` module.  ``ru_maxrss`` is
-    kilobytes on Linux and bytes on macOS — normalised to kB here.
-    """
-    if _resource is None:  # pragma: no cover - non-Unix platforms
-        return {"cpu_user_s": 0.0, "cpu_system_s": 0.0, "maxrss_kb": 0.0}
-    usage = _resource.getrusage(_resource.RUSAGE_SELF)
-    maxrss_kb = float(usage.ru_maxrss)
-    if sys.platform == "darwin":  # pragma: no cover - macOS units
-        maxrss_kb /= 1024.0
-    return {
-        "cpu_user_s": usage.ru_utime,
-        "cpu_system_s": usage.ru_stime,
-        "maxrss_kb": maxrss_kb,
-    }
 
 
 class _Frame:

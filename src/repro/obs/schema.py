@@ -7,7 +7,9 @@ that emits a malformed line.  The validators here are deliberately
 zero-dependency (no ``jsonschema``): each one is a plain function that
 raises :class:`SchemaError` with a precise message on the first violation.
 
-Four document families share the version number :data:`SCHEMA_VERSION`:
+Three document families share the version number :data:`SCHEMA_VERSION`,
+and the validators accept that version only; stats dumps carry their own
+(:data:`STATS_SCHEMA_VERSION`):
 
 ``span`` / ``meta`` events (one JSON object per line of a ``--trace`` file)
     A *trace* is a JSONL stream.  The first line is a ``meta`` event
@@ -17,7 +19,7 @@ Four document families share the version number :data:`SCHEMA_VERSION`:
     most span logs).  Fields of a ``span`` event:
 
     ============  ======================================================
-    ``v``         schema version (int, in :data:`SUPPORTED_VERSIONS`)
+    ``v``         schema version (int, :data:`SCHEMA_VERSION`)
     ``type``      ``"span"``
     ``span``      span id, unique within the trace (int, > 0)
     ``parent``    id of the enclosing span, or None for a root span
@@ -28,36 +30,31 @@ Four document families share the version number :data:`SCHEMA_VERSION`:
     ``attrs``     flat mapping of str -> scalar (str/int/float/bool/None)
     ============  ======================================================
 
-    Schema v2 adds two optional event types: ``progress`` (heartbeat
-    lines from :mod:`repro.obs.progress` — ``ts``, a ``phase`` string,
-    and flat scalar fields) and ``truncated`` (the single end-of-trace
+    Two more event types may appear: ``progress`` (heartbeat lines
+    from :mod:`repro.obs.progress` — ``ts``, a ``phase`` string, and
+    flat scalar fields) and ``truncated`` (the single end-of-trace
     marker a size-capped tracer emits instead of growing unboundedly;
     carries the ``dropped`` event count).
-
-    Schema v3 adds the live telemetry plane's event types: ``telemetry``
-    (a mid-pass aggregate mirrored from the shared heartbeat segment by
-    the collector — ``ts``, a ``workers`` int, and flat scalar fields)
-    and ``shard_stalled`` (the watchdog's structured stall record —
-    ``ts``, the ``shard`` index, a ``kind`` of ``"dead"`` or
-    ``"wedged"``, and the observed ``age_s``).
 
 ``metrics`` documents (the ``--metrics-out`` file)
     A single JSON object::
 
-        {"v": 2, "type": "metrics",
+        {"v": 4, "type": "metrics",
          "counters":   {name: int},
          "gauges":     {name: number},
          "histograms": {name: {"count": int, "total": number,
                                "min": number, "max": number,
                                "sumsq": number, "stddev": number}}}
 
-    v1 histograms lack ``sumsq``/``stddev``; the validator accepts both.
+    Histograms may also carry ``p50``/``p95``/``p99`` reservoir
+    percentiles.
 
 ``stats`` documents (:meth:`repro.core.stats.MiningStats.to_dict`)
     The per-run accounting the figures are built from, round-trippable
-    via ``MiningStats.from_dict``.
+    via ``MiningStats.from_dict``, versioned by
+    :data:`STATS_SCHEMA_VERSION`.
 
-``request`` records (schema v4, one JSONL line per served query)
+``request`` records (one JSONL line per served query)
     The access log :mod:`repro.obs.requestlog` writes for the query
     plane of ``pincer serve``.  Required fields: ``v``, ``type``
     (``"request"``), ``ts``, ``id`` (the wire request id), ``op``
@@ -80,24 +77,23 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-#: Version stamped into every emitted document.  v2 added the flight
-#: recorder: ``progress`` and ``truncated`` trace-event types, profiler
-#: span attrs (``cpu_s``/``mem_peak_kb``), and histogram ``sumsq`` /
-#: ``stddev`` fields in metrics documents.  v3 added the live telemetry
-#: plane: ``telemetry`` and ``shard_stalled`` trace-event types and
-#: histogram ``p50``/``p95``/``p99`` reservoir percentiles in metrics
-#: documents.  v4 added the query plane: ``request`` access-log records
-#: and the ``request_id`` span attribute serve queries are grouped by.
+#: Version stamped into every emitted trace, metrics and access-log
+#: document.  v2 added the flight recorder: ``progress`` and
+#: ``truncated`` trace-event types, profiler span attrs
+#: (``cpu_s``/``mem_peak_kb``), and histogram ``sumsq`` / ``stddev``
+#: fields in metrics documents.  v3 added histogram ``p50``/``p95``/
+#: ``p99`` reservoir percentiles.  v4 added the query plane: ``request``
+#: access-log records and the ``request_id`` span attribute serve
+#: queries are grouped by.
 SCHEMA_VERSION = 4
 
-#: Versions the validators accept: traces recorded by earlier releases
-#: must keep validating (backward compatibility is the point of the
-#: version field).
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
+#: Versions the validators accept.  No committed artifact holds an older
+#: trace, metrics or access-log document, so only the current one.
+SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
 
-#: The ``kind`` values a ``shard_stalled`` event may carry: a worker
-#: whose process is gone versus one that is alive but no longer beating.
-STALL_KINDS = ("dead", "wedged")
+#: Version of the :meth:`repro.core.stats.MiningStats.to_dict` document,
+#: independent of :data:`SCHEMA_VERSION`.
+STATS_SCHEMA_VERSION = 1
 
 #: Span names the instrumented miners emit; traces may add new names
 #: freely (the validator only checks the *shape*), this list is the
@@ -128,13 +124,15 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _require_version(document: Dict[str, Any], what: str) -> None:
+def _require_version(
+    document: Dict[str, Any], what: str, supported=SUPPORTED_VERSIONS
+) -> None:
     _require(isinstance(document, dict), "%s must be a JSON object" % what)
     version = document.get("v")
     _require(
-        version in SUPPORTED_VERSIONS,
+        version in supported,
         "%s has schema version %r, expected one of %s"
-        % (what, version, list(SUPPORTED_VERSIONS)),
+        % (what, version, list(supported)),
     )
 
 
@@ -181,47 +179,10 @@ def validate_trace_event(event: Dict[str, Any]) -> None:
             "truncated dropped must be a positive int",
         )
         return
-    if kind == "telemetry":
-        _require(
-            isinstance(event.get("ts"), (int, float)),
-            "telemetry ts must be a number",
-        )
-        _require(
-            isinstance(event.get("workers"), int) and event["workers"] >= 0,
-            "telemetry workers must be an int >= 0",
-        )
-        _require_scalar_attrs(
-            {k: v for k, v in event.items() if k not in ("v", "type")},
-            "telemetry",
-        )
-        return
-    if kind == "shard_stalled":
-        _require(
-            isinstance(event.get("ts"), (int, float)),
-            "shard_stalled ts must be a number",
-        )
-        _require(
-            isinstance(event.get("shard"), int) and event["shard"] >= 0,
-            "shard_stalled shard must be an int >= 0",
-        )
-        _require(
-            event.get("kind") in STALL_KINDS,
-            "shard_stalled kind must be one of %s" % (list(STALL_KINDS),),
-        )
-        _require(
-            isinstance(event.get("age_s"), (int, float))
-            and event["age_s"] >= 0,
-            "shard_stalled age_s must be a number >= 0",
-        )
-        _require_scalar_attrs(
-            {k: v for k, v in event.items() if k not in ("v", "type")},
-            "shard_stalled",
-        )
-        return
     _require(
         kind == "span",
-        "trace event type must be 'span', 'meta', 'progress', 'truncated', "
-        "'telemetry' or 'shard_stalled', got %r" % kind,
+        "trace event type must be 'span', 'meta', 'progress' or "
+        "'truncated', got %r" % kind,
     )
     _require(
         isinstance(event.get("span"), int) and event["span"] > 0,
@@ -263,22 +224,20 @@ def validate_metrics_document(document: Dict[str, Any]) -> None:
         )
     histograms = document.get("histograms", {})
     _require(isinstance(histograms, dict), "histograms must be an object")
-    # v1 histograms predate the sum-of-squares summary; v2 must carry it
-    spread_keys = ("sumsq", "stddev") if document["v"] >= 2 else ()
     for name, cells in histograms.items():
         _require(isinstance(cells, dict), "histogram %r must be an object" % name)
         _require(
             isinstance(cells.get("count"), int) and cells["count"] >= 0,
             "histogram %r count must be an int >= 0" % name,
         )
-        for key in ("total", "min", "max") + spread_keys:
+        for key in ("total", "min", "max", "sumsq", "stddev"):
             _require(
                 isinstance(cells.get(key), (int, float)),
                 "histogram %r %s must be a number" % (name, key),
             )
-        # v3 percentiles (reservoir estimates) are additive: required to
-        # be numeric when present, permitted to be absent (a merged or
-        # hand-built document may carry summaries only)
+        # percentiles (reservoir estimates) are required to be numeric
+        # when present, permitted to be absent (a hand-built document
+        # may carry summaries only)
         for key in ("p50", "p95", "p99"):
             if key in cells:
                 _require(
@@ -289,7 +248,7 @@ def validate_metrics_document(document: Dict[str, Any]) -> None:
 
 def validate_stats_document(document: Dict[str, Any]) -> None:
     """Validate a :meth:`MiningStats.to_dict` dump."""
-    _require_version(document, "stats document")
+    _require_version(document, "stats document", (STATS_SCHEMA_VERSION,))
     _require(
         document.get("type") == "mining_stats",
         "stats document type must be 'mining_stats'",
@@ -347,12 +306,8 @@ _REQUEST_NUMBER_FIELDS = ("queue_wait_s", "min_support")
 
 
 def validate_request_record(record: Dict[str, Any]) -> None:
-    """Validate one access-log line (schema v4 ``request`` records)."""
+    """Validate one access-log line (``request`` records)."""
     _require_version(record, "request record")
-    _require(
-        record["v"] >= 4,
-        "request records require schema v4, got v%r" % record.get("v"),
-    )
     _require(
         record.get("type") == "request",
         "request record type must be 'request', got %r" % record.get("type"),

@@ -16,9 +16,8 @@ still guard per-item work behind ``tracer.enabled`` /
 ``Instrumentation.enabled``.
 
 The tracer is synchronous and single-writer by design: mining runs are
-single-threaded in the coordinating process (shard workers report numbers
-over their result channel instead of tracing directly), so a lock would
-buy nothing.
+single-threaded (the partitioned miner's phase-I worker processes report
+numbers back instead of tracing directly), so a lock would buy nothing.
 
 :meth:`Tracer.bind` adds *ambient context*: a ``with tracer.bind(
 request_id=...)`` block stamps its attributes onto every span opened

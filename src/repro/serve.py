@@ -94,7 +94,7 @@ class MiningServer:
     cost_budget:
         Admission budget in candidate-bound units (see module docs).
     obs:
-        Per-query telemetry sink (``serve.*`` metrics, request-scoped
+        Per-query instrumentation (``serve.*`` metrics, request-scoped
         spans); defaults to the session's instrumentation.
     request_log:
         Optional :class:`RequestLog`; the server borrows it (the owner
@@ -654,10 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="admission-control budget in candidate-bound units",
     )
     parser.add_argument(
-        "--telemetry", nargs="?", const="auto", default=None, metavar="NAME",
-        help="publish live shard heartbeats ('pincer obs top NAME')",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="JSONL span trace of every served query (spans carry the "
         "wire request_id; group with 'pincer obs report --request')",
@@ -692,7 +688,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_path=args.trace,
         metrics_path=args.metrics_out,
         producer="pincer-serve",
-        telemetry=args.telemetry,
     )
     request_log = None
     if args.access_log:

@@ -3,8 +3,7 @@
 The naive engine is the executable specification — a flat
 transaction-by-candidate scan with no shared state, no caching, and no
 vectorization.  Every other engine (and every forced engine variant:
-two-process shm, serial shm, and ``packed``/``roaring`` with NumPy
-switched off) must return
+``packed``/``roaring`` with NumPy switched off) must return
 bit-identical counts on randomized databases, including the edge cases
 the fast paths are most likely to get wrong: empty transactions, the
 empty candidate ``()``, an empty candidate batch, candidates naming
@@ -21,7 +20,6 @@ import pytest
 import repro.db.vertical as vertical
 from repro.db.base import PairBatch, PairLevel
 from repro.db.counting import available_engines, get_counter
-from repro.db.shm import ShmShardedCounter
 from repro.db.transaction_db import TransactionDatabase
 
 NUM_TRIALS = 12
@@ -73,8 +71,6 @@ def variant_counters():
     variants = {name: lambda n=name: get_counter(n) for name in available_engines()}
     for name in ("packed", "roaring"):
         variants[name + NO_NUMPY_SUFFIX] = lambda n=name: get_counter(n)
-    variants["shm-serial"] = lambda: ShmShardedCounter(num_shards=1)
-    variants["shm-2proc"] = lambda: ShmShardedCounter(num_shards=2)
     return variants
 
 

@@ -22,6 +22,7 @@ from repro.obs import (
     validate_trace_lines,
 )
 from repro.obs.logsetup import resolve_level
+from repro.obs.schema import STATS_SCHEMA_VERSION
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -238,13 +239,6 @@ class TestMetrics:
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
-    def test_merge_counters(self):
-        registry = MetricsRegistry()
-        registry.counter("engine.records_read").inc(10)
-        registry.merge_counters({"engine.records_read": 5, "shard.rows": 3})
-        assert registry.counter("engine.records_read").value == 15
-        assert registry.counter("shard.rows").value == 3
-
     def test_to_dict_is_schema_valid(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
@@ -401,12 +395,23 @@ class TestSchemaValidators:
         assert rebuilt.to_dict() == document
 
     def test_stats_document_rejects_bad_pass_number(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="pass_number"):
             validate_stats_document(
-                {"v": SCHEMA_VERSION, "type": "mining_stats",
+                {"v": STATS_SCHEMA_VERSION, "type": "mining_stats",
                  "algorithm": "x", "seconds": 0.0, "records_read": 0,
                  "passes": [{"pass_number": 0}]}
             )
+
+    def test_stats_document_checks_the_stats_version(self):
+        from repro.core.stats import MiningStats
+
+        stats = MiningStats(algorithm="pincer-search")
+        stats.new_pass(1).bottom_up_candidates = 4
+        document = stats.to_dict()
+        validate_stats_document(document)
+        # a stats dump carries its own version, not the trace schema's
+        with pytest.raises(SchemaError, match="schema version 4"):
+            validate_stats_document(dict(document, v=SCHEMA_VERSION))
 
     def test_stats_from_dict_rejects_future_version(self):
         from repro.core.stats import MiningStats
@@ -498,7 +503,7 @@ class TestHistogramSpread:
 
 
 class TestSchemaV2Compat:
-    def test_v1_metrics_histogram_without_spread_accepted(self):
+    def test_v1_metrics_histogram_without_spread_rejected(self):
         document = {
             "v": 1,
             "type": "metrics",
@@ -508,7 +513,12 @@ class TestSchemaV2Compat:
                 "engine.batch": {"count": 1, "total": 2.0, "min": 2.0, "max": 2.0}
             },
         }
-        validate_metrics_document(document)
+        with pytest.raises(SchemaError, match="schema version 1"):
+            validate_metrics_document(document)
+        # the current version demands the spread summary too
+        document["v"] = SCHEMA_VERSION
+        with pytest.raises(SchemaError, match="sumsq"):
+            validate_metrics_document(document)
 
     def test_v2_metrics_histogram_requires_spread(self):
         document = {
@@ -525,11 +535,19 @@ class TestSchemaV2Compat:
         document["histograms"]["engine.batch"].update(sumsq=4.0, stddev=0.0)
         validate_metrics_document(document)
 
-    def test_v1_trace_events_still_accepted(self):
-        validate_trace_event(
-            {"v": 1, "type": "span", "name": "pass", "span": 1,
-             "ts": 1.0, "dur": 0.5}
-        )
+    def test_v1_trace_events_rejected(self):
+        event = {"v": 1, "type": "span", "name": "pass", "span": 1,
+                 "ts": 1.0, "dur": 0.5}
+        with pytest.raises(SchemaError, match="schema version 1"):
+            validate_trace_event(event)
+        validate_trace_event(dict(event, v=SCHEMA_VERSION))
+
+    def test_retired_telemetry_event_rejected(self):
+        with pytest.raises(SchemaError, match="event type"):
+            validate_trace_event(
+                {"v": SCHEMA_VERSION, "type": "telemetry", "ts": 1.0,
+                 "workers": 2}
+            )
 
     def test_progress_event_requires_phase_and_scalars(self):
         validate_trace_event(

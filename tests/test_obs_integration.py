@@ -3,7 +3,7 @@
 The acceptance contract of the observability layer: a traced run emits a
 schema-valid JSONL span tree covering every pass, with per-pass candidate
 totals exactly matching the run's :class:`~repro.core.stats.MiningStats`;
-shm runs report per-worker timings and a correct aggregated
+a run counted partition by partition reports the serial engine's
 ``records_read``.
 """
 
@@ -18,7 +18,7 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.pincer import PincerSearch
 from repro.db import io
 from repro.db.counting import get_counter
-from repro.db.shm import ShmShardedCounter
+from repro.db.outofcore import PartitionedCounter
 from repro.db.transaction_db import TransactionDatabase
 from repro.db.vertical import HAVE_NUMPY
 from repro.obs import (
@@ -221,39 +221,41 @@ class TestSweepProgress:
 
 class TestShardedObservability:
     def test_records_read_matches_serial_engine(self, tmp_path):
-        db = TransactionDatabase(TRANSACTIONS)
+        db = TransactionDatabase(TRANSACTIONS * 5)
         serial = PincerSearch(adaptive=True).mine(
             db, 0.25, counter=get_counter("bitmap")
         )
         metrics_path = str(tmp_path / "m.json")
         obs = capture(metrics_path=metrics_path)
-        with ShmShardedCounter(num_shards=3) as counter:
+        counter = PartitionedCounter(num_partitions=3)
+        try:
             sharded = PincerSearch(adaptive=True).mine(
                 db, 0.25, counter=counter, obs=obs
             )
-            shard_seconds = list(counter.last_shard_seconds)
-            # without NumPy the engine runs on its one-index serial rung
-            workers = 1 if counter.plane == "serial" else 3
+            partitions = counter.num_partitions
+        finally:
+            counter.close()
         obs.finish()
 
         assert sharded.mfs == serial.mfs
-        # the satellite fix: per-shard reports aggregate to the exact
-        # serial figure (len(db) records per pass, every pass)
+        assert partitions > 1
+        # a pass sweeps every partition yet bills one logical read, so
+        # the sum is the serial figure (len(db) records per pass)
         assert sharded.stats.records_read == serial.stats.records_read
         assert (
             sharded.stats.records_read
             == len(db) * sharded.stats.num_passes
         )
-        assert len(shard_seconds) == workers
-        assert all(seconds >= 0.0 for seconds in shard_seconds)
 
         validate_metrics_file(metrics_path)
         with open(metrics_path) as handle:
             document = json.load(handle)
-        assert document["gauges"]["shard.count"] == workers
-        worker_seconds = document["histograms"]["shard.worker_seconds"]
-        assert worker_seconds["count"] == workers * sharded.stats.num_passes
-        assert document["gauges"]["shard.last_pass_max_seconds"] >= 0
+        assert (
+            document["counters"]["engine.records_read"]
+            == sharded.stats.records_read
+        )
+        assert document["gauges"]["partition.mapped_partitions"] == partitions
+        assert document["gauges"]["partition.mapped_bytes"] > 0
 
 
 class TestCliObservability:

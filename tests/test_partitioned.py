@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.algorithms.partitioned import (
+    MAX_WORKERS_ENV,
     PartitionedPincerMiner,
     _local_threshold,
     partitioned_mine,
@@ -160,6 +161,25 @@ class TestBudgetAccounting:
         assert counter.scheduler.accounting()["max_mapped_bytes"] <= tiny
         counter.close()
 
+    def test_detach_keeps_engine_usable(self, tmp_path):
+        # internal lifecycle: detach releases every mapped partition but,
+        # unlike close(), the next count() re-attaches
+        rng = random.Random(6)
+        rows = [
+            [item for item in range(12) if rng.random() < 0.5]
+            for _ in range(256)
+        ]
+        db = _snapshot_db(tmp_path, rows, num_partitions=2)
+        batch = [(item,) for item in range(12)] + [(0, 1), (2, 3, 4)]
+        counter = PartitionedCounter(memory_budget=None)
+        first = counter.count(db, batch)
+        assert counter.scheduler.mapped_bytes > 0
+        counter._detach()
+        assert counter.scheduler.mapped_bytes == 0
+        assert not counter.closed
+        assert counter.count(db, batch) == first
+        counter.close()
+
     def test_scheduler_refuses_over_budget_attach(self):
         scheduler = BudgetScheduler(100)
         scheduler.attach(90)
@@ -251,6 +271,86 @@ class TestPartitionedEngine:
             db, min_count=threshold
         )
         assert result.mfs == reference.mfs
+
+
+class TestPhaseOnePool:
+    """``parallelism > 1`` mines phase I's partitions in worker processes
+    and must give the serial loop's answer, supports and pass stats."""
+
+    #: reaches 7-itemsets, and phase II descends below the local union
+    THRESHOLD = 200
+
+    @pytest.fixture
+    def pool_db(self, tmp_path):
+        rng = random.Random(12)
+        rows = []
+        for _ in range(2048):
+            row = {item for item in range(14) if rng.random() < 0.3}
+            if rng.random() < 0.3:
+                row.update(range(6))  # a planted long pattern
+            rows.append(row)
+        return _snapshot_db(tmp_path, rows, num_partitions=4)
+
+    @staticmethod
+    def _pass_fields(result):
+        return [
+            {key: value for key, value in entry.to_dict().items()
+             if key != "seconds"}
+            for entry in result.stats.passes
+        ]
+
+    @pytest.mark.parametrize(
+        "workers, sample_fraction", [(2, 0.0), (3, 0.25)]
+    )
+    def test_pool_equals_serial(self, pool_db, workers, sample_fraction):
+        threshold = self.THRESHOLD
+        serial = partitioned_mine(
+            pool_db, min_count=threshold, parallelism=1,
+            sample_fraction=sample_fraction, sample_seed=5,
+        )
+        pooled = partitioned_mine(
+            pool_db, min_count=threshold, parallelism=workers,
+            sample_fraction=sample_fraction, sample_seed=5,
+        )
+        assert sorted(pooled.mfs) == sorted(serial.mfs)
+        assert pooled.supports == serial.supports
+        assert self._pass_fields(pooled) == self._pass_fields(serial)
+        assert serial.stats.engine_evidence["parallelism"] == 1
+        assert "worker_accounting" not in serial.stats.engine_evidence
+        evidence = pooled.stats.engine_evidence
+        assert evidence["parallelism"] == workers
+        assert len(evidence["worker_accounting"]) == 4
+        assert (
+            evidence["seeded_partitions"]
+            == serial.stats.engine_evidence["seeded_partitions"]
+        )
+
+    def test_budget_is_split_between_workers(self, pool_db):
+        one_partition = handles_for_database(
+            pool_db, BudgetScheduler()
+        )[0].matrix_bytes
+        budget = one_partition // 2
+        serial = partitioned_mine(pool_db, min_count=self.THRESHOLD)
+        pooled = partitioned_mine(
+            pool_db, min_count=self.THRESHOLD, memory_budget=budget,
+            parallelism=2,
+        )
+        assert sorted(pooled.mfs) == sorted(serial.mfs)
+        assert pooled.supports == serial.supports
+        accounting = pooled.stats.engine_evidence["worker_accounting"]
+        assert len(accounting) == 4
+        for worker in accounting:
+            assert worker["memory_budget"] == budget // 2
+            assert 0 < worker["max_mapped_bytes"] <= budget // 2
+
+    def test_worker_cap_env_forces_serial(self, pool_db, monkeypatch):
+        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+        result = partitioned_mine(
+            pool_db, min_count=self.THRESHOLD, parallelism=2
+        )
+        evidence = result.stats.engine_evidence
+        assert evidence["parallelism"] == 1
+        assert "worker_accounting" not in evidence
 
 
 class TestSamplingDeterminism:

@@ -11,27 +11,7 @@ from repro.obs.resources import (
     SamplingProfiler,
     SpanProfiler,
     fold_stack,
-    rusage_snapshot,
 )
-
-
-class TestRusageSnapshot:
-    def test_keys_and_types(self):
-        snap = rusage_snapshot()
-        assert set(snap) == {"cpu_user_s", "cpu_system_s", "maxrss_kb"}
-        for value in snap.values():
-            assert isinstance(value, float)
-            assert value >= 0.0
-
-    def test_cpu_is_monotone(self):
-        before = rusage_snapshot()
-        # burn a little CPU so user time visibly advances
-        acc = 0
-        for i in range(200_000):
-            acc += i * i
-        after = rusage_snapshot()
-        assert after["cpu_user_s"] >= before["cpu_user_s"]
-        assert after["maxrss_kb"] >= before["maxrss_kb"]
 
 
 class TestSpanProfiler:

@@ -8,7 +8,6 @@ import pytest
 from repro.core.pincer import PincerSearch
 from repro.db.counting import AUTO_PACKED_MIN_ROWS, get_counter
 from repro.db.disk import DiskTransactionDatabase
-from repro.db.shm import ShmShardedCounter
 from repro.db.snapshot import (
     HEADER_SIZE,
     SNAPSHOT_MAGIC,
@@ -303,16 +302,6 @@ class TestDiskIntegration:
     def test_auto_mine_never_reads_the_basket_file(self, large_snapshot_db):
         db = large_snapshot_db
         result = PincerSearch().mine(db, 0.1)
-        assert db.file_reads == 0
-        assert result.mfs == PincerSearch().mine(LARGE_DB, 0.1).mfs
-
-    def test_shm_serial_rung_never_reads_the_basket_file(
-        self, large_snapshot_db
-    ):
-        db = large_snapshot_db
-        with ShmShardedCounter(num_shards=1) as counter:
-            result = PincerSearch().mine(db, 0.1, counter=counter)
-            assert counter.plane == "serial"
         assert db.file_reads == 0
         assert result.mfs == PincerSearch().mine(LARGE_DB, 0.1).mfs
 
