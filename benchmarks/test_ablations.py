@@ -4,17 +4,14 @@ Not part of the paper's figures; these isolate the contribution of each
 mechanism:
 
 * **MFCS on/off** — the same bottom-up machinery with the top-down search
-  disabled (``NeverMaintain``) vs the pure pincer, on a concentrated
-  database: how much do Observation-2 pruning and early maximal discovery
-  actually save?
+  disabled (``Apriori``, whose levelwise loop Pincer-Search falls back
+  to) vs the pure pincer, on a concentrated database: how much do
+  Observation-2 pruning and early maximal discovery actually save?
 * **adaptive vs pure** — what the Section 3.5 adaptivity buys on a
   scattered database (where the pure MFCS maintenance is the known
   pathology), and what it costs on a concentrated one.
 * **counting engines** — naive scan vs hash tree vs trie vs vertical
   bitmaps, same algorithm, same answers.
-* **prune-uncovered extension** — the beyond-the-paper candidate filter
-  (drop candidates not covered by MFS ∪ MFCS): candidate counts may only
-  shrink, answers must not change.
 """
 
 import time
@@ -23,8 +20,8 @@ import pytest
 
 from conftest import report
 
+from repro.algorithms.apriori import Apriori
 from repro.bench.experiments import ExperimentSpec, build_database
-from repro.core.adaptive import NeverMaintain
 from repro.core.pincer import PincerSearch
 from repro.db.counting import available_engines
 
@@ -56,9 +53,7 @@ def test_mfcs_ablation(benchmark, capsys):
     with_mfcs, seconds_on = _run(
         PincerSearch(adaptive=False), CONCENTRATED, support
     )
-    without_mfcs, seconds_off = _run(
-        PincerSearch(policy=NeverMaintain()), CONCENTRATED, support
-    )
+    without_mfcs, seconds_off = _run(Apriori(), CONCENTRATED, support)
     assert with_mfcs.mfs == without_mfcs.mfs
     # the whole point of the MFCS: fewer passes and fewer candidates on
     # concentrated data
@@ -72,7 +67,7 @@ def test_mfcs_ablation(benchmark, capsys):
         % (
             CONCENTRATED.database, support,
             _line("pincer (MFCS on)", with_mfcs, seconds_on),
-            _line("pincer (MFCS off)", without_mfcs, seconds_off),
+            _line("apriori (MFCS off)", without_mfcs, seconds_off),
         ),
         capsys,
     )
@@ -132,37 +127,5 @@ def test_counting_engines(benchmark, capsys):
     )
     benchmark.pedantic(
         lambda: PincerSearch(engine="bitmap").mine(db, support / 100.0),
-        rounds=1, iterations=1,
-    )
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_prune_uncovered_extension(benchmark, capsys):
-    support = CONCENTRATED.supports_percent[0]
-    plain, plain_seconds = _run(
-        PincerSearch(adaptive=False), CONCENTRATED, support
-    )
-    extended, extended_seconds = _run(
-        PincerSearch(adaptive=False, prune_uncovered=True),
-        CONCENTRATED, support,
-    )
-    assert plain.mfs == extended.mfs
-    assert (
-        extended.stats.total_candidates <= plain.stats.total_candidates
-    )
-    report(
-        "prune-uncovered extension on %s at %g%%:\n%s\n%s"
-        % (
-            CONCENTRATED.database, support,
-            _line("paper pruning", plain, plain_seconds),
-            _line("+ uncovered prune", extended, extended_seconds),
-        ),
-        capsys,
-    )
-    db = build_database(CONCENTRATED)
-    benchmark.pedantic(
-        lambda: PincerSearch(
-            adaptive=False, prune_uncovered=True
-        ).mine(db, support / 100.0),
         rounds=1, iterations=1,
     )

@@ -34,7 +34,7 @@ from .algorithms.partition import PartitionMiner, partition_mine
 from .algorithms.randomized import RandomizedMFS, randomized_mfs
 from .algorithms.sampling import SamplingMiner, sampling_mine
 from .algorithms.topdown import TopDown, top_down
-from .core.adaptive import AdaptivePolicy, AlwaysMaintain, NeverMaintain
+from .core.adaptive import AdaptivePolicy, AlwaysMaintain
 from .core.itemset import Itemset, itemset
 from .core.mfcs import MFCS
 from .core.pincer import PincerSearch, pincer_search
@@ -65,7 +65,6 @@ __all__ = [
     "MiningResult",
     "MiningStats",
     "MiningTimeout",
-    "NeverMaintain",
     "PartitionMiner",
     "PassStats",
     "PincerSearch",

@@ -21,8 +21,7 @@ the directions instead.
 
 from __future__ import annotations
 
-import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..core.adaptive import AlwaysMaintain
 from ..core.pincer import PincerSearch
@@ -38,17 +37,15 @@ class _FrontierGuard(AlwaysMaintain):
 
     def __init__(self, max_frontier: int) -> None:
         super().__init__()
-        self.mfcs_size_cap = max_frontier
-        self.abandon_length_cap = sys.maxsize
+        self.max_frontier = max_frontier
 
-    @property
-    def update_size_cap(self) -> int:
-        return self.mfcs_size_cap
+    def update_caps(self, longest_maximal: int) -> Tuple[int, None]:
+        return self.max_frontier, None
 
     def abandon(self) -> None:
         raise RuntimeError(
             "top-down frontier exploded past %d elements; this search "
-            "direction is infeasible for this database" % self.mfcs_size_cap
+            "direction is infeasible for this database" % self.max_frontier
         )
 
 

@@ -1,6 +1,6 @@
 """Core of the reproduction: itemset algebra, MFCS, and Pincer-Search."""
 
-from .adaptive import AdaptivePolicy, AlwaysMaintain, NeverMaintain
+from .adaptive import AdaptivePolicy, AlwaysMaintain
 from .bitset import ItemUniverse, candidate_upper_bound
 from .candidates import (
     apriori_join,
@@ -36,7 +36,6 @@ __all__ = [
     "MiningResult",
     "MiningStats",
     "MiningTimeout",
-    "NeverMaintain",
     "PassStats",
     "PincerSearch",
     "PredicatePincer",

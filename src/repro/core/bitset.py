@@ -23,10 +23,9 @@ kernel (:mod:`repro.core.kernel`) is built on:
     Bussche ("A tight upper bound on the number of candidate patterns",
     see PAPERS.md) on how many ``(k+1)``-candidates Apriori-gen can emit
     from ``|L_k|`` frequent ``k``-itemsets.  It costs a handful of
-    binomials per pass and is consumed by the adaptive policy
-    (:mod:`repro.core.adaptive`) to abandon a hopeless MFCS *before* the
-    expensive MFCS-gen update, and surfaced on the pass span for
-    observability.
+    binomials per pass and feeds only observability: the pass span's
+    ``candidate_bound``, the progress heartbeat and its ETA.  The adaptive
+    policy (:mod:`repro.core.adaptive`) does not read it.
 
 Masks live strictly behind the kernel: nothing outside :mod:`repro.core`
 needs to know they exist.  The tuple kernel never builds a universe; it is
@@ -200,8 +199,8 @@ def candidate_upper_bound(num_frequent: int, k: int) -> int:
 
     The bound is *tight* (attained by compressed families), costs a few
     binomials, and needs no knowledge of the itemsets themselves — which
-    is what makes it a usable per-pass estimator: the adaptive policy
-    compares it against ``|MFCS|`` before paying for the MFCS-gen update.
+    is what makes it a usable per-pass estimator: the progress heartbeat
+    divides it by the counting rate for its next-pass ETA.
 
     >>> candidate_upper_bound(4, 2)   # 4 pairs support at most one 3-set...
     1

@@ -196,16 +196,17 @@ class MFCS:
         feeds MFCS elements that were themselves counted infrequent
         (amendment A2).
 
-        Two guards implement the adaptive version (Section 3.5); when
-        either trips, the update stops and returns False — the caller
-        should abandon the MFCS, whose contents are no longer meaningful:
+        Two guards bound the update; when either trips, the update stops
+        and returns False — the caller should abandon the MFCS, whose
+        contents are no longer meaningful:
 
-        * ``size_cap`` — maximum number of elements; a blown-up MFCS costs
-          more support counting than the top-down search can save;
-        * ``work_cap`` — maximum split work (in item-mask-lookup units);
-          on scattered distributions the pass-2 update degenerates into
-          incremental maximal-clique maintenance over the frequent-pair
-          graph, whose cost must be bounded *during* the update.
+        * ``size_cap`` — maximum number of elements (the pure top-down
+          search's frontier guard);
+        * ``work_cap`` — maximum split work (in item-mask-lookup units),
+          the adaptive version's (Section 3.5) budget: on scattered
+          distributions the pass-2 update degenerates into incremental
+          maximal-clique maintenance over the frequent-pair graph, whose
+          cost must be bounded *during* the update.
 
         ``protected`` should be the building kernel's own cover; any
         other family is indexed into one once per call.  An infrequent

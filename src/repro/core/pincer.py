@@ -37,8 +37,10 @@ in one bulk update; the miner never sorts, batches or classifies the
 ``C(|L1|, 2)`` pair tuples.
 
 Adaptivity (Section 3.5): a pluggable
-:class:`~repro.core.adaptive.AdaptivePolicy` may abandon the MFCS mid-run;
-the algorithm then completes the remaining levels with :func:`levelwise`,
+:class:`~repro.core.adaptive.AdaptivePolicy` may abandon the MFCS mid-run,
+at the pass-2 frequent-ratio cue or when an MFCS-gen update blows its
+work cap; :class:`~repro.core.stats.MiningStats` records which, and when.
+The algorithm then completes the remaining levels with :func:`levelwise`,
 the loop :class:`~repro.algorithms.apriori.Apriori` runs.  To stay
 complete — and to keep the Observation-2 savings — the discovered maximal
 itemsets are its oracle: their subsets rejoin the Apriori join as
@@ -107,16 +109,9 @@ class PincerSearch:
         :class:`AdaptivePolicy` may abandon the MFCS; when False the pure
         algorithm maintains it to the end.
     policy:
-        Explicit policy instance, overriding ``adaptive``.  Each
-        :meth:`mine` resets it as it starts (see
-        :meth:`AdaptivePolicy.reset`), so its ``abandon_reason`` reads
-        the latest mine's.
-    prune_uncovered:
-        Extension beyond the paper: additionally drop bottom-up candidates
-        not covered by MFS ∪ MFCS.  Such candidates are provably
-        infrequent (the MFCS cover includes every frequent itemset at all
-        times), so this never changes the result — only the candidate
-        counts.  Off by default for paper fidelity.
+        Explicit policy instance, overriding ``adaptive``.  Policies keep
+        no per-mine state, so one instance serves every mine alike; each
+        result's ``stats.abandon_reason`` says whether it abandoned.
     kernel:
         Lattice-kernel name (see :mod:`repro.core.kernel`): ``"bitmask"``
         (interned masks; None selects it) or ``"tuple"`` (the seed
@@ -130,28 +125,16 @@ class PincerSearch:
         engine: str = "auto",
         adaptive: bool = True,
         policy: Optional[AdaptivePolicy] = None,
-        prune_uncovered: bool = False,
         kernel: Optional[str] = None,
     ) -> None:
         self._engine = engine
         self._adaptive = adaptive
-        self._policy_prototype = policy
-        self._prune_uncovered = prune_uncovered
+        self._policy = policy
         self._kernel = kernel
 
     @property
     def name(self) -> str:
         return "pincer-search" if self._adaptive else "pincer-search-pure"
-
-    @property
-    def prune_uncovered(self) -> bool:
-        return self._prune_uncovered
-
-    def _make_policy(self) -> AdaptivePolicy:
-        if self._policy_prototype is not None:
-            self._policy_prototype.reset()
-            return self._policy_prototype
-        return AdaptivePolicy() if self._adaptive else AlwaysMaintain()
 
     # ------------------------------------------------------------------
 
@@ -218,11 +201,13 @@ class PincerSearch:
                 num_transactions=len(db),
                 min_support_count=threshold,
             )
-        policy = (
-            self._make_policy()
-            if bottom_up or self._policy_prototype is not None
-            else AlwaysMaintain()
-        )
+        policy = self._policy
+        if policy is None:
+            policy = (
+                AdaptivePolicy()
+                if self._adaptive and bottom_up
+                else AlwaysMaintain()
+            )
         lattice = make_kernel(self._kernel, db.universe)
         started = time.perf_counter()
 
@@ -241,10 +226,6 @@ class PincerSearch:
         candidates: List[Itemset] = (
             first_level_candidates(db.universe) if bottom_up else []
         )
-        # judge the initial MFCS against the real level-1 candidate count:
-        # a warm-start seed holds one element per known maximal itemset,
-        # which is its steady size, not an explosion
-        maintaining = policy.keep_mfcs(0, len(mfcs), len(candidates), 0)
         # every itemset known frequent, counted or virtual (MFS-implied)
         frequents_seen: Set[Itemset] = set()
         longest_maximal = 0
@@ -259,7 +240,9 @@ class PincerSearch:
             min_support_count=threshold,
         )
         with _engine_scope(engine, counter is None), run_span:
-            while maintaining and (candidates or len(mfcs) > 0):
+            while stats.abandon_reason is None and (
+                candidates or len(mfcs) > 0
+            ):
                 k += 1
                 if k > 2 * db.num_items + 4:
                     # bottom-up needs ≤ n levels; the pure top-down descent
@@ -320,20 +303,17 @@ class PincerSearch:
                         ) - len(level_frequents)
                         frequents_seen.update(level_frequents)
 
-                    # ----- pre-update adaptivity (Section 3.5's "many
-                    # 2-itemsets, few frequent" cue, sharpened by the
-                    # Geerts–Goethals–Van den Bussche candidate bound): a
-                    # hopeless pass abandons the MFCS before the expensive
-                    # MFCS-gen update even starts
                     bound = candidate_upper_bound(len(level_frequents), k)
                     if obs.enabled:
                         pass_span.set(candidate_bound=bound)
                         obs.gauge("miner.candidate_bound").set(bound)
-                    maintaining = policy.keep_after_classification(
-                        k, len(frequent_in_ck), len(candidates), longest_maximal,
-                        mfcs_size=len(mfcs), candidate_bound=bound,
-                    )
-                    if not maintaining:
+                    # ----- pre-update adaptivity (Section 3.5's "many
+                    # 2-itemsets, few frequent" cue): a scattered pass 2
+                    # abandons the MFCS before MFCS-gen even starts
+                    if not policy.keep_after_classification(
+                        k, len(frequent_in_ck), len(candidates), longest_maximal
+                    ):
+                        stats.abandon_reason = "frequent-ratio"
                         pass_stats.mfcs_size_after = 0
                         pass_stats.seconds = time.perf_counter() - pass_started
                         if pass_stats.total_candidates:
@@ -351,14 +331,7 @@ class PincerSearch:
 
                     # ----- update MFCS (paper line 14, with A2/A4)
                     with obs.span("mfcs_gen") as mfcs_span:
-                        if longest_maximal > policy.abandon_length_cap:
-                            # abandonment is off the table (see
-                            # AdaptivePolicy docs), so a mid-update cap
-                            # abort must not fire either
-                            size_cap = work_cap = None
-                        else:
-                            size_cap = policy.update_size_cap
-                            work_cap = policy.update_work_cap
+                        size_cap, work_cap = policy.update_caps(longest_maximal)
                         completed = mfcs.update(
                             counted.infrequent(threshold),
                             protected=mfs_cover,
@@ -373,22 +346,20 @@ class PincerSearch:
                                 work_cap=work_cap,
                             )
                         if not completed:
-                            # mid-update size blow-up (scattered
-                            # distributions): the MFCS contents are no
-                            # longer meaningful
+                            # mid-update blow-up (scattered distributions):
+                            # the MFCS contents are no longer meaningful
                             policy.abandon()
-                            maintaining = False
+                            stats.abandon_reason = "mfcs-update-cap"
                         pass_stats.mfcs_size_after = (
-                            len(mfcs) if maintaining else 0
+                            len(mfcs) if completed else 0
                         )
                         mfcs_span.set(
                             completed=completed,
                             mfcs_size=pass_stats.mfcs_size_after,
                         )
 
-                    # ----- candidate generation + adaptivity (paper
-                    # lines 10-13, §3.5)
-                    if maintaining:
+                    # ----- candidate generation (paper lines 10-13)
+                    if completed:
                         with obs.span("generate"):
                             next_candidates = lattice.generate_candidates(
                                 level_frequents, mfs_cover, k
@@ -401,19 +372,6 @@ class PincerSearch:
                                             next_candidates,
                                         )
                                     )
-                            if self._prune_uncovered:
-                                next_candidates = {
-                                    c
-                                    for c in next_candidates
-                                    if mfcs.covers(c) or mfs_cover.covers(c)
-                                }
-                        maintaining = policy.keep_mfcs(
-                            k,
-                            len(mfcs),
-                            len(next_candidates),
-                            pass_stats.maximal_found,
-                            longest_maximal,
-                        )
                         candidates = as_level(next_candidates)
 
                     pass_stats.seconds = time.perf_counter() - pass_started
@@ -429,30 +387,28 @@ class PincerSearch:
                         mfs_size=len(mfs),
                     )
 
-            if not maintaining:
-                # The MFCS was abandoned (Section 3.5's adaptive fallback)
-                # or never maintained: finish with Apriori's own loop,
-                # the counts so far as its cache and the MFS as its
-                # known-frequent oracle.  If no maximal itemset was
-                # discovered before abandonment, no pruning ever removed a
-                # frequent itemset and the levels classified bottom-up so
-                # far are complete — the sweep resumes right at the
-                # current level.  Otherwise it rebuilds every level from
-                # the bottom, because the maintained phase's candidate
-                # generation only guarantees completeness jointly with the
-                # MFCS (the recovery procedure misses candidates both of
-                # whose join parents are subsets of two *different* MFS
-                # members — see DESIGN.md A6).  Either way only genuinely
-                # unknown itemsets reach the engine.
+            if stats.abandon_reason is not None:
+                # The MFCS was abandoned (Section 3.5's adaptive fallback):
+                # finish with Apriori's own loop, the counts so far as its
+                # cache and the MFS as its known-frequent oracle.  If no
+                # maximal itemset was discovered before abandonment, no
+                # pruning ever removed a frequent itemset and the levels
+                # classified bottom-up so far are complete — the sweep
+                # resumes right at the current level.  Otherwise it
+                # rebuilds every level from the bottom, because the
+                # maintained phase's candidate generation only guarantees
+                # completeness jointly with the MFCS (the recovery
+                # procedure misses candidates both of whose join parents
+                # are subsets of two *different* MFS members — see
+                # DESIGN.md A6).  Either way only genuinely unknown
+                # itemsets reach the engine.
+                stats.abandoned_at_pass = k
                 logger.info(
-                    "MFCS abandoned after pass %d; completing bottom-up", k
+                    "MFCS abandoned (%s) after pass %d; completing bottom-up",
+                    stats.abandon_reason, k,
                 )
                 if progress.enabled:
-                    progress.on_abandon(
-                        k=k,
-                        reason=getattr(policy, "abandon_reason", None)
-                        or "policy",
-                    )
+                    progress.on_abandon(k=k, reason=stats.abandon_reason)
                 levelwise(
                     db, engine, threshold, lattice, stats, supports,
                     frequents_seen, known=mfs_cover,
@@ -469,7 +425,7 @@ class PincerSearch:
                     total_candidates=stats.total_candidates,
                     mfs_size=len(final_mfs),
                     records_read=stats.records_read,
-                    abandoned=not maintaining,
+                    abandoned=stats.abandon_reason is not None,
                 )
                 obs.gauge("miner.mfs_size").set(len(final_mfs))
                 obs.counter("miner.runs").inc()
@@ -692,7 +648,6 @@ def pincer_search(
     engine: str = "auto",
     adaptive: bool = True,
     policy: Optional[AdaptivePolicy] = None,
-    prune_uncovered: bool = False,
     obs: Optional[Instrumentation] = None,
     initial_mfcs: Optional[List[Itemset]] = None,
     bottom_up: bool = True,
@@ -704,12 +659,7 @@ def pincer_search(
     >>> sorted(pincer_search(db, 0.5).mfs)
     [(1, 2, 3)]
     """
-    miner = PincerSearch(
-        engine=engine,
-        adaptive=adaptive,
-        policy=policy,
-        prune_uncovered=prune_uncovered,
-    )
+    miner = PincerSearch(engine=engine, adaptive=adaptive, policy=policy)
     return miner.mine(
         db, min_support, min_count=min_count, obs=obs,
         initial_mfcs=initial_mfcs, bottom_up=bottom_up,

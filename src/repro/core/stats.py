@@ -18,7 +18,7 @@ accounting conventions:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from ..obs.schema import STATS_SCHEMA_VERSION
 
@@ -84,6 +84,11 @@ class MiningStats:
     #: involved no sampling.  Recording it is what makes sample-seeded
     #: runs reproducible from their stats document alone.
     sample_seed: Any = None
+    #: why Pincer-Search stopped maintaining the MFCS ("frequent-ratio"
+    #: or "mfcs-update-cap", see :mod:`repro.core.adaptive`) and in which
+    #: pass; both None when it never did
+    abandon_reason: Optional[str] = None
+    abandoned_at_pass: Optional[int] = None
 
     def new_pass(self, pass_number: int) -> PassStats:
         """Open stats for the next pass and return them for filling in."""
@@ -136,6 +141,8 @@ class MiningStats:
             "engine": self.engine,
             "engine_evidence": dict(self.engine_evidence),
             "sample_seed": self.sample_seed,
+            "abandon_reason": self.abandon_reason,
+            "abandoned_at_pass": self.abandoned_at_pass,
             "num_passes": self.num_passes,
             "total_candidates": self.total_candidates,
             "candidates_after_pass2": self.candidates_after_pass2,
@@ -158,6 +165,8 @@ class MiningStats:
             engine=data.get("engine", ""),
             engine_evidence=dict(data.get("engine_evidence", {})),
             sample_seed=data.get("sample_seed"),
+            abandon_reason=data.get("abandon_reason"),
+            abandoned_at_pass=data.get("abandoned_at_pass"),
             passes=[
                 PassStats.from_dict(entry) for entry in data.get("passes", [])
             ],
@@ -165,13 +174,15 @@ class MiningStats:
 
     def summary(self) -> str:
         """One-line human-readable digest used by the CLI."""
-        return (
-            "%s: %d passes, %d candidates (%d after pass 2), %.3fs"
-            % (
-                self.algorithm or "run",
-                self.num_passes,
-                self.total_candidates,
-                self.candidates_after_pass2,
-                self.seconds,
-            )
+        text = "%s: %d passes, %d candidates (%d after pass 2), %.3fs" % (
+            self.algorithm or "run",
+            self.num_passes,
+            self.total_candidates,
+            self.candidates_after_pass2,
+            self.seconds,
+        )
+        if self.abandon_reason is None:
+            return text
+        return "%s; MFCS abandoned at pass %s (%s)" % (
+            text, self.abandoned_at_pass, self.abandon_reason,
         )

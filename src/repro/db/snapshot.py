@@ -482,10 +482,10 @@ class SnapshotPartition:
 class Snapshot:
     """A validated, lazily-materialised snapshot file.
 
-    Holds only the header metadata; the matrix is materialised on demand
-    either as a zero-copy :func:`numpy.memmap` view (:meth:`matrix`,
-    :meth:`packed_index`) or as pure-Python int bitmaps
-    (:meth:`int_bitmaps`) on interpreters without NumPy.
+    Holds only the header metadata.  The bitmaps are read on demand:
+    whole-file as pure-Python int bitmaps (:meth:`int_bitmaps`), or per
+    partition through :attr:`partitions`, each of which maps its own
+    matrix zero-copy (:meth:`SnapshotPartition.matrix`).
 
     Every snapshot — v1 or v2 — exposes :attr:`partitions`; a v1 file is
     a single partition spanning all rows, so partition-aware consumers
@@ -543,46 +543,6 @@ class Snapshot:
             )
         return self._partitions
 
-    @property
-    def matrix_offset(self) -> int:
-        """Byte offset of the bitmap matrix inside the file.
-
-        Only meaningful when the snapshot holds one contiguous matrix
-        (any v1 file, or a v2 file with a single partition).
-        """
-        if self.num_partitions != 1:
-            raise SnapshotFormatError(
-                "%s: %d-partition snapshot has no contiguous matrix; use "
-                ".partitions" % (self.path, self.num_partitions)
-            )
-        return self._partition_table[0][3]
-
-    @property
-    def matrix_shape(self) -> Tuple[int, int]:
-        return (self.num_items, self.num_words)
-
-    @property
-    def matrix_bytes(self) -> int:
-        """Size of the dense logical matrix (all partitions), in bytes."""
-        return 8 * self.num_items * self.num_words
-
-    def matrix(self, writable: bool = False):
-        """The bitmap matrix as a ``numpy.memmap`` view (zero-copy).
-
-        Multi-partition snapshots have no contiguous on-disk matrix;
-        use :attr:`partitions` (zero-copy per partition) or
-        :meth:`packed_index` (one documented concatenation copy).
-        """
-        if _np is None:  # pragma: no cover - NumPy-less interpreters
-            raise RuntimeError("snapshot memory-mapping requires NumPy")
-        return _np.memmap(
-            self.path,
-            dtype="<u8",
-            mode="r+" if writable else "r",
-            offset=self.matrix_offset,
-            shape=self.matrix_shape,
-        )
-
     def int_bitmaps(self) -> Dict[int, int]:
         """item -> arbitrary-precision int bitmap (pure-Python read).
 
@@ -598,33 +558,6 @@ class Snapshot:
                 if value:
                     combined[item] |= value << shift
         return combined
-
-    def packed_index(self) -> "PackedBitmapIndex":
-        """A :class:`PackedBitmapIndex` over the full matrix.
-
-        Zero-copy (a memmap view) for single-partition snapshots.  For a
-        multi-partition v2 file the partition matrices are word-aligned
-        column slices of the logical matrix, so this concatenates them
-        into one resident array — a copy of the full matrix, appropriate
-        only for consumers that need the whole index in memory anyway.
-        Budget-respecting consumers use :attr:`partitions` instead.
-        """
-        rows = {item: row for row, item in enumerate(self.universe)}
-        if self.num_partitions == 1:
-            return PackedBitmapIndex(self.matrix(), rows, self.num_rows)
-        if _np is None:  # pragma: no cover - NumPy-less interpreters
-            raise RuntimeError("snapshot memory-mapping requires NumPy")
-        matrix = _np.empty((self.num_items, self.num_words), dtype="<u8")
-        for partition in self.partitions:
-            lo = partition.word_start
-            matrix[:, lo : lo + partition.num_words] = partition.matrix()
-        return PackedBitmapIndex(matrix, rows, self.num_rows)
-
-    def index(self):
-        """The best available counting index backed by this snapshot."""
-        if HAVE_NUMPY:
-            return self.packed_index()
-        return IntBitmapIndex(self.int_bitmaps(), self.num_rows)
 
 
 def _load_partition_table(

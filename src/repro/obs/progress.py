@@ -1,8 +1,7 @@
 """Heartbeat progress reporting for long mining runs.
 
 A mining run's pass structure is its natural progress axis, and the
-Geerts–Goethals–Van den Bussche candidate bound (already computed each
-pass for the adaptive policy, see
+Geerts–Goethals–Van den Bussche candidate bound (computed each pass, see
 :func:`repro.core.bitset.candidate_upper_bound`) is a *provable* upper
 bound on the next pass's bottom-up candidates — which makes it an honest
 ETA signal: ``bound / (candidates counted per second so far)`` bounds the
@@ -205,7 +204,7 @@ class ProgressReporter:
             elapsed_s=round(elapsed, 6),
         )
 
-    def on_abandon(self, k: int, reason: str = "policy") -> None:
+    def on_abandon(self, k: int, reason: str) -> None:
         self._emit(
             "abandon",
             "[%s] pass %d: MFCS abandoned (%s); completing bottom-up"

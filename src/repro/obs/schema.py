@@ -262,13 +262,24 @@ def validate_stats_document(document: Dict[str, Any]) -> None:
         isinstance(document.get("records_read"), int),
         "records_read must be an int",
     )
-    # additive v1 keys: absent in pre-roaring documents, so optional
+    # additive v1 keys: absent in older documents, so optional
     if "engine" in document:
         _require(isinstance(document["engine"], str), "engine must be str")
     if "engine_evidence" in document:
         _require(
             isinstance(document["engine_evidence"], dict),
             "engine_evidence must be an object",
+        )
+    if document.get("abandon_reason") is not None:
+        _require(
+            isinstance(document["abandon_reason"], str),
+            "abandon_reason must be str or null",
+        )
+    if document.get("abandoned_at_pass") is not None:
+        _require(
+            isinstance(document["abandoned_at_pass"], int)
+            and document["abandoned_at_pass"] >= 1,
+            "abandoned_at_pass must be an int >= 1 or null",
         )
     passes = document.get("passes")
     _require(isinstance(passes, list), "passes must be a list")

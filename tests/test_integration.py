@@ -24,6 +24,8 @@ from repro.db.counting import get_counter
 from repro.rules.from_mfs import rules_from_mfs
 from repro.rules.generation import generate_rules
 
+from tests.test_pincer import AbandonAfterPass
+
 
 def concentrated_db():
     config = QuestConfig(
@@ -65,11 +67,12 @@ class TestMinerAgreement:
     def test_hostile_adaptivity_end_to_end(self, workload):
         db, minsup = workload
         reference = Apriori().mine(db, minsup).mfs
-        policy = AdaptivePolicy(
-            mfcs_work_cap=500, futile_passes=1, min_passes=1,
-            abandon_length_cap=3,
-        )
-        assert PincerSearch(policy=policy).mine(db, minsup).mfs == reference
+        policies = [
+            AdaptivePolicy(mfcs_work_cap=500, abandon_length_cap=3),
+        ] + [AbandonAfterPass(k) for k in (1, 2, 3, 4)]
+        for policy in policies:
+            result = PincerSearch(policy=policy).mine(db, minsup)
+            assert result.mfs == reference, policy
 
 
 class TestFrequencySemantics:

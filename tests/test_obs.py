@@ -394,6 +394,25 @@ class TestSchemaValidators:
         rebuilt = MiningStats.from_dict(document)
         assert rebuilt.to_dict() == document
 
+    def test_stats_document_checks_abandonment_fields(self):
+        from repro.core.stats import MiningStats
+
+        stats = MiningStats(algorithm="pincer-search")
+        stats.new_pass(1)
+        document = stats.to_dict()
+        assert document["abandon_reason"] is None
+        validate_stats_document(document)
+        # older documents lack both keys
+        del document["abandon_reason"], document["abandoned_at_pass"]
+        validate_stats_document(document)
+        validate_stats_document(
+            dict(document, abandon_reason="frequent-ratio", abandoned_at_pass=2)
+        )
+        with pytest.raises(SchemaError, match="abandon_reason"):
+            validate_stats_document(dict(document, abandon_reason=2))
+        with pytest.raises(SchemaError, match="abandoned_at_pass"):
+            validate_stats_document(dict(document, abandoned_at_pass=0))
+
     def test_stats_document_rejects_bad_pass_number(self):
         with pytest.raises(SchemaError, match="pass_number"):
             validate_stats_document(

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from repro.algorithms.brute_force import brute_force_mfs
-from repro.core.adaptive import AdaptivePolicy, AlwaysMaintain, NeverMaintain
+from repro.core.adaptive import AdaptivePolicy, AlwaysMaintain
 from repro.core.pincer import PincerSearch, pincer_search, resolve_threshold
 from repro.core.result import MiningResult
 from repro.db.counting import get_counter
@@ -134,28 +134,29 @@ class TestEngineAndCounterInjection:
         assert counter.records_read == result.stats.records_read
 
 
+class AbandonAfterPass(AdaptivePolicy):
+    """Maintains the MFCS through pass ``k``, then abandons it: late
+    abandonment with a non-empty MFS forces the A6 rebuild.  The miner
+    books every pre-update abandonment as ``frequent-ratio``."""
+
+    def __init__(self, k):
+        super().__init__(abandon_length_cap=10 ** 6)
+        self.k = k
+
+    def keep_after_classification(self, pass_number, *args):
+        return pass_number <= self.k
+
+
 class TestPolicies:
-    def test_never_maintain_matches_pure(self):
-        never = pincer_search(toy_db(), 0.5, policy=NeverMaintain())
-        pure = pincer_search(toy_db(), 0.5, adaptive=False)
-        assert never.mfs == pure.mfs
-
-    def test_never_maintain_counts_no_mfcs_candidates(self):
-        result = pincer_search(toy_db(), 0.5, policy=NeverMaintain())
-        assert all(
-            stats.mfcs_candidates == 0 for stats in result.stats.passes
-        )
-        assert result.stats.total_maximal_found_in_mfcs == 0
-
     def test_abandonment_midway_still_correct(self):
         db = TransactionDatabase(
             [[1, 2, 3, 4], [1, 2, 3, 4], [1, 2], [3, 4], [5, 6], [5, 6]]
         )
-        policy = AdaptivePolicy(futile_passes=1, min_passes=1,
-                                abandon_length_cap=50)
-        result = pincer_search(db, 2 / 6, policy=policy)
         pure = pincer_search(db, 2 / 6, adaptive=False)
-        assert result.mfs == pure.mfs
+        for k in (1, 2):
+            result = pincer_search(db, 2 / 6, policy=AbandonAfterPass(k))
+            assert result.mfs == pure.mfs, k
+            assert result.stats.abandoned_at_pass == k + 1, k
 
     def test_rebuild_classifies_covered_pairs_without_counting(self):
         # the warm seed's (1, 2, 3, 4) is maximal in pass 1, so pass 2 never
@@ -179,7 +180,7 @@ class TestPolicies:
         result = PincerSearch(policy=policy).mine(
             db, min_count=3, counter=counter, initial_mfcs=seed
         )
-        assert policy.abandon_reason == "frequent-ratio"
+        assert result.stats.abandon_reason == "frequent-ratio"
         assert set(result.mfs) == brute_force_mfs(db, min_count=3)
         everything = set().union(*counted)
         for pair in combinations((1, 2, 3, 4), 2):
@@ -200,7 +201,8 @@ class TestPolicies:
         assert [p.mfcs_candidates for p in first.stats.passes[:2]] == [1, 1]
         assert pass_stats(second) == pass_stats(first)
         assert second.mfs == first.mfs
-        assert policy.abandon_reason == "frequent-ratio"
+        assert second.stats.abandon_reason == "frequent-ratio"
+        assert second.stats.abandoned_at_pass == 2
 
     def test_observation2_prunes_mfs_subsets(self):
         # with a concentrated database the pure pincer discovers the long
@@ -212,33 +214,6 @@ class TestPolicies:
             stats.pruned_as_mfs_subsets for stats in result.stats.passes
         )
         assert pruned > 0 or result.stats.num_passes <= 2
-
-
-class TestPruneUncoveredExtension:
-    def test_same_answer_with_extension(self):
-        with_extension = pincer_search(
-            toy_db(), 0.5, adaptive=False, prune_uncovered=True
-        )
-        without = pincer_search(toy_db(), 0.5, adaptive=False)
-        assert with_extension.mfs == without.mfs
-
-    def test_extension_never_counts_more(self):
-        db = TransactionDatabase(
-            [[1, 2, 3, 4], [1, 2, 3], [2, 3, 4], [1, 3, 4], [1, 2, 4]] * 2
-            + [[5, 6]] * 3
-        )
-        plain = pincer_search(db, 0.3, adaptive=False)
-        extended = pincer_search(
-            db, 0.3, adaptive=False, prune_uncovered=True
-        )
-        assert extended.mfs == plain.mfs
-        assert (
-            extended.stats.total_candidates <= plain.stats.total_candidates
-        )
-
-    def test_flag_is_exposed(self):
-        assert PincerSearch(prune_uncovered=True).prune_uncovered
-        assert not PincerSearch().prune_uncovered
 
 
 class TestPassAccounting:

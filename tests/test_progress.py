@@ -26,7 +26,7 @@ class TestProgressReporter:
         reporter.on_pass(
             k=1, candidates=10, mfcs_size=1, candidate_bound=45, mfs_size=0
         )
-        reporter.on_abandon(k=2, reason="ratio-cap")
+        reporter.on_abandon(k=2, reason="frequent-ratio")
         reporter.on_finish(mfs_size=7, passes=3, seconds=0.5)
         assert [e["phase"] for e in reporter.events] == [
             "start", "pass", "abandon", "finish",
@@ -98,10 +98,10 @@ class TestProgressReporter:
 
     def test_abandon_carries_reason(self):
         reporter = ProgressReporter(stream=None)
-        reporter.on_abandon(k=3, reason="futility")
+        reporter.on_abandon(k=3, reason="mfcs-update-cap")
         event = reporter.events[-1]
         assert event["phase"] == "abandon"
-        assert event["reason"] == "futility"
+        assert event["reason"] == "mfcs-update-cap"
 
     def test_zero_elapsed_does_not_divide_by_zero(self):
         reporter = ProgressReporter(stream=None)

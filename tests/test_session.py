@@ -413,7 +413,6 @@ class TestPairLevelLadder:
     CONFIGS = {
         "pure": dict(adaptive=False),
         "adaptive": dict(adaptive=True),
-        "prune-uncovered": dict(adaptive=False, prune_uncovered=True),
     }
 
     @staticmethod

@@ -50,7 +50,8 @@ class TestRoundTrip:
         assert load_snapshot(snap_path).int_bitmaps() == DB.item_bitmaps()
 
     def test_index_counts_match_naive(self, snap_path):
-        index = load_snapshot(snap_path).index()
+        (part,) = load_snapshot(snap_path).partitions
+        index = part.index()
         got = dict(zip(CANDIDATES, index.counts(CANDIDATES)))
         assert got == EXPECTED
 
@@ -66,8 +67,15 @@ class TestRoundTrip:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
     def test_packed_index_is_zero_copy_view(self, snap_path):
-        snap = load_snapshot(snap_path)
-        index = snap.packed_index()
+        import numpy as np
+
+        (part,) = load_snapshot(snap_path).partitions
+        matrix = part.matrix()
+        assert matrix.shape == (len(DB.universe), part.num_words)
+        assert matrix.offset == part.matrix_offset
+        index = part.packed_index()
+        # a plain view over the mapped buffer, not a copy
+        assert isinstance(index._matrix.base, np.memmap)
         assert index.num_rows == len(DB)
         got = dict(zip(CANDIDATES, index.counts(CANDIDATES)))
         assert got == EXPECTED
@@ -150,7 +158,8 @@ class TestPartitionedFormat:
         assert snap.num_partitions == 1
         (part,) = snap.partitions
         assert (part.row_start, part.num_rows) == (0, len(DB))
-        assert part.matrix_offset == snap.matrix_offset
+        # v1's one matrix starts right after the header and universe
+        assert part.matrix_offset == HEADER_SIZE + 8 * snap.num_items
         assert part.int_bitmaps() == DB.item_bitmaps()
 
     def test_v2_roundtrip_metadata(self, v2_path):
@@ -169,9 +178,14 @@ class TestPartitionedFormat:
         assert load_snapshot(v2_path).int_bitmaps() == DB.item_bitmaps()
 
     def test_v2_index_counts_match_naive(self, v2_path):
-        index = load_snapshot(v2_path).index()
-        got = dict(zip(CANDIDATES, index.counts(CANDIDATES)))
-        assert got == EXPECTED
+        # each partition counts exactly its own row range
+        for part in load_snapshot(v2_path).partitions:
+            rows = TRANSACTIONS[part.row_start : part.row_start + part.num_rows]
+            expected = get_counter("naive").count(
+                TransactionDatabase(rows), CANDIDATES
+            )
+            got = dict(zip(CANDIDATES, part.index().counts(CANDIDATES)))
+            assert got == expected
 
     def test_partition_supports_are_additive(self, v2_path):
         # the invariant the out-of-core miner rests on: global support is
@@ -187,9 +201,12 @@ class TestPartitionedFormat:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
     def test_v2_packed_index_matches_v1_matrix(self, snap_path, v2_path):
-        v1 = load_snapshot(snap_path).packed_index()
-        v2 = load_snapshot(v2_path).packed_index()
-        assert v2._matrix.tobytes() == v1._matrix.tobytes()
+        import numpy as np
+
+        (v1,) = load_snapshot(snap_path).partitions
+        # v2's partition matrices are word-aligned column slices of v1's
+        v2 = np.hstack([p.matrix() for p in load_snapshot(v2_path).partitions])
+        assert v2.tobytes() == v1.matrix().tobytes()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
     def test_python_writer_is_byte_identical(
@@ -216,8 +233,13 @@ class TestPartitionedFormat:
         snap = load_snapshot(path)
         assert snap.version == SNAPSHOT_VERSION_PARTITIONED
         assert snap.num_partitions == 1
-        # single-partition v2 still has a contiguous matrix
-        assert snap.matrix_offset == snap.partitions[0].matrix_offset
+        # single-partition v2 still has one contiguous matrix, after the
+        # one-entry partition directory
+        (part,) = snap.partitions
+        assert part.matrix_offset == (
+            HEADER_SIZE + 8 * snap.num_items + 8 + 32
+        )
+        assert part.int_bitmaps() == DB.item_bitmaps()
 
     def test_truncated_partition_directory_rejected(self, v2_path):
         snap = load_snapshot(v2_path)
