@@ -16,8 +16,9 @@ Subcommands cover the end-to-end workflow:
   op, and per-query ``eta_seconds`` on every reply;
 * ``bench``    — run one of the paper's experiments and print its rows
   (``bench regress`` gates the recorded bench trajectory instead);
-* ``obs``      — work with recorded traces and live runs: ``obs export``
-  converts a trace or metrics file for Perfetto/Prometheus, ``obs
+* ``obs``      — work with recorded traces and live runs: ``obs validate``
+  checks trace, metrics and access-log files against the schema, ``obs
+  export`` converts a trace or metrics file for Perfetto/Prometheus, ``obs
   report`` prints a span-tree profile with wall/CPU/memory columns
   (``--request ID`` isolates one serve query, ``--requests`` lists the
   ids), and ``obs top`` attaches a live console to a serve daemon's
@@ -110,7 +111,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL span trace of the run "
-        "(schema: python -m repro.obs.schema PATH)",
+        "(validate it: pincer obs validate PATH)",
     )
     group.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -484,6 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(bench)
     bench.set_defaults(handler=_cmd_bench)
 
+    # serve and the obs subcommands are listed for --help only: main()
+    # hands their arguments to each module's own main before parsing
     serve = commands.add_parser(
         "serve",
         help="answer mining queries over a unix socket from one "
@@ -491,26 +494,29 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
     )
     serve.add_argument("rest", nargs=argparse.REMAINDER)
-    serve.set_defaults(handler=_cmd_serve)
 
     obs_cmd = commands.add_parser(
-        "obs", help="export or report a recorded trace/metrics file"
+        "obs", help="validate, export or report a recorded trace/metrics file"
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
+    obs_validate = obs_sub.add_parser(
+        "validate",
+        help="check trace, metrics and access-log files against the schema",
+        add_help=False,
+    )
+    obs_validate.add_argument("rest", nargs=argparse.REMAINDER)
     obs_export = obs_sub.add_parser(
         "export",
         help="convert a trace to Perfetto JSON or metrics to Prometheus text",
         add_help=False,
     )
     obs_export.add_argument("rest", nargs=argparse.REMAINDER)
-    obs_export.set_defaults(handler=_cmd_obs_export)
     obs_report = obs_sub.add_parser(
         "report",
         help="print a span-tree profile of a recorded trace",
         add_help=False,
     )
     obs_report.add_argument("rest", nargs=argparse.REMAINDER)
-    obs_report.set_defaults(handler=_cmd_obs_report)
     obs_top = obs_sub.add_parser(
         "top",
         help="live console over a serve daemon's query plane "
@@ -518,32 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
     )
     obs_top.add_argument("rest", nargs=argparse.REMAINDER)
-    obs_top.set_defaults(handler=_cmd_obs_top)
     return parser
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import main as serve_main
-
-    return serve_main(args.rest)
-
-
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from .obs.export import main as export_main
-
-    return export_main(args.rest)
-
-
-def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from .obs.report import main as report_main
-
-    return report_main(args.rest)
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    from .obs.top import main as top_main
-
-    return top_main(args.rest)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -558,6 +539,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .bench.regress import main as regress_main
 
         return regress_main(argv[2:])
+    if argv[:2] == ["obs", "validate"]:
+        from .obs.schema import main as validate_main
+
+        return validate_main(argv[2:])
     if argv[:2] == ["obs", "export"]:
         from .obs.export import main as export_main
 

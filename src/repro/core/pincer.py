@@ -67,6 +67,7 @@ from ..db.transaction_db import TransactionDatabase
 from ..db.vertical import as_level, level_counts, pass_batch
 from ..obs.instrument import NOOP, Instrumentation
 from ..obs.logsetup import get_logger
+from ..obs.tracing import NOOP_SPAN
 from .adaptive import AdaptivePolicy, AlwaysMaintain
 from .bitset import candidate_upper_bound
 from .candidates import first_level_candidates
@@ -254,14 +255,17 @@ class PincerSearch:
                 exclusions_before = mfcs.exclusions
                 cover_queries_before = mfcs.cover_queries
                 cover_visits_before = mfcs.cover_node_visits
-                with obs.span("pass", k=k) as pass_span:
-                    # ----- one database read: C_k plus unclassified MFCS
-                    # elements (the engine emits the nested "count" span);
-                    # level 2 stays the lazy pair level throughout
-                    mfcs_elements = sorted(mfcs)
-                    batch, num_bottom_up = pass_batch(
-                        candidates, mfcs_elements, supports
-                    )
+                # ----- one database read: C_k plus unclassified MFCS
+                # elements (the engine emits the nested "count" span);
+                # level 2 stays the lazy pair level throughout.  An
+                # iteration with nothing left to count is no pass, so
+                # MiningStats, the trace and the progress events skip it
+                mfcs_elements = sorted(mfcs)
+                batch, num_bottom_up = pass_batch(
+                    candidates, mfcs_elements, supports
+                )
+                pass_scope = obs.span("pass", k=k) if len(batch) else NOOP_SPAN
+                with pass_scope as pass_span:
                     counted = level_counts(
                         candidates, engine.count(db, batch), supports
                     )
@@ -458,7 +462,11 @@ class PincerSearch:
         candidate_bound: int = 0,
         mfs_size: int = 0,
     ) -> None:
-        """Record one finished pass on its span and in the registry."""
+        """Record one finished iteration on its span and in the registry.
+
+        Only an iteration that counted something is a pass and sends a
+        progress event.
+        """
         logger.debug(
             "pass %d: %d bottom-up + %d MFCS candidates, %d frequent, "
             "%d maximal, |MFCS|=%d",
@@ -467,7 +475,7 @@ class PincerSearch:
             pass_stats.maximal_found, pass_stats.mfcs_size_after,
         )
         progress = obs.progress
-        if progress.enabled:
+        if progress.enabled and pass_stats.total_candidates:
             progress.on_pass(
                 k=pass_stats.pass_number,
                 candidates=pass_stats.total_candidates,

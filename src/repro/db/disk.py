@@ -26,7 +26,8 @@ engines use (`__len__`, `__iter__`, ``transactions``, ``universe``,
 
 The vertical counting engines still work: their indexes are built from
 ``item_bitmaps``, which one streaming pass builds and caches (they are
-|I| × |D| *bits*, far smaller than the parsed transactions).
+|I| × |D| *bits*, far smaller than the parsed transactions).  The line
+parser and the bitmap build are the in-memory database's own.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, Optional, Union
 
+from .io import read_rows
 from .snapshot import Snapshot, default_snapshot_path, load_snapshot, snapshot_database
+from .transaction_db import bitmaps_from_rows
 
 PathLike = Union[str, Path]
 
@@ -80,22 +83,9 @@ class DiskTransactionDatabase:
 
     def _stream(self) -> Iterator[FrozenSet[int]]:
         self.file_reads += 1
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    transaction = frozenset(
-                        int(token) for token in stripped.split()
-                    )
-                except ValueError:
-                    raise ValueError(
-                        "%s:%d: non-integer item in basket line"
-                        % (self._path, line_number)
-                    ) from None
-                self.records_streamed += 1
-                yield transaction
+        for transaction in read_rows(self._path):
+            self.records_streamed += 1
+            yield transaction
 
     def __iter__(self) -> Iterator[FrozenSet[int]]:
         return self._stream()
@@ -167,23 +157,20 @@ class DiskTransactionDatabase:
     def item_bitmaps(self) -> Dict[int, int]:
         """Vertical bitmaps built from one streaming pass, then cached.
 
-        After this, the vertical engines and the ``auto`` resolver no
-        longer touch the file — the bitmaps *are* the database,
-        vertically.  Pass accounting then
-        models the paper's I/O, while ``file_reads`` tracks physical
-        reads.  A database opened from a snapshot loads the bitmaps from
-        the snapshot instead, skipping the basket parse.
+        The build is linear in the item occurrences.  After it, the
+        vertical engines and the ``auto`` resolver no longer touch the
+        file — the bitmaps *are* the database, vertically.  Pass
+        accounting then models the paper's I/O, while ``file_reads``
+        tracks physical reads.  A database opened from a snapshot loads
+        the bitmaps from the snapshot instead, skipping the basket parse.
         """
         if self._bitmaps is None:
             if self._snapshot is not None:
                 self._bitmaps = self._snapshot.int_bitmaps()
             else:
-                bitmaps = {item: 0 for item in self._universe}
-                for position, transaction in enumerate(self._stream()):
-                    bit = 1 << position
-                    for item in transaction:
-                        bitmaps[item] |= bit
-                self._bitmaps = bitmaps
+                self._bitmaps = bitmaps_from_rows(
+                    self._stream(), self._length, self._universe
+                )
         return self._bitmaps
 
     def occurring_items(self):

@@ -9,17 +9,67 @@ Three interchange formats are supported:
   friendly).
 * **JSON**: ``{"universe": [...], "transactions": [[...], ...]}`` — the only
   format that round-trips an explicit universe with zero-support items.
+
+The two line formats share one parser, :func:`read_rows`, which the
+file-backed :class:`~repro.db.disk.DiskTransactionDatabase` streams
+through too.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import FrozenSet, Iterator, Optional, Union
 
 from .transaction_db import TransactionDatabase
 
 PathLike = Union[str, Path]
+
+
+class _ItemTable(dict):
+    """token -> item, converting each distinct token with ``int()`` once.
+
+    Tokens that spell the same integer (``"7"``, ``" 7"``, ``"07"``) map
+    to one int object, so every occurrence of an item shares it.
+    """
+
+    def __missing__(self, token: str) -> int:
+        item = int(token)
+        # int keys hold each item's one int object; no str key equals them
+        item = self[token] = self.setdefault(item, item)
+        return item
+
+
+def read_rows(
+    path: PathLike, separator: Optional[str] = None
+) -> Iterator[FrozenSet[int]]:
+    """Yield each non-blank line of ``path`` as a frozenset of int items.
+
+    ``separator=None`` splits on whitespace (the basket format); a
+    separator such as ``","`` splits cells and skips blank ones, so a
+    line of separators is an empty row.  Blank and whitespace-only lines
+    are skipped.  The file is read as UTF-8 text, so any Unicode
+    whitespace separates and any Unicode digits spell an integer, as for
+    ``int()``.  A token that is not an integer raises :class:`ValueError`
+    naming ``path:line``.
+    """
+    kind = "basket" if separator is None else "CSV"
+    convert = _ItemTable().__getitem__
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            cells = line.split(separator)
+            if separator is not None:
+                cells = [cell for cell in cells if cell.strip()]
+            try:
+                row = frozenset(map(convert, cells))
+            except ValueError:
+                raise ValueError(
+                    "%s:%d: non-integer item in %s line"
+                    % (path, line_number, kind)
+                ) from None
+            yield row
 
 
 def load_basket(path: PathLike) -> TransactionDatabase:
@@ -28,19 +78,7 @@ def load_basket(path: PathLike) -> TransactionDatabase:
     Blank lines are skipped; a malformed token raises :class:`ValueError`
     with the offending line number.
     """
-    transactions: List[List[int]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                transactions.append([int(token) for token in stripped.split()])
-            except ValueError:
-                raise ValueError(
-                    "%s:%d: non-integer item in basket line" % (path, line_number)
-                ) from None
-    return TransactionDatabase(transactions)
+    return TransactionDatabase(read_rows(path))
 
 
 def save_basket(db: TransactionDatabase, path: PathLike) -> None:
@@ -53,21 +91,7 @@ def save_basket(db: TransactionDatabase, path: PathLike) -> None:
 
 def load_csv(path: PathLike) -> TransactionDatabase:
     """Load a CSV basket file (one transaction per row, integer cells)."""
-    transactions: List[List[int]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                transactions.append(
-                    [int(token) for token in stripped.split(",") if token.strip()]
-                )
-            except ValueError:
-                raise ValueError(
-                    "%s:%d: non-integer item in CSV line" % (path, line_number)
-                ) from None
-    return TransactionDatabase(transactions)
+    return TransactionDatabase(read_rows(path, ","))
 
 
 def save_csv(db: TransactionDatabase, path: PathLike) -> None:

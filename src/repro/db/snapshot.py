@@ -64,8 +64,11 @@ the full matrix.  :func:`load_snapshot` reads both; a v1 file surfaces as
 a single-partition snapshot, so partition-aware readers need no special
 case.
 
-The format is self-describing and NumPy-optional: the writers and
-:meth:`Snapshot.int_bitmaps` work with pure-Python int bitmaps, so
+The format is self-describing and NumPy-optional.  The v1 writer takes
+the database's int bitmaps; the v2 writer builds each partition with the
+linear vertical builder (:func:`repro.db.transaction_db.item_columns`)
+and writes its ``bytearray`` columns as they are, one path with or
+without NumPy.  :meth:`Snapshot.int_bitmaps` reads either into ints, so
 snapshots written on a NumPy box load on a bare interpreter and vice
 versa.
 """
@@ -77,6 +80,7 @@ import struct
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .transaction_db import item_columns
 from .vertical import HAVE_NUMPY, IntBitmapIndex, PackedBitmapIndex
 
 try:  # pragma: no cover - import guard mirrors repro.db.vertical
@@ -116,11 +120,6 @@ HEADER_SIZE = _HEADER.size  # 40 bytes; keeps the arrays 8-byte aligned
 
 _PARTITION_ENTRY = struct.Struct("<QQQQ")
 PARTITION_ENTRY_SIZE = _PARTITION_ENTRY.size  # 32 bytes, 8-aligned
-
-#: Buffered (item-row, local-row) pairs between vectorized matrix
-#: flushes in the streaming v2 writer; bounds writer memory to a few MiB
-#: regardless of partition size.
-_WRITER_FLUSH_PAIRS = 1 << 19
 
 
 class SnapshotFormatError(ValueError):
@@ -226,17 +225,18 @@ def write_partitioned_snapshot(
     """Stream ``transactions`` into a partitioned v2 snapshot at ``path``.
 
     ``transactions`` is consumed exactly once, in row order, and only one
-    partition's matrix (``num_items x ceil(rows_p / 64)`` uint64 words)
-    is resident at a time — the writer's memory is bounded by the
-    *partition* size, not the database size, which is what lets
-    ``pincer snapshot --partitions`` build beyond-RAM snapshots.
+    partition's columns are resident at a time: one ``8 * words_p``-byte
+    ``bytearray`` per item that occurs in it (:func:`item_columns`),
+    written as that item's row of the partition matrix.  The writer's
+    memory is bounded by the *partition* size, not the database size,
+    which is what lets ``pincer snapshot --partitions`` build beyond-RAM
+    snapshots.
 
     Partition sizing follows :func:`partition_row_starts`; every item in
-    every transaction must be in ``universe``.  Atomic like
-    :func:`write_snapshot` (temp file + rename).
+    every transaction must be in ``universe`` (else :class:`ValueError`).
+    Atomic like :func:`write_snapshot` (temp file + rename).
     """
     items = sorted(set(int(item) for item in universe))
-    row_of = {item: row for row, item in enumerate(items)}
     starts = partition_row_starts(
         num_rows, num_partitions=num_partitions, partition_rows=partition_rows
     )
@@ -268,13 +268,14 @@ def write_partitioned_snapshot(
             for entry in table:
                 handle.write(_PARTITION_ENTRY.pack(*entry))
             for _, rows_p, words_p, _ in table:
-                if HAVE_NUMPY:
-                    _stream_partition_numpy(
-                        handle, stream, rows_p, words_p, row_of, len(items)
-                    )
-                else:
-                    _stream_partition_python(
-                        handle, stream, rows_p, words_p, row_of, items
+                columns = item_columns(_take_rows(stream, rows_p), 8 * words_p)
+                zero = bytes(8 * words_p)
+                for item in items:
+                    handle.write(columns.pop(item, zero))
+                if columns:
+                    raise ValueError(
+                        "transaction item %r is outside the universe"
+                        % min(columns)
                     )
     except Exception:
         try:
@@ -296,51 +297,6 @@ def _take_rows(stream: Iterator, rows_p: int) -> Iterator:
                 "transaction stream ended %d rows short of num_rows"
                 % (rows_p - local)
             ) from None
-
-
-def _stream_partition_numpy(
-    handle, stream, rows_p, words_p, row_of, num_items
-) -> None:
-    matrix = _np.zeros((num_items, words_p), dtype="<u8")
-    buf_items: List[int] = []
-    buf_rows: List[int] = []
-
-    def flush() -> None:
-        if not buf_items:
-            return
-        item_rows = _np.asarray(buf_items, dtype=_np.intp)
-        positions = _np.asarray(buf_rows, dtype=_np.int64)
-        bits = _np.left_shift(
-            _np.uint64(1), (positions & 63).astype(_np.uint64)
-        )
-        _np.bitwise_or.at(matrix, (item_rows, positions >> 6), bits)
-        del buf_items[:], buf_rows[:]
-
-    for local, transaction in enumerate(_take_rows(stream, rows_p)):
-        for item in transaction:
-            buf_items.append(row_of[item])
-            buf_rows.append(local)
-        if len(buf_items) >= _WRITER_FLUSH_PAIRS:
-            flush()
-    flush()
-    handle.write(matrix.tobytes())
-
-
-def _stream_partition_python(
-    handle, stream, rows_p, words_p, row_of, items
-) -> None:
-    bitmaps: Dict[int, int] = {}
-    for local, transaction in enumerate(_take_rows(stream, rows_p)):
-        bit = 1 << local
-        for item in transaction:
-            if item not in row_of:
-                raise KeyError(item)
-            bitmaps[item] = bitmaps.get(item, 0) | bit
-    num_bytes = words_p * 8
-    zero = b"\x00" * num_bytes
-    for item in items:
-        value = bitmaps.get(item, 0)
-        handle.write(value.to_bytes(num_bytes, "little") if value else zero)
 
 
 def snapshot_database(

@@ -8,6 +8,10 @@ bit ``t`` set iff transaction ``t`` contains the item) is built lazily,
 once, and every vertical counting index and the ``auto`` engine resolver
 read it.
 
+The vertical view has one builder, linear in the item occurrences
+(:func:`item_columns`); the file-backed database and the partitioned
+snapshot writer build through it too.
+
 Support thresholds: the paper defines support as a *fraction* of the
 transactions.  :meth:`TransactionDatabase.absolute_support` converts a
 user-facing fraction into the absolute transaction count the counters
@@ -168,18 +172,16 @@ class TransactionDatabase:
     def item_bitmaps(self) -> Dict[int, int]:
         """Vertical bitmaps: item -> int with bit ``t`` set iff ``t`` has it.
 
-        Built once and cached: the one vertical view every counting index
+        Built once, in linear time (:func:`bitmaps_from_rows`), and
+        cached: the one vertical view every counting index
         (:mod:`repro.db.vertical`, :mod:`repro.db.roaring`) and the ``auto``
         resolver's density are built from.  Arbitrary-precision ints make
         each AND/popcount a handful of C-level operations.
         """
         if self._bitmaps is None:
-            bitmaps = {item: 0 for item in self._universe}
-            for position, transaction in enumerate(self._transactions):
-                bit = 1 << position
-                for item in transaction:
-                    bitmaps[item] |= bit
-            self._bitmaps = bitmaps
+            self._bitmaps = bitmaps_from_rows(
+                self._transactions, len(self._transactions), self._universe
+            )
         return self._bitmaps
 
     # ------------------------------------------------------------------
@@ -227,6 +229,50 @@ class TransactionDatabase:
         for transaction in self._transactions:
             seen.update(transaction)
         return tuple(sorted(seen))
+
+
+def item_columns(
+    rows: Iterable[Iterable[int]], num_bytes: int
+) -> Dict[int, bytearray]:
+    """The vertical view as columns: item -> ``bytearray(num_bytes)``.
+
+    Bit ``t`` of a column (bit ``t % 8`` of byte ``t // 8``, so the
+    bytes read little-endian) is set iff row ``t`` holds the item.  Only
+    items that occur get a column, and each occurrence sets one bit, so
+    the build is linear in the occurrences.  ``num_bytes`` must cover
+    every row: at least ``ceil(rows / 8)``; larger sizes pad with zeros.
+    """
+    columns: Dict[int, bytearray] = {}
+    for position, row in enumerate(rows):
+        byte = position >> 3
+        bit = 1 << (position & 7)
+        for item in row:
+            try:
+                columns[item][byte] |= bit
+            except KeyError:
+                column = columns[item] = bytearray(num_bytes)
+                column[byte] = bit
+    return columns
+
+
+def bitmaps_from_rows(
+    rows: Iterable[Iterable[int]], num_rows: int, universe: Iterable[int]
+) -> Dict[int, int]:
+    """item -> int bitmap of ``num_rows`` rows; absent items map to 0.
+
+    One :func:`item_columns` pass, then one ``int.from_bytes`` per item
+    that occurs.  Each column is released as soon as its int exists, so
+    the build holds about one copy of the view at a time.
+
+    >>> bitmaps_from_rows([[1, 2], [], [2]], 3, [1, 2, 3])
+    {1: 1, 2: 5, 3: 0}
+    """
+    bitmaps = dict.fromkeys(universe, 0)
+    columns = item_columns(rows, (num_rows + 7) // 8)
+    while columns:
+        item, column = columns.popitem()
+        bitmaps[item] = int.from_bytes(column, "little")
+    return bitmaps
 
 
 class UniverseView:

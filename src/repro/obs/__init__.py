@@ -9,7 +9,7 @@ Zero-dependency observability for the miners and counting engines:
 * :mod:`repro.obs.logsetup` — the stdlib ``repro`` logger hierarchy and
   the ``--log-level`` configuration hook;
 * :mod:`repro.obs.schema` — the versioned event schema plus validators
-  (also a CLI: ``python -m repro.obs.schema run.jsonl``);
+  (also a CLI: ``pincer obs validate run.jsonl``);
 * :mod:`repro.obs.instrument` — the :class:`Instrumentation` bundle and
   the shared disabled :data:`NOOP` instance;
 * :mod:`repro.obs.resources` — per-span CPU/memory attribution

@@ -66,10 +66,10 @@ and the validators accept that version only; stats dumps carry their own
     until the rate estimator calibrates), and ``error``.  All values
     must be flat scalars — one query, one line, greppable forever.
 
-Run as a module to validate files (the CI observability smoke job)::
+Validate files from the command line (the CI observability smoke job)
+with ``pincer obs validate``, which runs :func:`main`::
 
-    python -m repro.obs.schema run.jsonl --metrics m.json \
-        --requests access.jsonl
+    pincer obs validate run.jsonl --metrics m.json --requests access.jsonl
 """
 
 from __future__ import annotations
@@ -450,12 +450,16 @@ def validate_metrics_file(path: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Validate trace / metrics files; exits non-zero on the first error."""
+    """``pincer obs validate``: check trace, metrics and access-log files.
+
+    Reports each valid file on stdout; returns 1 at the first invalid
+    one, after naming the error on stderr.
+    """
     import argparse
     import sys
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.schema",
+        prog="pincer obs validate",
         description="validate observability output against the v%d schema"
         % SCHEMA_VERSION,
     )
@@ -474,20 +478,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for path in args.trace:
             events = validate_trace_file(path)
-            sys.stderr.write("%s: %d events ok\n" % (path, events))
+            sys.stdout.write("%s: %d events ok\n" % (path, events))
         for path in args.metrics:
             validate_metrics_file(path)
-            sys.stderr.write("%s: metrics ok\n" % path)
+            sys.stdout.write("%s: metrics ok\n" % path)
         for path in args.requests:
             records = validate_request_log_file(path)
-            sys.stderr.write("%s: %d request records ok\n" % (path, records))
+            sys.stdout.write("%s: %d request records ok\n" % (path, records))
     except (SchemaError, OSError) as exc:
         sys.stderr.write("invalid: %s\n" % exc)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,5 +1,7 @@
 """Tests for the file-backed streaming database (repro.db.disk)."""
 
+import random
+
 import pytest
 
 from repro.algorithms.apriori import Apriori
@@ -69,6 +71,17 @@ class TestStreaming:
         reads = disk.file_reads
         disk.item_bitmaps()
         assert disk.file_reads == reads  # cached
+
+    @pytest.mark.parametrize("num_rows", [1, 7, 8, 9, 63, 64, 65, 300])
+    def test_streamed_bitmaps_equal_the_loaded_ones(self, tmp_path, num_rows):
+        rng = random.Random(num_rows)
+        rows = [rng.sample(range(300, 340), rng.randint(1, 6))
+                for _ in range(num_rows)]
+        path = tmp_path / "db.dat"
+        io.save(TransactionDatabase(rows), path)
+        disk = DiskTransactionDatabase(path)
+        assert disk.item_bitmaps() == io.load(path).item_bitmaps()
+        assert disk.file_reads == 2  # the metadata pass and the build
 
     def test_load_into_memory_round_trip(self, on_disk):
         disk, memory = on_disk

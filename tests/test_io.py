@@ -1,8 +1,12 @@
 """Tests for database file I/O (repro.db.io)."""
 
+import random
+import re
+
 import pytest
 
 from repro.db import io
+from repro.db.disk import DiskTransactionDatabase
 from repro.db.transaction_db import TransactionDatabase
 
 
@@ -50,6 +54,73 @@ class TestCsvFormat:
         path = tmp_path / "db.csv"
         path.write_text("1,2,\n")
         assert io.load_csv(path)[0] == frozenset({1, 2})
+
+
+class TestLineParser:
+    """The one line parser behind ``.dat``, ``.csv`` and the disk stream."""
+
+    def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
+        basket = tmp_path / "db.dat"
+        basket.write_text("1 2\n   \n\t\n\n3\n \t \n")
+        assert list(io.load(basket)) == [frozenset({1, 2}), frozenset({3})]
+        assert list(DiskTransactionDatabase(basket)) == list(io.load(basket))
+        csv = tmp_path / "db.csv"
+        csv.write_text("1,2\n  \n\n3\n")
+        assert list(io.load(csv)) == [frozenset({1, 2}), frozenset({3})]
+
+    def test_csv_line_of_blank_cells_is_an_empty_row(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text("1\n, ,\n2\n")
+        assert list(io.load(path)) == [
+            frozenset({1}), frozenset(), frozenset({2}),
+        ]
+
+    def test_csv_cells_with_spaces(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text(" 1 , 2,3 \n\t4\t,  5\n")
+        assert list(io.load(path)) == [frozenset({1, 2, 3}), frozenset({4, 5})]
+        path.write_text("1,2 3\n")
+        with pytest.raises(ValueError, match=":1:"):
+            io.load(path)
+
+    def test_unicode_digits_and_spaces_parse_as_int_does(self, tmp_path):
+        path = tmp_path / "db.dat"
+        path.write_text("\uff11\uff12 3\u30004\n", encoding="utf-8")
+        assert list(io.load(path)) == [frozenset({12, 3, 4})]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("db.dat", "1 2\n\n3 x\n"), ("db.csv", "1,2\n\n3,x\n")],
+    )
+    def test_bad_token_names_path_and_line(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        # the blank line still counts toward the line number
+        with pytest.raises(ValueError, match=re.escape("%s:3:" % path)):
+            io.load(path)
+
+    def test_bad_token_in_a_later_disk_pass_names_path_and_line(
+        self, tmp_path
+    ):
+        path = tmp_path / "db.dat"
+        path.write_text("1 2\n3\n")
+        disk = DiskTransactionDatabase(path)
+        path.write_text("1 2\n\n3 4.5\n")
+        with pytest.raises(ValueError, match=re.escape("%s:3:" % path)):
+            list(disk)
+
+    @pytest.mark.parametrize("name", ["db.dat", "db.csv"])
+    def test_every_occurrence_of_an_item_shares_one_int(self, tmp_path, name):
+        # items above CPython's small-int cache, some spelled two ways
+        rng = random.Random(7)
+        rows = [rng.sample(range(1000, 1040), 8) for _ in range(200)]
+        path = tmp_path / name
+        io.save(TransactionDatabase(rows), path)
+        text = path.read_text()
+        path.write_text(text.replace("1001", "01001").replace("1002", "+1002"))
+        db = io.load(path)
+        assert db == TransactionDatabase(rows)
+        assert len({id(item) for row in db for item in row}) == db.num_items
 
 
 class TestJsonFormat:

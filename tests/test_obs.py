@@ -3,9 +3,13 @@
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs import (
     Instrumentation,
     NOOP,
@@ -449,7 +453,28 @@ class TestSchemaValidators:
         metrics_path = str(tmp_path / "m.json")
         MetricsRegistry().write(metrics_path)
         assert schema_main([trace_path, "--metrics", metrics_path]) == 0
-        assert "events ok" in capsys.readouterr().err
+        assert "events ok" in capsys.readouterr().out
+
+    def test_obs_validate_runs_clean_from_the_cli_module(self, tmp_path):
+        # the entry point CI calls: a valid trace exits 0, is reported on
+        # stdout, and leaves stderr empty (no runpy RuntimeWarning)
+        trace_path = str(tmp_path / "run.jsonl")
+        tracer = Tracer.to_path(trace_path)
+        with tracer.span("run"):
+            pass
+        tracer.close()
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "obs", "validate", trace_path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "events ok" in done.stdout
 
     def test_schema_cli_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

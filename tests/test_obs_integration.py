@@ -10,12 +10,15 @@ a run counted partition by partition reports the serial engine's
 import json
 import logging
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.pincer import PincerSearch
+from repro.datagen.configs import parse_name
+from repro.datagen.quest import QuestGenerator
 from repro.db import io
 from repro.db.counting import get_counter
 from repro.db.outofcore import PartitionedCounter
@@ -83,6 +86,31 @@ class TestTraceMatchesStats:
         # every pass/sweep span hangs off the run span
         for event in spans_named(events, "pass", "sweep"):
             assert event["parent"] == run["span"]
+
+    def test_an_iteration_that_counts_nothing_is_no_pass(self, tmp_path):
+        # the Figure 4 cell T20.I6, |L| = 50 (2,000 rows, 1,000 items) at
+        # 11%: its last iteration only classifies MFCS elements counted
+        # before, so it reads nothing and must not be reported as a pass
+        config = parse_name(
+            "T20.I6.D100K", num_patterns=50, num_items=1000, seed=1
+        )
+        db = QuestGenerator(replace(config, num_transactions=2000)).generate()
+        trace_path = str(tmp_path / "run.jsonl")
+        reporter = ProgressReporter(stream=None)
+        obs = capture(trace_path=trace_path, progress=reporter)
+        result = PincerSearch().mine(db, 0.11, obs=obs)
+        obs.finish()
+        events = read_trace(trace_path)
+        progress_passes = [
+            event for event in reporter.events if event["phase"] == "pass"
+        ]
+        assert result.stats.num_passes == 5
+        assert (
+            len(spans_named(events, "pass"))
+            == len(spans_named(events, "count"))
+            == len(progress_passes)
+            == result.stats.num_passes
+        )
 
     def test_engine_count_spans_nest_under_passes(self, tmp_path):
         db = TransactionDatabase(TRANSACTIONS)

@@ -1,6 +1,7 @@
 """Tests for the versioned on-disk snapshot format (``repro.db.snapshot``)."""
 
 import os
+import random
 import struct
 
 import pytest
@@ -208,18 +209,49 @@ class TestPartitionedFormat:
         v2 = np.hstack([p.matrix() for p in load_snapshot(v2_path).partitions])
         assert v2.tobytes() == v1.matrix().tobytes()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
-    def test_python_writer_is_byte_identical(
-        self, v2_path, tmp_path, monkeypatch
-    ):
-        import repro.db.snapshot as snapshot_module
+    def test_v2_partitions_are_byte_slices_of_v1(self, tmp_path):
+        # each v2 partition matrix row is the v1 matrix row's words from
+        # the partition's 64-row-aligned start, byte for byte; read from
+        # the files, so this holds with and without NumPy
+        rng = random.Random(22)
+        for num_rows in (0, 1, 7, 8, 9, 63, 64, 65, 200):
+            rows = [
+                rng.sample(range(300, 340), rng.randint(0, 5))
+                for _ in range(num_rows)
+            ]
+            # five universe items never occur
+            db = TransactionDatabase(rows, universe=range(300, 345))
+            v1_path = write_snapshot(
+                tmp_path / "v1.snap", db.universe, len(db),
+                bitmaps=db.item_bitmaps(),
+            )
+            (v1,) = load_snapshot(v1_path).partitions
+            v1_bytes = v1_path.read_bytes()
+            for partition_rows in (64, 128):
+                v2_path = write_partitioned_snapshot(
+                    tmp_path / "v2.snap", db.universe, len(db), iter(db),
+                    partition_rows=partition_rows,
+                )
+                v2_bytes = v2_path.read_bytes()
+                for part in load_snapshot(v2_path).partitions:
+                    width = 8 * part.num_words
+                    for row in range(db.num_items):
+                        at_v1 = (
+                            v1.matrix_offset + 8 * row * v1.num_words
+                            + 8 * part.word_start
+                        )
+                        at_v2 = part.matrix_offset + row * width
+                        assert (
+                            v2_bytes[at_v2 : at_v2 + width]
+                            == v1_bytes[at_v1 : at_v1 + width]
+                        ), (num_rows, partition_rows, part.ordinal, row)
 
-        monkeypatch.setattr(snapshot_module, "HAVE_NUMPY", False)
-        other = write_partitioned_snapshot(
-            tmp_path / "py.v2.snap", DB.universe, len(DB), iter(DB),
-            partition_rows=64,
-        )
-        assert other.read_bytes() == v2_path.read_bytes()
+    def test_item_outside_the_universe_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="outside the universe"):
+            write_partitioned_snapshot(
+                tmp_path / "bad.snap", [1, 2], 2, iter([[1], [2, 3]]),
+            )
+        assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
 
     def test_snapshot_database_partition_kwargs(self, tmp_path):
         path = snapshot_database(DB, tmp_path / "p.snap", num_partitions=2)

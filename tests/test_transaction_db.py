@@ -1,8 +1,31 @@
 """Unit tests for the transaction database (repro.db.transaction_db)."""
 
+import random
+
 import pytest
 
-from repro.db.transaction_db import TransactionDatabase
+from repro.db.transaction_db import TransactionDatabase, item_columns
+
+#: row counts on both sides of the columns' byte and word edges
+EDGE_ROW_COUNTS = (0, 1, 7, 8, 9, 63, 64, 65)
+
+
+def random_rows(rng, num_rows, items):
+    """``num_rows`` random baskets over ``items``, about a fifth empty."""
+    items = list(items)
+    return [
+        rng.sample(items, rng.randint(1, 6)) if rng.random() > 0.2 else []
+        for _ in range(num_rows)
+    ]
+
+
+def or_loop_bitmaps(transactions, universe):
+    """The reference build: OR each occurrence's bit into the item's int."""
+    bitmaps = {item: 0 for item in universe}
+    for position, transaction in enumerate(transactions):
+        for item in transaction:
+            bitmaps[item] |= 1 << position
+    return bitmaps
 
 
 class TestConstruction:
@@ -94,6 +117,37 @@ class TestBitmaps:
     def test_zero_support_items_have_empty_bitmaps(self):
         db = TransactionDatabase([[1]], universe=[1, 2])
         assert db.item_bitmaps()[2] == 0
+
+
+class TestLinearBuilder:
+    """The linear vertical build, against the OR loop as an oracle."""
+
+    @pytest.mark.parametrize("num_rows", EDGE_ROW_COUNTS)
+    def test_matches_the_or_loop(self, num_rows):
+        rng = random.Random(num_rows)
+        for _ in range(5):
+            rows = random_rows(rng, num_rows, range(300, 320))
+            db = TransactionDatabase(rows)
+            assert db.item_bitmaps() == or_loop_bitmaps(db, db.universe)
+
+    @pytest.mark.parametrize("num_rows", EDGE_ROW_COUNTS)
+    def test_items_that_never_occur_keep_bitmap_zero(self, num_rows):
+        rng = random.Random(100 + num_rows)
+        rows = random_rows(rng, num_rows, range(300, 310))
+        db = TransactionDatabase(rows, universe=range(300, 330))
+        bitmaps = db.item_bitmaps()
+        assert list(bitmaps) == list(range(300, 330))
+        assert bitmaps == or_loop_bitmaps(db, db.universe)
+        assert not any(bitmaps[item] for item in range(310, 330))
+
+    def test_columns_hold_row_bits_little_endian(self):
+        # row t is bit t % 8 of byte t // 8; extra bytes stay zero, and
+        # only items that occur get a column
+        columns = item_columns([[5], [], [5, 6], [6], [], [], [], [], [6]], 3)
+        assert columns == {
+            5: bytearray(b"\x05\x00\x00"),
+            6: bytearray(b"\x0c\x01\x00"),
+        }
 
 
 class TestHelpers:
