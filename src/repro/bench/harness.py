@@ -27,7 +27,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..algorithms.apriori import Apriori
 from ..core.pincer import PincerSearch
 from ..core.result import MiningResult, MiningTimeout
+from ..db.counting import engine_decision, get_counter
 from ..db.transaction_db import TransactionDatabase
+from ..db.vertical import IndexCounter
 from ..obs.instrument import NOOP, Instrumentation
 from ..obs.logsetup import get_logger
 
@@ -218,8 +220,15 @@ def run_sweep(
     time_budget: Optional[float] = None,
     obs: Optional[Instrumentation] = None,
 ) -> List[CellResult]:
-    """Run a whole support sweep (one figure panel row group)."""
+    """Run a whole support sweep (one figure panel row group).
+
+    The database's ``auto`` decision and its engine's counting index are
+    made first, untimed (:func:`_prepare_database`): both are kept on the
+    database, so otherwise the first miner of the first cell would pay
+    for them alone.
+    """
     obs = obs if obs is not None else NOOP
+    _prepare_database(db)
     rows: List[CellResult] = []
     with obs.span("sweep", database=database_name, cells=len(supports_percent)):
         for support in supports_percent:
@@ -227,6 +236,15 @@ def run_sweep(
                 run_cell(db, database_name, support, miners, time_budget, obs)
             )
     return rows
+
+
+def _prepare_database(db: TransactionDatabase) -> None:
+    """Make what every ``auto`` mine of ``db`` reads and ``db`` keeps:
+    the ``auto`` decision's density and the decided engine's counting
+    index."""
+    counter = get_counter(engine_decision(db, "auto").engine)
+    if isinstance(counter, IndexCounter):
+        counter.index_for(db)
 
 
 def relative_time(rows: Iterable[CellResult]) -> Dict[float, float]:

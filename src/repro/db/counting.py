@@ -47,8 +47,9 @@ Engines provided:
 
 ``bitmap``, ``packed`` and ``roaring`` are one engine body,
 :class:`repro.db.vertical.IndexCounter`, over three index classes, each
-built from the database's cached ``item_bitmaps()``; without NumPy all
-three count on the pure-Python int-bitmap index.
+built from the database's cached ``item_bitmaps()`` and kept on the
+database, one per class, for every counter and every mine of it; without
+NumPy all three count on the pure-Python int-bitmap index.
 
 The paper speeds up passes 1 and 2 with a 1-D and a 2-D array over the
 items (Section 4.1.1) instead of counting candidates.  Both miners hold
@@ -79,7 +80,7 @@ from .outofcore import PartitionedCounter
 from .roaring import RoaringCounter
 from .transaction_db import TransactionDatabase
 from .trie import CandidateTrie
-from .vertical import HAVE_NUMPY, BitmapCounter, PackedCounter, popcount
+from .vertical import HAVE_NUMPY, BitmapCounter, PackedCounter
 
 __all__ = [
     "AUTO_PACKED_MIN_ROWS",
@@ -226,8 +227,10 @@ def engine_decision(db, name: Optional[str] = None) -> EngineDecision:
 
     Density is ``nnz / (rows * items)`` with ``nnz`` the popcount of the
     database's cached ``item_bitmaps()`` — the vertical view every
-    engine ``auto`` can return builds its index from on the first pass
-    anyway, so measuring it costs no extra scan of the database.
+    engine ``auto`` can return builds its index from anyway, so
+    measuring it costs no extra scan of the database.  The database
+    computes ``nnz`` once and keeps it (``db.nnz()``), so deciding for a
+    database mined before costs no popcount.
     """
     if name is not None and name != "auto":
         return EngineDecision(name, {"reason": "explicit"})
@@ -246,9 +249,8 @@ def engine_decision(db, name: Optional[str] = None) -> EngineDecision:
                 ),
             },
         )
-    bitmaps = db.item_bitmaps()
-    rows, items = len(db), len(bitmaps)
-    nnz = sum(map(popcount, bitmaps.values()))
+    rows, items = len(db), len(db.item_bitmaps())
+    nnz = db.nnz()
     evidence: Dict[str, Any] = {
         "rows": rows,
         "items": items,

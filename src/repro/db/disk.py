@@ -26,8 +26,10 @@ engines use (`__len__`, `__iter__`, ``transactions``, ``universe``,
 
 The vertical counting engines still work: their indexes are built from
 ``item_bitmaps``, which one streaming pass builds and caches (they are
-|I| × |D| *bits*, far smaller than the parsed transactions).  The line
-parser and the bitmap build are the in-memory database's own.
+|I| × |D| *bits*, far smaller than the parsed transactions), and are
+kept on the database like the in-memory one's
+(:class:`~repro.db.transaction_db.VerticalCache`).  The line parser and
+the bitmap build are the in-memory database's own.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from typing import Dict, FrozenSet, Iterator, Optional, Union
 
 from .io import read_rows
 from .snapshot import Snapshot, default_snapshot_path, load_snapshot, snapshot_database
-from .transaction_db import bitmaps_from_rows
+from .transaction_db import VerticalCache, bitmaps_from_rows
 
 PathLike = Union[str, Path]
 
 
-class DiskTransactionDatabase:
+class DiskTransactionDatabase(VerticalCache):
     """Streaming FIMI-format database: every iteration reads the file.
 
     ``snapshot`` (a path or a loaded :class:`~repro.db.snapshot.Snapshot`)

@@ -58,7 +58,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .._types import Itemset
-from .vertical import IndexCounter
+from .vertical import IndexCounter, IndexCounts, Scratch
 
 try:  # NumPy is optional; IntBitmapIndex covers its absence.
     import numpy as _np
@@ -237,16 +237,16 @@ class RoaringIndex:
     """Hybrid container index over one database's vertical view.
 
     Same ``counts`` contract as :class:`~repro.db.vertical.PackedBitmapIndex`
-    (including the ``prefix_hits``/``prefix_misses`` accounting), but the
-    candidate walk is container-native: sorted stream, longest-shared-
-    prefix memo, fused final AND+popcount, absent-chunk skipping.
+    (the call's prefix hits and misses ride on the returned
+    :class:`~repro.db.vertical.IndexCounts`), but the candidate walk is
+    container-native: sorted stream, longest-shared-prefix memo, fused
+    final AND+popcount, absent-chunk skipping.  The walk allocates every
+    intersection it keeps, so counting never changes a container.
     """
 
     def __init__(self, columns: Dict[int, object], num_rows: int) -> None:
         self._columns = columns
         self._num_rows = num_rows
-        self.prefix_hits = 0
-        self.prefix_misses = 0
 
     @property
     def num_rows(self) -> int:
@@ -334,14 +334,12 @@ class RoaringIndex:
         candidates: Sequence[Itemset],
         deadline_check: Optional[Callable[[], None]] = None,
         chunk_size: Optional[int] = None,
-    ) -> List[int]:
+        scratch: Optional[Scratch] = None,
+    ) -> IndexCounts:
         walk = _PrefixWalk(
             self._columns.get, _col_and, _col_and_card, self._num_rows
         )
-        results = walk.counts(candidates, deadline_check)
-        self.prefix_hits += walk.hits
-        self.prefix_misses += walk.misses
-        return results
+        return walk.counts(candidates, deadline_check)
 
 
 class _PrefixWalk:
@@ -362,20 +360,18 @@ class _PrefixWalk:
         self._and_full = and_full
         self._and_card = and_card
         self._num_rows = num_rows
-        self.hits = 0
-        self.misses = 0
 
     def counts(
         self,
         candidates: Sequence[Itemset],
         deadline_check: Optional[Callable[[], None]] = None,
-    ) -> List[int]:
+    ) -> IndexCounts:
         total = len(candidates)
-        results = [0] * total
+        results = IndexCounts([0] * total)
         order = sorted(range(total), key=lambda i: candidates[i])
         stack_items: List[int] = []
         stack_values: List[Optional[object]] = []  # None = no survivors
-        work = 0
+        work = hits = misses = 0
         for step, position in enumerate(order):
             candidate = candidates[position]
             length = len(candidate)
@@ -392,8 +388,8 @@ class _PrefixWalk:
                 shared -= 1
             del stack_items[shared:]
             del stack_values[shared:]
-            self.hits += shared
-            self.misses += length - shared
+            hits += shared
+            misses += length - shared
             successor = (
                 candidates[order[step + 1]] if step + 1 < total else None
             )
@@ -438,6 +434,7 @@ class _PrefixWalk:
                 results[position] = self._num_rows
             else:
                 results[position] = tail.card
+        results.hits, results.misses = hits, misses
         return results
 
 
@@ -468,16 +465,16 @@ _UNMATERIALIZED = _Unmaterialized()
 class RoaringCounter(IndexCounter):
     """The ``roaring`` engine: the shared body on a :class:`RoaringIndex`.
 
-    A freshly built container index reports its mix and compression
-    evidence as ``engine.roaring.*`` gauges.
+    The first pass a counter makes on a container index reports the
+    index's mix and compression evidence as ``engine.roaring.*`` gauges.
     """
 
     name = "roaring"
     index_class = RoaringIndex
 
-    def _index_for(self, db):
+    def index_for(self, db):
         previous = self._index
-        index = super()._index_for(db)
+        index = super().index_for(db)
         if (
             index is not previous
             and self.obs.enabled

@@ -6,7 +6,8 @@ store is *horizontal* (one row per transaction) because that is what the
 levelwise algorithms scan; a *vertical* bitmap view (one bitmap per item,
 bit ``t`` set iff transaction ``t`` contains the item) is built lazily,
 once, and every vertical counting index and the ``auto`` engine resolver
-read it.
+read it.  Those, too, are built once per database and kept on it
+(:class:`VerticalCache`).
 
 The vertical view has one builder, linear in the item occurrences
 (:func:`item_columns`); the file-backed database and the partitioned
@@ -25,9 +26,43 @@ from math import ceil
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .._types import Itemset
+from .vertical import popcount
 
 
-class TransactionDatabase:
+class VerticalCache:
+    """What counting derives from a database's vertical view, made once.
+
+    Mixed into both databases, which cache ``item_bitmaps()``
+    themselves.  :meth:`nnz` (the ``auto`` resolver's density count) and
+    :meth:`counting_index` are built on first use, kept on the database
+    and released with it, so mining a database again — at another
+    support, or through a fresh counter — rebuilds neither.
+    """
+
+    _nnz: Optional[int] = None
+    _indexes: Optional[Dict[type, object]] = None
+
+    def nnz(self) -> int:
+        """Set bits over all of ``item_bitmaps()``: one per (transaction,
+        item) occurrence."""
+        if self._nnz is None:
+            self._nnz = sum(map(popcount, self.item_bitmaps().values()))
+        return self._nnz
+
+    def counting_index(self, index_class: type):
+        """The database's one ``index_class`` index
+        (:mod:`repro.db.vertical`, :mod:`repro.db.roaring`), built from
+        ``item_bitmaps()`` on first use.  Counting never changes an
+        index, so every counter on this database shares it."""
+        if self._indexes is None:
+            self._indexes = {}
+        index = self._indexes.get(index_class)
+        if index is None:
+            index = self._indexes[index_class] = index_class.from_database(self)
+        return index
+
+
+class TransactionDatabase(VerticalCache):
     """A set of transactions over an integer item universe.
 
     Parameters
@@ -174,9 +209,9 @@ class TransactionDatabase:
 
         Built once, in linear time (:func:`bitmaps_from_rows`), and
         cached: the one vertical view every counting index
-        (:mod:`repro.db.vertical`, :mod:`repro.db.roaring`) and the ``auto``
-        resolver's density are built from.  Arbitrary-precision ints make
-        each AND/popcount a handful of C-level operations.
+        (:meth:`counting_index`) and the ``auto`` resolver's density
+        (:meth:`nnz`) are built from.  Arbitrary-precision ints make each
+        AND/popcount a handful of C-level operations.
         """
         if self._bitmaps is None:
             self._bitmaps = bitmaps_from_rows(

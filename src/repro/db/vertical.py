@@ -2,7 +2,13 @@
 
 Every index in this module is built from one vertical view: the
 database's cached ``db.item_bitmaps()``, one arbitrary-precision int per
-item with bit ``t`` set iff transaction ``t`` contains the item.
+item with bit ``t`` set iff transaction ``t`` contains the item.  A
+database keeps one index per index class (``db.counting_index``), so
+mining it again, at another support or with a fresh counter, builds
+nothing.  Counting never changes an index: each ``counts`` call returns
+its prefix-sharing tally with the counts (:class:`IndexCounts`), and
+the packed kernel's in-place AND buffer belongs to the caller
+(:class:`Scratch`).
 
 :class:`PrefixIntersector`
     A running-AND memo over a sorted candidate stream.  Candidates emitted
@@ -52,15 +58,14 @@ The shared adapter
 index class, and ``packed`` and ``roaring`` answer pass 2's pairs from
 the 2-D array before their index counts the rest (``packed`` gathers the
 rows from its own matrix, ``roaring`` packs them).  The in-memory
-partitions of :mod:`repro.db.outofcore` build their indexes through
-:meth:`IndexCounter.index_over` as well, and never sweep: they count a
-pair batch listed, and the adapter reads their dict.
+partitions of :mod:`repro.db.outofcore` build their own indexes through
+:meth:`IndexCounter.index_over`, cached nowhere, and never sweep: they
+count a pair batch listed, and the adapter reads their dict.
 """
 
 from __future__ import annotations
 
 import operator
-import weakref
 from collections.abc import Mapping
 from itertools import chain
 from typing import (
@@ -95,12 +100,14 @@ __all__ = [
     "BitmapCounter",
     "HAVE_NUMPY",
     "IndexCounter",
+    "IndexCounts",
     "IntBitmapIndex",
     "LevelCounts",
     "PackedBitmapIndex",
     "PackedCounter",
     "PairCounts",
     "PrefixIntersector",
+    "Scratch",
     "WORK_BUDGET_WORDS",
     "as_level",
     "level_counts",
@@ -152,6 +159,45 @@ def _pack_rows(bitmaps: Dict[int, int], items: Sequence[int], num_rows: int):
                 value.to_bytes(num_bytes, "little"), dtype="<u8"
             )
     return matrix
+
+
+class IndexCounts(list):
+    """One ``counts`` call's answer: supports parallel to the candidates.
+
+    It also carries that call's prefix-sharing accounting, mirroring
+    :class:`PrefixIntersector`: ``hits`` are ANDs saved by resolving a
+    shared prefix once, ``misses`` the ANDs done.  An index keeps no
+    tally of its own, so counting never changes it.
+    """
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self, counts=(), hits: int = 0, misses: int = 0) -> None:
+        super().__init__(counts)
+        self.hits = hits
+        self.misses = misses
+
+
+class Scratch:
+    """The in-place AND buffer :meth:`PackedBitmapIndex.counts` fills.
+
+    ``np.take(..., out=...)`` into it skips one allocation and one
+    memory pass per chunk versus fancy-indexed temporaries — ~2x on the
+    cache-resident AND path.  A counter owns one and passes it into
+    every ``counts`` call, so the buffer is freed with the counter and
+    the index itself stays unchanged.
+    """
+
+    def __init__(self) -> None:
+        self._words = None  # grown to the largest block asked for
+
+    def take(self, rows: int, num_words: int):
+        """A ``(rows, num_words)`` uint64 view, valid until the next
+        ``take``."""
+        size = rows * num_words
+        if self._words is None or self._words.shape[0] < size:
+            self._words = _np.empty(size, dtype=_np.uint64)
+        return self._words[:size].reshape(rows, num_words)
 
 
 Bitmap = TypeVar("Bitmap")
@@ -269,12 +315,6 @@ class PackedBitmapIndex:
         self._rows = rows
         self._num_rows = num_rows
         self._row_table = self._build_row_table(rows)
-        self._scratch_and = None  # lazily grown (chunk, num_words) buffer
-        #: cumulative prefix-sharing accounting, mirroring
-        #: :class:`PrefixIntersector`: ``prefix_hits`` = ANDs avoided by
-        #: resolving shared prefixes once, ``prefix_misses`` = ANDs done
-        self.prefix_hits = 0
-        self.prefix_misses = 0
 
     @classmethod
     def _build_row_table(cls, rows: Dict[int, int]):
@@ -312,18 +352,24 @@ class PackedBitmapIndex:
         candidates: Sequence[Itemset],
         deadline_check: Optional[Callable[[], None]] = None,
         chunk_size: Optional[int] = None,
-    ) -> List[int]:
+        scratch: Optional[Scratch] = None,
+    ) -> IndexCounts:
         """Support counts parallel to ``candidates`` (batch, vectorized).
 
         Candidates are grouped by length and each group is counted in
         chunks of AND + popcount; a candidate naming an item outside the
-        universe counts 0.
+        universe counts 0.  ``scratch`` is the caller's in-place AND
+        buffer (a fresh one per call when omitted); the matrix is only
+        read, so callers on other threads may share the index.
         """
+        if scratch is None:
+            scratch = Scratch()
         lengths, flat_rows = self.map_candidates(candidates)
         out = _np.zeros(len(lengths), dtype=_np.int64)
         offsets = _np.zeros(len(lengths), dtype=_np.intp)
         _np.cumsum(lengths[:-1], out=offsets[1:])
         out[lengths == 0] = self._num_rows  # () holds everywhere
+        hits = misses = 0
         for length in _np.unique(lengths):
             length = int(length)
             if length == 0:
@@ -341,12 +387,27 @@ class PackedBitmapIndex:
                 if deadline_check is not None:
                     deadline_check()
                 block = group[start : start + chunk]
+                # 3- to 32-item candidates, 256 or more: share prefixes
+                plan = (
+                    _prefix_plan(block)
+                    if 2 < length <= 32 and len(block) >= 256
+                    else None
+                )
+                ands = (
+                    sum(len(last_rows) for _, last_rows in plan[1])
+                    if plan is not None
+                    else len(block) * (length - 1)
+                )
+                hits += len(block) * (length - 1) - ands
+                misses += ands
                 if fused:
-                    counted = self._fused_counts_tiled(block)
+                    counted = self._fused_counts_tiled(block, plan)
                 else:
-                    counted = _popcount_words(self._intersect(block))
+                    counted = _popcount_words(
+                        self._intersect(block, plan, scratch)
+                    )
                 out[positions[start : start + chunk]] = counted
-        return out.tolist()
+        return IndexCounts(out.tolist(), hits, misses)
 
     @staticmethod
     def flatten_candidates(candidates: Sequence[Itemset]):
@@ -420,29 +481,14 @@ class PackedBitmapIndex:
         budget = WORK_BUDGET_WORDS // max(1, length * self.num_words)
         return max(1, min(self.DEFAULT_CHUNK, budget))
 
-    def _scratch(self, count: int):
-        """Reused (>=count, num_words) accumulator buffer.
-
-        ``np.take(..., out=...)`` into it skips one allocation and one
-        memory pass per chunk versus fancy-indexed temporaries — ~2x on
-        the cache-resident AND path.  The returned view is only valid
-        until the next ``_intersect`` call.
-        """
-        if self._scratch_and is None or self._scratch_and.shape[0] < count:
-            self._scratch_and = _np.empty(
-                (count, self.num_words), dtype=_np.uint64
-            )
-        return self._scratch_and[:count]
-
-    def _intersect(self, block):
+    def _intersect(self, block, plan, scratch: Scratch):
         """(C, L) valid row indices -> (C, num_words) AND-accumulators."""
         count, length = block.shape
         matrix = self._matrix
         if length == 1:
             return matrix[block[:, 0]]
-        if 2 < length <= 32 and count >= 256:
-            return self._intersect_shared_prefixes(block)
-        self.prefix_misses += count * (length - 1)
+        if plan is not None:
+            return _replay_plan(matrix, plan)
         if count < 64 and length > 2:
             # tiny blocks of long candidates (an MFCS candidate can span
             # the whole universe): one gather + one reduce beats paying
@@ -450,7 +496,7 @@ class PackedBitmapIndex:
             return _np.bitwise_and.reduce(matrix[block], axis=1)
         # column-at-a-time in-place AND: one (C, W) gather and one store
         # per column, instead of one (C, L, W) gather for ufunc.reduce
-        accumulators = self._scratch(count)
+        accumulators = scratch.take(count, self.num_words)
         _np.take(matrix, block[:, 0], axis=0, out=accumulators)
         for column in range(1, length):
             _np.bitwise_and(
@@ -458,53 +504,7 @@ class PackedBitmapIndex:
             )
         return accumulators
 
-    def _intersect_shared_prefixes(self, block):
-        """Batch-wide prefix-intersection cache, fully vectorized.
-
-        Levelwise twin of :class:`PrefixIntersector`: the unique
-        ``(k-1)``-prefixes of the block are resolved first (via
-        ``np.unique``, all C-level), so a prefix shared by many candidates
-        costs one AND for the whole block instead of one per candidate —
-        roughly one vectorized AND per candidate-trie edge, exactly the
-        saving the scalar cache gives the ``bitmap`` engine.
-        """
-        base_rows, levels = self._prefix_plan(block)
-        self._account_plan(block, levels)
-        accumulators = self._matrix[base_rows]
-        for inverse, last_rows in reversed(levels):
-            accumulators = _np.bitwise_and(
-                accumulators[inverse], self._matrix[last_rows]
-            )
-        return accumulators
-
-    @staticmethod
-    def _prefix_plan(block):
-        """Levelwise ``np.unique`` dedup plan for a (C, L) block.
-
-        Returns ``(base_rows, levels)`` where ``levels`` is a list of
-        ``(inverse, last_rows)`` pairs: evaluating ``base_rows`` and then
-        AND-ing ``acc[inverse] & matrix[last_rows]`` level by level in
-        reverse yields one accumulator row per candidate.  The plan is
-        pure index arithmetic — no bitmap columns are touched — so the
-        fused kernel computes it once per block and replays it per word
-        tile.
-        """
-        levels = []
-        current = block
-        while current.shape[1] > 1:
-            unique_prefixes, inverse = _np.unique(
-                current[:, :-1], axis=0, return_inverse=True
-            )
-            levels.append((inverse.reshape(-1), current[:, -1]))
-            current = unique_prefixes
-        return current[:, 0], levels
-
-    def _account_plan(self, block, levels) -> None:
-        performed = sum(len(last_rows) for _, last_rows in levels)
-        self.prefix_misses += performed
-        self.prefix_hits += block.shape[0] * (block.shape[1] - 1) - performed
-
-    def _fused_counts_tiled(self, block):
+    def _fused_counts_tiled(self, block, plan):
         """Cache-blocked fused AND + popcount over a (C, L) block.
 
         The full-width path (:meth:`_intersect`) streams a ``(C, W)``
@@ -512,23 +512,16 @@ class PackedBitmapIndex:
         for the popcount.  Here the transaction dimension is cut into
         cache-budget-sized column tiles (:data:`TILE_TARGET_BYTES` per
         accumulator, floored at :data:`TILE_WORDS`): the shared-prefix
-        plan is hoisted
-        once per block, then replayed per tile, so every level's AND and
-        the final popcount reduction happen while the tile-sized
-        accumulator is still cache-resident.  Nothing of shape ``(C, W)``
-        is ever materialised — the only full-width output is the int64
-        count vector.
+        ``plan``, made once per block, is replayed per tile, so every
+        level's AND and the final popcount reduction happen while the
+        tile-sized accumulator is still cache-resident.  Nothing of shape
+        ``(C, W)`` is ever materialised — the only full-width output is
+        the int64 count vector.
         """
         count, length = block.shape
         matrix = self._matrix
         num_words = self.num_words
         results = _np.zeros(count, dtype=_np.int64)
-        use_plan = 2 < length <= 32 and count >= 256
-        if use_plan:
-            base_rows, levels = self._prefix_plan(block)
-            self._account_plan(block, levels)
-        else:
-            self.prefix_misses += count * (length - 1)
         # adapt the tile to the block so the accumulator slab is
         # TILE_TARGET_BYTES regardless of candidate count (see the
         # constant's docstring); TILE_WORDS stays the floor
@@ -539,12 +532,8 @@ class PackedBitmapIndex:
         )
         for word_lo in range(0, num_words, tile):
             columns = matrix[:, word_lo : word_lo + tile]
-            if use_plan:
-                accumulators = columns[base_rows]
-                for inverse, last_rows in reversed(levels):
-                    accumulators = _np.bitwise_and(
-                        accumulators[inverse], columns[last_rows]
-                    )
+            if plan is not None:
+                accumulators = _replay_plan(columns, plan)
             else:
                 # advanced indexing copies, so the in-place AND is safe
                 accumulators = columns[block[:, 0]]
@@ -554,6 +543,47 @@ class PackedBitmapIndex:
                     )
             results += _popcount_words(accumulators)
         return results
+
+
+def _prefix_plan(block):
+    """Levelwise ``np.unique`` dedup plan for a (C, L) block.
+
+    The batch-wide twin of :class:`PrefixIntersector`: the unique
+    ``(k-1)``-prefixes of the block are resolved first (all C-level), so
+    a prefix shared by many candidates costs one AND for the whole block
+    instead of one per candidate — roughly one vectorized AND per
+    candidate-trie edge.
+
+    Returns ``(base_rows, levels)`` where ``levels`` is a list of
+    ``(inverse, last_rows)`` pairs: evaluating ``base_rows`` and then
+    AND-ing ``acc[inverse] & matrix[last_rows]`` level by level in
+    reverse yields one accumulator row per candidate
+    (:func:`_replay_plan`); the ANDs it does are the ``last_rows``.  The
+    plan is pure index arithmetic — no bitmap columns are touched — so
+    the fused kernel makes it once per block and replays it per word
+    tile.
+    """
+    levels = []
+    current = block
+    while current.shape[1] > 1:
+        unique_prefixes, inverse = _np.unique(
+            current[:, :-1], axis=0, return_inverse=True
+        )
+        levels.append((inverse.reshape(-1), current[:, -1]))
+        current = unique_prefixes
+    return current[:, 0], levels
+
+
+def _replay_plan(columns, plan):
+    """One AND-accumulator row per candidate of ``plan``'s block, over
+    ``columns`` (the whole matrix, or one tile of its words)."""
+    base_rows, levels = plan
+    accumulators = columns[base_rows]
+    for inverse, last_rows in reversed(levels):
+        accumulators = _np.bitwise_and(
+            accumulators[inverse], columns[last_rows]
+        )
+    return accumulators
 
 
 class IntBitmapIndex:
@@ -568,9 +598,6 @@ class IntBitmapIndex:
     def __init__(self, bitmaps: Dict[int, int], num_rows: int) -> None:
         self._bitmaps = bitmaps
         self._num_rows = num_rows
-        #: cumulative :class:`PrefixIntersector` accounting across calls
-        self.prefix_hits = 0
-        self.prefix_misses = 0
 
     @property
     def num_rows(self) -> int:
@@ -585,12 +612,13 @@ class IntBitmapIndex:
         candidates: Sequence[Itemset],
         deadline_check: Optional[Callable[[], None]] = None,
         chunk_size: Optional[int] = None,
-    ) -> List[int]:
+        scratch: Optional[Scratch] = None,
+    ) -> IndexCounts:
         full = (1 << self._num_rows) - 1
         cache: PrefixIntersector[int] = PrefixIntersector(
             self._bitmaps.get, operator.and_, full
         )
-        results = [0] * len(candidates)
+        results = IndexCounts([0] * len(candidates))
         order = sorted(range(len(candidates)), key=lambda i: candidates[i])
         # Deadline cadence matches the packed path's chunk budget: check
         # once per WORK_BUDGET_WORDS words of AND work, where one item-AND
@@ -610,8 +638,7 @@ class IntBitmapIndex:
             value = cache.intersection(candidates[position])
             if value is not None:
                 results[position] = popcount(value)
-        self.prefix_hits += cache.hits
-        self.prefix_misses += cache.misses
+        results.hits, results.misses = cache.hits, cache.misses
         return results
 
 
@@ -887,12 +914,16 @@ def level_counts(level, answer, supports: Dict[Itemset, int]) -> LevelCounts:
 class IndexCounter(SupportCounter):
     """The engine body of ``bitmap``, ``packed`` and ``roaring``.
 
-    Subclasses name an ``index_class``.  The index is built from the
-    database's cached ``item_bitmaps()`` on the first pass and reused for
-    every later pass against the *same* database object (held by
-    weakref; a new database gets a new index).  Prefix sharing inside the
-    index is reported as ``prefix_cache_hits``/``prefix_cache_misses``
+    Subclasses name an ``index_class``.  Every pass counts on the
+    database's own index of that class (:meth:`index_for`): built from
+    its cached ``item_bitmaps()`` on first use, kept by the database and
+    released with it, and shared by every counter on it, since counting
+    never changes an index.  The counter owns what counting does change:
+    the packed kernel's in-place AND buffer (:class:`Scratch`, freed
+    with the counter) and the prefix-sharing tally each ``counts`` call
+    returns, reported as ``prefix_cache_hits``/``prefix_cache_misses``
     and as the ``prefix_cache.hits``/``prefix_cache.misses`` metrics.
+    ``_index`` is the index the last pass counted on.
 
     On the NumPy indexes (``packed``, ``roaring``) pass 2's pairs are
     answered from the paper's 2-D array inside the same billed pass, and
@@ -909,13 +940,13 @@ class IndexCounter(SupportCounter):
     index counted everything).
     """
 
-    #: the index :meth:`index_over` builds when NumPy is present
+    #: the index this engine counts on when NumPy is present
     index_class: type
 
     def __init__(self) -> None:
         super().__init__()
         self._index = None
-        self._index_db: Optional[Callable[[], object]] = None
+        self._scratch = Scratch()
         #: cumulative prefix-sharing accounting across all passes served
         self.prefix_cache_hits = 0
         self.prefix_cache_misses = 0
@@ -923,26 +954,29 @@ class IndexCounter(SupportCounter):
         self.last_pairs_swept = 0
 
     @classmethod
+    def built_index_class(cls) -> type:
+        """The index class this engine counts on: ``index_class``, or
+        :class:`IntBitmapIndex` for every index engine without NumPy.
+        The one place the NumPy choice is made."""
+        return cls.index_class if HAVE_NUMPY else IntBitmapIndex
+
+    @classmethod
     def index_over(cls, db):
-        """A fresh ``index_class`` over ``db.item_bitmaps()``.
+        """A fresh index over ``db.item_bitmaps()``, cached nowhere: the
+        out-of-core partitions build and free their own."""
+        return cls.built_index_class().from_database(db)
 
-        The one place the NumPy choice is made: without NumPy every
-        index engine counts on :class:`IntBitmapIndex`.
-        """
-        index_class = cls.index_class if HAVE_NUMPY else IntBitmapIndex
-        return index_class.from_database(db)
-
-    def _index_for(self, db):
-        if self._index_db is None or self._index_db() is not db:
-            self._index = self.index_over(db)
-            self._index_db = weakref.ref(db)
+    def index_for(self, db):
+        """``db``'s own index for this engine, built on its first use
+        (``db.counting_index``); it becomes ``_index``."""
+        self._index = db.counting_index(self.built_index_class())
         return self._index
 
     def _takes_pair_batches(self) -> bool:
-        return HAVE_NUMPY and self.index_class is not IntBitmapIndex
+        return self.built_index_class() is not IntBitmapIndex
 
     def _count(self, db, candidates):
-        index = self._index_for(db)
+        index = self.index_for(db)
         answer = None
         if isinstance(candidates, PairBatch):
             level = candidates.level
@@ -965,20 +999,18 @@ class IndexCounter(SupportCounter):
                     db, candidates, self._check_deadline, index
                 )
             self.last_pairs_swept = len(result)
-        hits_before = index.prefix_hits
-        misses_before = index.prefix_misses
         counts = (
-            index.counts(candidates, deadline_check=self._check_deadline)
+            index.counts(
+                candidates, self._check_deadline, scratch=self._scratch
+            )
             if candidates
-            else []
+            else IndexCounts()
         )
-        hits = index.prefix_hits - hits_before
-        misses = index.prefix_misses - misses_before
-        self.prefix_cache_hits += hits
-        self.prefix_cache_misses += misses
+        self.prefix_cache_hits += counts.hits
+        self.prefix_cache_misses += counts.misses
         if self.obs.enabled:
-            self.obs.counter("prefix_cache.hits").inc(hits)
-            self.obs.counter("prefix_cache.misses").inc(misses)
+            self.obs.counter("prefix_cache.hits").inc(counts.hits)
+            self.obs.counter("prefix_cache.misses").inc(counts.misses)
         result.update(zip(candidates, counts))
         return result if answer is None else answer
 

@@ -17,9 +17,9 @@ Zero-dependency observability for the miners and counting engines:
 * :mod:`repro.obs.progress` — the per-pass heartbeat reporter
   (``--progress``) with the candidate-upper-bound ETA;
 * :mod:`repro.obs.export` — Chrome/Perfetto trace and Prometheus text
-  exporters (``python -m repro.obs.export``);
+  exporters (``pincer obs export``);
 * :mod:`repro.obs.report` — the indented span-tree trace report
-  (``python -m repro.obs.report``);
+  (``pincer obs report``);
 * :mod:`repro.obs.top` — the ``pincer obs top`` live operator console
   over a serve daemon (``--serve SOCKET``);
 * :mod:`repro.obs.requestlog` — the query plane's JSONL access log

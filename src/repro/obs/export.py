@@ -16,10 +16,10 @@ industry-standard formats tooling already exists for:
   ``_stddev``/``_p50``/``_p95``/``_p99`` gauges (the registry keeps
   summaries and a sampling reservoir, not buckets).
 
-Run as a module::
+From the command line::
 
-    python -m repro.obs.export run.jsonl --format perfetto --out run.perfetto.json
-    python -m repro.obs.export metrics.json --format prometheus
+    pincer obs export run.jsonl --format perfetto --out run.perfetto.json
+    pincer obs export metrics.json --format prometheus
 """
 
 from __future__ import annotations
@@ -186,12 +186,12 @@ def metrics_to_prometheus(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.export`` — convert traces and metrics."""
+    """``pincer obs export`` — convert traces and metrics."""
     import argparse
     import sys
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.export",
+        prog="pincer obs export",
         description="export repro.obs output to standard formats",
     )
     parser.add_argument(
@@ -230,9 +230,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         sys.stdout.write(rendered)
     return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,9 +1,9 @@
 """Human-readable trace reports: indented span tree + top-N slowest.
 
-``python -m repro.obs.report run.jsonl`` (or ``pincer obs report``)
-renders a recorded JSONL trace as the tree the tracer's nesting implies,
-one row per span with wall-clock, CPU and peak-memory columns (the latter
-two filled in when the trace was recorded with ``--profile``)::
+``pincer obs report run.jsonl`` renders a recorded JSONL trace as the
+tree the tracer's nesting implies, one row per span with wall-clock, CPU
+and peak-memory columns (the latter two filled in when the trace was
+recorded with ``--profile``)::
 
     span                            wall(s)    cpu(s)  mem_peak(kb)
     run algorithm=pincer-search      0.1620    0.1570         812.4
@@ -215,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import sys
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
+        prog="pincer obs report",
         description="pretty-print a JSONL trace as an indented span tree",
     )
     parser.add_argument("trace", help="JSONL trace file (--trace output)")
@@ -250,9 +250,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         render_report(events, top=args.top, max_rows=args.max_rows) + "\n"
     )
     return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -12,9 +12,9 @@ perturb the daemon.  ``--frames N`` caps the refresh count (``--frames
 ``--no-ansi`` disables cursor control for dumb terminals and log
 capture.
 
-Run as a module::
+From the command line::
 
-    python -m repro.obs.top --serve /tmp/pincer.sock --frames 1 --no-ansi
+    pincer obs top --serve /tmp/pincer.sock --frames 1 --no-ansi
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def format_serve_frame(socket_path: str, stats: Dict[str, Any]) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.top`` / ``pincer obs top`` entry point."""
+    """``pincer obs top`` entry point."""
     import argparse
 
     from ..serve import request as serve_request
@@ -166,7 +166,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -102,6 +102,37 @@ class TestRunCell:
         assert {row.min_support_percent for row in rows} == {20.0, 10.0}
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("num_transactions", [120, 600])
+    def test_timed_cells_build_no_index(self, monkeypatch, num_transactions):
+        # the sweep builds the auto engine's index before its first cell,
+        # so no timed miner pays for it
+        import repro.bench.harness as harness
+        from repro.db.roaring import RoaringIndex
+        from repro.db.vertical import IntBitmapIndex, PackedBitmapIndex
+
+        spec = tiny_spec()
+        db = TransactionDatabase(list(build_database(spec, num_transactions)))
+        builds = []
+        for index_class in (IntBitmapIndex, PackedBitmapIndex, RoaringIndex):
+            def counted(db, _build=index_class.from_database):
+                builds.append(db)
+                return _build(db)
+
+            monkeypatch.setattr(index_class, "from_database", counted)
+        cells = []
+        run_cell = harness.run_cell
+
+        def timed_cell(*args, **kwargs):
+            before = len(builds)
+            rows = run_cell(*args, **kwargs)
+            cells.append(len(builds) - before)
+            return rows
+
+        monkeypatch.setattr(harness, "run_cell", timed_cell)
+        run_sweep(db, "tiny", (20.0, 10.0))
+        assert builds == [db]
+        assert cells == [0, 0]
+
 
 class TestReporting:
     def make_rows(self):

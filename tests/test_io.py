@@ -1,5 +1,6 @@
 """Tests for database file I/O (repro.db.io)."""
 
+import gc
 import random
 import re
 
@@ -121,6 +122,56 @@ class TestLineParser:
         db = io.load(path)
         assert db == TransactionDatabase(rows)
         assert len({id(item) for row in db for item in row}) == db.num_items
+
+
+@pytest.mark.parametrize(
+    "name, good, bad",
+    [("db.dat", "1 2\n3\n", "1 2\n3 x\n"), ("db.csv", "1,2\n3\n", "1,2\n3,x\n")],
+)
+class TestCollectorPausedWhileLoading:
+    """The basket and CSV loads build their rows with the cyclic garbage
+    collector off and hand the caller back its own collector state."""
+
+    def test_rows_are_built_with_the_collector_off(
+        self, tmp_path, monkeypatch, name, good, bad
+    ):
+        path = tmp_path / name
+        path.write_text(good)
+        seen = []
+
+        def recording(rows):
+            seen.append(gc.isenabled())
+            return TransactionDatabase(rows)
+
+        monkeypatch.setattr(io, "TransactionDatabase", recording)
+        assert gc.isenabled()
+        assert list(io.load(path)) == [frozenset({1, 2}), frozenset({3})]
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_a_bad_line_restores_the_collector(self, tmp_path, name, good, bad):
+        path = tmp_path / name
+        path.write_text(bad)
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match=re.escape("%s:2:" % path)):
+            io.load(path)
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_switched_off_stays_off(
+        self, tmp_path, name, good, bad
+    ):
+        good_path, bad_path = tmp_path / ("good" + name), tmp_path / name
+        good_path.write_text(good)
+        bad_path.write_text(bad)
+        gc.disable()
+        try:
+            assert len(io.load(good_path)) == 2
+            assert not gc.isenabled()
+            with pytest.raises(ValueError):
+                io.load(bad_path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestJsonFormat:

@@ -476,6 +476,21 @@ class TestSchemaValidators:
         assert done.stderr == ""
         assert "events ok" in done.stdout
 
+    @pytest.mark.parametrize("tool", ["export", "report"])
+    def test_obs_tool_help_names_its_one_entry_point(self, tool):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "obs", tool, "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.startswith("usage: pincer obs %s" % tool)
+
     def test_schema_cli_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"v": 1, "type": "span"}\n')

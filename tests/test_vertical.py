@@ -451,9 +451,9 @@ class TestFusedTiledKernel:
         candidates = sorted(
             {(a, b + 10, 30) for a in range(7) for b in range(11)}
         ) * 4
-        index.counts(candidates)
-        assert index.prefix_hits > 0
-        assert index.prefix_misses > 0
+        counts = index.counts(candidates)
+        assert counts.hits > 0
+        assert counts.misses > 0
 
     def test_tile_larger_than_matrix_is_one_tile(self):
         db = self._db()
