@@ -25,10 +25,14 @@ A :class:`LatticeKernel` bundles those hot paths behind one interface:
     * the MFS and MFCS families live in a
       :class:`~repro.core.cover.MaskCover` — the inverted cover index
       rebuilt on masks, with O(1) lazy discards and scrub-on-reuse
-      inserts — so MFCS-gen splits shrink to mask ANDNOT plus constant
-      table edits (see :class:`~repro.core.mfcs.MFCS`).
+      inserts — so MFCS-gen takes each element one step per batch:
+      the maximal cliques of its allowed-pair graph for the infrequent
+      pairs, one probe of the shared core for a larger set (see
+      :class:`~repro.core.mfcs.MFCS`).
 
-    Everything behind it is masks of its universe.  A frequent itemset
+    Everything behind it is masks of its universe.  After pass 1 the
+    miner narrows that universe to the frequent items
+    (:meth:`BitmaskKernel.restricted`).  A frequent itemset
     naming an outside item raises :class:`KeyError`; a candidate naming
     one is dropped, since one of its subsets is neither frequent nor
     covered.  An MFS passed as anything but the kernel's own MaskCover
@@ -53,6 +57,7 @@ miner runs the bitmask kernel.
 
 from __future__ import annotations
 
+import copy
 import time
 from itertools import combinations
 from typing import Iterable, List, Optional, Set
@@ -102,6 +107,15 @@ class LatticeKernel:
         lower threshold).
         """
         raise NotImplementedError
+
+    def restricted(self, items: Iterable[int]) -> "LatticeKernel":
+        """This kernel for a run that can touch only ``items`` from now on.
+
+        The miner calls it once pass 1 has proved that only the frequent
+        items can matter, and rebuilds its families through the kernel it
+        gets back.  A kernel with nothing to narrow returns itself.
+        """
+        return self
 
     def apriori_join(
         self,
@@ -199,6 +213,20 @@ class BitmaskKernel(LatticeKernel):
 
     def make_mfcs_from(self, elements: Iterable[Itemset]) -> MFCS:
         return MFCS(elements, kernel=self)
+
+    def restricted(self, items: Iterable[int]) -> "BitmaskKernel":
+        """A shallow copy over an :class:`ItemUniverse` of ``items`` (a
+        subset of this kernel's universe) alone, so that every later
+        mask, probe and cover table is that narrow.  A subclass keeps its
+        class and its state; ``self`` comes back when ``items`` is the
+        whole universe.
+        """
+        universe = ItemUniverse(items)
+        if len(universe) == len(self.universe):
+            return self
+        narrowed = copy.copy(self)
+        narrowed.universe = universe
+        return narrowed
 
     # ------------------------------------------------------------------
     # candidate generation

@@ -27,19 +27,31 @@ on an infrequent itemset touches only the elements that actually contain
 it.  The kernel that builds the MFCS picks that structure once, and with
 it the path every operation runs.  The bitmask kernel's
 :class:`~repro.core.cover.MaskCover` keeps the whole MFCS-gen loop in
-mask algebra: an element split is one ANDNOT per infrequent item,
-discarding the split element is O(1), and re-inserting a replacement
-reuses the freed slot so the cover index pays only for the single item
-that changed.  The tuple kernel, or no kernel, keeps the seed
-:class:`~repro.core.cover.CoverIndex` and tuple splits: the differential
-reference.  Seeding from a family costs one cover probe per element.
+mask algebra, and takes each element one step per batch:
+
+* a batch of infrequent *pairs* replaces every element it touches, at
+  once, by that element's maximal pair-free subsets: the maximal cliques
+  of the element's allowed-pair graph, listed by one pivoting
+  Bron–Kerbosch walk (:func:`maximal_cliques`).  They are inserted
+  longest first, each checked once against the other elements, the
+  earlier replacements and the protected MFS;
+* a larger infrequent set ``s`` splits an element ``E`` with one cover
+  probe of the core ``E \\ s``: a member covers ``E \\ {a}`` iff it holds
+  the core and every other item of ``s``, which prefix/suffix ANDs over
+  the slot bitmaps of ``s``'s items answer for every ``a`` at once.
+
+Both leave the MFCS the sequential splits leave, element for element.
+The tuple kernel, or no kernel, keeps the seed
+:class:`~repro.core.cover.CoverIndex` and the paper's sequential tuple
+splits: the differential reference.  Seeding from a family costs one
+cover probe per element.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
-from .bitset import popcount
+from .bitset import bits_of, popcount
 from .cover import CoverIndex, MaskCover, as_cover, mask_cover_of
 from .itemset import Itemset, is_subset, sort_itemsets, without_item
 from .lattice import is_antichain
@@ -201,12 +213,17 @@ class MFCS:
         contents are no longer meaningful:
 
         * ``size_cap`` — maximum number of elements (the pure top-down
-          search's frontier guard);
+          search's frontier guard), checked after the singletons, after
+          the mask path's pair batch and after each larger set;
         * ``work_cap`` — maximum split work (in item-mask-lookup units),
           the adaptive version's (Section 3.5) budget: on scattered
-          distributions the pass-2 update degenerates into incremental
-          maximal-clique maintenance over the frequent-pair graph, whose
-          cost must be bounded *during* the update.
+          distributions the pass-2 update is a maximal-clique enumeration
+          over the frequent-pair graph, whose cost must be bounded
+          *during* the update.  Every split element is charged its width
+          times the infrequent set's size (a pair batch charges each
+          element it touches once, as for one pair), and the pair batch
+          also charges each enumeration node the size of its candidate
+          set.
 
         ``protected`` should be the building kernel's own cover; any
         other family is indexed into one once per call.  An infrequent
@@ -221,9 +238,15 @@ class MFCS:
             )
         budget = [work_cap] if work_cap is not None else None
         singletons = []
+        pairs = []
         larger = []
         for infrequent in infrequent_sets:
-            (singletons if len(infrequent) == 1 else larger).append(infrequent)
+            if len(infrequent) == 1:
+                singletons.append(infrequent)
+            elif len(infrequent) == 2 and self._mask_native:
+                pairs.append(infrequent)
+            else:
+                larger.append(infrequent)
         index = self._index
         if singletons and not self._exclude_items(
             {s[0] for s in singletons}, protected, budget
@@ -231,6 +254,12 @@ class MFCS:
             return False
         if size_cap is not None and len(index) > size_cap:
             return False
+        if pairs:
+            self.exclusions += len(pairs)
+            if not self._split_pairs(pairs, protected, budget):
+                return False
+            if size_cap is not None and len(index) > size_cap:
+                return False
         split = self._split_mask if self._mask_native else self._split
         for infrequent in larger:
             self.exclusions += 1
@@ -281,114 +310,136 @@ class MFCS:
         protected: Optional[MaskCover],
         budget: Optional[List[int]],
     ) -> bool:
-        """All-mask :meth:`_split`: split/cover/insert never leave masks.
+        """All-mask :meth:`_split` for a set of any size but one or two.
 
-        The discarded element's slot is recycled by the next insert, so
-        the dominant churn — replace an element by a one-item-smaller
-        subset — costs O(1) cover-index edits instead of O(|element|).
-        The batch is encoded uncached: infrequent itemsets are seen once.
+        Every replacement ``E \\ {a}`` of an element ``E ⊇ s`` shares the
+        core ``E \\ s``, and a member covers it iff the member holds the
+        core and every item of ``s`` but ``a``.  So one exact probe of
+        the core, ANDed with the slot bitmaps of ``s``'s other items,
+        answers every replacement's cover check.  The slot bitmaps are
+        read live for each element: inserts recycle freed slots and
+        scrub their table bits, so a snapshot taken up front would
+        misattribute items to reused slots.  The protected cover never
+        mutates during an update, so its ANDs are taken once.  The
+        discarded element's slot is recycled by the next insert, so a
+        replacement costs O(1) cover-index edits.  The batch is encoded
+        uncached: infrequent itemsets are seen once.
         """
         index = self._index
         infrequent_mask = index.universe.raw_mask_of(infrequent)
         if infrequent_mask is None:
             return True  # no element holds an outside item
-        matches = index._matches_mask  # truthy iff some member covers
+        elements = index.supersets_masks(infrequent_mask)
+        if not elements:
+            return True
+        positions = list(bits_of(infrequent_mask))
+        matches = index._matches_mask  # the slots whose member covers
+        table = index._table
         add_mask = index.add_mask
         discard_mask = index.discard_mask
+        if protected is not None and protected:
+            protected_matches = protected._matches_mask
+            protected_others = _and_all_but_one(
+                [protected._table[position] for position in positions], -1
+            )
+        else:
+            protected = None  # an empty protected cover rejects nothing
+        width = len(positions)
         splits = 0
-        if protected is not None and not protected._alive:
-            # an empty protected cover rejects nothing — hoistable
-            # because the protected cover never mutates during an update
-            protected = None
-        if len(infrequent) == 2:
-            # Pair split — the dominant pass-2 workload.  Both
-            # replacements share the core ``E \ {a, b}``; one exact core
-            # query plus one item-bitmap AND per replacement answers both
-            # cover checks (a witness of ``E \ {a}`` is a core witness
-            # that also holds ``b``), halving the query count.
-            # ``table[pos]`` must be read live inside the loop: inserts
-            # recycle freed slots and scrub their table bits, so a
-            # snapshot taken up front would misattribute items to reused
-            # slots.  The protected cover never mutates during an
-            # update, so its item bitmaps can be hoisted.
-            bit_a = infrequent_mask & -infrequent_mask
-            bit_b = infrequent_mask ^ bit_a
-            pos_a = bit_a.bit_length() - 1
-            pos_b = bit_b.bit_length() - 1
-            table = index._table
-            if protected is not None:
-                protected_matches = protected._matches_mask
-                protected_slots_a = protected._table[pos_a]
-                protected_slots_b = protected._table[pos_b]
-            # inline supersets_masks: the probe is exactly the two known
-            # item positions, so the containing slots are one AND away
-            index.queries += 1
-            index.node_visits += 2
-            slot_masks = index._masks
-            remaining_slots = table[pos_a] & table[pos_b] & index._alive
-            elements = []
-            while remaining_slots:
-                low = remaining_slots & -remaining_slots
-                remaining_slots ^= low
-                elements.append(slot_masks[low.bit_length() - 1])
-            for element_mask in elements:
-                if budget is not None:
-                    budget[0] -= popcount(element_mask) * 2
-                    if budget[0] < 0:
-                        self.splits += splits
-                        return False
-                splits += 1
-                discard_mask(element_mask)
-                core = element_mask & ~infrequent_mask
-                core_matches = matches(core)
-                protected_core = None
-                replacement = element_mask ^ bit_a  # retains item b
-                if replacement and not core_matches & table[pos_b]:
-                    if protected is not None:
-                        protected_core = protected_matches(core)
-                        covered = protected_core & protected_slots_b
-                    else:
-                        covered = 0
-                    if not covered:
-                        add_mask(replacement)
-                replacement = element_mask ^ bit_b  # retains item a
-                if replacement and not core_matches & table[pos_a]:
-                    if protected is not None:
-                        if protected_core is None:
-                            protected_core = protected_matches(core)
-                        covered = protected_core & protected_slots_a
-                    else:
-                        covered = 0
-                    if not covered:
-                        add_mask(replacement)
-            self.splits += splits
-            return True
-        protected_covers = (
-            protected.covers_mask if protected is not None else None
-        )
-        for element_mask in index.supersets_masks(infrequent_mask):
+        for element_mask in elements:
             if budget is not None:
-                budget[0] -= popcount(element_mask) * len(infrequent)
+                budget[0] -= popcount(element_mask) * width
                 if budget[0] < 0:
                     self.splits += splits
                     return False
             splits += 1
             discard_mask(element_mask)
-            remaining = infrequent_mask
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                replacement = element_mask & ~bit
-                if not replacement:
-                    continue  # amendment A5: never store the empty itemset
-                if matches(replacement):
+            core = element_mask & ~infrequent_mask
+            covered = _and_all_but_one(
+                [table[position] for position in positions], matches(core)
+            )
+            protected_core = None
+            for i, position in enumerate(positions):
+                if covered[i]:
                     continue
-                if protected_covers is not None and protected_covers(
-                    replacement
-                ):
-                    continue
-                add_mask(replacement)
+                if protected is not None:
+                    if protected_core is None:
+                        protected_core = protected_matches(core)
+                    if protected_core & protected_others[i]:
+                        continue
+                add_mask(element_mask ^ (1 << position))
         self.splits += splits
+        return True
+
+    def _split_pairs(
+        self,
+        pairs: Sequence[Itemset],
+        protected: Optional[MaskCover],
+        budget: Optional[List[int]],
+    ) -> bool:
+        """MFCS-gen for a batch of infrequent pairs, one step per element.
+
+        The maximal subsets of an element that hold no infrequent pair
+        are its items without a conflict inside it, plus each maximal
+        clique of the allowed-pair graph over the rest.  Sequential pair
+        splits reach the same family one replacement at a time, and most
+        of those replacements are split again within the batch.  All
+        replacements are gathered first, every touched element is then
+        discarded, and the replacements are inserted longest first, so a
+        cover check against the index (the untouched elements and the
+        longer replacements) and the protected MFS (amendment A4) keeps
+        the antichain.
+        """
+        index = self._index
+        universe = index.universe
+        position_of = universe._bit_of
+        bit = [1 << position for position in range(len(universe))]
+        conflicts = [0] * len(universe)
+        touched = 0
+        for a, b in pairs:
+            position_a = position_of.get(a)
+            position_b = position_of.get(b)
+            if position_a is None or position_b is None:
+                continue  # no element holds an outside item
+            conflicts[position_a] |= bit[position_b]
+            conflicts[position_b] |= bit[position_a]
+            touched |= bit[position_a] | bit[position_b]
+        # allowed[p]: every item but p and its conflicts (a negative int)
+        allowed = {
+            position: ~(conflicts[position] | bit[position])
+            for position in bits_of(touched)
+        }
+        replacements: List[int] = []
+        split_elements: List[int] = []
+        for element_mask in index.member_masks:
+            vertices = 0
+            for position in bits_of(element_mask & touched):
+                if conflicts[position] & element_mask:
+                    vertices |= bit[position]
+            if not vertices:
+                continue
+            if budget is not None:
+                budget[0] -= popcount(element_mask) * 2
+            # a spent budget stops the walk at its first node
+            cliques = maximal_cliques(vertices, allowed, budget)
+            if cliques is None:
+                return False  # no element was split yet
+            split_elements.append(element_mask)
+            free = element_mask & ~vertices
+            replacements.extend(free | clique for clique in cliques)
+        self.splits += len(split_elements)
+        discard_mask = index.discard_mask
+        for element_mask in split_elements:
+            discard_mask(element_mask)
+        covers_mask = index.covers_mask
+        protected_covers = protected.covers_mask if protected else None
+        add_mask = index.add_mask
+        for replacement in sorted(replacements, key=popcount, reverse=True):
+            if covers_mask(replacement):
+                continue
+            if protected_covers is not None and protected_covers(replacement):
+                continue
+            add_mask(replacement)
         return True
 
     def _exclude_items(
@@ -527,3 +578,74 @@ class MFCS:
             assert not self._index.covers(itemset_), (
                 "infrequent %r still covered by MFCS" % (itemset_,)
             )
+
+
+def maximal_cliques(
+    vertices: int,
+    allowed: "dict[int, int]",
+    budget: Optional[List[int]] = None,
+) -> Optional[List[int]]:
+    """Every maximal clique of the graph on ``vertices``, as masks.
+
+    ``allowed[p]`` masks the neighbours of vertex ``p`` (bits outside
+    ``vertices`` are ignored, and ``p``'s own bit must be clear).  One
+    Bron–Kerbosch walk with Tomita pivoting, over int masks and an
+    explicit stack: each node branches only on the candidates its pivot,
+    the vertex of ``P ∪ X`` with the most neighbours in ``P``, does not
+    reach.  Each node charges ``budget`` (a one-element list of work
+    units) the size of its candidate set ``P``; None is returned once it
+    runs out.
+
+    >>> edges = {0: 0b0110, 1: 0b0101, 2: 0b0011, 3: 0}
+    >>> sorted(maximal_cliques(0b1111, edges))
+    [7, 8]
+    """
+    found: List[int] = []
+    stack = [(0, vertices, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        clique, candidates, excluded = pop()
+        if not candidates:
+            if not excluded:
+                found.append(clique)
+            continue
+        if budget is not None:
+            budget[0] -= popcount(candidates)
+            if budget[0] < 0:
+                return None
+        most = -1
+        reach = 0
+        for position in bits_of(candidates | excluded):
+            neighbours = candidates & allowed[position]
+            size = popcount(neighbours)
+            if size > most:
+                most = size
+                reach = neighbours
+        for position in bits_of(candidates & ~reach):
+            low = 1 << position
+            neighbours = allowed[position]
+            push((clique | low, candidates & neighbours, excluded & neighbours))
+            candidates ^= low
+            excluded |= low
+    return found
+
+
+def _and_all_but_one(masks: List[int], seed: int) -> List[int]:
+    """``seed`` ANDed with every mask but the ``i``-th, for each ``i``:
+    one prefix and one suffix sweep.
+
+    >>> _and_all_but_one([0b011, 0b110, 0b111], -1)
+    [6, 3, 2]
+    """
+    suffix = [-1] * len(masks)
+    accumulator = -1
+    for i in range(len(masks) - 1, 0, -1):
+        accumulator &= masks[i]
+        suffix[i - 1] = accumulator
+    out = []
+    accumulator = seed
+    for mask, rest in zip(masks, suffix):
+        out.append(accumulator & rest)
+        accumulator &= mask
+    return out

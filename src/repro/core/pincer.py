@@ -34,7 +34,11 @@ whatever the engine answers into the level's count array.  The frequent
 pairs come out of it with one ``np.nonzero``, the infrequent ones are
 built only when MFCS-gen runs, and ``supports`` takes every counted pair
 in one bulk update; the miner never sorts, batches or classifies the
-``C(|L1|, 2)`` pair tuples.
+``C(|L1|, 2)`` pair tuples.  Pass 1 proves that no other item than L1's
+can be in a frequent itemset, so a bottom-up mine whose pass 1 found no
+maximal itemset re-encodes the MFCS and the MFS cover through
+:meth:`~repro.core.kernel.LatticeKernel.restricted`, and every later
+mask, probe and cover table is ``|L1|`` bits wide.
 
 Adaptivity (Section 3.5): a pluggable
 :class:`~repro.core.adaptive.AdaptivePolicy` may abandon the MFCS mid-run,
@@ -390,6 +394,25 @@ class PincerSearch:
                         candidate_bound=bound,
                         mfs_size=len(mfs),
                     )
+
+                if (
+                    k == 1 and bottom_up and not mfs
+                    and stats.abandon_reason is None
+                ):
+                    # Pass 1 proved that only L1's items can be in a
+                    # frequent itemset: MFCS-gen stripped every other item
+                    # from the MFCS, and level 2 pairs L1's items.  So the
+                    # later passes run on masks |L1| bits wide.  A warm
+                    # seed whose members pass 1 counted frequent is left
+                    # as it is: re-encoding a populated MFS costs more
+                    # than the narrower masks save.
+                    narrowed = lattice.restricted(
+                        itemset_[0] for itemset_ in level_frequents
+                    )
+                    if narrowed is not lattice:
+                        lattice = narrowed
+                        mfcs = lattice.make_mfcs_from(mfcs)
+                        mfs_cover = lattice.make_cover()
 
             if stats.abandon_reason is not None:
                 # The MFCS was abandoned (Section 3.5's adaptive fallback):
