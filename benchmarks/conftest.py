@@ -3,7 +3,10 @@
 Every benchmark prints the three-panel table of its figure (time /
 candidates / passes per support level) and appends it to
 ``benchmarks/results.txt`` so the numbers survive pytest's output
-capturing; EXPERIMENTS.md is written from those tables.
+capturing; EXPERIMENTS.md is written from those tables.  Only a session
+that runs the whole grid writes there (moving the previous grid to
+``results.prev.txt``); one that selects tests (``-k``, ``-m``,
+``--deselect``, files or node ids) writes ``results.partial.txt``.
 
 Environment knobs:
 
@@ -22,14 +25,33 @@ from repro.bench.experiments import ALL_EXPERIMENTS, bench_scale, build_database
 from repro.bench.harness import bench_budget, format_rows, run_sweep
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
+PARTIAL_RESULTS_PATH = Path(__file__).parent / "results.partial.txt"
+
+#: the file this session's tables go to (see _fresh_results_file)
+_session_results = RESULTS_PATH
+
+
+def _runs_full_grid(config) -> bool:
+    """No test selection, and every path argument a whole directory."""
+    if config.getoption("keyword") or config.getoption("markexpr"):
+        return False
+    if config.getoption("deselect", None):
+        return False
+    return all(Path(arg).is_dir() for arg in config.args)
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
-    # keep the previous session's tables around as .prev so a partial
-    # re-run (e.g. one panel) never destroys a full grid's results
-    if RESULTS_PATH.exists():
-        RESULTS_PATH.replace(RESULTS_PATH.with_suffix(".prev.txt"))
+def _fresh_results_file(request):
+    # a full grid keeps the previous grid as .prev; a partial run (one
+    # panel, a -k selection) never touches either
+    global _session_results
+    if _runs_full_grid(request.config):
+        _session_results = RESULTS_PATH
+        if RESULTS_PATH.exists():
+            RESULTS_PATH.replace(RESULTS_PATH.with_suffix(".prev.txt"))
+    else:
+        _session_results = PARTIAL_RESULTS_PATH
+        PARTIAL_RESULTS_PATH.unlink(missing_ok=True)
     yield
 
 
@@ -50,8 +72,9 @@ def run_experiment(experiment_id, capsys=None):
 
 
 def report(text, capsys=None):
-    """Print a table past pytest's capture and append it to results.txt."""
-    with open(RESULTS_PATH, "a", encoding="utf-8") as handle:
+    """Print a table past pytest's capture and append it to this
+    session's results file."""
+    with open(_session_results, "a", encoding="utf-8") as handle:
         handle.write(text)
         handle.write("\n\n")
     if capsys is not None:

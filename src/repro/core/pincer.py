@@ -376,8 +376,7 @@ class PincerSearch:
                                 with obs.span("recover"):
                                     pass_stats.recovered_candidates = (
                                         _count_recovered(
-                                            lattice, level_frequents,
-                                            next_candidates,
+                                            level_frequents, next_candidates
                                         )
                                     )
                         candidates = as_level(next_candidates)
@@ -534,13 +533,38 @@ class PincerSearch:
 
 
 def _count_recovered(
-    lattice: LatticeKernel,
     level_frequents: List[Itemset],
-    next_candidates: Set[Itemset],
+    next_candidates: "Set[Itemset] | PairLevel",
 ) -> int:
-    """How many surviving candidates the plain join alone missed."""
-    plain = lattice.apriori_join(level_frequents)
-    return sum(1 for candidate in next_candidates if candidate not in plain)
+    """How many surviving candidates the plain join alone missed.
+
+    A (k+1)-candidate ``c`` is in the join of L_k exactly when both
+    ``c[:-1]`` and ``c[:-2] + c[-1:]`` are in L_k, so no join is rebuilt.
+    """
+    if isinstance(next_candidates, PairLevel):
+        return _recovered_pairs(
+            next_candidates, {itemset_[0] for itemset_ in level_frequents}
+        )
+    frequent = set(level_frequents)
+    return sum(
+        1
+        for candidate in next_candidates
+        if candidate[:-1] not in frequent
+        or candidate[:-2] + candidate[-1:] not in frequent
+    )
+
+
+def _recovered_pairs(level: PairLevel, frequent_items: Set[int]) -> int:
+    """The pairs of ``level`` with an item outside L1, which the k = 1
+    join (every pair over L1's items) cannot make.  Only pairs on an
+    outside item are probed; the level's other pairs are never built."""
+    outside = sorted(set(level.items) - frequent_items)
+    return sum(
+        (min(x, y), max(x, y)) in level
+        for x in outside
+        for y in level.items
+        if y in frequent_items or y > x
+    )
 
 
 def levelwise(

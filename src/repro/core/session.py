@@ -3,10 +3,15 @@
 A :class:`MiningSession` owns what a one-shot ``mine()`` call rebuilds
 from scratch every time: the resolved counting engine (with its index
 built once), a cross-threshold
-:class:`~repro.core.supportcache.SupportCache`, and the ledger of
-already-answered thresholds that powers warm-start MFCS seeding.  A
-query against a warm session is then mostly cache arithmetic:
+:class:`~repro.core.supportcache.SupportCache`, and one stored answer
+per already-answered absolute threshold.  A query is then answered from
+what the session holds wherever it can:
 
+* **An answer is a function of the threshold** — the MFS at an absolute
+  support count is fixed by the database, so a repeat (or another
+  percentage that rounds to the same count) returns the stored answer:
+  the MFS, its members' supports and the count, with no pass and no
+  cache lookup.
 * **Supports are threshold-independent** — every count stored while
   answering one query classifies the same itemset at any later
   threshold, so repeated and nearby thresholds resolve most passes
@@ -27,6 +32,7 @@ layer up, in :mod:`repro.serve`.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from contextlib import contextmanager
@@ -42,6 +48,7 @@ from .bitset import candidate_upper_bound
 from .itemset import Itemset
 from .pincer import PincerSearch, resolve_threshold
 from .result import MiningResult
+from .stats import MiningStats
 from .supportcache import CachedSupportCounter, SupportCache
 
 __all__ = ["MiningSession", "SessionClosedError"]
@@ -93,8 +100,10 @@ class MiningSession:
         #: the wrapped engine's lifetime
         self.counter = CachedSupportCounter(engine_obj, self.cache)
         self._miner = PincerSearch(engine=engine, kernel=kernel)
-        #: absolute threshold -> MFS mined there (the warm-start ledger)
-        self._mined: Dict[int, frozenset] = {}
+        #: absolute threshold -> the answer mined there, lean: the MFS,
+        #: its members' supports and the count, no passes (see
+        #: :func:`_lean`); a repeat returns a copy, warm seeds read its MFS
+        self._mined: Dict[int, MiningResult] = {}
         self._lock = threading.Lock()
         self.closed = False
         self.queries = 0
@@ -129,6 +138,14 @@ class MiningSession:
         family satisfying the same invariants (see
         :meth:`PincerSearch.mine` on ``initial_mfcs``).
 
+        At an absolute threshold the session has answered before, a
+        ``warm_start`` query returns the stored answer instead: the same
+        MFS, member supports and ``min_support_count``, with
+        ``supports`` holding the members only and ``stats`` no passes.
+        It reads nothing and looks nothing up, so its ``timings`` bill
+        zero cache hits and misses; it emits one ``stored`` span.  With
+        ``warm_start=False`` the query always mines.
+
         ``request_id`` stamps every span of this query (via the
         tracer's ambient binding — applied *inside* the query lock, so
         concurrent callers can never contaminate each other's spans);
@@ -141,6 +158,16 @@ class MiningSession:
         """
         threshold, _ = resolve_threshold(self.db, min_support, min_count)
         with self._query_lock(timings):
+            stored = self._mined.get(threshold) if warm_start else None
+            if stored is not None:
+                with self.obs.bind(sink=span_sink, request_id=request_id):
+                    with self.obs.span(
+                        "stored", threshold=threshold, mfs=len(stored.mfs)
+                    ):
+                        result = _lean(stored)
+                self.queries += 1
+                self.warm_queries += 1
+                return result
             seed = self._warm_seed(threshold) if warm_start else None
             misses_before = self.cache.misses
             mine_started = time.perf_counter()
@@ -160,7 +187,7 @@ class MiningSession:
                 self.rate.observe(
                     counted, time.perf_counter() - mine_started
                 )
-            self._mined[threshold] = result.mfs
+            self._mined[threshold] = _lean(result)
             self.queries += 1
             if seed is not None:
                 self.warm_queries += 1
@@ -179,9 +206,13 @@ class MiningSession:
     ) -> List[AssociationRule]:
         """Stage-2 rules at a threshold, reusing the session's cache.
 
-        Mines (warm) first, then expands MFS-subset supports through the
-        cached counter, so repeated rule queries at nearby thresholds
-        re-count almost nothing.  ``request_id`` / ``span_sink`` /
+        Mines (warm, so a stored answer where there is one) first, then
+        expands the supports of exactly the MFS subsets within ``depth``
+        of a member through the cached counter (see
+        :func:`~repro.rules.from_mfs.expand_mfs_supports`).  The answer
+        is :func:`~repro.rules.from_mfs.rules_from_mfs`'s at the same
+        threshold, whatever the session ran before, and a repeat
+        re-counts almost nothing.  ``request_id`` / ``span_sink`` /
         ``timings`` behave as in :meth:`mine` and cover both phases.
         """
         result = self.mine(
@@ -326,7 +357,20 @@ class MiningSession:
         best = self._best_seed_threshold(threshold)
         if best is None:
             return None
-        return sorted(self._mined[best])
+        return sorted(self._mined[best].mfs)
+
+
+def _lean(result: MiningResult) -> MiningResult:
+    """A copy of ``result`` holding only a stored answer: the MFS, its
+    members' supports and the threshold, with no passes.  Mining fills
+    the store with one; a repeat gets its own, so callers never share
+    mutable state with the store."""
+    lean = copy.copy(result)
+    lean.supports = {member: result.supports[member] for member in result.mfs}
+    lean.stats = MiningStats(
+        algorithm=result.stats.algorithm, engine=result.stats.engine
+    )
+    return lean
 
 
 def _add(timings: Dict[str, float], key: str, amount: float) -> None:

@@ -56,6 +56,7 @@ class DiskTransactionDatabase(VerticalCache):
     def __init__(
         self, path: PathLike, snapshot: Optional[PathLike] = None
     ) -> None:
+        super().__init__()
         self._path = Path(path)
         self.file_reads = 0
         self.records_streamed = 0
@@ -167,12 +168,15 @@ class DiskTransactionDatabase(VerticalCache):
         the bitmaps from the snapshot instead, skipping the basket parse.
         """
         if self._bitmaps is None:
-            if self._snapshot is not None:
-                self._bitmaps = self._snapshot.int_bitmaps()
-            else:
-                self._bitmaps = bitmaps_from_rows(
-                    self._stream(), self._length, self._universe
-                )
+            with self._building:
+                if self._bitmaps is None:
+                    self._bitmaps = (
+                        self._snapshot.int_bitmaps()
+                        if self._snapshot is not None
+                        else bitmaps_from_rows(
+                            self._stream(), self._length, self._universe
+                        )
+                    )
         return self._bitmaps
 
     def occurring_items(self):

@@ -22,6 +22,7 @@ the usual ``count >= ceil(fraction * |D|)`` convention.
 
 from __future__ import annotations
 
+import threading
 from math import ceil
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,16 +38,36 @@ class VerticalCache:
     :meth:`counting_index` are built on first use, kept on the database
     and released with it, so mining a database again — at another
     support, or through a fresh counter — rebuilds neither.
+
+    Each first build runs under the database's one re-entrant lock
+    (re-entrant because an index's build reads ``item_bitmaps()``), so
+    threads that count on a fresh database at once build everything
+    once; a built value is read without the lock.
     """
 
-    _nnz: Optional[int] = None
-    _indexes: Optional[Dict[type, object]] = None
+    def __init__(self) -> None:
+        self._building = threading.RLock()
+        self._nnz: Optional[int] = None
+        self._indexes: Dict[type, object] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_building"]  # a lock does not pickle
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._building = threading.RLock()
 
     def nnz(self) -> int:
         """Set bits over all of ``item_bitmaps()``: one per (transaction,
         item) occurrence."""
         if self._nnz is None:
-            self._nnz = sum(map(popcount, self.item_bitmaps().values()))
+            with self._building:
+                if self._nnz is None:
+                    self._nnz = sum(
+                        map(popcount, self.item_bitmaps().values())
+                    )
         return self._nnz
 
     def counting_index(self, index_class: type):
@@ -54,11 +75,13 @@ class VerticalCache:
         (:mod:`repro.db.vertical`, :mod:`repro.db.roaring`), built from
         ``item_bitmaps()`` on first use.  Counting never changes an
         index, so every counter on this database shares it."""
-        if self._indexes is None:
-            self._indexes = {}
         index = self._indexes.get(index_class)
         if index is None:
-            index = self._indexes[index_class] = index_class.from_database(self)
+            with self._building:
+                index = self._indexes.get(index_class)
+                if index is None:
+                    index = index_class.from_database(self)
+                    self._indexes[index_class] = index
         return index
 
 
@@ -84,6 +107,7 @@ class TransactionDatabase(VerticalCache):
         transactions: Iterable[Iterable[int]],
         universe: Optional[Iterable[int]] = None,
     ) -> None:
+        super().__init__()
         self._transactions: List[FrozenSet[int]] = [
             frozenset(transaction) for transaction in transactions
         ]
@@ -214,9 +238,13 @@ class TransactionDatabase(VerticalCache):
         AND/popcount a handful of C-level operations.
         """
         if self._bitmaps is None:
-            self._bitmaps = bitmaps_from_rows(
-                self._transactions, len(self._transactions), self._universe
-            )
+            with self._building:
+                if self._bitmaps is None:
+                    self._bitmaps = bitmaps_from_rows(
+                        self._transactions,
+                        len(self._transactions),
+                        self._universe,
+                    )
         return self._bitmaps
 
     # ------------------------------------------------------------------

@@ -110,6 +110,7 @@ KNOWN_SPAN_NAMES = (
     "partition",
     "cell",
     "command",
+    "stored",
 )
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))

@@ -9,11 +9,11 @@ generate the required subsets and count their supports by reading the
 database once."
 
 This module implements exactly that post-processing: expand the subsets of
-the MFS members down to a chosen depth, count all of them in one database
-pass, and feed the result into the stage-2 generator.  Deepening on demand
-(:func:`rules_from_mfs` with ``depth=None``) keeps expanding until the
-consequent growth of every emitted rule is exhausted or the full closure
-is reached.
+the MFS members down to a chosen depth, count the ones the mine did not
+in one database pass, and feed exactly those supports into the stage-2
+generator.  The rules therefore depend on the MFS and the depth alone,
+not on which other itemsets a mine happened to count; ``depth=None``
+expands the full closure.
 """
 
 from __future__ import annotations
@@ -56,19 +56,21 @@ def expand_mfs_supports(
     counter: Optional[SupportCounter] = None,
     engine: str = "auto",
 ) -> Dict[Itemset, int]:
-    """Supports of all MFS subsets down to ``depth``, in one extra pass.
+    """Supports of the MFS subsets within ``depth``, in one extra pass.
 
-    Re-uses every support the mining run already counted; only the missing
-    subsets hit the database.  Returns a combined support table (the
-    mining run's counts plus the new ones).
+    Returns the supports of exactly :func:`mfs_subsets_to_depth`
+    ``(result.mfs, depth)``, nothing else: a subset the mining run
+    counted is read from ``result.supports``, and only the rest hit the
+    database, in one counting call.
     """
-    engine_obj, _ = resolve_counter(db, engine, counter)
     wanted = mfs_subsets_to_depth(result.mfs, depth)
-    missing = sorted(wanted - set(result.supports))
-    counted = engine_obj.count(db, missing)
-    combined = dict(result.supports)
-    combined.update(counted)
-    return combined
+    known = result.supports
+    supports = {itemset: known[itemset] for itemset in wanted if itemset in known}
+    missing = sorted(wanted.difference(supports))
+    if missing:
+        engine_obj, _ = resolve_counter(db, engine, counter)
+        supports.update(engine_obj.count(db, missing))
+    return supports
 
 
 def rules_from_mfs(
@@ -81,10 +83,13 @@ def rules_from_mfs(
     """Stage-2 rules using the MFS-first strategy of the paper.
 
     ``depth`` bounds how far below the maximal itemsets the rule search
-    reaches: rules are generated from all frequent itemsets within
-    ``depth - 1`` of an MFS member, with antecedent supports available one
-    level deeper.  ``depth=None`` expands the entire closure (exponential
-    in the longest member — only for short MFS members).
+    reaches: the rules are :func:`generate_rules` over the supports of
+    exactly the itemsets within ``depth`` of an MFS member
+    (:func:`expand_mfs_supports`), so a confident rule ``X -> Y`` needs
+    both ``X ∪ Y`` and ``X`` in that expansion.  The answer depends
+    only on ``result.mfs``, its threshold and ``depth``, never on what
+    else the mine counted.  ``depth=None`` expands the entire closure
+    (exponential in the longest member — only for short MFS members).
     """
     if depth is None:
         depth = max((len(member) for member in result.mfs), default=0)

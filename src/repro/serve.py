@@ -40,6 +40,18 @@ rejections — carry ``eta_seconds``: the in-flight candidate-bound
 backlog divided by the session's EWMA data-plane counting rate, i.e.
 the admission price finally talking back to the client (null until the
 first counted pass calibrates the rate).
+
+Repeats pay only for what is new.  The session returns its stored
+answer for a ``mine`` at a threshold it has answered (see
+:meth:`~repro.core.session.MiningSession.mine`), and the server keeps
+each successful ``rules`` payload encoded once, per absolute threshold,
+confidence and depth, within :data:`RULES_STORE_BYTES`.  A later reply
+builds its envelope (``request_id``, ``seconds``, ``cost``, ``warm``,
+``eta_seconds``) as usual and splices the stored bytes in; the line is
+the one a fresh answer would encode.  A stored reply is still priced,
+admitted, logged and observed, and asks the session for its stored
+answer, so it fails after the session closes and leaves a ``stored``
+span with its ``request_id``.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ import socketserver
 import sys
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from .core.session import MiningSession
@@ -78,6 +91,30 @@ WARM_COST = 1
 
 #: Prefix for the Prometheus exposition the ``metrics`` op returns.
 METRICS_PREFIX = "pincer_"
+
+#: Bytes of encoded ``rules`` payloads a server keeps; past it the
+#: oldest are dropped first.  Sixteen thresholds of the ledger's
+#: serve-mixed workload take about 1.8 MB.
+RULES_STORE_BYTES = 4 * 1024 * 1024
+
+
+class _Spliced(dict):
+    """A reply envelope whose payload was encoded earlier.
+
+    ``fragment`` is the payload's ``"key": value, ...`` JSON text;
+    :func:`_encode_reply` writes it after the envelope's keys.
+    """
+
+    __slots__ = ("fragment",)
+
+
+def _encode_reply(reply: Dict) -> bytes:
+    """One reply line, byte-identical to ``json.dumps`` of the whole
+    reply with any spliced payload merged in."""
+    text = json.dumps(reply)
+    if not isinstance(reply, _Spliced):
+        return (text + "\n").encode("utf-8")
+    return b"".join((text[:-1].encode("utf-8"), b", ", reply.fragment, b"}\n"))
 
 
 class MiningServer:
@@ -136,6 +173,13 @@ class MiningServer:
         self.started_ts = time.time()
         self._started_mono = time.monotonic()
         self._request_ids = itertools.count(1)
+        #: (threshold, min_confidence, depth) -> (rule count, encoded
+        #: payload); oldest first, at most RULES_STORE_BYTES of payload
+        self._rules_store: "OrderedDict[Tuple, Tuple[int, bytes]]" = (
+            OrderedDict()
+        )
+        self._rules_store_bytes = 0
+        self._store_lock = threading.Lock()
         if os.path.exists(socket_path):
             os.unlink(socket_path)
         server = self
@@ -148,9 +192,7 @@ class MiningServer:
                         continue
                     reply = server._handle_line(line)
                     try:
-                        self.wfile.write(
-                            (json.dumps(reply) + "\n").encode("utf-8")
-                        )
+                        self.wfile.write(_encode_reply(reply))
                         self.wfile.flush()
                     except (BrokenPipeError, OSError):
                         return
@@ -359,7 +401,8 @@ class MiningServer:
         record["min_support"] = float(message["min_support"])
         cost, estimate = self._price(fraction)
         warm = cost == WARM_COST
-        record.update(threshold=int(estimate["threshold"]), cost=cost, warm=warm)
+        threshold = int(estimate["threshold"])
+        record.update(threshold=threshold, cost=cost, warm=warm)
         admitted, inflight_cost = self._admit(cost)
         if not admitted:
             # quote how long the present backlog plus this query would
@@ -390,7 +433,7 @@ class MiningServer:
         started = time.perf_counter()
         try:
             payload, result_size, passes = runner(
-                message, fraction, request_id, spans, timings
+                message, fraction, threshold, request_id, spans, timings
             )
         except Exception as exc:
             seconds = time.perf_counter() - started
@@ -437,18 +480,23 @@ class MiningServer:
             result_size=result_size,
             eta_s=eta,
         )
-        reply = {
+        envelope = {
             "ok": True, "op": op, "request_id": request_id,
             "seconds": seconds, "cost": cost, "warm": warm,
             "eta_seconds": eta,
         }
-        reply.update(payload)
-        return reply
+        if isinstance(payload, bytes):
+            reply = _Spliced(envelope)
+            reply.fragment = payload
+            return reply
+        envelope.update(payload)
+        return envelope
 
     def _run_mine(
         self,
         message: Dict,
         fraction: float,
+        threshold: int,
         request_id: str,
         spans: List[Dict[str, Any]],
         timings: Dict[str, float],
@@ -478,12 +526,33 @@ class MiningServer:
         self,
         message: Dict,
         fraction: float,
+        threshold: int,
         request_id: str,
         spans: List[Dict[str, Any]],
         timings: Dict[str, float],
-    ) -> Tuple[Dict[str, Any], int, Optional[int]]:
+    ) -> Tuple[bytes, int, Optional[int]]:
+        """The rules payload, encoded once per (threshold, confidence,
+        depth) and spliced into every later reply."""
         min_confidence = float(message.get("min_confidence", 80.0)) / 100.0
         depth = message.get("depth", 2)
+        # the store is keyed on an integer or null depth: any other
+        # depth (2.0 equals 2 as a key) goes to the session every time
+        key = None
+        if depth is None or type(depth) is int:
+            key = (threshold, min_confidence, depth)
+            with self._store_lock:
+                stored = self._rules_store.get(key)
+            if stored is not None:
+                # the session's stored answer at this threshold: closed
+                # sessions refuse it, and it traces a span for this id
+                self.session.mine(
+                    fraction,
+                    request_id=request_id,
+                    span_sink=spans,
+                    timings=timings,
+                )
+                count, fragment = stored
+                return fragment, count, None
         rules = self.session.rules(
             fraction,
             min_confidence=min_confidence,
@@ -504,7 +573,23 @@ class MiningServer:
                 for rule in rules
             ],
         }
-        return payload, len(rules), None
+        fragment = json.dumps(payload)[1:-1].encode("utf-8")
+        if key is not None:
+            self._store_rules(key, len(rules), fragment)
+        return fragment, len(rules), None
+
+    def _store_rules(self, key: Tuple, count: int, fragment: bytes) -> None:
+        """Keep one encoded payload, dropping the oldest past the budget."""
+        if len(fragment) > RULES_STORE_BYTES:
+            return
+        with self._store_lock:
+            if key in self._rules_store:
+                return
+            self._rules_store[key] = (count, fragment)
+            self._rules_store_bytes += len(fragment)
+            while self._rules_store_bytes > RULES_STORE_BYTES:
+                _, (_, dropped) = self._rules_store.popitem(last=False)
+                self._rules_store_bytes -= len(dropped)
 
     # ------------------------------------------------------------------
     # introspection ops

@@ -201,3 +201,100 @@ def test_engines_in_turn_on_one_database_match_brute_force():
     for engine in ("packed", "roaring", "bitmap", "packed"):
         result = PincerSearch(engine=engine).mine(db, 0.08)
         assert set(result.mfs) == expected, engine
+
+
+def released_together(action, threads=4):
+    """Run ``action`` on ``threads`` threads that a barrier releases at
+    once, switching often."""
+    barrier = threading.Barrier(threads)
+    errors = []
+
+    def run():
+        try:
+            barrier.wait(timeout=30)
+            action()
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+
+
+def slowed(monkeypatch, owner, name, calls):
+    """Record each call of ``owner.name`` and hold it a moment, so that
+    a second thread would reach an unguarded build before the first
+    finished it."""
+    import time
+
+    build = getattr(owner, name)
+
+    def held(*args):
+        calls.append(args)
+        time.sleep(0.005)
+        return build(*args)
+
+    monkeypatch.setattr(owner, name, held)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_threads_counting_on_a_fresh_database_build_once(engine, monkeypatch):
+    bitmaps, builds = [], []
+    slowed(monkeypatch, transaction_db, "bitmaps_from_rows", bitmaps)
+    slowed(monkeypatch, built_class(engine), "from_database", builds)
+    expected = get_counter("naive").count(
+        TransactionDatabase(random_rows(300, seed=41)), [(1, 2), (3, 4, 5)]
+    )
+    for trial in range(5):
+        del bitmaps[:], builds[:]
+        db = TransactionDatabase(random_rows(300, seed=41))
+        answers = []
+        released_together(
+            lambda: answers.append(
+                get_counter(engine).count(db, [(1, 2), (3, 4, 5)])
+            )
+        )
+        assert len(bitmaps) == 1, trial
+        assert builds == [(db,)], trial
+        assert answers == [expected] * 4
+
+
+def test_threads_on_a_fresh_disk_database_build_once(tmp_path, monkeypatch):
+    import repro.db.disk as disk
+    from repro.db import io as db_io
+
+    path = tmp_path / "rows.dat"
+    db_io.save(TransactionDatabase(random_rows(300, seed=42)), path)
+    bitmaps = []
+    slowed(monkeypatch, disk, "bitmaps_from_rows", bitmaps)
+    db = disk.DiskTransactionDatabase(path)
+    released_together(db.item_bitmaps)
+    assert len(bitmaps) == 1
+
+
+def test_threads_compute_the_density_once(monkeypatch):
+    db = TransactionDatabase(random_rows(300, seed=43))
+    db.item_bitmaps()
+    popcounts = []
+    slowed(monkeypatch, transaction_db, "popcount", popcounts)
+    answers = []
+    released_together(lambda: answers.append(db.nnz()))
+    assert len(popcounts) == len(db.item_bitmaps())
+    assert len(set(answers)) == 1
+
+
+def test_a_database_still_pickles():
+    db = TransactionDatabase(random_rows(50))
+    get_counter("bitmap").count(db, [(1, 2)])
+    copy = pickle.loads(pickle.dumps(db))
+    assert copy == db and copy.item_bitmaps() == db.item_bitmaps()
+    assert copy.nnz() == db.nnz()

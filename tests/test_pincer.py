@@ -234,3 +234,124 @@ class TestPassAccounting:
             if stats.pass_number <= 2
         )
         assert total == late + early
+
+
+def join_based_recovered(level_frequents, next_candidates):
+    """The recovered count as the plain join defines it."""
+    from repro.core.candidates import apriori_join
+
+    plain = apriori_join(level_frequents)
+    return sum(1 for candidate in next_candidates if candidate not in plain)
+
+
+def planted_db(seed, rows=300, items=24):
+    """Rows drawn around a few long planted patterns, plus noise."""
+    import random
+
+    rng = random.Random(seed)
+    patterns = [rng.sample(range(items), rng.randint(4, 9)) for _ in range(4)]
+    data = []
+    for _ in range(rows):
+        row = set(rng.choice(patterns))
+        row.difference_update(rng.sample(sorted(row), rng.randint(0, 2)))
+        row.update(rng.sample(range(items), rng.randint(0, 3)))
+        data.append(sorted(row))
+    return TransactionDatabase(data)
+
+
+class TestRecoveredCount:
+    """Each pass's ``recovered_candidates`` comes from two lookups per
+    candidate (and from the pair level's items at k = 1), and must equal
+    the count the plain join gives."""
+
+    @staticmethod
+    def checked_mine(monkeypatch, db, support, miner=None, **options):
+        import repro.core.pincer as pincer_module
+
+        real = pincer_module._count_recovered
+        seen = []
+
+        def checked(level_frequents, next_candidates):
+            got = real(level_frequents, next_candidates)
+            seen.append(
+                (got, join_based_recovered(level_frequents, next_candidates))
+            )
+            return got
+
+        monkeypatch.setattr(pincer_module, "_count_recovered", checked)
+        miner = miner if miner is not None else PincerSearch()
+        result = miner.mine(db, support, **options)
+        assert [got for got, _ in seen] == [want for _, want in seen]
+        recorded = [p.recovered_candidates for p in result.stats.passes]
+        assert sum(recorded) <= sum(got for got, _ in seen)
+        return seen
+
+    @pytest.mark.parametrize("kernel", ["tuple", "bitmask"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_databases(self, monkeypatch, kernel, seed):
+        db = planted_db(seed)
+        seen = []
+        for support in (0.3, 0.2, 0.12):
+            seen += self.checked_mine(
+                monkeypatch, db, support,
+                PincerSearch(kernel=kernel, policy=AlwaysMaintain()),
+            )
+        assert seen
+
+    @pytest.mark.parametrize("kernel", ["tuple", "bitmask"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_seeds_recover_at_pass_one(self, monkeypatch, kernel, seed):
+        # a seed member found maximal in pass 1 leaves L1, and the k = 1
+        # recovery pairs its items with L1's (a pair level on bitmasks)
+        db = planted_db(seed)
+        for low, high in ((0.12, 0.2), (0.2, 0.3), (0.12, 0.3)):
+            family = sorted(PincerSearch(kernel=kernel).mine(db, low).mfs)
+            self.checked_mine(
+                monkeypatch, db, high,
+                PincerSearch(kernel=kernel, policy=AlwaysMaintain()),
+                initial_mfcs=family,
+            )
+
+    def test_recovery_is_exercised(self, monkeypatch):
+        seen = []
+        for seed in range(6):
+            for support in (0.3, 0.2, 0.12):
+                seen += self.checked_mine(
+                    monkeypatch, planted_db(seed), support,
+                    PincerSearch(policy=AlwaysMaintain()),
+                )
+        assert any(got for got, _ in seen)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_levels(self, seed):
+        import random
+
+        from repro.core.pincer import _count_recovered
+        from repro.db.base import PairLevel
+
+        rng = random.Random(seed)
+        items = sorted(rng.sample(range(40), rng.randint(2, 12)))
+        frequent = [(item,) for item in items if rng.random() < 0.7]
+        whole = PairLevel(items)
+        dropped = [pair for pair in whole if rng.random() < 0.3]
+        for level in (whole, whole.without(dropped)):
+            assert _count_recovered(frequent, level) == (
+                join_based_recovered(frequent, level)
+            )
+
+    @pytest.mark.parametrize(
+        "pattern_size, supports",
+        [(6, (18.0, 15.0, 12.0, 11.0)), (10, (12.0, 9.0, 6.0)),
+         (15, (9.0, 8.0, 7.0))],
+    )
+    def test_figure4_cells(self, monkeypatch, pattern_size, supports):
+        # the paper's Figure 4 shape (T20, |L| = 50, N = 1000) at 2,000 rows
+        from repro.datagen.quest import QuestConfig, generate
+
+        db = generate(
+            QuestConfig(2000, 20, pattern_size, num_patterns=50,
+                        num_items=1000),
+            seed=1,
+        )
+        for support in supports:
+            self.checked_mine(monkeypatch, db, support / 100.0)

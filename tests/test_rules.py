@@ -199,3 +199,65 @@ class TestRulesFromMfs:
         db = TransactionDatabase([[1], [2], [3]])
         result = pincer_search(db, 0.9)
         assert rules_from_mfs(db, result, 0.5) == []
+
+
+class TestDepthHorizon:
+    """The rules are a function of the MFS and the depth alone."""
+
+    @staticmethod
+    def quest_result(support=0.08):
+        from repro.datagen.quest import QuestConfig, generate
+
+        db = generate(
+            QuestConfig(400, 10, 4, num_patterns=20, num_items=60), seed=3
+        )
+        return db, pincer_search(db, support)
+
+    def test_supports_are_exactly_the_depth_expansion(self):
+        db, result = self.quest_result()
+        for depth in (0, 1, 2):
+            supports = expand_mfs_supports(db, result, depth)
+            assert set(supports) == mfs_subsets_to_depth(result.mfs, depth)
+            for itemset, count in supports.items():
+                assert count == db.support_count(itemset)
+
+    def test_counts_only_what_the_mine_did_not(self):
+        from repro.db.counting import get_counter
+
+        db, result = self.quest_result()
+        wanted = mfs_subsets_to_depth(result.mfs, 2)
+        counted = []
+        counter = get_counter("bitmap")
+        count = counter.count
+
+        def recording(database, batch):
+            counted.extend(batch)
+            return count(database, batch)
+
+        counter.count = recording
+        expand_mfs_supports(db, result, 2, counter=counter)
+        assert sorted(counted) == sorted(wanted - set(result.supports))
+
+    def test_extra_counted_supports_change_nothing(self):
+        import dataclasses
+
+        db, result = self.quest_result()
+        members_only = dataclasses.replace(
+            result,
+            supports={member: result.supports[member] for member in result.mfs},
+        )
+        everything = dict(result.supports)
+        everything.update(
+            Apriori().frequent_itemsets(db, min_count=result.min_support_count)
+        )
+        counted_more = dataclasses.replace(result, supports=everything)
+        as_set = lambda rules: {
+            (r.antecedent, r.consequent, r.support, r.confidence, r.lift)
+            for r in rules
+        }
+        answers = [
+            as_set(rules_from_mfs(db, variant, 0.6, depth=2))
+            for variant in (result, members_only, counted_more)
+        ]
+        assert answers[0]
+        assert answers[0] == answers[1] == answers[2]

@@ -48,7 +48,7 @@ class TestProtocol:
         assert reply["min_support_count"] == cold.min_support_count
         assert len(reply["supports"]) == len(reply["mfs"])
 
-    def test_repeat_mine_is_warm_and_hits_cache(self, server):
+    def test_repeat_mine_is_the_stored_answer(self, server):
         first = request(
             server.socket_path, {"op": "mine", "min_support": 5.0}
         )
@@ -56,8 +56,12 @@ class TestProtocol:
             server.socket_path, {"op": "mine", "min_support": 5.0}
         )
         assert second["mfs"] == first["mfs"]
+        assert second["supports"] == first["supports"]
         assert second["warm"]
-        assert second["cache"]["hits"] > first["cache"]["hits"]
+        # read nothing and looked nothing up
+        assert first["passes"] > 0 and second["passes"] == 0
+        lookups = lambda cache: cache["hits"] + cache["misses"]
+        assert lookups(second["cache"]) == lookups(first["cache"])
 
     def test_rules(self, server):
         reply = request(
@@ -579,3 +583,237 @@ class TestQueryPlane:
             "/tmp/nowhere.sock", {"ok": False, "error": "nope"}
         )
         assert "no stats" in unreachable
+
+
+RULES = {"op": "rules", "min_support": 5.0, "min_confidence": 20}
+
+
+class TestStoredReplies:
+    """Repeats are answered from what the session and the server hold:
+    the session's stored mine answer, the server's encoded rules."""
+
+    def test_cold_mine_over_the_wire_mines_again(self, server):
+        first = request(
+            server.socket_path, {"op": "mine", "min_support": 5.0}
+        )
+        cold = request(
+            server.socket_path,
+            {"op": "mine", "min_support": 5.0, "warm": False},
+        )
+        assert cold["passes"] > 0
+        assert cold["mfs"] == first["mfs"]
+        assert cold["supports"] == first["supports"]
+
+    def test_repeated_rules_reply_is_identical(self, server):
+        first = request(server.socket_path, RULES)
+        second = request(server.socket_path, RULES)
+        assert first["count"] > 0
+        assert second["count"] == first["count"]
+        assert second["rules"] == first["rules"]
+        assert second["request_id"] != first["request_id"]
+        # the envelope is built per reply, keys in a fresh reply's order
+        assert list(second) == list(first)
+        assert len(server._rules_store) == 1
+
+    def test_rules_equal_whatever_ran_before(self, tmp_path):
+        # long maximal itemsets, so the depth horizon leaves rules out
+        from repro.datagen.quest import QuestConfig, generate
+        from repro.rules.from_mfs import rules_from_mfs
+
+        db = generate(
+            QuestConfig(400, 10, 4, num_patterns=20, num_items=60), seed=3
+        )
+        one_shot = rules_from_mfs(
+            db, pincer_search(db, 0.08), min_confidence=0.6, depth=2
+        )
+        expected = sorted(
+            [list(r.antecedent), list(r.consequent), r.confidence, r.support]
+            for r in one_shot
+        )
+        rules = {"op": "rules", "min_support": 8.0, "min_confidence": 60}
+        with MiningSession(db, engine="bitmap") as session:
+            server = MiningServer(session, str(tmp_path / "h.sock")).start()
+            try:
+                request(server.socket_path, {"op": "mine", "min_support": 5.0})
+                replies = [request(server.socket_path, rules) for _ in "ab"]
+            finally:
+                server.close()
+        for reply in replies:
+            got = sorted(
+                [r["antecedent"], r["consequent"], r["confidence"],
+                 r["support"]]
+                for r in reply["rules"]
+            )
+            assert expected and got == expected
+
+    def test_spliced_line_equals_whole_encoding(self):
+        from repro.serve import _Spliced, _encode_reply
+
+        payload = {"count": 2, "rules": [{"a": [1]}, {"a": [2, 3]}]}
+        envelope = {"ok": True, "op": "rules", "eta_seconds": None}
+        reply = _Spliced(envelope)
+        reply.fragment = json.dumps(payload)[1:-1].encode()
+        whole = dict(envelope, **payload)
+        assert _encode_reply(reply) == (json.dumps(whole) + "\n").encode()
+        assert _encode_reply(whole) == _encode_reply(reply)
+
+    def test_store_drops_the_oldest_past_its_budget(
+        self, server, monkeypatch
+    ):
+        import repro.serve as serve
+
+        sizes = []
+        for confidence in (20, 25, 30):
+            request(
+                server.socket_path,
+                dict(RULES, min_confidence=confidence),
+            )
+            sizes.append(
+                len(next(reversed(server._rules_store.values()))[1])
+            )
+        assert len(server._rules_store) == 3
+        server._rules_store.clear()
+        server._rules_store_bytes = 0
+        # room for the two newest payloads, not for all three
+        monkeypatch.setattr(serve, "RULES_STORE_BYTES", sizes[1] + sizes[2])
+        for confidence in (20, 25, 30):
+            request(
+                server.socket_path,
+                dict(RULES, min_confidence=confidence),
+            )
+        kept = [key[1] for key in server._rules_store]
+        assert kept == [0.25, 0.3]
+        assert server._rules_store_bytes == sizes[1] + sizes[2]
+        # a payload larger than the whole budget is never kept
+        monkeypatch.setattr(serve, "RULES_STORE_BYTES", 10)
+        request(server.socket_path, dict(RULES, min_confidence=40))
+        assert [key[1] for key in server._rules_store] == [0.25, 0.3]
+
+    def test_error_is_not_stored(self, server):
+        bad = request(server.socket_path, dict(RULES, depth=-1))
+        assert not bad["ok"]
+        assert not server._rules_store
+        floating = request(server.socket_path, dict(RULES, depth=2.0))
+        good = request(server.socket_path, dict(RULES, depth=2))
+        assert good["ok"] and len(server._rules_store) == 1
+        # a float depth (which fails on members longer than it) is
+        # answered by the session each time, never from the store
+        again = request(server.socket_path, dict(RULES, depth=2.0))
+        assert again["ok"] == floating["ok"]
+        assert len(server._rules_store) == 1
+
+    def test_failing_rules_query_is_not_stored(self, db, tmp_path):
+        with MiningSession(db, engine="bitmap") as session:
+            server = MiningServer(session, str(tmp_path / "e.sock")).start()
+            try:
+                original = session.rules
+
+                def broken(*args, **kwargs):
+                    raise RuntimeError("disk on fire")
+
+                session.rules = broken
+                failed = request(server.socket_path, RULES)
+                session.rules = original
+                assert not failed["ok"] and "disk on fire" in failed["error"]
+                assert not server._rules_store
+                assert request(server.socket_path, RULES)["ok"]
+            finally:
+                server.close()
+
+    def test_stored_rules_fail_after_the_session_closes(self, db, tmp_path):
+        with MiningSession(db, engine="bitmap") as session:
+            server = MiningServer(session, str(tmp_path / "c.sock")).start()
+            try:
+                assert request(server.socket_path, RULES)["ok"]
+                session.close()
+                mine = request(
+                    server.socket_path, {"op": "mine", "min_support": 5.0}
+                )
+                rules = request(server.socket_path, RULES)
+            finally:
+                server.close()
+        for reply in (mine, rules):
+            assert not reply["ok"]
+            assert "SessionClosedError" in reply["error"]
+
+    def test_eight_threads_repeating_one_query_agree(self, server):
+        answers = {"mine": [None] * 8, "rules": [None] * 8}
+        messages = {
+            "mine": {"op": "mine", "min_support": 5.0},
+            "rules": RULES,
+        }
+        errors = []
+
+        def fire(op, slot):
+            try:
+                answers[op][slot] = request(
+                    server.socket_path, messages[op], timeout=120.0
+                )
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        for op in ("mine", "rules"):
+            threads = [
+                threading.Thread(target=fire, args=(op, slot))
+                for slot in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180.0)
+        assert not errors
+        for op, fields in (("mine", ("mfs", "supports")),
+                           ("rules", ("count", "rules"))):
+            replies = answers[op]
+            assert all(reply and reply["ok"] for reply in replies)
+            for field in fields:
+                assert all(r[field] == replies[0][field] for r in replies)
+
+    def test_stored_replies_are_logged_traced_and_counted(
+        self, db, tmp_path
+    ):
+        from repro.obs import capture, load_trace_events
+
+        access = str(tmp_path / "access.jsonl")
+        trace = str(tmp_path / "trace.jsonl")
+        obs = capture(trace_path=trace, producer="test-serve")
+        with MiningSession(db, engine="bitmap", obs=obs) as session, \
+                RequestLog(access) as log:
+            server = MiningServer(
+                session, str(tmp_path / "s.sock"), request_log=log
+            ).start()
+            try:
+                replies = [
+                    request(server.socket_path, message)
+                    for message in (
+                        {"op": "mine", "min_support": 5.0},
+                        {"op": "mine", "min_support": 5.0},
+                        RULES,
+                        RULES,
+                    )
+                ]
+                stats = request(server.socket_path, {"op": "stats"})
+            finally:
+                server.close()
+        obs.finish()
+        assert all(reply["ok"] for reply in replies)
+        assert stats["served"] == 4 and stats["slo"]["queries"] == 4
+        assert stats["session"]["queries"] == 4
+        assert validate_request_log_file(access) == 4
+        with open(access) as handle:
+            records = [json.loads(line) for line in handle]
+        mine_hit, rules_hit = records[1], records[3]
+        assert mine_hit["passes"] == 0
+        assert "passes" not in rules_hit
+        for record in (mine_hit, rules_hit):
+            assert record["warm"] and record["ok"] and record["admitted"]
+            assert record["cache_hits"] == record["cache_misses"] == 0
+        assert rules_hit["result_size"] == replies[2]["count"]
+        spans = {}
+        for event in load_trace_events(trace):
+            if event.get("type") == "span":
+                request_id = event["attrs"]["request_id"]
+                spans.setdefault(request_id, set()).add(event["name"])
+        for reply in replies[1], replies[3]:
+            assert spans[reply["request_id"]] == {"stored"}
+        assert set(spans) == {reply["request_id"] for reply in replies}

@@ -527,3 +527,174 @@ class TestPairLevelLadder:
                     counter.records_read,
                 ))
             assert outcomes[0] == outcomes[1], miner.name
+
+
+def quest_db(rows: int = 400):
+    """A small concentrated Quest database (long maximal itemsets)."""
+    from repro.datagen.quest import QuestConfig, generate
+
+    return generate(
+        QuestConfig(rows, 10, 4, num_patterns=20, num_items=60), seed=3
+    )
+
+
+def lookups(session):
+    return session.cache.hits + session.cache.misses
+
+
+def rule_set(rules):
+    return {
+        (rule.antecedent, rule.consequent, rule.support, rule.confidence)
+        for rule in rules
+    }
+
+
+class TestStoredAnswers:
+    """One stored answer per absolute threshold: a repeat returns it
+    with no pass and no cache lookup, and equals a recomputation."""
+
+    def test_repeat_returns_the_stored_answer(self):
+        db = random_db(21)
+        with MiningSession(db, engine="bitmap") as session:
+            first = session.mine(0.05)
+            passes, before = session.counter.passes, lookups(session)
+            repeat = session.mine(0.05)
+            assert session.counter.passes == passes
+            assert lookups(session) == before
+        cold = pincer_search(db, 0.05)
+        assert first.stats.num_passes > 0
+        assert repeat.stats.num_passes == 0
+        assert repeat.mfs == first.mfs == cold.mfs
+        assert repeat.supports == {
+            member: cold.supports[member] for member in cold.mfs
+        }
+        assert repeat.min_support_count == cold.min_support_count
+        assert repeat.num_transactions == cold.num_transactions
+
+    def test_percentages_with_one_count_share_the_answer(self):
+        db = random_db(22, rows=300)
+        assert db.absolute_support(0.0440) == db.absolute_support(0.0441)
+        with MiningSession(db, engine="bitmap") as session:
+            first = session.mine(0.0440)
+            before = lookups(session)
+            second = session.mine(0.0441)
+            assert lookups(session) == before
+            assert session.stats()["mined_thresholds"] == [
+                db.absolute_support(0.0440)
+            ]
+        assert second.stats.num_passes == 0
+        assert second.mfs == first.mfs
+        assert second.min_support_count == first.min_support_count
+
+    def test_min_count_reaches_the_same_answer(self):
+        db = random_db(23)
+        with MiningSession(db, engine="bitmap") as session:
+            by_fraction = session.mine(0.06)
+            by_count = session.mine(min_count=by_fraction.min_support_count)
+        assert by_count.stats.num_passes == 0
+        assert by_count.mfs == by_fraction.mfs
+
+    def test_cold_query_mines_again(self):
+        db = random_db(24)
+        with MiningSession(db, engine="bitmap") as session:
+            first = session.mine(0.05)
+            again = session.mine(0.05, warm_start=False)
+            stored = session.mine(0.05)
+        assert again.stats.num_passes > 0
+        assert again.mfs == first.mfs == stored.mfs
+        assert stored.stats.num_passes == 0
+
+    def test_callers_cannot_change_the_store(self):
+        db = random_db(25)
+        with MiningSession(db, engine="bitmap") as session:
+            first = session.mine(0.05)
+            member = next(iter(first.mfs))
+            support = first.supports[member]
+            repeat = session.mine(0.05)
+            repeat.supports[member] = -1
+            repeat.stats.passes.append(None)
+            again = session.mine(0.05)
+        assert again.supports[member] == support
+        assert again.stats.num_passes == 0
+
+    def test_repeat_after_close_raises(self):
+        session = MiningSession(random_db(26), engine="bitmap")
+        session.mine(0.05)
+        session.close()
+        with pytest.raises(SessionClosedError):
+            session.mine(0.05)
+
+    def test_repeat_counts_and_bills_like_a_query(self):
+        with MiningSession(random_db(27), engine="bitmap") as session:
+            session.mine(0.05)
+            timings = {}
+            session.mine(0.05, timings=timings)
+            stats = session.stats()
+        assert stats["queries"] == 2 and stats["warm_queries"] == 1
+        assert timings["queue_wait_s"] >= 0.0
+        assert timings["cache_hits"] == timings["cache_misses"] == 0
+
+    def test_repeat_emits_a_span_with_its_request_id(self, tmp_path):
+        from repro.obs import load_trace_events
+
+        trace = str(tmp_path / "t.jsonl")
+        obs = capture(trace_path=trace)
+        with MiningSession(random_db(28), engine="bitmap", obs=obs) as session:
+            session.mine(0.05, request_id="req-1")
+            spans = []
+            session.mine(0.05, request_id="req-2", span_sink=spans)
+        obs.finish()
+        assert [span["name"] for span in spans] == ["stored"]
+        assert spans[0]["attrs"]["request_id"] == "req-2"
+        names = {
+            event["name"]
+            for event in load_trace_events(trace)
+            if event.get("type") == "span"
+            and event["attrs"].get("request_id") == "req-2"
+        }
+        assert names == {"stored"}
+
+    def test_rules_equal_whatever_ran_before(self):
+        db = quest_db()
+        support, lower = 0.08, 0.05
+        kwargs = dict(min_confidence=0.6, depth=2)
+        with MiningSession(db, engine="bitmap") as fresh:
+            fresh_rules = rule_set(fresh.rules(support, **kwargs))
+        with MiningSession(db, engine="bitmap") as warmed:
+            warmed.mine(lower)
+            after_lower = rule_set(warmed.rules(support, **kwargs))
+            repeated = rule_set(warmed.rules(support, **kwargs))
+        from repro.rules.from_mfs import rules_from_mfs
+
+        one_shot = rule_set(
+            rules_from_mfs(db, pincer_search(db, support), **kwargs)
+        )
+        assert fresh_rules
+        assert fresh_rules == after_lower == repeated == one_shot
+
+    def test_threads_repeating_one_query_agree(self):
+        import threading
+
+        db = random_db(29)
+        answers = []
+        with MiningSession(db, engine="bitmap") as session:
+            barrier = threading.Barrier(8)
+
+            def ask():
+                barrier.wait(timeout=30)
+                result = session.mine(0.05)
+                answers.append((sorted(result.mfs), result.supports))
+
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert session.stats()["queries"] == 8
+        cold = pincer_search(db, 0.05)
+        expected = {member: cold.supports[member] for member in cold.mfs}
+        assert len(answers) == 8
+        assert all(mfs == sorted(cold.mfs) for mfs, _ in answers)
+        # one thread mined (its supports hold every count it made), and
+        # the other seven got the stored answer
+        assert sum(supports == expected for _, supports in answers) == 7
