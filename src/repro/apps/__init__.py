@@ -1,49 +1,15 @@
-"""Applications the paper names: episodes, stock co-movement, minimal keys."""
+"""The application the CLI serves: minimal keys of relations."""
 
-from .episodes import (
-    Episode,
-    Event,
-    episode_rules,
-    mine_episodes,
-    sequence_to_events,
-    windows,
-    windows_database,
-)
 from .keys import (
     Relation,
     candidate_key_report,
     maximal_non_keys,
     minimal_keys,
 )
-from .stocks import (
-    DOWN,
-    UP,
-    CoMovementGroup,
-    co_movement_groups,
-    decode_item,
-    movement_item,
-    movements_database,
-    returns_from_prices,
-)
 
 __all__ = [
-    "DOWN",
-    "UP",
-    "CoMovementGroup",
-    "Episode",
-    "Event",
     "Relation",
     "candidate_key_report",
-    "co_movement_groups",
-    "decode_item",
-    "episode_rules",
     "maximal_non_keys",
-    "mine_episodes",
     "minimal_keys",
-    "movement_item",
-    "movements_database",
-    "returns_from_prices",
-    "sequence_to_events",
-    "windows",
-    "windows_database",
 ]

@@ -79,7 +79,9 @@ def extract_seconds_metrics(
 
     A leaf qualifies when its key mentions ``second`` — or any enclosing
     dict's key does (``total_seconds: {tuple: ..., bitmask: ...}``) — and
-    its value is a non-negative number.  This covers every record kind
+    its value is a non-negative number.  A ``per_second`` key is a rate,
+    not a duration (a higher rate is a faster run), so neither it nor
+    anything under it qualifies.  This covers every record kind
     the bench modules emit (``engines.<name>.seconds``,
     ``replay_seconds.<kernel>``, ``mine_seconds_*``, ...) without
     per-kind schemas.  Lists are skipped deliberately: per-cell/per-shard
@@ -89,7 +91,9 @@ def extract_seconds_metrics(
     metrics: Dict[str, float] = {}
     for key, value in record.items():
         path = _prefix + key if not _prefix else "%s.%s" % (_prefix, key)
-        seconds_key = _inherited or "second" in key
+        seconds_key = "per_second" not in key and (
+            _inherited or "second" in key
+        )
         if isinstance(value, dict):
             metrics.update(extract_seconds_metrics(value, path, seconds_key))
         elif (

@@ -414,13 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snap.add_argument(
         "--partitions", type=int, default=None, metavar="K",
-        help="write a v2 partitioned snapshot with K row partitions "
-        "(each independently memory-mappable for out-of-core mining)",
+        help="split the snapshot into K row partitions (default: one; "
+        "each independently memory-mappable for out-of-core mining)",
     )
     snap.add_argument(
         "--partition-rows", type=int, default=None, metavar="N",
-        help="write a v2 partitioned snapshot with ~N rows per "
-        "partition (rounded up to a multiple of 64)",
+        help="split the snapshot into partitions of ~N rows "
+        "(rounded up to a multiple of 64)",
     )
     _add_obs_flags(snap)
     snap.set_defaults(handler=_cmd_snapshot)

@@ -18,7 +18,6 @@ from .pincer import PincerSearch, pincer_search, resolve_threshold
 from .predicate import PredicatePincer, maximal_satisfying_sets
 from .result import MiningResult, MiningTimeout
 from .stats import MiningStats, PassStats
-from .versionspace import InconsistentInstance, VersionSpace, replay_mining_run
 
 __all__ = [
     "EMPTY",
@@ -26,7 +25,6 @@ __all__ = [
     "AlwaysMaintain",
     "BitmaskKernel",
     "CoverIndex",
-    "InconsistentInstance",
     "ItemUniverse",
     "Itemset",
     "LatticeKernel",
@@ -39,7 +37,6 @@ __all__ = [
     "PassStats",
     "PincerSearch",
     "PredicatePincer",
-    "VersionSpace",
     "apriori_join",
     "apriori_prune",
     "candidate_upper_bound",

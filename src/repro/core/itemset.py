@@ -69,15 +69,6 @@ def validate(candidate: Sequence[int]) -> Itemset:
     return result
 
 
-def union(first: Itemset, second: Itemset) -> Itemset:
-    """Set union of two canonical itemsets, canonical result.
-
-    >>> union((1, 3), (2, 3))
-    (1, 2, 3)
-    """
-    return tuple(sorted(set(first) | set(second)))
-
-
 def difference(first: Itemset, second: Itemset) -> Itemset:
     """Items of ``first`` not in ``second``.
 
@@ -86,16 +77,6 @@ def difference(first: Itemset, second: Itemset) -> Itemset:
     """
     excluded = set(second)
     return tuple(item for item in first if item not in excluded)
-
-
-def intersection(first: Itemset, second: Itemset) -> Itemset:
-    """Items common to both itemsets.
-
-    >>> intersection((1, 2, 3), (2, 3, 4))
-    (2, 3)
-    """
-    common = set(second)
-    return tuple(item for item in first if item in common)
 
 
 def without_item(base: Itemset, item: int) -> Itemset:
@@ -144,11 +125,6 @@ def is_proper_subset(small: Itemset, large: Itemset) -> bool:
     return len(small) < len(large) and is_subset(small, large)
 
 
-def is_superset(large: Itemset, small: Itemset) -> bool:
-    """Superset test; mirror of :func:`is_subset`."""
-    return is_subset(small, large)
-
-
 def k_subsets(base: Itemset, k: int) -> Iterator[Itemset]:
     """Yield all ``k``-item subsets of ``base`` in lexicographic order.
 
@@ -158,53 +134,10 @@ def k_subsets(base: Itemset, k: int) -> Iterator[Itemset]:
     return combinations(base, k)
 
 
-def proper_subsets(base: Itemset) -> Iterator[Itemset]:
-    """Yield all proper non-empty subsets of ``base``.
-
-    A maximal frequent itemset of length ``l`` implies ``2**l - 2`` of these
-    (the paper's Section 1 cost argument).
-
-    >>> sorted(proper_subsets((1, 2)))
-    [(1,), (2,)]
-    """
-    for size in range(1, len(base)):
-        yield from combinations(base, size)
-
-
 def all_subsets(base: Itemset) -> Iterator[Itemset]:
     """Yield every subset of ``base`` including ``()`` and ``base`` itself."""
     for size in range(len(base) + 1):
         yield from combinations(base, size)
-
-
-def immediate_subsets(base: Itemset) -> Iterator[Itemset]:
-    """Yield the ``len(base)`` subsets obtained by dropping one item.
-
-    >>> list(immediate_subsets((1, 2, 3)))
-    [(2, 3), (1, 3), (1, 2)]
-    """
-    for index in range(len(base)):
-        yield base[:index] + base[index + 1:]
-
-
-def prefix(base: Itemset, length: int) -> Itemset:
-    """First ``length`` items of ``base`` (the (k-1)-prefix of join/recovery).
-
-    >>> prefix((1, 2, 3, 4), 2)
-    (1, 2)
-    """
-    return base[:length]
-
-
-def share_prefix(first: Itemset, second: Itemset, length: int) -> bool:
-    """True if the two itemsets agree on their first ``length`` items.
-
-    >>> share_prefix((1, 2, 3), (1, 2, 4), 2)
-    True
-    >>> share_prefix((1, 2, 3), (1, 3, 4), 2)
-    False
-    """
-    return first[:length] == second[:length]
 
 
 def is_subset_of_any(candidate: Itemset, collection: Iterable[Itemset]) -> bool:
@@ -213,16 +146,6 @@ def is_subset_of_any(candidate: Itemset, collection: Iterable[Itemset]) -> bool:
     Used by the new prune procedure (line 2) and by MFCS maintenance.
     """
     return any(is_subset(candidate, member) for member in collection)
-
-
-def is_superset_of_any(candidate: Itemset, collection: Iterable[Itemset]) -> bool:
-    """True if ``candidate`` is a superset of at least one member."""
-    return any(is_subset(member, candidate) for member in collection)
-
-
-def max_length(collection: Iterable[Itemset]) -> int:
-    """Length of the longest itemset in ``collection`` (0 when empty)."""
-    return max((len(member) for member in collection), default=0)
 
 
 def sort_itemsets(collection: Iterable[Itemset]) -> list:

@@ -3,17 +3,16 @@
 The search space of frequent-itemset discovery is the power-set lattice of
 the item universe — the paper's Figure 1 draws it as a binomial graph.  The
 functions here answer structural questions about that lattice: antichain
-tests, downward closures, cover counting.  They back both the MFCS data
+tests, maximal and minimal elements, downward closures.  They back both the MFCS data
 structure (which is an antichain by construction) and the test oracles.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import AbstractSet, Iterable, Iterator, Set
+from typing import Iterable, Set
 
 from .cover import CoverIndex
-from .itemset import Itemset, all_subsets, is_proper_subset, is_subset
+from .itemset import Itemset, all_subsets, is_proper_subset
 
 
 def is_antichain(collection: Iterable[Itemset]) -> bool:
@@ -81,62 +80,3 @@ def downward_closure(collection: Iterable[Itemset]) -> Set[Itemset]:
             if subset:
                 closure.add(subset)
     return closure
-
-
-def covers(cover: Iterable[Itemset], candidate: Itemset) -> bool:
-    """True if ``candidate`` is a subset of some member of ``cover``."""
-    return any(is_subset(candidate, member) for member in cover)
-
-
-def covered_count(collection: Iterable[Itemset]) -> int:
-    """Number of distinct non-empty itemsets covered by ``collection``.
-
-    Exponential in member length; intended for test-sized inputs only.
-    """
-    return len(downward_closure(collection))
-
-
-def implied_frequent_count(length: int) -> int:
-    """Non-trivial frequent itemsets implied by one maximal itemset.
-
-    The paper's Section 1: a maximal frequent itemset of size ``l`` implies
-    the presence of ``2**l - 2`` non-trivial frequent itemsets.
-
-    >>> implied_frequent_count(3)
-    6
-    """
-    if length < 1:
-        return 0
-    return 2 ** length - 2
-
-
-def level_width(universe_size: int, level: int) -> int:
-    """Number of ``level``-itemsets over a universe of ``universe_size`` items.
-
-    >>> level_width(5, 2)
-    10
-    """
-    return comb(universe_size, level)
-
-
-def lattice_size(universe_size: int) -> int:
-    """Total number of non-empty itemsets over the universe.
-
-    >>> lattice_size(3)
-    7
-    """
-    return 2 ** universe_size - 1
-
-
-def level_of(collection: AbstractSet[Itemset], level: int) -> Set[Itemset]:
-    """Members of ``collection`` whose length equals ``level``."""
-    return {member for member in collection if len(member) == level}
-
-
-def levels(collection: Iterable[Itemset]) -> Iterator[int]:
-    """Sorted distinct lengths present in ``collection``.
-
-    >>> list(levels([(1,), (2, 3), (4,)]))
-    [1, 2]
-    """
-    return iter(sorted({len(member) for member in collection}))

@@ -1,139 +1,19 @@
-"""Synthetic scenario generators for the paper's application domains.
+"""Zipf-skewed retail baskets: the sparse benchmark dataset.
 
 The Quest generator (:mod:`repro.datagen.quest`) produces the paper's
-benchmark family; the generators here produce *interpretable* workloads
-for the three applications the paper names — a sector-structured stock
-market, a web clickstream with planted session funnels, and an HR
-relation with known keys.  The examples and the application tests share
-them.
+benchmark family.  :func:`zipf_baskets` produces the sparse regime it
+does not: a handful of staple items and a long tail of rarities.  The
+ledger's zipf-sparse workload and the counting-engine density sweep
+(:mod:`repro.bench.engines`) mine it.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
 from ..db.transaction_db import TransactionDatabase
-
-# ----------------------------------------------------------------------
-# correlated stock market (paper conclusion's motivating domain)
-# ----------------------------------------------------------------------
-
-#: default sector layout: name -> contiguous stock ids
-DEFAULT_SECTORS: Dict[str, "range"] = {
-    "tech": range(0, 14),
-    "banks": range(14, 25),
-    "energy": range(25, 33),
-    "retail": range(33, 40),
-}
-
-
-def correlated_market(
-    num_days: int = 1000,
-    sectors: Dict[str, Sequence[int]] = None,
-    sector_up_prob: float = 0.35,
-    follow_prob: float = 0.985,
-    idiosyncratic_prob: float = 0.05,
-    seed: int = 11,
-) -> TransactionDatabase:
-    """Daily up-move baskets of a sector-correlated market.
-
-    Each day every sector independently rallies with ``sector_up_prob``;
-    member stocks follow a rally with ``follow_prob`` and otherwise move
-    idiosyncratically.  The maximal frequent itemsets of the result are
-    (noise aside) the sector blocks — long itemsets, the regime the
-    paper's conclusion argues makes the maximum frequent set essential.
-    """
-    sectors = dict(DEFAULT_SECTORS) if sectors is None else sectors
-    rng = random.Random(seed)
-    all_stocks = sorted(
-        stock for members in sectors.values() for stock in members
-    )
-    days: List[List[int]] = []
-    for _ in range(num_days):
-        risers: List[int] = []
-        for members in sectors.values():
-            rally = rng.random() < sector_up_prob
-            for stock in members:
-                if rally and rng.random() < follow_prob:
-                    risers.append(stock)
-                elif rng.random() < idiosyncratic_prob:
-                    risers.append(stock)
-        days.append(sorted(set(risers)))
-    return TransactionDatabase(days, universe=all_stocks)
-
-
-def sector_of(stock: int, sectors: Dict[str, Sequence[int]] = None) -> str:
-    """Sector name of a stock id under the given (or default) layout."""
-    sectors = dict(DEFAULT_SECTORS) if sectors is None else sectors
-    for name, members in sectors.items():
-        if stock in members:
-            return name
-    return "?"
-
-
-# ----------------------------------------------------------------------
-# clickstream with planted session funnels (episodes domain)
-# ----------------------------------------------------------------------
-
-#: event-type vocabulary of the default clickstream
-EVENT_NAMES: Dict[int, str] = {
-    0: "login", 1: "page_view", 2: "search", 3: "add_to_cart",
-    4: "checkout", 5: "payment", 6: "error_500", 7: "retry",
-    8: "support_chat", 9: "logout",
-}
-
-#: (episode template, weight) pairs planted in the stream
-DEFAULT_TEMPLATES: List[Tuple[Tuple[int, ...], float]] = [
-    ((0, 1, 2), 0.35),             # browse
-    ((0, 1, 2, 3), 0.25),          # shop
-    ((0, 1, 2, 3, 4, 5), 0.20),    # purchase funnel
-    ((6, 7), 0.12),                # failure + retry
-    ((6, 7, 8), 0.08),             # failure escalates to support
-]
-
-
-def clickstream(
-    length: int = 6000,
-    templates: List[Tuple[Tuple[int, ...], float]] = None,
-    keep_prob: float = 0.9,
-    noise_prob: float = 0.35,
-    num_event_types: int = None,
-    seed: int = 3,
-) -> List[int]:
-    """An event-type sequence with weighted session templates planted.
-
-    Each appended session is a shuffled template with events kept with
-    ``keep_prob``; with ``noise_prob`` a random event follows.  Feed the
-    result to :func:`repro.apps.episodes.sequence_to_events`.
-    """
-    templates = DEFAULT_TEMPLATES if templates is None else templates
-    if num_event_types is None:
-        num_event_types = max(
-            event for template, _ in templates for event in template
-        ) + 1
-    rng = random.Random(seed)
-    cumulative: List[Tuple[float, Tuple[int, ...]]] = []
-    total = 0.0
-    for template, weight in templates:
-        total += weight
-        cumulative.append((total, template))
-    stream: List[int] = []
-    while len(stream) < length:
-        point = rng.random() * total
-        template = next(t for threshold, t in cumulative if point <= threshold)
-        session = [event for event in template if rng.random() < keep_prob]
-        rng.shuffle(session)
-        stream.extend(session)
-        if rng.random() < noise_prob:
-            stream.append(rng.randrange(num_event_types))
-    return stream[:length]
-
-
-# ----------------------------------------------------------------------
-# Zipf-skewed retail baskets (compressed-counting-tier benchmark cell)
-# ----------------------------------------------------------------------
 
 
 def zipf_baskets(
@@ -170,40 +50,3 @@ def zipf_baskets(
                 break
         baskets.append(sorted(basket))
     return TransactionDatabase(baskets, universe=range(num_items))
-
-
-# ----------------------------------------------------------------------
-# HR relation with known keys (minimal-keys domain)
-# ----------------------------------------------------------------------
-
-EMPLOYEE_COLUMNS = [
-    "employee_id", "email", "first_name", "last_name",
-    "department", "office", "badge_no",
-]
-
-
-def employees_table(count: int = 400, seed: int = 21):
-    """Rows + column names of an HR table with three obvious minimal keys.
-
-    ``employee_id``, ``email`` and ``badge_no`` are unique by
-    construction; everything else is heavily repeated.
-    """
-    rng = random.Random(seed)
-    first_names = ["ada", "grace", "alan", "edsger", "barbara", "donald"]
-    last_names = ["lovelace", "hopper", "turing", "dijkstra", "liskov"]
-    departments = ["eng", "sales", "hr", "ops"]
-    rows = []
-    for employee_id in range(count):
-        first = rng.choice(first_names)
-        last = rng.choice(last_names)
-        department = rng.choice(departments)
-        rows.append((
-            employee_id,
-            "%s.%s.%d@corp.example" % (first, last, employee_id),
-            first,
-            last,
-            department,
-            "%s-%d" % (department, rng.randint(1, 3)),
-            1000 + employee_id,
-        ))
-    return rows, list(EMPLOYEE_COLUMNS)

@@ -19,7 +19,6 @@ from .snapshot import (
     default_snapshot_path,
     load_snapshot,
     snapshot_database,
-    write_snapshot,
 )
 from .hash_tree import HashTree
 from .io import load, load_basket, load_csv, load_json, save, save_basket, save_csv, save_json
@@ -57,7 +56,6 @@ __all__ = [
     "default_snapshot_path",
     "load_snapshot",
     "snapshot_database",
-    "write_snapshot",
     "engine_decision",
     "get_counter",
     "load",

@@ -200,11 +200,11 @@ class DiskTransactionDatabase(VerticalCache):
         ``item_bitmaps`` users (the counting engines) read it instead of
         the baskets.
 
-        With ``num_partitions`` or ``partition_rows`` the partitioned v2
-        layout is written by *streaming* the baskets — memory stays
-        bounded by one partition's matrix, which is the point of the
-        out-of-core plane: the snapshot build itself must not need the
-        dense matrix resident.
+        The file is written by *streaming* the baskets, as one partition
+        or as ``num_partitions`` / ``partition_rows`` dictate — memory
+        stays bounded by one partition's matrix, which is the point of
+        the out-of-core plane: the snapshot build itself must not need
+        the dense matrix resident.
         """
         written = snapshot_database(
             self,

@@ -377,10 +377,11 @@ def handles_for_database(
     """Partition handles for ``db``, preferring its on-disk snapshot.
 
     A snapshot-backed database (``db.snapshot_path``) yields one
-    :class:`SnapshotPartitionHandle` per snapshot partition — for a v1
-    file that is a single whole-range partition, which still gets budget
-    accounting and windowed counting.  Anything else is self-partitioned
-    in memory into ``num_partitions`` 64-row-aligned ranges.
+    :class:`SnapshotPartitionHandle` per snapshot partition — for a
+    one-partition file that is a single whole-range partition, which
+    still gets budget accounting and windowed counting.  Anything else
+    is self-partitioned in memory into ``num_partitions`` 64-row-aligned
+    ranges.
     """
     snapshot_path = getattr(db, "snapshot_path", None)
     if snapshot_path is not None:

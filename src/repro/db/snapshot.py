@@ -4,10 +4,10 @@ A snapshot serialises the *vertical* view of a transaction database — the
 ``(num_items, num_words)`` uint64 bitmap matrix of
 :class:`repro.db.vertical.PackedBitmapIndex`, plus the item universe and
 the row count — into a single flat file designed to be **memory-mapped**:
-every multi-byte field is little-endian, the matrix is row-major, and
-both the universe array and the matrix start on 8-byte boundaries, so a
-reader can hand the OS page cache the whole index with one
-``numpy.memmap`` call and zero parsing.
+every multi-byte field is little-endian, each partition's matrix is
+row-major, and the universe array and every matrix start on 8-byte
+boundaries, so a reader hands the OS page cache a partition's index with
+one ``numpy.memmap`` call and zero parsing.
 
 This removes the parse tax of out-of-core mining: a
 :class:`repro.db.disk.DiskTransactionDatabase` normally pays one full
@@ -15,7 +15,7 @@ basket parse for the metadata pass and another to build bitmaps.  With a
 snapshot (``pincer snapshot data.dat``), both are replaced by one
 ``open`` + header read.
 
-Layout (version 1)::
+Layout (version 2, the one format)::
 
     offset  size               field
     ------  ----               -----
@@ -26,17 +26,6 @@ Layout (version 1)::
         24  8                  num_items  (uint64) — universe size
         32  8                  num_words  (uint64) — ceil(num_rows/64), min 1
         40  8 * num_items      universe   (int64, ascending)
-         …  8 * num_items
-             * num_words       bitmap matrix (uint64, row-major; row i is
-                               the transaction bitmap of ``universe[i]``,
-                               little-endian across words, tail bits zero)
-
-Layout (version 2 — partitioned, for out-of-core mining)::
-
-    offset  size               field
-    ------  ----               -----
-         0  40                 header as v1, version = 2
-        40  8 * num_items      universe   (int64, ascending)
          …  8                  num_partitions (uint64, >= 1)
          …  32 * P             partition directory: per partition
                                (row_start, num_rows, num_words,
@@ -44,33 +33,35 @@ Layout (version 2 — partitioned, for out-of-core mining)::
          …  …                  per-partition matrices, in directory
                                order: each a row-major
                                ``(num_items, num_words_p)`` uint64 block
+                               (row i is the transaction bitmap of
+                               ``universe[i]`` over the partition's rows,
+                               little-endian across words, tail bits zero)
 
-Version 2 splits the **rows** (transactions) into contiguous ranges and
-stores one complete packed matrix per range, each independently
-memory-mappable and 8-byte aligned.  Partition boundaries are 64-row
-aligned (every partition except the last holds a multiple of 64 rows),
-which makes each partition's matrix exactly a word-aligned column slice
-of the logical global matrix: bit ``t`` of the global bitmap of an item
-lives in partition ``p`` with ``row_start_p <= t`` at local bit
-``t - row_start_p``.  Support is therefore *additive* over partitions —
+The rows (transactions) are split into contiguous ranges, one complete
+packed matrix per range, each independently memory-mappable and 8-byte
+aligned; ``pincer snapshot`` without ``--partitions`` writes one range.
+Partition boundaries are 64-row aligned (every partition except the last
+holds a multiple of 64 rows), which makes each partition's matrix
+exactly a word-aligned column slice of the logical global matrix: bit
+``t`` of the global bitmap of an item lives in partition ``p`` with
+``row_start_p <= t`` at local bit ``t - row_start_p``.  Support is
+therefore *additive* over partitions —
 ``support(X) = Σ_p popcount(AND of X's rows in partition p)`` — which is
 what the two-scan Partition mining scheme and the memory-budget counting
 plane (:mod:`repro.db.outofcore`) build on.
 
-:func:`write_snapshot` still writes version 1 (the default, and the only
-layout with a single contiguous matrix); :func:`write_partitioned_snapshot`
-streams rows into a version-2 file one partition at a time, never holding
-the full matrix.  :func:`load_snapshot` reads both; a v1 file surfaces as
-a single-partition snapshot, so partition-aware readers need no special
-case.
+:func:`write_partitioned_snapshot` streams rows into the file one
+partition at a time, never holding the full matrix; :func:`load_snapshot`
+validates it.  Version 1, a single matrix with no partition directory,
+is no longer read: :func:`load_snapshot` refuses it and asks for the
+snapshot to be rewritten.
 
-The format is self-describing and NumPy-optional.  The v1 writer takes
-the database's int bitmaps; the v2 writer builds each partition with the
-linear vertical builder (:func:`repro.db.transaction_db.item_columns`)
-and writes its ``bytearray`` columns as they are, one path with or
-without NumPy.  :meth:`Snapshot.int_bitmaps` reads either into ints, so
-snapshots written on a NumPy box load on a bare interpreter and vice
-versa.
+The format is self-describing and NumPy-optional.  The writer builds
+each partition with the linear vertical builder
+(:func:`repro.db.transaction_db.item_columns`) and writes its
+``bytearray`` columns as they are, one path with or without NumPy.
+:meth:`Snapshot.int_bitmaps` reads the file into ints, so snapshots
+written on a NumPy box load on a bare interpreter and vice versa.
 """
 
 from __future__ import annotations
@@ -94,8 +85,6 @@ __all__ = [
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_SUFFIX",
     "SNAPSHOT_VERSION",
-    "SNAPSHOT_VERSION_PARTITIONED",
-    "SUPPORTED_SNAPSHOT_VERSIONS",
     "Snapshot",
     "SnapshotFormatError",
     "SnapshotPartition",
@@ -104,15 +93,11 @@ __all__ = [
     "partition_row_starts",
     "snapshot_database",
     "write_partitioned_snapshot",
-    "write_snapshot",
 ]
 
 SNAPSHOT_MAGIC = b"PINCSNAP"
-#: The default *written* version: one contiguous matrix.
-SNAPSHOT_VERSION = 1
-#: The partitioned layout written by :func:`write_partitioned_snapshot`.
-SNAPSHOT_VERSION_PARTITIONED = 2
-SUPPORTED_SNAPSHOT_VERSIONS = (SNAPSHOT_VERSION, SNAPSHOT_VERSION_PARTITIONED)
+#: The one version written and read: the partitioned layout.
+SNAPSHOT_VERSION = 2
 SNAPSHOT_SUFFIX = ".snap"
 
 _HEADER = struct.Struct("<8sIIQQQ")
@@ -136,60 +121,12 @@ def _num_words(num_rows: int) -> int:
     return max(1, (num_rows + 63) // 64)
 
 
-def write_snapshot(
-    path: PathLike,
-    universe: Iterable[int],
-    num_rows: int,
-    bitmaps: Optional[Dict[int, int]] = None,
-    matrix=None,
-) -> Path:
-    """Serialise a vertical index to ``path`` (atomic: write + rename).
-
-    Exactly one of ``bitmaps`` (item -> arbitrary-precision int bitmap,
-    the lazy vertical view) and ``matrix`` (a ``(num_items, num_words)``
-    uint64 array whose row order matches sorted ``universe``) must be
-    given.  Always writes format version 1 (single contiguous matrix);
-    see :func:`write_partitioned_snapshot` for the partitioned v2 layout.
-    """
-    if (bitmaps is None) == (matrix is None):
-        raise ValueError("give exactly one of bitmaps and matrix")
-    items = sorted(set(int(item) for item in universe))
-    words = _num_words(num_rows)
-    path = Path(path)
-    temp = path.with_name(path.name + ".tmp.%d" % os.getpid())
-    with open(temp, "wb") as handle:
-        handle.write(
-            _HEADER.pack(
-                SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0,
-                num_rows, len(items), words,
-            )
-        )
-        handle.write(struct.pack("<%dq" % len(items), *items))
-        if matrix is not None:
-            if tuple(matrix.shape) != (len(items), words):
-                raise ValueError(
-                    "matrix shape %r does not match universe/rows"
-                    % (tuple(matrix.shape),)
-                )
-            handle.write(
-                _np.ascontiguousarray(matrix, dtype="<u8").tobytes()
-            )
-        else:
-            num_bytes = words * 8
-            zero = b"\x00" * num_bytes
-            for item in items:
-                value = bitmaps.get(item, 0)
-                handle.write(value.to_bytes(num_bytes, "little") if value else zero)
-    os.replace(temp, path)
-    return path
-
-
 def partition_row_starts(
     num_rows: int,
     num_partitions: Optional[int] = None,
     partition_rows: Optional[int] = None,
 ) -> List[int]:
-    """Row offsets of the v2 partition boundaries (64-row aligned).
+    """Row offsets of the partition boundaries (64-row aligned).
 
     Exactly one of ``num_partitions`` and ``partition_rows`` may be
     given (neither means one partition).  The per-partition row count is
@@ -222,7 +159,7 @@ def write_partitioned_snapshot(
     num_partitions: Optional[int] = None,
     partition_rows: Optional[int] = None,
 ) -> Path:
-    """Stream ``transactions`` into a partitioned v2 snapshot at ``path``.
+    """Stream ``transactions`` into a snapshot at ``path``.
 
     ``transactions`` is consumed exactly once, in row order, and only one
     partition's columns are resident at a time: one ``8 * words_p``-byte
@@ -232,9 +169,10 @@ def write_partitioned_snapshot(
     which is what lets ``pincer snapshot --partitions`` build beyond-RAM
     snapshots.
 
-    Partition sizing follows :func:`partition_row_starts`; every item in
-    every transaction must be in ``universe`` (else :class:`ValueError`).
-    Atomic like :func:`write_snapshot` (temp file + rename).
+    Partition sizing follows :func:`partition_row_starts` (neither
+    argument means one partition); every item in every transaction must
+    be in ``universe`` (else :class:`ValueError`).  Atomic: the file is
+    written to a temporary name and renamed into place.
     """
     items = sorted(set(int(item) for item in universe))
     starts = partition_row_starts(
@@ -259,7 +197,7 @@ def write_partitioned_snapshot(
         with open(temp, "wb") as handle:
             handle.write(
                 _HEADER.pack(
-                    SNAPSHOT_MAGIC, SNAPSHOT_VERSION_PARTITIONED, 0,
+                    SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0,
                     num_rows, len(items), _num_words(num_rows),
                 )
             )
@@ -306,31 +244,24 @@ def snapshot_database(
     num_partitions: Optional[int] = None,
     partition_rows: Optional[int] = None,
 ) -> Path:
-    """Build and write the snapshot of any database exposing the db surface.
+    """Write the snapshot of any database exposing the db surface.
 
     Works for :class:`~repro.db.transaction_db.TransactionDatabase` and
-    :class:`~repro.db.disk.DiskTransactionDatabase` alike: one (streaming)
-    pass builds the vertical view, then it is serialised.  Returns the
+    :class:`~repro.db.disk.DiskTransactionDatabase` alike: one pass
+    streams the rows into :func:`write_partitioned_snapshot`, so memory
+    stays bounded by one partition.  Without ``num_partitions`` or
+    ``partition_rows`` the file holds one partition.  Returns the
     written path (default: the database file + ``.snap`` when the
     database knows its file, else ``path`` is required).
-
-    With ``num_partitions`` or ``partition_rows`` the snapshot is written
-    in the partitioned v2 layout by streaming rows (memory bounded by one
-    partition); otherwise the v1 single-matrix layout is written from the
-    database's vertical bitmaps.
     """
     if path is None:
         source = getattr(db, "path", None)
         if source is None:
             raise ValueError("path is required for in-memory databases")
         path = default_snapshot_path(source)
-    if num_partitions is not None or partition_rows is not None:
-        return write_partitioned_snapshot(
-            path, db.universe, len(db), iter(db),
-            num_partitions=num_partitions, partition_rows=partition_rows,
-        )
-    return write_snapshot(
-        path, db.universe, len(db), bitmaps=db.item_bitmaps()
+    return write_partitioned_snapshot(
+        path, db.universe, len(db), iter(db),
+        num_partitions=num_partitions, partition_rows=partition_rows,
     )
 
 
@@ -442,10 +373,6 @@ class Snapshot:
     whole-file as pure-Python int bitmaps (:meth:`int_bitmaps`), or per
     partition through :attr:`partitions`, each of which maps its own
     matrix zero-copy (:meth:`SnapshotPartition.matrix`).
-
-    Every snapshot — v1 or v2 — exposes :attr:`partitions`; a v1 file is
-    a single partition spanning all rows, so partition-aware consumers
-    (the out-of-core miner, the budget scheduler) treat both uniformly.
     """
 
     def __init__(
@@ -455,17 +382,13 @@ class Snapshot:
         num_rows: int,
         universe: Tuple[int, ...],
         num_words: int,
-        partition_table: Optional[Sequence[Tuple[int, int, int, int]]] = None,
+        partition_table: Sequence[Tuple[int, int, int, int]],
     ) -> None:
         self.path = path
         self.version = version
         self.num_rows = num_rows
         self.universe = universe
         self.num_words = num_words
-        if partition_table is None:
-            partition_table = (
-                (0, num_rows, num_words, HEADER_SIZE + 8 * len(universe)),
-            )
         self._partition_table = tuple(
             tuple(entry) for entry in partition_table
         )
@@ -487,7 +410,7 @@ class Snapshot:
 
     @property
     def partitions(self) -> Tuple[SnapshotPartition, ...]:
-        """The row partitions, in row order (a v1 file has exactly one)."""
+        """The row partitions, in row order."""
         if self._partitions is None:
             self._partitions = tuple(
                 SnapshotPartition(
@@ -503,8 +426,7 @@ class Snapshot:
         """item -> arbitrary-precision int bitmap (pure-Python read).
 
         Partition bitmaps concatenate exactly (boundaries are 64-row
-        aligned), so the result is identical whether the file is v1 or
-        partitioned v2.
+        aligned), so the result is the same for any partition count.
         """
         combined: Dict[int, int] = dict.fromkeys(self.universe, 0)
         for partition in self.partitions:
@@ -519,7 +441,7 @@ class Snapshot:
 def _load_partition_table(
     handle, path: Path, num_rows: int, num_items: int, num_words: int
 ) -> List[Tuple[int, int, int, int]]:
-    """Parse and validate the v2 partition directory."""
+    """Parse and validate the partition directory."""
     raw = handle.read(8)
     if len(raw) < 8:
         raise SnapshotFormatError(
@@ -606,13 +528,11 @@ def load_snapshot(path: PathLike) -> Snapshot:
         )
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotFormatError("%s: not a snapshot file" % path)
-        if version not in SUPPORTED_SNAPSHOT_VERSIONS:
+        if version != SNAPSHOT_VERSION:
             raise SnapshotFormatError(
-                "%s: snapshot version %d (reader supports %s)"
-                % (
-                    path, version,
-                    ", ".join(str(v) for v in SUPPORTED_SNAPSHOT_VERSIONS),
-                )
+                "%s: snapshot format version %d, but this reader reads "
+                "version %d only; re-run `pincer snapshot` to rewrite it"
+                % (path, version, SNAPSHOT_VERSION)
             )
         if num_words != _num_words(num_rows):
             raise SnapshotFormatError(
@@ -622,16 +542,11 @@ def load_snapshot(path: PathLike) -> Snapshot:
         universe = struct.unpack(
             "<%dq" % num_items, handle.read(8 * num_items)
         )
-        table: Optional[List[Tuple[int, int, int, int]]] = None
-        if version == SNAPSHOT_VERSION_PARTITIONED:
-            table = _load_partition_table(
-                handle, path, num_rows, num_items, num_words
-            )
-    if table is None:
-        expected = HEADER_SIZE + 8 * num_items + 8 * num_items * num_words
-    else:
-        last = table[-1]
-        expected = last[3] + 8 * num_items * last[2]
+        table = _load_partition_table(
+            handle, path, num_rows, num_items, num_words
+        )
+    last = table[-1]
+    expected = last[3] + 8 * num_items * last[2]
     actual = os.path.getsize(path)
     if actual != expected:
         raise SnapshotFormatError(

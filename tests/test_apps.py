@@ -1,39 +1,16 @@
-"""Tests for the application layer (repro.apps): keys, episodes, stocks."""
+"""Tests for the application layer (repro.apps): minimal keys."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from repro.apps.episodes import (
-    Episode,
-    Event,
-    episode_rules,
-    mine_episodes,
-    sequence_to_events,
-    windows,
-    windows_database,
-)
 from repro.apps.keys import (
     Relation,
     candidate_key_report,
     maximal_non_keys,
     minimal_keys,
 )
-from repro.apps.stocks import (
-    DOWN,
-    UP,
-    co_movement_groups,
-    decode_item,
-    movement_item,
-    movements_database,
-    returns_from_prices,
-)
-
-
-# ----------------------------------------------------------------------
-# minimal keys
-# ----------------------------------------------------------------------
 
 
 class TestRelation:
@@ -119,172 +96,3 @@ class TestMinimalKeys:
         report = candidate_key_report(relation)
         assert "1 minimal key" in report
         assert "(id)" in report
-
-
-# ----------------------------------------------------------------------
-# episodes
-# ----------------------------------------------------------------------
-
-
-class TestWindows:
-    def test_sequence_to_events(self):
-        events = sequence_to_events([5, 7])
-        assert events == [Event(0, 5), Event(1, 7)]
-
-    def test_window_count_matches_winepi(self):
-        # width w over times [0, n-1]: n + w - 1 windows
-        events = sequence_to_events([1, 2, 3, 4])
-        assert len(windows(events, 2)) == 5
-
-    def test_window_contents(self):
-        events = sequence_to_events([1, 2, 3])
-        assert windows(events, 2) == [
-            frozenset({1}),
-            frozenset({1, 2}),
-            frozenset({2, 3}),
-            frozenset({3}),
-        ]
-
-    def test_step_skips_windows(self):
-        events = sequence_to_events([1, 2, 3, 4])
-        assert len(windows(events, 2, step=2)) == 3
-
-    def test_gap_produces_empty_windows(self):
-        events = [Event(0, 1), Event(10, 2)]
-        window_sets = windows(events, 2)
-        assert frozenset() in window_sets
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            windows([], 0)
-        assert windows([], 3) == []
-
-
-class TestMineEpisodes:
-    def sessions(self):
-        # plant the episode {1,2,3} repeatedly, with noise events 7..9
-        rng = random.Random(2)
-        stream = []
-        for _ in range(120):
-            block = [1, 2, 3]
-            rng.shuffle(block)
-            stream.extend(block)
-            stream.append(rng.choice([7, 8, 9]))
-        return sequence_to_events(stream)
-
-    def test_planted_episode_is_found_maximal(self):
-        episodes = mine_episodes(self.sessions(), width=4, min_support=0.4)
-        assert episodes, "planted episode must be frequent"
-        assert episodes[0].event_types == (1, 2, 3)
-        assert episodes[0].support >= 0.4
-
-    def test_support_is_window_fraction(self):
-        events = self.sessions()
-        episodes = mine_episodes(events, width=4, min_support=0.4)
-        db = windows_database(events, 4)
-        top = episodes[0]
-        assert top.window_count == db.support_count(top.event_types)
-        assert top.support == pytest.approx(
-            top.window_count / len(db)
-        )
-
-    def test_empty_sequence(self):
-        assert mine_episodes([], width=3, min_support=0.5) == []
-
-    def test_episode_rules_confident(self):
-        rules = episode_rules(
-            self.sessions(), width=4, min_support=0.4, min_confidence=0.8
-        )
-        assert rules
-        for antecedent, consequent, confidence in rules:
-            assert confidence >= 0.8
-            assert set(antecedent).isdisjoint(consequent)
-
-
-# ----------------------------------------------------------------------
-# stocks
-# ----------------------------------------------------------------------
-
-
-class TestStockReduction:
-    def test_returns_from_prices(self):
-        assert returns_from_prices([100.0, 110.0, 99.0]) == pytest.approx(
-            [0.1, -0.1]
-        )
-
-    def test_returns_reject_nonpositive_prices(self):
-        with pytest.raises(ValueError):
-            returns_from_prices([100.0, 0.0])
-
-    def test_item_encoding_round_trip(self):
-        for instrument in (0, 3, 17):
-            for direction in (UP, DOWN):
-                assert decode_item(
-                    movement_item(instrument, direction)
-                ) == (instrument, direction)
-
-    def test_movement_item_validates_direction(self):
-        with pytest.raises(ValueError):
-            movement_item(1, 2)
-
-    def test_movements_database_unsigned(self):
-        prices = {0: [100, 110, 105], 1: [50, 49, 60]}
-        db = movements_database(prices)
-        assert len(db) == 2
-        assert db[0] == frozenset({0})        # only stock 0 rose
-        assert db[1] == frozenset({1})        # only stock 1 rose
-
-    def test_movements_database_signed(self):
-        prices = {0: [100, 110], 1: [50, 49]}
-        db = movements_database(prices, signed=True)
-        assert db[0] == frozenset(
-            {movement_item(0, UP), movement_item(1, DOWN)}
-        )
-
-    def test_alignment_validated(self):
-        with pytest.raises(ValueError):
-            movements_database({0: [1.0, 2.0], 1: [1.0]})
-
-    def test_degenerate_inputs(self):
-        assert len(movements_database({})) == 0
-        assert len(movements_database({0: [100.0]})) == 0
-
-
-class TestCoMovement:
-    def correlated_prices(self, seed=5, periods=300):
-        rng = random.Random(seed)
-        prices = {i: [100.0] for i in range(6)}
-        for _ in range(periods):
-            market = rng.choice([-1, 1])
-            for instrument in range(6):
-                if instrument < 4:          # the correlated block
-                    direction = market if rng.random() < 0.95 else -market
-                else:                       # independent stocks
-                    direction = rng.choice([-1, 1])
-                last = prices[instrument][-1]
-                prices[instrument].append(last * (1 + 0.01 * direction))
-        return prices
-
-    def test_correlated_block_is_a_maximal_group(self):
-        groups = co_movement_groups(
-            self.correlated_prices(), min_support=0.35
-        )
-        assert groups
-        assert set(groups[0].instruments()) == {0, 1, 2, 3}
-
-    def test_signed_mining_finds_the_down_block_too(self):
-        groups = co_movement_groups(
-            self.correlated_prices(), min_support=0.35, signed=True
-        )
-        directions = {
-            frozenset(group.members)
-            for group in groups
-            if set(group.instruments()) == {0, 1, 2, 3}
-        }
-        ups = frozenset((i, UP) for i in range(4))
-        downs = frozenset((i, DOWN) for i in range(4))
-        assert ups in directions
-        assert downs in directions
-
-    def test_empty_market(self):
-        assert co_movement_groups({}, min_support=0.5) == []

@@ -95,3 +95,4 @@ class TestMinimalKeys:
         assert "3 minimal key" in output
         assert "employee_id" in output
         assert "email" in output
+        assert "(badge_no)" in output

@@ -52,34 +52,3 @@ class TestClosure:
     def test_downward_closure_size_of_single_member(self):
         closure = lattice.downward_closure([tuple(range(5))])
         assert len(closure) == 2 ** 5 - 1
-
-    def test_covers(self):
-        assert lattice.covers([(1, 2, 3)], (1, 3))
-        assert not lattice.covers([(1, 2, 3)], (4,))
-
-    def test_covered_count(self):
-        assert lattice.covered_count([(1, 2)]) == 3
-
-
-class TestCounting:
-    def test_implied_frequent_count(self):
-        # the paper's 2^l - 2 nontrivial subsets
-        assert lattice.implied_frequent_count(3) == 6
-        assert lattice.implied_frequent_count(17) == 2 ** 17 - 2
-
-    def test_implied_frequent_count_degenerate(self):
-        assert lattice.implied_frequent_count(0) == 0
-
-    def test_level_width(self):
-        assert lattice.level_width(5, 2) == 10
-        assert lattice.level_width(5, 0) == 1
-
-    def test_lattice_size(self):
-        assert lattice.lattice_size(3) == 7
-
-    def test_level_of(self):
-        family = {(1,), (2, 3), (1, 2)}
-        assert lattice.level_of(family, 2) == {(2, 3), (1, 2)}
-
-    def test_levels(self):
-        assert list(lattice.levels([(1,), (2, 3), (4,)])) == [1, 2]

@@ -6,25 +6,24 @@ import struct
 
 import pytest
 
+from repro.cli import main
 from repro.core.pincer import PincerSearch
+from repro.db import io
 from repro.db.counting import AUTO_PACKED_MIN_ROWS, get_counter
 from repro.db.disk import DiskTransactionDatabase
 from repro.db.snapshot import (
     HEADER_SIZE,
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_PARTITIONED,
-    SUPPORTED_SNAPSHOT_VERSIONS,
     SnapshotFormatError,
     default_snapshot_path,
     load_snapshot,
     partition_row_starts,
     snapshot_database,
     write_partitioned_snapshot,
-    write_snapshot,
 )
 from repro.db.transaction_db import TransactionDatabase
-from repro.db.vertical import HAVE_NUMPY, PackedBitmapIndex
+from repro.db.vertical import HAVE_NUMPY
 
 TRANSACTIONS = [[1, 2, 3], [1, 2], [2, 3], [3], [1], [2], [5, 7]] * 11
 DB = TransactionDatabase(TRANSACTIONS)
@@ -42,7 +41,8 @@ def snap_path(tmp_path):
 class TestRoundTrip:
     def test_header_metadata_survives(self, snap_path):
         snap = load_snapshot(snap_path)
-        assert snap.version == SNAPSHOT_VERSION
+        assert snap.version == SNAPSHOT_VERSION == 2
+        assert snap.num_partitions == 1
         assert snap.num_rows == len(DB)
         assert snap.universe == tuple(DB.universe)
         assert snap.num_words == max(1, (len(DB) + 63) // 64)
@@ -55,16 +55,6 @@ class TestRoundTrip:
         index = part.index()
         got = dict(zip(CANDIDATES, index.counts(CANDIDATES)))
         assert got == EXPECTED
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
-    def test_matrix_write_path_is_byte_identical(self, snap_path, tmp_path):
-        # writing from the packed matrix and from int bitmaps must
-        # produce the same file: the format has one canonical encoding
-        index = PackedBitmapIndex.from_database(DB)
-        other = write_snapshot(
-            tmp_path / "matrix.snap", DB.universe, len(DB), matrix=index._matrix
-        )
-        assert other.read_bytes() == snap_path.read_bytes()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
     def test_packed_index_is_zero_copy_view(self, snap_path):
@@ -88,10 +78,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             snapshot_database(DB)
 
-    def test_write_rejects_ambiguous_sources(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_snapshot(tmp_path / "x.snap", [1], 1)
-
 
 class TestFormatValidation:
     def _corrupt(self, path, offset, payload):
@@ -105,9 +91,16 @@ class TestFormatValidation:
             load_snapshot(snap_path)
 
     def test_future_version_rejected(self, snap_path):
-        unsupported = max(SUPPORTED_SNAPSHOT_VERSIONS) + 97
+        unsupported = SNAPSHOT_VERSION + 97
         self._corrupt(snap_path, 8, struct.pack("<I", unsupported))
         with pytest.raises(SnapshotFormatError, match="version"):
+            load_snapshot(snap_path)
+
+    def test_version_1_rejected_with_rewrite_hint(self, snap_path):
+        # the single-matrix v1 layout is no longer read: its header must
+        # be refused, never parsed as a v2 directory
+        self._corrupt(snap_path, 8, struct.pack("<I", 1))
+        with pytest.raises(SnapshotFormatError, match="pincer snapshot"):
             load_snapshot(snap_path)
 
     def test_truncated_header_rejected(self, tmp_path):
@@ -128,7 +121,9 @@ class TestFormatValidation:
             load_snapshot(snap_path)
 
     def test_unsorted_universe_rejected(self, tmp_path):
-        path = write_snapshot(tmp_path / "u.snap", [1, 2], 1, bitmaps={1: 1, 2: 1})
+        path = write_partitioned_snapshot(
+            tmp_path / "u.snap", [1, 2], 1, iter([[1, 2]])
+        )
         # swap the two universe entries in place
         self._corrupt(path, HEADER_SIZE, struct.pack("<2q", 2, 1))
         with pytest.raises(SnapshotFormatError, match="ascending"):
@@ -141,7 +136,7 @@ class TestFormatValidation:
 
 
 class TestPartitionedFormat:
-    """The v2 partitioned layout and its back-compat with v1."""
+    """The partitioned layout, from one partition to many."""
 
     @pytest.fixture
     def v2_path(self, tmp_path):
@@ -151,21 +146,9 @@ class TestPartitionedFormat:
             partition_rows=64,
         )
 
-    def test_v1_loads_under_partition_aware_reader(self, snap_path):
-        # a v1 file surfaces as a single partition spanning every row,
-        # so partition-aware consumers need no special case
-        snap = load_snapshot(snap_path)
-        assert snap.version == SNAPSHOT_VERSION
-        assert snap.num_partitions == 1
-        (part,) = snap.partitions
-        assert (part.row_start, part.num_rows) == (0, len(DB))
-        # v1's one matrix starts right after the header and universe
-        assert part.matrix_offset == HEADER_SIZE + 8 * snap.num_items
-        assert part.int_bitmaps() == DB.item_bitmaps()
-
     def test_v2_roundtrip_metadata(self, v2_path):
         snap = load_snapshot(v2_path)
-        assert snap.version == SNAPSHOT_VERSION_PARTITIONED
+        assert snap.version == SNAPSHOT_VERSION
         assert snap.num_partitions == 2
         assert snap.num_rows == len(DB)
         assert snap.universe == tuple(DB.universe)
@@ -201,18 +184,21 @@ class TestPartitionedFormat:
         assert summed == EXPECTED
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
-    def test_v2_packed_index_matches_v1_matrix(self, snap_path, v2_path):
+    def test_v2_packed_index_matches_single_partition_matrix(
+        self, snap_path, v2_path
+    ):
         import numpy as np
 
-        (v1,) = load_snapshot(snap_path).partitions
-        # v2's partition matrices are word-aligned column slices of v1's
+        (whole,) = load_snapshot(snap_path).partitions
+        # partition matrices are word-aligned column slices of the
+        # one-partition file's matrix
         v2 = np.hstack([p.matrix() for p in load_snapshot(v2_path).partitions])
-        assert v2.tobytes() == v1.matrix().tobytes()
+        assert v2.tobytes() == whole.matrix().tobytes()
 
-    def test_v2_partitions_are_byte_slices_of_v1(self, tmp_path):
-        # each v2 partition matrix row is the v1 matrix row's words from
-        # the partition's 64-row-aligned start, byte for byte; read from
-        # the files, so this holds with and without NumPy
+    def test_v2_partitions_are_byte_slices_of_single_partition(self, tmp_path):
+        # each partition matrix row is the one-partition matrix row's
+        # words from the partition's 64-row-aligned start, byte for byte;
+        # read from the files, so this holds with and without NumPy
         rng = random.Random(22)
         for num_rows in (0, 1, 7, 8, 9, 63, 64, 65, 200):
             rows = [
@@ -221,12 +207,11 @@ class TestPartitionedFormat:
             ]
             # five universe items never occur
             db = TransactionDatabase(rows, universe=range(300, 345))
-            v1_path = write_snapshot(
-                tmp_path / "v1.snap", db.universe, len(db),
-                bitmaps=db.item_bitmaps(),
+            whole_path = write_partitioned_snapshot(
+                tmp_path / "whole.snap", db.universe, len(db), iter(db)
             )
-            (v1,) = load_snapshot(v1_path).partitions
-            v1_bytes = v1_path.read_bytes()
+            (whole,) = load_snapshot(whole_path).partitions
+            whole_bytes = whole_path.read_bytes()
             for partition_rows in (64, 128):
                 v2_path = write_partitioned_snapshot(
                     tmp_path / "v2.snap", db.universe, len(db), iter(db),
@@ -236,14 +221,14 @@ class TestPartitionedFormat:
                 for part in load_snapshot(v2_path).partitions:
                     width = 8 * part.num_words
                     for row in range(db.num_items):
-                        at_v1 = (
-                            v1.matrix_offset + 8 * row * v1.num_words
+                        at_whole = (
+                            whole.matrix_offset + 8 * row * whole.num_words
                             + 8 * part.word_start
                         )
                         at_v2 = part.matrix_offset + row * width
                         assert (
                             v2_bytes[at_v2 : at_v2 + width]
-                            == v1_bytes[at_v1 : at_v1 + width]
+                            == whole_bytes[at_whole : at_whole + width]
                         ), (num_rows, partition_rows, part.ordinal, row)
 
     def test_item_outside_the_universe_rejected(self, tmp_path):
@@ -254,24 +239,30 @@ class TestPartitionedFormat:
         assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
 
     def test_snapshot_database_partition_kwargs(self, tmp_path):
-        path = snapshot_database(DB, tmp_path / "p.snap", num_partitions=2)
-        snap = load_snapshot(path)
-        assert snap.version == SNAPSHOT_VERSION_PARTITIONED
-        assert snap.num_partitions == 2
-        assert snap.int_bitmaps() == DB.item_bitmaps()
+        for db, partitions in ((DB, 2), (LARGE_DB, 4)):
+            path = snapshot_database(
+                db, tmp_path / "p.snap", num_partitions=partitions
+            )
+            snap = load_snapshot(path)
+            assert snap.version == SNAPSHOT_VERSION
+            assert snap.num_partitions == partitions
+            assert snap.int_bitmaps() == db.item_bitmaps()
 
     def test_single_partition_request_still_writes_v2(self, tmp_path):
         path = snapshot_database(DB, tmp_path / "one.snap", num_partitions=1)
         snap = load_snapshot(path)
-        assert snap.version == SNAPSHOT_VERSION_PARTITIONED
+        assert snap.version == SNAPSHOT_VERSION
         assert snap.num_partitions == 1
-        # single-partition v2 still has one contiguous matrix, after the
+        # a single partition still has one contiguous matrix, after the
         # one-entry partition directory
         (part,) = snap.partitions
         assert part.matrix_offset == (
             HEADER_SIZE + 8 * snap.num_items + 8 + 32
         )
         assert part.int_bitmaps() == DB.item_bitmaps()
+        # asking for no partitioning writes the same one-partition file
+        default = snapshot_database(DB, tmp_path / "default.snap")
+        assert default.read_bytes() == path.read_bytes()
 
     def test_truncated_partition_directory_rejected(self, v2_path):
         snap = load_snapshot(v2_path)
@@ -320,6 +311,14 @@ class TestDiskIntegration:
             "\n".join(" ".join(str(i) for i in sorted(t)) for t in TRANSACTIONS)
         )
         return path
+
+    def test_cli_snapshot_writes_one_version_2_partition(self, basket, capsys):
+        assert main(["snapshot", str(basket)]) == 0
+        assert "format v2" in capsys.readouterr().out
+        snap = load_snapshot(default_snapshot_path(basket))
+        assert snap.version == SNAPSHOT_VERSION == 2
+        assert snap.num_partitions == 1
+        assert snap.int_bitmaps() == io.load(basket).item_bitmaps()
 
     def test_snapshot_backs_the_instance(self, basket):
         db = DiskTransactionDatabase(basket)

@@ -79,6 +79,8 @@ class TestExtractSecondsMetrics:
             "seconds": -1.0,
             "seconds_flag": True,
             "inner": {"seconds": 3.0},
+            # a rate names "second" but is not a duration
+            "warm_repeat_queries_per_second": 350.0,
         }
         assert extract_seconds_metrics(record) == {"inner.seconds": 3.0}
 
