@@ -64,7 +64,7 @@ class SamplingMiner:
         with a fresh ``random.Random(seed)``, so repeated runs of the
         same miner see the same sample; the seed is recorded in
         ``MiningStats.sample_seed``, making any run reproducible from
-        its stats document alone.
+        its stats alone.
     rng:
         Explicit ``random.Random`` instance overriding ``seed`` (for
         callers sequencing draws from one generator).  With an external

@@ -42,7 +42,6 @@ from ..db.roaring import RoaringIndex
 from ..db.transaction_db import TransactionDatabase
 from ..db.vertical import HAVE_NUMPY
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
-from .trajectory import record_run
 
 __all__ = [
     "RecordingCounter",
@@ -206,12 +205,12 @@ def run_density_sweep(
 ) -> List[Dict]:
     """Benchmark the compressed tier across the density axis.
 
-    Returns one counting-benchmark-shaped record per cell (so each cell
-    keys its own trajectory baseline): a sparse Zipf long-tail cell where
-    the roaring containers should win outright, and a dense Quest cell
-    where ``auto`` resolves to ``packed``.  Each cell records the
-    ``engine_decision(db, "auto")`` choice with its evidence.  Every
-    engine is verified count-identical on every cell before it is timed.
+    Returns one counting-benchmark-shaped record per cell: a sparse Zipf
+    long-tail cell where the roaring containers should win outright, and
+    a dense Quest cell where ``auto`` resolves to ``packed``.  Each cell
+    records the ``engine_decision(db, "auto")`` choice with its evidence.
+    Every engine is verified count-identical on every cell before it is
+    timed.
     """
     cells: List[Dict] = []
     for database, db, pct in _density_cells(scale):
@@ -298,11 +297,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the JSON record here (default: stdout only)",
     )
     parser.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="append this run to the bench trajectory JSONL "
-        "(gate it with python -m repro.bench.regress)",
-    )
-    parser.add_argument(
         "--density-sweep", action="store_true",
         help="run the sparse/dense density-sweep cells (roaring vs "
         "packed) instead of the single counting cell",
@@ -319,8 +313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.write("\n")
         if args.out:
             write_counting_benchmark(args.out, document)
-        for cell in cells:
-            record_run(cell, args.trajectory)
         return 0
     record = run_counting_benchmark(
         database=args.database,
@@ -333,7 +325,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.stdout.write("\n")
     if args.out:
         write_counting_benchmark(args.out, record)
-    record_run(record, args.trajectory)
     return 0
 
 

@@ -15,18 +15,15 @@ structures, every kernel sees exactly the states the original run
 produced, and the replays double as a differential test: every operation's
 output is compared across kernels and a mismatch aborts the benchmark.
 
-Run as a module to (re)generate the machine-readable records the CI
-benchmark smoke job tracks across PRs::
+Run as a module to (re)generate the machine-readable record the CI
+benchmark smoke job gates on::
 
-    python -m repro.bench.lattice --out benchmarks/BENCH_lattice.json \\
-        --pass-out benchmarks/BENCH_pass.json
+    python -m repro.bench.lattice --out benchmarks/BENCH_lattice.json
 
 ``BENCH_lattice.json`` carries per-kernel seconds for the two headline
 groups (``candidate_generation``, ``mfcs_maintenance``) plus the MFS-cover
 group, and the ratios ``speedup_candidate_generation`` /
-``speedup_mfcs_maintenance``.  ``BENCH_pass.json`` times two *end-to-end*
-mining runs (one per kernel) on the same cells and records per-pass
-wall-clock, verifying the kernels return identical maximum frequent sets.
+``speedup_mfcs_maintenance``.
 """
 
 from __future__ import annotations
@@ -45,14 +42,12 @@ from ..db.counting import get_counter
 from ..db.transaction_db import TransactionDatabase
 from ..db.vertical import HAVE_NUMPY
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
-from .trajectory import record_run
 
 __all__ = [
     "RecordingKernel",
     "record_events",
     "replay_events",
     "run_lattice_benchmark",
-    "run_pass_benchmark",
     "write_benchmark",
 ]
 
@@ -230,8 +225,7 @@ def record_events(
     the MFCS on exactly the workloads where its maintenance is expensive,
     which would leave the journal's ``mfcs_maintenance`` group measuring
     setup noise instead of MFCS-gen.  The pure run keeps the full
-    top-down workload in the journal; the end-to-end pass benchmark
-    (:func:`run_pass_benchmark`) covers the adaptive configuration.
+    top-down workload in the journal.
     """
     recorder = RecordingKernel()
     PincerSearch(adaptive=False, kernel=recorder).mine(
@@ -404,12 +398,6 @@ def run_lattice_benchmark(
             name: {group: round(value, 6) for group, value in groups.items()}
             for name, groups in totals.items()
         },
-        # seconds-named so the bench trajectory picks the per-kernel
-        # totals up as regression-gated metrics
-        "replay_seconds": {
-            name: round(sum(groups.values()), 6)
-            for name, groups in totals.items()
-        },
     }
     if "tuple" in totals and "bitmask" in totals:
         for group, key in (
@@ -426,83 +414,6 @@ def run_lattice_benchmark(
             record["speedup_lattice_total"] = round(
                 sum(totals["tuple"].values()) / fast_total, 3
             )
-    return record
-
-
-def run_pass_benchmark(
-    database: str = "T10.I4.D100K",
-    supports_percent: Sequence[float] = (1.5, 1.0, 0.5),
-    scale: Optional[int] = None,
-    kernels: Sequence[str] = KERNEL_NAMES,
-) -> Dict:
-    """End-to-end per-pass wall-clock of full runs, one per kernel.
-
-    The complement of :func:`run_lattice_benchmark`: instead of replaying
-    the lattice side in isolation, each kernel drives a complete mining
-    run (counting included), and the per-pass seconds the miner already
-    tracks are recorded.  The runs must return identical maximum frequent
-    sets — the end-to-end differential check.
-    """
-    spec = ExperimentSpec("bench-pass", database, 2000, (), "")
-    db = build_database(spec, num_transactions=scale)
-    cells: List[Dict] = []
-    for support in supports_percent:
-        cell: Dict = {"min_support_percent": support, "kernels": {}}
-        reference = None
-        for name in kernels:
-            result = PincerSearch(adaptive=True, kernel=name).mine(
-                db, support / 100.0
-            )
-            if reference is None:
-                reference = result
-            else:
-                if result.mfs != reference.mfs:
-                    raise AssertionError(
-                        "kernel %r MFS differs from %r at %.2f%% support"
-                        % (name, kernels[0], support)
-                    )
-                if result.supports != reference.supports:
-                    raise AssertionError(
-                        "kernel %r supports differ from %r at %.2f%% support"
-                        % (name, kernels[0], support)
-                    )
-            cell["kernels"][name] = {
-                "total_seconds": round(result.stats.seconds, 6),
-                "passes": [
-                    {
-                        "pass": stats.pass_number,
-                        "seconds": round(stats.seconds, 6),
-                        "candidates": stats.total_candidates,
-                        "mfcs_size_after": stats.mfcs_size_after,
-                    }
-                    for stats in result.stats.passes
-                ],
-            }
-        cell["mfs_size"] = len(reference.mfs)
-        cell["identical_mfs"] = True
-        cells.append(cell)
-    record: Dict = {
-        "benchmark": "pass-wallclock",
-        "database": database,
-        "num_transactions": len(db),
-        "supports_percent": list(supports_percent),
-        "cpu_count": os.cpu_count() or 1,
-        "numpy": HAVE_NUMPY,
-        "cells": cells,
-    }
-    totals = {
-        name: sum(
-            cell["kernels"][name]["total_seconds"] for cell in cells
-        )
-        for name in kernels
-    }
-    record["total_seconds"] = {
-        name: round(value, 6) for name, value in totals.items()
-    }
-    if totals.get("bitmask"):
-        record["speedup_end_to_end"] = round(
-            totals["tuple"] / totals["bitmask"], 3
-        )
     return record
 
 
@@ -531,44 +442,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out", default=None, metavar="PATH",
         help="write the lattice-replay JSON record here",
     )
-    parser.add_argument(
-        "--pass-out", default=None, metavar="PATH",
-        help="also run the end-to-end per-pass benchmark and write it here",
-    )
-    parser.add_argument(
-        "--skip-replay", action="store_true",
-        help="only run the end-to-end per-pass benchmark",
-    )
-    parser.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="append the records to the bench trajectory JSONL "
-        "(gate it with python -m repro.bench.regress)",
-    )
     args = parser.parse_args(argv)
     supports = tuple(args.min_support) if args.min_support else (1.5, 1.0, 0.5)
-    if not args.skip_replay:
-        record = run_lattice_benchmark(
-            database=args.database,
-            supports_percent=supports,
-            scale=args.scale,
-            repeats=args.repeats,
-        )
-        json.dump(record, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        if args.out:
-            write_benchmark(args.out, record)
-        record_run(record, args.trajectory)
-    if args.pass_out or args.skip_replay:
-        pass_record = run_pass_benchmark(
-            database=args.database,
-            supports_percent=supports,
-            scale=args.scale,
-        )
-        json.dump(pass_record, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        if args.pass_out:
-            write_benchmark(args.pass_out, pass_record)
-        record_run(pass_record, args.trajectory)
+    record = run_lattice_benchmark(
+        database=args.database,
+        supports_percent=supports,
+        scale=args.scale,
+        repeats=args.repeats,
+    )
+    json.dump(record, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    if args.out:
+        write_benchmark(args.out, record)
     return 0
 
 

@@ -42,7 +42,6 @@ from ..db.counting import engine_decision, get_counter
 from ..obs.instrument import capture
 from .engines import record_batches
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
-from .trajectory import record_run
 
 __all__ = [
     "run_overhead_benchmark",
@@ -184,11 +183,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out", default=None, metavar="PATH",
         help="write the JSON record here (default: stdout only)",
     )
-    parser.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="append this run to the bench trajectory JSONL "
-        "(gate it with python -m repro.bench.regress)",
-    )
     args = parser.parse_args(argv)
     record = run_overhead_benchmark(
         database=args.database,
@@ -200,7 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.stdout.write("\n")
     if args.out:
         write_overhead_benchmark(args.out, record)
-    record_run(record, args.trajectory)
     return 0
 
 

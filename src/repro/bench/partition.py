@@ -39,12 +39,11 @@ every planted pattern must be covered by it — the run aborts otherwise.
 
 Regenerate the committed record (takes a few minutes at full scale)::
 
-    python -m repro.bench.partition --out benchmarks/BENCH_partition.json \\
-        --trajectory benchmarks/trajectory.jsonl
+    python -m repro.bench.partition --out benchmarks/BENCH_partition.json
 
-CI smoke-scales the same cell down (``--rows 20000 --items 64``), which
-keys a separate trajectory cell, so full-scale and smoke entries are
-never compared against each other.
+CI smoke-scales the same cell down (``--rows 19968 --items 64``) and
+keeps only the answer checks: the reduced cell's timings say nothing
+about the full-scale ratio.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..algorithms.partitioned import PartitionedPincerMiner
 from ..db.snapshot import Snapshot, load_snapshot, write_partitioned_snapshot
 from ..db.vertical import HAVE_NUMPY
-from .trajectory import record_run
 
 __all__ = [
     "SnapshotOnlyDatabase",
@@ -399,11 +397,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cold-start mines per configuration; best run is recorded",
     )
     parser.add_argument("--out", default=None, metavar="PATH")
-    parser.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="append this run to the bench trajectory JSONL "
-        "(gate it with python -m repro.bench.regress)",
-    )
     args = parser.parse_args(argv)
     record = run_partition_benchmark(
         num_rows=args.rows,
@@ -422,7 +415,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    record_run(record, args.trajectory)
     return 0
 
 

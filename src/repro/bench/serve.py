@@ -1,6 +1,6 @@
 """Resident-session benchmark: cold single-shot vs warm session queries.
 
-The serving economics this PR introduces: one hot database, many
+The serving economics of a resident session: one hot database, many
 differently-parameterized queries.  The cell fires ``N`` rounds over
 ``M`` thresholds (N x M queries) two ways —
 
@@ -30,10 +30,9 @@ where the fixed per-query overhead is largest relative to the work.
 Span *tracing* is deliberately excluded here: its flight-recorder cost
 is priced by ``BENCH_obs``'s overhead gate, and a server only pays it
 when started with ``--trace``.  Run as a module to (re)generate the
-machine-readable record the CI smoke job tracks::
+machine-readable record::
 
-    python -m repro.bench.serve --out benchmarks/BENCH_serve.json \
-        --trajectory benchmarks/trajectory.jsonl
+    python -m repro.bench.serve --out benchmarks/BENCH_serve.json
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from typing import Dict, List, Optional, Sequence
 from ..core.pincer import PincerSearch
 from ..core.session import MiningSession
 from .experiments import DEFAULT_SCALE, ExperimentSpec, build_database
-from .trajectory import record_run
 
 __all__ = ["run_serve_benchmark", "write_serve_benchmark"]
 
@@ -116,9 +114,6 @@ def _measure_served_overhead(
             request_log=request_log, enable_slo=True,
         )
         slo = server.slo
-        # the listener must actually run: close() synchronizes with
-        # serve_forever, and a never-started server would hang there
-        server.start()
         try:
             timed_round(server)  # warm the cache + MFCS seeds
             plain_rounds: List[float] = []
@@ -265,14 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--engine", default="auto")
     parser.add_argument("--out", default=None, metavar="PATH")
     parser.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="also append a keyed entry to this trajectory file",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="exit nonzero unless warm repeats beat cold by X",
-    )
-    parser.add_argument(
         "--max-obs-overhead", type=float, default=None, metavar="PCT",
         help="exit nonzero if the query-plane observability overhead "
         "on warm served queries exceeds PCT percent",
@@ -291,16 +278,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out:
         write_serve_benchmark(record, args.out)
         sys.stderr.write("wrote %s\n" % args.out)
-    record_run(record, args.trajectory)
-    if (
-        args.min_speedup is not None
-        and record["speedup_warm_repeat_vs_cold"] < args.min_speedup
-    ):
-        sys.stderr.write(
-            "FAIL: warm repeat speedup %.2fx below required %.2fx\n"
-            % (record["speedup_warm_repeat_vs_cold"], args.min_speedup)
-        )
-        return 1
     if (
         args.max_obs_overhead is not None
         and record["overhead_warm_obs_pct"] > args.max_obs_overhead

@@ -14,8 +14,7 @@ Subcommands cover the end-to-end workflow:
   a schema-v4 JSONL access log with a slow-query snapshot ring
   (``--access-log``), rolling SLO metrics behind the ``metrics`` wire
   op, and per-query ``eta_seconds`` on every reply;
-* ``bench``    — run one of the paper's experiments and print its rows
-  (``bench regress`` gates the recorded bench trajectory instead);
+* ``bench``    — run one of the paper's experiments and print its rows;
 * ``obs``      — work with recorded traces and live runs: ``obs validate``
   checks trace, metrics and access-log files against the schema, ``obs
   export`` converts a trace or metrics file for Perfetto/Prometheus, ``obs
@@ -535,10 +534,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .serve import main as serve_main
 
         return serve_main(argv[1:])
-    if argv[:2] == ["bench", "regress"]:
-        from .bench.regress import main as regress_main
-
-        return regress_main(argv[2:])
     if argv[:2] == ["obs", "validate"]:
         from .obs.schema import main as validate_main
 

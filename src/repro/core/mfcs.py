@@ -552,10 +552,6 @@ class MFCS:
         """Trie nodes visited answering them (the sub-linearity metric)."""
         return getattr(self._index, "node_visits", 0)
 
-    def elements_longer_than(self, length: int) -> Set[Itemset]:
-        """Elements with more than ``length`` items."""
-        return {element for element in self._index if len(element) > length}
-
     def check_invariants(
         self,
         frequent: Iterable[Itemset] = (),

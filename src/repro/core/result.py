@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .itemset import Itemset, is_subset, is_subset_of_any, sort_itemsets
+from .itemset import Itemset, is_subset_of_any, sort_itemsets
 from .lattice import downward_closure, is_antichain
 from .stats import MiningStats
 
@@ -82,10 +82,6 @@ class MiningResult:
             return bool(self.mfs)
         return is_subset_of_any(probe, self.mfs)
 
-    def is_maximal(self, candidate: Iterable[int]) -> bool:
-        """True iff ``candidate`` is one of the maximal frequent itemsets."""
-        return tuple(sorted(set(candidate))) in self.mfs
-
     def frequent_itemsets(self) -> Set[Itemset]:
         """Materialise *all* frequent itemsets from the MFS.
 
@@ -114,11 +110,6 @@ class MiningResult:
     def longest_maximal(self) -> Optional[Itemset]:
         """A longest maximal frequent itemset (None when MFS is empty)."""
         return max(self.mfs, key=len, default=None)
-
-    def contains_superset_of(self, candidate: Iterable[int]) -> List[Itemset]:
-        """All MFS members that contain ``candidate``."""
-        probe = tuple(sorted(set(candidate)))
-        return [member for member in self.sorted_mfs() if is_subset(probe, member)]
 
     def __repr__(self) -> str:
         return "MiningResult(%s, |MFS|=%d, minsup=%g, passes=%d)" % (

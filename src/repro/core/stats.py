@@ -17,10 +17,8 @@ accounting conventions:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
-
-from ..obs.schema import STATS_SCHEMA_VERSION
 
 
 @dataclass
@@ -58,12 +56,6 @@ class PassStats:
         data["total_candidates"] = self.total_candidates
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PassStats":
-        """Inverse of :meth:`to_dict`; unknown/derived keys are ignored."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
-
 
 @dataclass
 class MiningStats:
@@ -82,7 +74,7 @@ class MiningStats:
     #: RNG seed of the sample draw for sample-based miners (Toivonen
     #: sampling, sample-seeded partitioned mining); None when the run
     #: involved no sampling.  Recording it is what makes sample-seeded
-    #: runs reproducible from their stats document alone.
+    #: runs reproducible from their stats alone.
     sample_seed: Any = None
     #: why Pincer-Search stopped maintaining the MFCS ("frequent-ratio"
     #: or "mfcs-update-cap", see :mod:`repro.core.adaptive`) and in which
@@ -125,52 +117,6 @@ class MiningStats:
     def total_maximal_found_in_mfcs(self) -> int:
         """How many MFS members were discovered top-down (0 for Apriori)."""
         return sum(stats.maximal_found for stats in self.passes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The versioned ``mining_stats`` document (JSON-ready).
-
-        Round-trips through :meth:`from_dict`; validated by
-        :func:`repro.obs.schema.validate_stats_document`.
-        """
-        return {
-            "v": STATS_SCHEMA_VERSION,
-            "type": "mining_stats",
-            "algorithm": self.algorithm,
-            "seconds": self.seconds,
-            "records_read": self.records_read,
-            "engine": self.engine,
-            "engine_evidence": dict(self.engine_evidence),
-            "sample_seed": self.sample_seed,
-            "abandon_reason": self.abandon_reason,
-            "abandoned_at_pass": self.abandoned_at_pass,
-            "num_passes": self.num_passes,
-            "total_candidates": self.total_candidates,
-            "candidates_after_pass2": self.candidates_after_pass2,
-            "passes": [stats.to_dict() for stats in self.passes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MiningStats":
-        """Rebuild stats from a :meth:`to_dict` document."""
-        version = data.get("v", STATS_SCHEMA_VERSION)
-        if version != STATS_SCHEMA_VERSION:
-            raise ValueError(
-                "unsupported stats schema version %r (expected %d)"
-                % (version, STATS_SCHEMA_VERSION)
-            )
-        return cls(
-            algorithm=data.get("algorithm", ""),
-            seconds=data.get("seconds", 0.0),
-            records_read=data.get("records_read", 0),
-            engine=data.get("engine", ""),
-            engine_evidence=dict(data.get("engine_evidence", {})),
-            sample_seed=data.get("sample_seed"),
-            abandon_reason=data.get("abandon_reason"),
-            abandoned_at_pass=data.get("abandoned_at_pass"),
-            passes=[
-                PassStats.from_dict(entry) for entry in data.get("passes", [])
-            ],
-        )
 
     def summary(self) -> str:
         """One-line human-readable digest used by the CLI."""

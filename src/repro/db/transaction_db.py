@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from math import ceil
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from .._types import Itemset
 from .vertical import popcount
@@ -250,25 +250,6 @@ class TransactionDatabase(VerticalCache):
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_itemset_supports(
-        cls, supported: Dict[Itemset, int]
-    ) -> "TransactionDatabase":
-        """Build a database where each key occurs as a basket ``value`` times.
-
-        Handy for tests that need exact supports:
-
-        >>> db = TransactionDatabase.from_itemset_supports({(1, 2): 2, (3,): 1})
-        >>> len(db)
-        3
-        """
-        transactions: List[Tuple[int, ...]] = []
-        for basket, copies in supported.items():
-            if copies < 0:
-                raise ValueError("negative multiplicity for %r" % (basket,))
-            transactions.extend([tuple(basket)] * copies)
-        return cls(transactions)
 
     def restricted_to(self, items: Iterable[int]) -> "TransactionDatabase":
         """Project every transaction onto ``items`` (baskets may become empty).

@@ -57,7 +57,6 @@ from .schema import (
     validate_request_log_file,
     validate_request_log_lines,
     validate_request_record,
-    validate_stats_document,
     validate_trace_event,
     validate_trace_file,
     validate_trace_lines,
@@ -103,7 +102,6 @@ __all__ = [
     "validate_request_log_file",
     "validate_request_log_lines",
     "validate_request_record",
-    "validate_stats_document",
     "validate_trace_event",
     "validate_trace_file",
     "validate_trace_lines",

@@ -1,4 +1,4 @@
-"""Versioned schemas for trace events, metrics documents, and stats dumps.
+"""Versioned schemas for trace events, metrics documents and access logs.
 
 Everything the observability subsystem writes to disk is JSON with an
 explicit schema version (the ``"v"`` field), so traces recorded today can
@@ -8,8 +8,7 @@ zero-dependency (no ``jsonschema``): each one is a plain function that
 raises :class:`SchemaError` with a precise message on the first violation.
 
 Three document families share the version number :data:`SCHEMA_VERSION`,
-and the validators accept that version only; stats dumps carry their own
-(:data:`STATS_SCHEMA_VERSION`):
+and the validators accept that version only:
 
 ``span`` / ``meta`` events (one JSON object per line of a ``--trace`` file)
     A *trace* is a JSONL stream.  The first line is a ``meta`` event
@@ -49,11 +48,6 @@ and the validators accept that version only; stats dumps carry their own
     Histograms may also carry ``p50``/``p95``/``p99`` reservoir
     percentiles.
 
-``stats`` documents (:meth:`repro.core.stats.MiningStats.to_dict`)
-    The per-run accounting the figures are built from, round-trippable
-    via ``MiningStats.from_dict``, versioned by
-    :data:`STATS_SCHEMA_VERSION`.
-
 ``request`` records (one JSONL line per served query)
     The access log :mod:`repro.obs.requestlog` writes for the query
     plane of ``pincer serve``.  Required fields: ``v``, ``type``
@@ -91,10 +85,6 @@ SCHEMA_VERSION = 4
 #: trace, metrics or access-log document, so only the current one.
 SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
 
-#: Version of the :meth:`repro.core.stats.MiningStats.to_dict` document,
-#: independent of :data:`SCHEMA_VERSION`.
-STATS_SCHEMA_VERSION = 1
-
 #: Span names the instrumented miners emit; traces may add new names
 #: freely (the validator only checks the *shape*), this list is the
 #: documented vocabulary for trace readers.
@@ -125,15 +115,13 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _require_version(
-    document: Dict[str, Any], what: str, supported=SUPPORTED_VERSIONS
-) -> None:
+def _require_version(document: Dict[str, Any], what: str) -> None:
     _require(isinstance(document, dict), "%s must be a JSON object" % what)
     version = document.get("v")
     _require(
-        version in supported,
+        version in SUPPORTED_VERSIONS,
         "%s has schema version %r, expected one of %s"
-        % (what, version, list(supported)),
+        % (what, version, list(SUPPORTED_VERSIONS)),
     )
 
 
@@ -244,62 +232,6 @@ def validate_metrics_document(document: Dict[str, Any]) -> None:
                 _require(
                     isinstance(cells[key], (int, float)),
                     "histogram %r %s must be a number" % (name, key),
-                )
-
-
-def validate_stats_document(document: Dict[str, Any]) -> None:
-    """Validate a :meth:`MiningStats.to_dict` dump."""
-    _require_version(document, "stats document", (STATS_SCHEMA_VERSION,))
-    _require(
-        document.get("type") == "mining_stats",
-        "stats document type must be 'mining_stats'",
-    )
-    _require(isinstance(document.get("algorithm"), str), "algorithm must be str")
-    _require(
-        isinstance(document.get("seconds"), (int, float)),
-        "seconds must be a number",
-    )
-    _require(
-        isinstance(document.get("records_read"), int),
-        "records_read must be an int",
-    )
-    # additive v1 keys: absent in older documents, so optional
-    if "engine" in document:
-        _require(isinstance(document["engine"], str), "engine must be str")
-    if "engine_evidence" in document:
-        _require(
-            isinstance(document["engine_evidence"], dict),
-            "engine_evidence must be an object",
-        )
-    if document.get("abandon_reason") is not None:
-        _require(
-            isinstance(document["abandon_reason"], str),
-            "abandon_reason must be str or null",
-        )
-    if document.get("abandoned_at_pass") is not None:
-        _require(
-            isinstance(document["abandoned_at_pass"], int)
-            and document["abandoned_at_pass"] >= 1,
-            "abandoned_at_pass must be an int >= 1 or null",
-        )
-    passes = document.get("passes")
-    _require(isinstance(passes, list), "passes must be a list")
-    for entry in passes:
-        _require(isinstance(entry, dict), "each pass must be an object")
-        _require(
-            isinstance(entry.get("pass_number"), int) and entry["pass_number"] >= 1,
-            "pass_number must be an int >= 1",
-        )
-        for key, value in entry.items():
-            if key == "seconds":
-                _require(
-                    isinstance(value, (int, float)),
-                    "pass seconds must be a number",
-                )
-            else:
-                _require(
-                    isinstance(value, int),
-                    "pass field %r must be an int" % key,
                 )
 
 

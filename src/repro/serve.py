@@ -13,7 +13,11 @@ one JSON object per line, both directions:
     {"op": "ping"}                                 -> {"ok": true}
     {"op": "shutdown"}                             -> stops the server
 
-``min_support`` is a percentage, matching the CLI flags.  Responses
+``min_support`` is a percentage in (0, 100], matching the CLI flags;
+``rules`` takes ``min_confidence`` as a percentage in [0, 100] (default
+80) and ``depth`` as null (every MFS subset) or an integer >= 0
+(default 2).  Booleans are not numbers here.  A query with any other
+value is answered with an error before it is priced or mined.  Responses
 always carry ``"ok"``; failures carry ``"error"`` and never kill the
 connection (malformed JSON gets an error line back).
 
@@ -108,6 +112,11 @@ class _Spliced(dict):
     __slots__ = ("fragment",)
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number; a JSON ``true`` is a Python int, and is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _encode_reply(reply: Dict) -> bytes:
     """One reply line, byte-identical to ``json.dumps`` of the whole
     reply with any spliced payload merged in."""
@@ -168,6 +177,9 @@ class MiningServer:
         self._shutdown = threading.Event()
         self._close_lock = threading.Lock()
         self._closed = False
+        #: set once a serve_forever loop is running or about to run;
+        #: close() waits for that loop, and only for that loop
+        self._serving = False
         self.queries_answered = 0
         self.queries_rejected = 0
         self.started_ts = time.time()
@@ -224,11 +236,13 @@ class MiningServer:
 
     def serve_forever(self) -> None:
         """Serve until :meth:`close` or a ``shutdown`` request."""
+        self._serving = True
         logger.info("serving %s on %s", self.session.key, self.socket_path)
         self._server.serve_forever(poll_interval=0.1)
 
     def start(self) -> "MiningServer":
         """Serve on a background thread (tests, embedding)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self.serve_forever, name="pincer-serve", daemon=True
         )
@@ -249,7 +263,9 @@ class MiningServer:
                 return
             self._closed = True
             self._shutdown.set()
-            self._server.shutdown()
+            if self._serving:
+                # waits for the loop to exit: with no loop it never would
+                self._server.shutdown()
             self._server.server_close()
             thread = self._thread
             if thread is not None and thread is not threading.current_thread():
@@ -301,12 +317,24 @@ class MiningServer:
             logger.exception("query failed: %s", message)
             return {"ok": False, "error": "%s: %s" % (type(exc).__name__, exc)}
 
-    def _parse_support(self, message: Dict) -> float:
+    def _parse_query(self, op: str, message: Dict) -> float:
+        """The query's support fraction, once every field the op reads
+        is known to be valid (a rules query gets its defaults filled in);
+        raises ValueError otherwise."""
         min_support = message.get("min_support")
-        if not isinstance(min_support, (int, float)) or not (
-            0 < min_support <= 100
-        ):
+        if not _is_number(min_support) or not 0 < min_support <= 100:
             raise ValueError("min_support must be a percentage in (0, 100]")
+        if op == "rules":
+            min_confidence = message.setdefault("min_confidence", 80.0)
+            if not _is_number(min_confidence) or not (
+                0 <= min_confidence <= 100
+            ):
+                raise ValueError(
+                    "min_confidence must be a percentage in [0, 100]"
+                )
+            depth = message.setdefault("depth", 2)
+            if depth is not None and (type(depth) is not int or depth < 0):
+                raise ValueError("depth must be null or an integer >= 0")
         return float(min_support) / 100.0
 
     def _price(self, fraction: float) -> Tuple[int, Dict[str, Any]]:
@@ -385,7 +413,7 @@ class MiningServer:
         record: Dict[str, Any] = {"id": request_id, "op": op}
         arrived = time.perf_counter()
         try:
-            fraction = self._parse_support(message)
+            fraction = self._parse_query(op, message)
         except ValueError as exc:
             self._log_request(
                 record,
@@ -533,26 +561,22 @@ class MiningServer:
     ) -> Tuple[bytes, int, Optional[int]]:
         """The rules payload, encoded once per (threshold, confidence,
         depth) and spliced into every later reply."""
-        min_confidence = float(message.get("min_confidence", 80.0)) / 100.0
-        depth = message.get("depth", 2)
-        # the store is keyed on an integer or null depth: any other
-        # depth (2.0 equals 2 as a key) goes to the session every time
-        key = None
-        if depth is None or type(depth) is int:
-            key = (threshold, min_confidence, depth)
-            with self._store_lock:
-                stored = self._rules_store.get(key)
-            if stored is not None:
-                # the session's stored answer at this threshold: closed
-                # sessions refuse it, and it traces a span for this id
-                self.session.mine(
-                    fraction,
-                    request_id=request_id,
-                    span_sink=spans,
-                    timings=timings,
-                )
-                count, fragment = stored
-                return fragment, count, None
+        min_confidence = float(message["min_confidence"]) / 100.0
+        depth = message["depth"]
+        key = (threshold, min_confidence, depth)
+        with self._store_lock:
+            stored = self._rules_store.get(key)
+        if stored is not None:
+            # the session's stored answer at this threshold: closed
+            # sessions refuse it, and it traces a span for this id
+            self.session.mine(
+                fraction,
+                request_id=request_id,
+                span_sink=spans,
+                timings=timings,
+            )
+            count, fragment = stored
+            return fragment, count, None
         rules = self.session.rules(
             fraction,
             min_confidence=min_confidence,
@@ -574,8 +598,7 @@ class MiningServer:
             ],
         }
         fragment = json.dumps(payload)[1:-1].encode("utf-8")
-        if key is not None:
-            self._store_rules(key, len(rules), fragment)
+        self._store_rules(key, len(rules), fragment)
         return fragment, len(rules), None
 
     def _store_rules(self, key: Tuple, count: int, fragment: bytes) -> None:

@@ -7,25 +7,15 @@ import pytest
 from repro.algorithms.brute_force import brute_force_mfs
 from repro.core.adaptive import AdaptivePolicy, AlwaysMaintain
 from repro.core.pincer import PincerSearch
-from repro.core.stats import MiningStats
 from repro.datagen.configs import parse_name
 from repro.datagen.quest import QuestGenerator
 from repro.db.transaction_db import TransactionDatabase
-from repro.obs.schema import validate_stats_document
 
 
 def quest_db(name, num_patterns):
     """A 2,000-row, 1,000-item Quest database of the paper's families."""
     config = parse_name(name, num_patterns=num_patterns, num_items=1000, seed=1)
     return QuestGenerator(replace(config, num_transactions=2000)).generate()
-
-
-def stats_document(result):
-    """The mine's stats document, validated and round-tripped."""
-    document = result.stats.to_dict()
-    validate_stats_document(document)
-    assert MiningStats.from_dict(document).to_dict() == document
-    return document
 
 
 class TestDefaults:
@@ -88,17 +78,15 @@ class TestPaperRegimes:
         # T20.I6 with |L| = 50 at 11%: the pass-2 ratio is far above the
         # floor, so the MFCS carries the mine to the end
         result = PincerSearch().mine(quest_db("T20.I6.D100K", 50), 0.11)
-        document = stats_document(result)
-        assert document["abandon_reason"] is None
-        assert document["abandoned_at_pass"] is None
+        assert result.stats.abandon_reason is None
+        assert result.stats.abandoned_at_pass is None
         assert result.stats.total_maximal_found_in_mfcs > 0
 
     def test_scattered_figure3_cell_abandons_at_pass_two(self):
         # T10.I4 with |L| = 2000 at 1%: few of the pairs are frequent
         result = PincerSearch().mine(quest_db("T10.I4.D100K", 2000), 0.01)
-        document = stats_document(result)
-        assert document["abandon_reason"] == "frequent-ratio"
-        assert document["abandoned_at_pass"] == 2
+        assert result.stats.abandon_reason == "frequent-ratio"
+        assert result.stats.abandoned_at_pass == 2
         assert "MFCS abandoned at pass 2 (frequent-ratio)" in (
             result.stats.summary()
         )

@@ -213,13 +213,3 @@ class TestLatticeBench:
         cell = record["cells"][0]
         assert cell["min_support_percent"] == 10.0
         assert cell["events"] > 0
-
-    def test_run_pass_benchmark_smoke(self):
-        from repro.bench.lattice import run_pass_benchmark
-
-        record = run_pass_benchmark(
-            database="T5.I2.D100K", supports_percent=(10.0,), scale=60
-        )
-        cell = record["cells"][0]
-        assert cell["identical_mfs"]
-        assert cell["kernels"]["bitmask"]["passes"]

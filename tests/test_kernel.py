@@ -17,6 +17,7 @@ import pytest
 from repro.algorithms.apriori import Apriori, apriori
 from repro.algorithms.partitioned import PartitionedPincerMiner
 from repro.algorithms.topdown import TopDown
+from repro.bench.experiments import ExperimentSpec, build_database
 from repro.cli import build_parser
 from repro.core.cover import CoverIndex, MaskCover
 from repro.core.kernel import (
@@ -87,6 +88,21 @@ class TestSelection:
     def test_kernel_instances_pass_through(self):
         kernel = BitmaskKernel(UNIVERSE)
         assert make_kernel(kernel, UNIVERSE) is kernel
+
+
+class TestEndToEnd:
+    @pytest.mark.parametrize("support", [1.5, 1.0])
+    def test_tuple_and_default_kernel_mine_a_quest_cell_alike(self, support):
+        # the lattice bench's T10.I4 cell at the 400 rows CI replays
+        db = build_database(
+            ExperimentSpec("bench-pass", "T10.I4.D100K", 2000, (), ""),
+            num_transactions=400,
+        )
+        reference = PincerSearch(kernel="tuple").mine(db, support / 100.0)
+        result = PincerSearch().mine(db, support / 100.0)
+        assert reference.mfs
+        assert result.mfs == reference.mfs
+        assert result.supports == reference.supports
 
 
 class TestDifferentialCandidateGeneration:

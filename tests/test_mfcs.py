@@ -175,7 +175,3 @@ class TestQueries:
     def test_supersets_of(self):
         mfcs = MFCS([(1, 2, 3), (2, 3, 4)])
         assert sorted(mfcs.supersets_of((2, 3))) == [(1, 2, 3), (2, 3, 4)]
-
-    def test_elements_longer_than(self):
-        mfcs = MFCS([(1, 2, 3), (4, 5)])
-        assert mfcs.elements_longer_than(2) == {(1, 2, 3)}

@@ -21,13 +21,11 @@ from repro.obs import (
     get_logger,
     validate_metrics_document,
     validate_metrics_file,
-    validate_stats_document,
     validate_trace_event,
     validate_trace_file,
     validate_trace_lines,
 )
 from repro.obs.logsetup import resolve_level
-from repro.obs.schema import STATS_SCHEMA_VERSION
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -385,63 +383,6 @@ class TestSchemaValidators:
                 {"v": SCHEMA_VERSION, "type": "metrics",
                  "counters": {"c": 1.5}, "gauges": {}, "histograms": {}}
             )
-
-    def test_stats_document_round_trip_validates(self):
-        from repro.core.stats import MiningStats
-
-        stats = MiningStats(algorithm="pincer-search")
-        entry = stats.new_pass(1)
-        entry.bottom_up_candidates = 4
-        entry.seconds = 0.01
-        stats.records_read = 20
-        document = stats.to_dict()
-        validate_stats_document(document)
-        rebuilt = MiningStats.from_dict(document)
-        assert rebuilt.to_dict() == document
-
-    def test_stats_document_checks_abandonment_fields(self):
-        from repro.core.stats import MiningStats
-
-        stats = MiningStats(algorithm="pincer-search")
-        stats.new_pass(1)
-        document = stats.to_dict()
-        assert document["abandon_reason"] is None
-        validate_stats_document(document)
-        # older documents lack both keys
-        del document["abandon_reason"], document["abandoned_at_pass"]
-        validate_stats_document(document)
-        validate_stats_document(
-            dict(document, abandon_reason="frequent-ratio", abandoned_at_pass=2)
-        )
-        with pytest.raises(SchemaError, match="abandon_reason"):
-            validate_stats_document(dict(document, abandon_reason=2))
-        with pytest.raises(SchemaError, match="abandoned_at_pass"):
-            validate_stats_document(dict(document, abandoned_at_pass=0))
-
-    def test_stats_document_rejects_bad_pass_number(self):
-        with pytest.raises(SchemaError, match="pass_number"):
-            validate_stats_document(
-                {"v": STATS_SCHEMA_VERSION, "type": "mining_stats",
-                 "algorithm": "x", "seconds": 0.0, "records_read": 0,
-                 "passes": [{"pass_number": 0}]}
-            )
-
-    def test_stats_document_checks_the_stats_version(self):
-        from repro.core.stats import MiningStats
-
-        stats = MiningStats(algorithm="pincer-search")
-        stats.new_pass(1).bottom_up_candidates = 4
-        document = stats.to_dict()
-        validate_stats_document(document)
-        # a stats dump carries its own version, not the trace schema's
-        with pytest.raises(SchemaError, match="schema version 4"):
-            validate_stats_document(dict(document, v=SCHEMA_VERSION))
-
-    def test_stats_from_dict_rejects_future_version(self):
-        from repro.core.stats import MiningStats
-
-        with pytest.raises(ValueError, match="schema version"):
-            MiningStats.from_dict({"v": 2, "type": "mining_stats"})
 
     def test_schema_cli_validates_files(self, tmp_path, capsys):
         from repro.obs.schema import main as schema_main

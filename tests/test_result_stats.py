@@ -42,11 +42,6 @@ class TestMiningResult:
         empty = MiningResult(frozenset(), {}, 5, 2, 0.4, "t")
         assert not empty.is_frequent(())
 
-    def test_is_maximal(self):
-        result = make_result()
-        assert result.is_maximal((1, 2))
-        assert not result.is_maximal((1,))
-
     def test_frequent_itemsets_closure(self):
         assert make_result().frequent_itemsets() == {
             (1,), (2,), (1, 2), (3,),
@@ -69,9 +64,6 @@ class TestMiningResult:
         assert make_result().longest_maximal() == (1, 2)
         empty = MiningResult(frozenset(), {}, 5, 2, 0.4, "t")
         assert empty.longest_maximal() is None
-
-    def test_contains_superset_of(self):
-        assert make_result().contains_superset_of((1,)) == [(1, 2)]
 
     def test_repr(self):
         assert "test" in repr(make_result())

@@ -107,6 +107,24 @@ class TestProtocol:
             reply = json.loads(sock.makefile().readline())
             assert not reply["ok"]
 
+    @pytest.mark.parametrize("fields", [
+        {"op": "mine", "min_support": True},
+        {"op": "rules", "min_support": 5.0, "min_confidence": 500},
+        {"op": "rules", "min_support": 5.0, "min_confidence": True},
+        {"op": "rules", "min_support": 5.0, "depth": -1},
+        {"op": "rules", "min_support": 5.0, "depth": 2.0},
+        {"op": "rules", "min_support": 5.0, "depth": True},
+    ], ids=[
+        "support-true", "confidence-500", "confidence-true",
+        "depth-negative", "depth-float", "depth-true",
+    ])
+    def test_malformed_query_fails_before_it_mines(self, server, fields):
+        session = server.session
+        before = session.queries, session.counter.passes
+        reply = request(server.socket_path, fields)
+        assert not reply["ok"] and reply["request_id"], reply
+        assert (session.queries, session.counter.passes) == before
+
 
 class TestConcurrency:
     def test_concurrent_queries_all_exact(self, server, db):
@@ -231,6 +249,28 @@ class TestLifecycle:
             server.start()
             server.close()
             server.close()
+
+    def test_never_started_server_closes_at_once(self, db, tmp_path):
+        import os
+
+        def finishes(call):
+            worker = threading.Thread(target=call, daemon=True)
+            worker.start()
+            worker.join(timeout=5.0)
+            return not worker.is_alive()
+
+        def unused_block():
+            with MiningServer(session, socket_path):
+                pass
+
+        socket_path = str(tmp_path / "idle.sock")
+        with MiningSession(db, engine="bitmap") as session:
+            server = MiningServer(session, socket_path)
+            assert finishes(server.close)
+            assert not os.path.exists(socket_path)
+            assert finishes(server.close)
+            assert finishes(unused_block)
+            assert not os.path.exists(socket_path)
 
     def test_stale_socket_file_is_replaced(self, db, tmp_path):
         socket_path = tmp_path / "stale.sock"
@@ -696,8 +736,8 @@ class TestStoredReplies:
         floating = request(server.socket_path, dict(RULES, depth=2.0))
         good = request(server.socket_path, dict(RULES, depth=2))
         assert good["ok"] and len(server._rules_store) == 1
-        # a float depth (which fails on members longer than it) is
-        # answered by the session each time, never from the store
+        # a float depth is refused before the store is read, so the
+        # entry its integer twin left there never answers it
         again = request(server.socket_path, dict(RULES, depth=2.0))
         assert again["ok"] == floating["ok"]
         assert len(server._rules_store) == 1

@@ -151,15 +151,6 @@ class TestLinearBuilder:
 
 
 class TestHelpers:
-    def test_from_itemset_supports(self):
-        db = TransactionDatabase.from_itemset_supports({(1, 2): 2, (3,): 1})
-        assert len(db) == 3
-        assert db.support_count([1, 2]) == 2
-
-    def test_from_itemset_supports_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TransactionDatabase.from_itemset_supports({(1,): -1})
-
     def test_restricted_to(self):
         db = TransactionDatabase([[1, 2, 3], [2, 4]])
         projected = db.restricted_to([2, 3])
