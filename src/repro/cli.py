@@ -42,7 +42,7 @@ from .bench.harness import bench_budget, format_rows, run_sweep
 from .core.itemset import format_itemset
 from .core.pincer import PincerSearch
 from .datagen.configs import parse_name
-from .datagen.quest import QuestGenerator, generate
+from .datagen.quest import QuestGenerator
 from .db import io
 from .db.counting import available_engines
 from .obs import capture, configure_logging

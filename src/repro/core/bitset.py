@@ -158,8 +158,9 @@ class ItemUniverse:
         passes (frequents, MFCS elements) but a loss for the candidate
         fire-hose: pruning probes millions of itemsets that are seen once
         and thrown away, and interning each would pay two dict writes per
-        probe and grow the caches without bound.  Hot prune loops encode
-        through this method instead.
+        probe and grow the caches without bound.  Tuple candidates, cover
+        probes and MFCS-gen's infrequent batches encode through this
+        method instead.
         """
         mask = 0
         bit_mask_of = self._bit_mask_of
@@ -175,11 +176,26 @@ class ItemUniverse:
         cached = self._tuple_cache.get(mask)
         if cached is not None:
             return cached
-        items = self._items
-        decoded = tuple(items[position] for position in bits_of(mask))
+        decoded = self.raw_itemset_of(mask)
         self._tuple_cache[mask] = decoded
         self._mask_cache.setdefault(decoded, mask)
         return decoded
+
+    def raw_itemset_of(self, mask: int) -> Itemset:
+        """Uncached decode of an itemset seen once (see
+        :meth:`raw_mask_of`)."""
+        items = self._items
+        decoded = []
+        # bits_of inlined: its generator resumes cost a third of the
+        # decode.  Built from a list, the tuple is allocated at its size;
+        # from a generator it is allocated large and shrunk, which
+        # fragments the small-object heap (+0.9 MB peak RSS on the
+        # ledger's fig3 cells)
+        while mask:
+            low = mask & -mask
+            decoded.append(items[low.bit_length() - 1])
+            mask ^= low
+        return tuple(decoded)
 
     def masks_of(self, itemsets: Iterable[Itemset]) -> List[int]:
         """Encode a family of itemsets."""

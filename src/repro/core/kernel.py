@@ -13,15 +13,21 @@ A :class:`LatticeKernel` bundles those hot paths behind one interface:
     :class:`~repro.core.bitset.ItemUniverse` interns every itemset as an
     ``int`` mask, and the hot paths become integer algebra executed in C:
 
-    * ``apriori_join`` buckets ``L_k`` by ``(k-1)``-prefix and emits
-      ``prefix + (a, b)`` pairs per bucket — the seed's pairwise scan
-      re-slices and re-compares tuple prefixes for every pair;
-    * ``apriori_prune`` / ``pincer_prune`` test each ``k``-subset by
-      clearing one bit (``mask ^ bit``) and probing a set of frequent
-      masks — candidates are encoded uncached
-      (:meth:`~repro.core.bitset.ItemUniverse.raw_mask_of`) so the
-      throwaway fire-hose never touches the interning caches, and no
-      subset tuples are materialised at all;
+    * ``generate_candidates`` runs the join, the recovery and the new
+      prune as one pass over masks.  The join buckets each ``L_k`` mask
+      under itself less its highest bit (its ``(k-1)``-prefix) and ORs
+      every two final bits of a bucket onto it; recovery ORs onto each
+      ``L_k`` mask the bits of an MFS member above its prefix, found
+      with one cover probe per prefix; the prune tests each
+      ``k``-subset by clearing one bit (``mask ^ bit``), against the
+      frequent masks first and the MFS cover at most once per distinct
+      subset.  Only the survivors are decoded into tuples, so the
+      joined-but-pruned fire-hose never touches the interning caches;
+    * ``apriori_join``, ``recovery``, ``apriori_prune`` and
+      ``pincer_prune`` are thin tuple adapters over the same three
+      helpers; unpruned candidates are decoded uncached, and tuple
+      candidates are encoded uncached
+      (:meth:`~repro.core.bitset.ItemUniverse.raw_mask_of`);
     * the MFS and MFCS families live in a
       :class:`~repro.core.cover.MaskCover` — the inverted cover index
       rebuilt on masks, with O(1) lazy discards and scrub-on-reuse
@@ -59,13 +65,12 @@ from __future__ import annotations
 
 import copy
 import time
-from itertools import combinations
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from .._types import CountingDeadline
 from ..db.base import PairLevel
 from . import candidates as _tuple_ops
-from .bitset import ItemUniverse, bits_of
+from .bitset import ItemUniverse, bits_of, popcount
 from .cover import CoverIndex, MaskCover, as_cover, mask_cover_of
 from .itemset import Itemset
 from .mfcs import MFCS
@@ -229,128 +234,183 @@ class BitmaskKernel(LatticeKernel):
         return narrowed
 
     # ------------------------------------------------------------------
-    # candidate generation
+    # candidate generation: one join, one recovery and one prune, on masks
     # ------------------------------------------------------------------
 
     def apriori_join(self, level_frequents, deadline=None):
-        """Prefix-bucketed join: identical output to the pairwise scan.
-
-        ``L_k`` sorts once; equal ``(k-1)``-prefixes are then adjacent, so
-        one linear sweep groups the final items into per-prefix buckets
-        and each bucket contributes ``C(|bucket|, 2)`` candidates without
-        ever re-slicing or re-comparing prefixes.
-        """
-        ordered = sorted(level_frequents)
-        if not ordered:
-            return set()
-        lengths = {len(itemset_) for itemset_ in ordered}
-        if len(lengths) != 1:
+        """The join of :meth:`generate_candidates`, on tuples."""
+        frequents = list(level_frequents)
+        if len({len(itemset_) for itemset_ in frequents}) > 1:
             raise ValueError("join requires itemsets of a single length")
-        prefix_length = lengths.pop() - 1
-        buckets: List = []
-        previous = None
-        tails: List[int] = []
-        for itemset_ in ordered:
-            prefix = itemset_[:prefix_length]
-            if prefix != previous:
-                tails = []
-                buckets.append((prefix, tails))
-                previous = prefix
-            tails.append(itemset_[prefix_length])
-        found: Set[Itemset] = set()
-        if deadline is None:
-            update = found.update
-            for prefix, tails in buckets:
-                if prefix:
-                    update(prefix + pair for pair in combinations(tails, 2))
-                else:
-                    # k = 1: the pairs *are* the candidates — bulk-load
-                    # the combinations iterator without per-pair concat
-                    update(combinations(tails, 2))
-            return found
-        add = found.add
-        ticks = 0
-        for prefix, tails in buckets:
-            for index in range(len(tails) - 1):
-                ticks += 1
-                if ticks % 256 == 0 and time.perf_counter() > deadline:
-                    raise CountingDeadline("join passed its deadline")
-                first = tails[index]
-                for second in tails[index + 1:]:
-                    add(prefix + (first, second))
-        return found
+        level = set(self.universe.masks_of(frequents))
+        joined = self._join(self._buckets(level), deadline)
+        return set(map(self.universe.raw_itemset_of, joined))
 
     def apriori_prune(self, candidates, level_frequents):
-        frequent_masks = set(self.universe.masks_of(level_frequents))
-        raw_mask_of = self.universe.raw_mask_of
-        kept: Set[Itemset] = set()
-        for candidate in candidates:
-            mask = raw_mask_of(candidate)
-            if mask is None:
-                continue  # a subset naming the outside item is not frequent
-            remaining = mask
-            keep = True
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                if mask ^ bit not in frequent_masks:
-                    keep = False
-                    break
-            if keep:
-                kept.add(candidate)
-        return kept
+        return self._prune_itemsets(candidates, level_frequents, None)
 
     def recovery(self, level_frequents, mfs, k):
-        # the tuple procedure already queries through the cover; handing
-        # it a mask-native MFS keeps the supersets_of step sub-linear
-        return _tuple_ops.recovery(
-            level_frequents, mask_cover_of(self.universe, mfs), k
-        )
+        """The recovery of :meth:`generate_candidates`, on tuples."""
+        if k < 1:
+            raise ValueError("recovery needs a positive pass number")
+        frequents = list(level_frequents)
+        if any(len(itemset_) != k for itemset_ in frequents):
+            raise ValueError("recovery expects %d-itemsets in L_k" % k)
+        level = set(self.universe.masks_of(frequents))
+        mfs_cover = mask_cover_of(self.universe, mfs)
+        recovered = self._recover(self._buckets(level), mfs_cover, k)
+        return set(map(self.universe.raw_itemset_of, recovered))
 
     def pincer_prune(self, candidates, level_frequents, mfs):
-        mfs_cover = mask_cover_of(self.universe, mfs)
-        frequent_masks = set(self.universe.masks_of(level_frequents))
-        raw_mask_of = self.universe.raw_mask_of
-        covers_mask = mfs_cover.covers_mask
-        has_cover = bool(mfs_cover)
-        kept: Set[Itemset] = set()
-        for candidate in candidates:
-            mask = raw_mask_of(candidate)
-            if mask is None:
-                # a subset naming the outside item is neither frequent
-                # nor covered
-                continue
-            # already under a maximal itemset (Observation 2)?
-            if has_cover and covers_mask(mask):
-                continue
-            remaining = mask
-            keep = True
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                subset_mask = mask ^ bit
-                if subset_mask in frequent_masks:
-                    continue
-                if has_cover and covers_mask(subset_mask):
-                    continue
-                keep = False
-                break
-            if keep:
-                kept.add(candidate)
-        return kept
+        return self._prune_itemsets(
+            candidates, level_frequents, mask_cover_of(self.universe, mfs)
+        )
 
     def generate_candidates(self, level_frequents, mfs, k):
-        """Join + recovery + new prune; level 2 (k = 1) comes back as a
-        lazy :class:`~repro.db.base.PairLevel` whose pairs are never
-        built here — the miners count it as the paper's 2-D array."""
+        """Join + recovery + new prune in one pass over masks; only the
+        survivors are decoded.  Level 2 (k = 1) comes back as a lazy
+        :class:`~repro.db.base.PairLevel` whose pairs are never built
+        here — the miners count it as the paper's 2-D array."""
         frequents = list(level_frequents)
         mfs_cover = mask_cover_of(self.universe, mfs)
         if k == 1:
             return self._pair_level(frequents, mfs_cover)
-        found = self.apriori_join(frequents)
-        if mfs_cover and frequents:
-            found |= self.recovery(frequents, mfs_cover, k)
-        return self.pincer_prune(found, frequents, mfs_cover)
+        level = set(self.universe.masks_of(frequents))
+        buckets = self._buckets(level)
+        found = self._join(buckets)
+        if mfs_cover:
+            found |= self._recover(buckets, mfs_cover, k)
+        itemset_of = self.universe.itemset_of
+        return {
+            itemset_of(mask) for mask in self._prune(found, level, mfs_cover)
+        }
+
+    @staticmethod
+    def _buckets(level: Set[int]) -> Dict[int, List[int]]:
+        """``L_k`` grouped for the join: each mask less its highest bit
+        (its ``(k-1)``-prefix) maps to the highest bits it completes."""
+        buckets: Dict[int, List[int]] = {}
+        for mask in level:
+            last = 1 << (mask.bit_length() - 1)
+            tails = buckets.get(mask ^ last)
+            if tails is None:
+                buckets[mask ^ last] = [last]
+            else:
+                tails.append(last)
+        return buckets
+
+    @staticmethod
+    def _join(
+        buckets: Dict[int, List[int]], deadline: "float | None" = None
+    ) -> Set[int]:
+        """Apriori-gen's join: ``prefix | a | b`` for every two final bits
+        of one bucket.  Each candidate has one such split (its two
+        highest bits), so nothing is emitted twice."""
+        joined: Set[int] = set()
+        update = joined.update
+        rows = 0
+        for prefix, tails in buckets.items():
+            for index in range(len(tails) - 1):
+                rows += 1
+                if (
+                    deadline is not None
+                    and rows % 256 == 0
+                    and time.perf_counter() > deadline
+                ):
+                    raise CountingDeadline("join passed its deadline")
+                update(map((prefix | tails[index]).__or__, tails[index + 1:]))
+        return joined
+
+    @staticmethod
+    def _recover(
+        buckets: Dict[int, List[int]], mfs_cover: MaskCover, k: int
+    ) -> Set[int]:
+        """The recovery procedure (paper §3.4) on masks.
+
+        For ``Y = prefix | last`` in ``L_k`` and each MFS member longer
+        than ``k`` that holds the prefix, ``Y | b`` for every bit ``b`` of
+        the member above the prefix's highest bit other than ``last`` —
+        the set :func:`repro.core.candidates.recovery` builds.  One
+        cover probe per distinct prefix finds the members.
+        """
+        recovered: Set[int] = set()
+        update = recovered.update
+        supersets_masks = mfs_cover.supersets_masks
+        for prefix, tails in buckets.items():
+            shift = prefix.bit_length()
+            for member in supersets_masks(prefix):
+                if popcount(member) <= k:
+                    continue
+                above = [
+                    1 << position
+                    for position in bits_of(member >> shift << shift)
+                ]
+                for last in tails:
+                    base = prefix | last
+                    update(base | bit for bit in above if bit != last)
+        return recovered
+
+    @staticmethod
+    def _prune(
+        candidates: Iterable[int],
+        level: Set[int],
+        mfs_cover: Optional[MaskCover],
+    ) -> List[int]:
+        """The new prune (§3.4, amendment A3) on masks; Apriori-gen's
+        prune when ``mfs_cover`` is None or empty.
+
+        Every ``k``-subset must be in ``level`` or under an MFS member.
+        Subsets are tested against ``level`` first, and the cover is
+        probed at most once per distinct subset.  Once all of them have
+        passed, the candidate is dropped if a member covers it
+        (Observation 2).  Such a member covers the candidate's subset
+        without its highest bit too, so that subset is probed first: it
+        is shared by the candidates one join row emits, and a miner's
+        ``L_k`` holds no covered itemset, so the candidate itself is
+        rarely probed.
+        """
+        covers_mask = mfs_cover.covers_mask if mfs_cover else None
+        covered: Dict[int, bool] = {}
+        kept: List[int] = []
+        for candidate in candidates:
+            remaining = candidate
+            while remaining:
+                bit = remaining & -remaining
+                remaining ^= bit
+                subset = candidate ^ bit
+                if subset in level:
+                    continue
+                if covers_mask is None:
+                    break
+                known = covered.get(subset)
+                if known is None:
+                    known = covered[subset] = covers_mask(subset)
+                if not known:
+                    break
+            else:
+                if covers_mask is not None:
+                    parent = candidate ^ (1 << (candidate.bit_length() - 1))
+                    known = covered.get(parent)
+                    if known is None:
+                        known = covered[parent] = covers_mask(parent)
+                    if known and covers_mask(candidate):
+                        continue
+                kept.append(candidate)
+        return kept
+
+    def _prune_itemsets(self, candidates, level_frequents, mfs_cover):
+        """:meth:`_prune` for tuple candidates, which come back as given."""
+        level = set(self.universe.masks_of(level_frequents))
+        raw_mask_of = self.universe.raw_mask_of
+        by_mask = {}
+        for candidate in candidates:
+            mask = raw_mask_of(candidate)
+            # a candidate naming an outside item has a subset that is
+            # neither frequent nor covered
+            if mask is not None:
+                by_mask[mask] = candidate
+        kept = self._prune(by_mask, level, mfs_cover)
+        return {by_mask[mask] for mask in kept}
 
     def _pair_level(self, frequents, mfs_cover: MaskCover) -> PairLevel:
         """Level 2 as a :class:`PairLevel`, with no pair built.

@@ -16,8 +16,10 @@ one JSON object per line, both directions:
 ``min_support`` is a percentage in (0, 100], matching the CLI flags;
 ``rules`` takes ``min_confidence`` as a percentage in [0, 100] (default
 80) and ``depth`` as null (every MFS subset) or an integer >= 0
-(default 2).  Booleans are not numbers here.  A query with any other
-value is answered with an error before it is priced or mined.  Responses
+(default 2); ``mine`` takes ``warm`` as a JSON boolean (default true: a
+repeat returns the stored answer, false mines again).  Booleans are not
+numbers here.  A query with any other value is answered with an error
+before it is priced or mined.  Responses
 always carry ``"ok"``; failures carry ``"error"`` and never kill the
 connection (malformed JSON gets an error line back).
 
@@ -73,7 +75,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .core.session import MiningSession
 from .obs.export import metrics_to_prometheus
-from .obs.instrument import NOOP, Instrumentation
+from .obs.instrument import Instrumentation
 from .obs.logsetup import get_logger
 from .obs.metrics import MetricsRegistry
 from .obs.requestlog import RequestLog
@@ -319,11 +321,14 @@ class MiningServer:
 
     def _parse_query(self, op: str, message: Dict) -> float:
         """The query's support fraction, once every field the op reads
-        is known to be valid (a rules query gets its defaults filled in);
-        raises ValueError otherwise."""
+        is known to be valid (the defaults a mine or rules query reads
+        are filled in); raises ValueError otherwise."""
         min_support = message.get("min_support")
         if not _is_number(min_support) or not 0 < min_support <= 100:
             raise ValueError("min_support must be a percentage in (0, 100]")
+        if op == "mine":
+            if type(message.setdefault("warm", True)) is not bool:
+                raise ValueError("warm must be a json boolean")
         if op == "rules":
             min_confidence = message.setdefault("min_confidence", 80.0)
             if not _is_number(min_confidence) or not (
@@ -529,10 +534,9 @@ class MiningServer:
         spans: List[Dict[str, Any]],
         timings: Dict[str, float],
     ) -> Tuple[Dict[str, Any], int, int]:
-        warm_start = bool(message.get("warm", True))
         result = self.session.mine(
             fraction,
-            warm_start=warm_start,
+            warm_start=message["warm"],
             request_id=request_id,
             span_sink=spans,
             timings=timings,

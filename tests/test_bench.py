@@ -14,7 +14,6 @@ from repro.bench.experiments import (
 )
 from repro.bench.harness import (
     CellResult,
-    PAPER_MINERS,
     bench_budget,
     format_rows,
     relative_time,

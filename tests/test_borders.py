@@ -9,7 +9,6 @@ from repro.borders.borders import (
     negative_border,
     positive_border,
 )
-from repro.core.itemset import is_subset
 from repro.core.lattice import downward_closure
 from repro.db.transaction_db import TransactionDatabase
 

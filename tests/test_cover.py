@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.cover import CoverIndex, as_cover
 from repro.core.itemset import is_subset
 

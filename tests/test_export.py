@@ -1,9 +1,6 @@
 """Tests for the Perfetto and Prometheus exporters (``repro.obs.export``)."""
 
-import io
 import json
-
-import pytest
 
 from repro.obs.export import (
     load_trace_events,

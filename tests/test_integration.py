@@ -13,10 +13,8 @@ from repro import (
     PincerSearch,
     QuestConfig,
     QuestGenerator,
-    TransactionDatabase,
     top_down,
 )
-from repro.algorithms.brute_force import brute_force_frequents
 from repro.borders.borders import negative_border, positive_border
 from repro.core.lattice import downward_closure
 from repro.db import io

@@ -10,10 +10,12 @@ contract for items outside its universe.
 
 import inspect
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from repro._types import CountingDeadline
 from repro.algorithms.apriori import Apriori, apriori
 from repro.algorithms.partitioned import PartitionedPincerMiner
 from repro.algorithms.topdown import TopDown
@@ -28,6 +30,7 @@ from repro.core.kernel import (
     make_kernel,
     resolve_kernel_name,
 )
+from repro.core.lattice import maximal_elements
 from repro.core.mfcs import MFCS
 from repro.core.pincer import PincerSearch, pincer_search
 from repro.core.predicate import PredicatePincer
@@ -52,6 +55,29 @@ def random_level(rng, k, count):
     for _ in range(count):
         level.add(tuple(sorted(rng.sample(UNIVERSE, k))))
     return level
+
+
+def miner_state(rng, universe, k):
+    """``(L_k, MFS)`` shaped like a mine's: a frequent family closed
+    downwards from a few random itemsets over a hot subset of
+    ``universe``, an MFS of some of the maximal ones, and ``L_k`` the
+    family's ``k``-subsets less those an MFS member covers (the miner
+    drops them from the level), so recovery has candidates to restore
+    and the prune meets covered subsets."""
+    hot = rng.sample(universe, rng.randint(k + 4, 3 * k + 6))
+    maximal = sorted(maximal_elements(
+        tuple(sorted(rng.sample(hot, rng.randint(k - 1, k + 4))))
+        for _ in range(rng.randint(4, 8))
+    ))
+    mfs = rng.sample(maximal, rng.randint(1, max(1, len(maximal) - 1)))
+    cover = CoverIndex(mfs)
+    level = {
+        subset
+        for member in maximal
+        for subset in combinations(member, k)
+        if not cover.covers(subset)
+    }
+    return level, mfs
 
 
 class TestSelection:
@@ -177,6 +203,85 @@ class TestDifferentialCandidateGeneration:
                     assert bitmask_kernel.generate_candidates(
                         level, family, k
                     ) == expected
+
+
+class TestMinerShapedStates:
+    """Generation on wide universes, from states shaped like a mine's:
+    every adapter and ``generate_candidates`` against the tuple kernel,
+    on the kernel the miner builds and on its pass-1 narrowing."""
+
+    @pytest.mark.parametrize("cutoff", [MaskCover._PROBE_CUTOFF, 1])
+    def test_generation_matches_the_tuple_kernel(self, monkeypatch, cutoff):
+        # probes are at most k + 1 items, so a cutoff of 1 is what sends
+        # them past it into the direct witness checks
+        monkeypatch.setattr(MaskCover, "_PROBE_CUTOFF", cutoff)
+        rng = random.Random(41)
+        tuple_kernel = TupleKernel()
+        recovered_any = covered_any = False
+        for trial in range(24):
+            universe = list(range(1, rng.randint(70, 200)))
+            k = 2 + trial % 4
+            level, mfs = miner_state(rng, universe, k)
+            wide = BitmaskKernel(universe)
+            used = {item for member in level for item in member}
+            used.update(item for member in mfs for item in member)
+            narrowed = wide.restricted(used | set(rng.sample(universe, 5)))
+            assert len(narrowed.universe) < len(wide.universe)
+            joined = tuple_kernel.apriori_join(level)
+            recovered = tuple_kernel.recovery(
+                level, tuple_kernel.make_cover(mfs), k
+            )
+            expected = tuple_kernel.generate_candidates(
+                level, tuple_kernel.make_cover(mfs), k
+            )
+            recovered_any |= bool(recovered - joined)
+            covered_any |= expected != tuple_kernel.apriori_prune(
+                joined | recovered, level
+            )
+            for kernel in (wide, narrowed):
+                assert kernel.apriori_join(level) == joined
+                assert kernel.apriori_prune(joined, level) == (
+                    tuple_kernel.apriori_prune(joined, level)
+                )
+                for family in mfs_forms(kernel, mfs):
+                    assert kernel.recovery(level, family, k) == recovered
+                    assert kernel.pincer_prune(
+                        joined | recovered, level, family
+                    ) == expected
+                    assert kernel.generate_candidates(
+                        level, family, k
+                    ) == expected, (k, level, mfs)
+        assert recovered_any and covered_any
+
+    def test_join_honours_its_deadline(self):
+        kernel = BitmaskKernel(range(600))
+        level = [(item,) for item in range(500)]
+        with pytest.raises(CountingDeadline):
+            kernel.apriori_join(level, deadline=time.perf_counter() - 1.0)
+        assert len(kernel.apriori_join(
+            level[:3], deadline=time.perf_counter() + 60.0
+        )) == 3
+
+    def test_only_survivors_are_decoded(self):
+        rng = random.Random(42)
+        universe = list(range(1, 150))
+        pruned = 0
+        for trial in range(12):
+            k = 2 + trial % 4
+            level, mfs = miner_state(rng, universe, k)
+            kernel = BitmaskKernel(universe)
+            cover = kernel.make_cover(mfs)
+            # the miner's level was interned when it was generated
+            kernel.universe.masks_of(level)
+            cache = kernel.universe._tuple_cache
+            before = len(cache)
+            found = kernel.generate_candidates(level, cover, k)
+            assert len(cache) - before <= len(found)
+            built = kernel.apriori_join(level) | kernel.recovery(
+                level, cover, k
+            )
+            pruned += len(built) - len(found)
+        assert pruned > 0
 
 
 class TestOutsideItems:

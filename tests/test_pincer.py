@@ -7,7 +7,6 @@ import pytest
 from repro.algorithms.brute_force import brute_force_mfs
 from repro.core.adaptive import AdaptivePolicy, AlwaysMaintain
 from repro.core.pincer import PincerSearch, pincer_search, resolve_threshold
-from repro.core.result import MiningResult
 from repro.db.counting import get_counter
 from repro.db.transaction_db import TransactionDatabase
 

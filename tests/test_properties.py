@@ -14,7 +14,7 @@ from repro.algorithms.brute_force import brute_force_frequents, brute_force_mfs
 from repro.algorithms.topdown import top_down
 from repro.borders.borders import negative_border
 from repro.core.adaptive import AdaptivePolicy
-from repro.core.candidates import apriori_join, apriori_prune
+from repro.core.candidates import apriori_join
 from repro.core.cover import CoverIndex
 from repro.core.itemset import is_subset
 from repro.core.lattice import downward_closure, is_antichain, maximal_elements

@@ -161,7 +161,6 @@ class TestTransactions:
         assert planted_support >= baseline
 
     def test_concentrated_config_yields_longer_maximal_itemsets(self):
-        from repro.algorithms.brute_force import brute_force_mfs  # noqa: F401
         from repro.core.pincer import pincer_search
 
         concentrated = generate(small_config(num_patterns=5, seed=2,

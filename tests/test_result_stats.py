@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.result import MiningResult, MiningTimeout
-from repro.core.stats import MiningStats, PassStats
+from repro.core.stats import MiningStats
 
 
 def make_result(**overrides):

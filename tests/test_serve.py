@@ -644,6 +644,26 @@ class TestStoredReplies:
         assert cold["mfs"] == first["mfs"]
         assert cold["supports"] == first["supports"]
 
+    @pytest.mark.parametrize(
+        "warm", ["false", 0, None], ids=["string", "number", "null"]
+    )
+    def test_warm_must_be_a_json_boolean(self, server, warm):
+        def mine(**fields):
+            return server._handle_line(json.dumps(
+                dict({"op": "mine", "min_support": 5.0}, **fields)
+            ).encode())
+
+        session = server.session
+        first = mine()
+        assert first["ok"] and first["passes"] > 0
+        before = session.queries, session.counter.passes
+        refused = mine(warm=warm)
+        assert not refused["ok"] and "warm" in refused["error"], refused
+        assert (session.queries, session.counter.passes) == before
+        assert mine(warm=False)["passes"] > 0
+        stored = mine()
+        assert stored["passes"] == 0 and stored["mfs"] == first["mfs"]
+
     def test_repeated_rules_reply_is_identical(self, server):
         first = request(server.socket_path, RULES)
         second = request(server.socket_path, RULES)

@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.cover import CoverIndex
 from repro.core.itemset import is_subset
-from repro.core.lattice import is_antichain, maximal_elements
+from repro.core.lattice import is_antichain
 from repro.core.mfcs import MFCS
 
 itemsets = st.builds(
