@@ -68,9 +68,11 @@ class Apriori:
         Apriori cannot avoid discovering them all.  With long maximal
         itemsets that blow-up makes the run effectively unbounded (the
         phenomenon the paper's Figure 4 measures), so ``time_budget``
-        (seconds, checked before each pass, inside each pass and inside
-        the join) raises :class:`~repro.core.result.MiningTimeout` instead
-        of thrashing.  The engine's deadline is cleared on every exit.
+        (seconds) raises :class:`~repro.core.result.MiningTimeout` instead
+        of thrashing.  The budget is one deadline, checked before each
+        pass, inside each pass and, by the kernel built with it, every
+        256 rows of each join.  The engine's deadline is cleared on every
+        exit.
         """
         threshold, fraction = resolve_threshold(db, min_support, min_count)
         engine, decision = resolve_counter(db, self._engine, counter)
@@ -104,9 +106,10 @@ class Apriori:
         )
         try:
             with run_span:
+                lattice = BitmaskKernel(db.universe, deadline=engine.deadline)
                 levelwise(
-                    db, engine, threshold, BitmaskKernel(db.universe), stats,
-                    supports, all_frequents, obs=obs,
+                    db, engine, threshold, lattice, stats, supports,
+                    all_frequents, obs=obs,
                 )
                 mfs = frozenset(maximal_elements(all_frequents))
                 stats.seconds = time.perf_counter() - started

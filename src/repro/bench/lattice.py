@@ -4,9 +4,9 @@ PR 1's counting engines left candidate generation and MFS/MFCS
 maintenance as the per-pass bottleneck; the bitmask kernel
 (:mod:`repro.core.kernel`) attacks exactly that.  This module measures it
 in isolation: a real Pincer-Search run executes once behind a *recording*
-kernel that journals every lattice operation — joins, prunes, full
-candidate generations, MFS-cover adds and queries, MFCS updates (with
-their ``size_cap``/``work_cap``), removals, and cover probes — and the
+kernel that journals every lattice operation — candidate generations,
+MFS-cover adds and queries, MFCS updates (with their
+``size_cap``/``work_cap``), removals, and cover probes — and the
 journal is then replayed, in order, against each kernel under test with
 per-operation-group wall-clock accumulated.
 
@@ -54,8 +54,6 @@ __all__ = [
 #: operation -> timing group; the first two are the headline groups
 GROUP_OF = {
     "generate": "candidate_generation",
-    "join": "candidate_generation",
-    "prune": "candidate_generation",
     "mfcs_update": "mfcs_maintenance",
     "mfcs_remove": "mfcs_maintenance",
     "mfcs_covers": "mfcs_maintenance",
@@ -70,7 +68,7 @@ class _RecordingCover:
     """MFS-cover proxy journaling mutations and queries.
 
     Only the operations the miners issue directly are journaled; probes a
-    kernel makes *internally* (recovery, pincer-prune, MFCS-gen's
+    kernel makes *internally* (candidate generation's, MFCS-gen's
     ``protected`` checks) go straight to the wrapped cover, because the
     replay re-executes those parent operations whole.
     """
@@ -181,32 +179,6 @@ class RecordingKernel(LatticeKernel):
         self.events.append(("mfcs_init", (items,)))
         return _RecordingMFCS(self._inner.make_mfcs(items), self.events)
 
-    def apriori_join(self, level_frequents, deadline=None):
-        frequents = sorted(level_frequents)
-        self.events.append(("join", (frequents,)))
-        return self._inner.apriori_join(frequents, deadline=deadline)
-
-    def apriori_prune(self, candidates, level_frequents):
-        pending = sorted(candidates)
-        frequents = sorted(level_frequents)
-        self.events.append(("prune", (pending, frequents)))
-        return self._inner.apriori_prune(pending, frequents)
-
-    def recovery(self, level_frequents, mfs, k):
-        frequents = sorted(level_frequents)
-        mfs = getattr(mfs, "_inner", mfs)
-        self.events.append(("recovery", (frequents, sorted(mfs.members), k)))
-        return self._inner.recovery(frequents, mfs, k)
-
-    def pincer_prune(self, candidates, level_frequents, mfs):
-        pending = sorted(candidates)
-        frequents = sorted(level_frequents)
-        mfs = getattr(mfs, "_inner", mfs)
-        self.events.append(
-            ("pincer_prune", (pending, frequents, sorted(mfs.members)))
-        )
-        return self._inner.pincer_prune(pending, frequents, mfs)
-
     def generate_candidates(self, level_frequents, mfs, k):
         frequents = sorted(level_frequents)
         self.events.append(("generate", (frequents, k)))
@@ -259,22 +231,6 @@ def replay_events(
         if op == "generate":
             frequents, k = payload
             result = sorted(kernel.generate_candidates(frequents, cover, k))
-        elif op == "join":
-            result = sorted(kernel.apriori_join(payload[0]))
-        elif op == "prune":
-            result = sorted(kernel.apriori_prune(*payload))
-        elif op == "recovery":
-            frequents, mfs_members, k = payload
-            result = sorted(
-                kernel.recovery(frequents, kernel.make_cover(mfs_members), k)
-            )
-        elif op == "pincer_prune":
-            pending, frequents, mfs_members = payload
-            result = sorted(
-                kernel.pincer_prune(
-                    pending, frequents, kernel.make_cover(mfs_members)
-                )
-            )
         elif op == "mfcs_update":
             infrequents, size_cap, work_cap = payload
             completed = mfcs.update(

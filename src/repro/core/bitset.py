@@ -93,7 +93,6 @@ class ItemUniverse:
         "_bit_mask_of",
         "_mask_cache",
         "_tuple_cache",
-        "full_mask",
     )
 
     def __init__(self, items: Iterable[int]) -> None:
@@ -108,8 +107,6 @@ class ItemUniverse:
         #: mining run or one bench replay), not by the process
         self._mask_cache: Dict[Itemset, int] = {}
         self._tuple_cache: Dict[int, Itemset] = {}
-        #: mask with every universe bit set (the top of the lattice)
-        self.full_mask = (1 << len(self._items)) - 1
 
     # ------------------------------------------------------------------
     # container protocol
@@ -155,12 +152,11 @@ class ItemUniverse:
         """Uncached encode; None for out-of-universe itemsets.
 
         The interning caches are a win for itemsets that recur across
-        passes (frequents, MFCS elements) but a loss for the candidate
-        fire-hose: pruning probes millions of itemsets that are seen once
-        and thrown away, and interning each would pay two dict writes per
-        probe and grow the caches without bound.  Tuple candidates, cover
-        probes and MFCS-gen's infrequent batches encode through this
-        method instead.
+        passes (frequents, MFCS elements) but a loss for probes that are
+        seen once and thrown away: interning each would pay two dict
+        writes per probe and grow the caches without bound.  Cover probes
+        and MFCS-gen's infrequent batches encode through this method
+        instead.
         """
         mask = 0
         bit_mask_of = self._bit_mask_of
@@ -176,26 +172,22 @@ class ItemUniverse:
         cached = self._tuple_cache.get(mask)
         if cached is not None:
             return cached
-        decoded = self.raw_itemset_of(mask)
-        self._tuple_cache[mask] = decoded
-        self._mask_cache.setdefault(decoded, mask)
-        return decoded
-
-    def raw_itemset_of(self, mask: int) -> Itemset:
-        """Uncached decode of an itemset seen once (see
-        :meth:`raw_mask_of`)."""
         items = self._items
-        decoded = []
+        found = []
         # bits_of inlined: its generator resumes cost a third of the
         # decode.  Built from a list, the tuple is allocated at its size;
         # from a generator it is allocated large and shrunk, which
         # fragments the small-object heap (+0.9 MB peak RSS on the
         # ledger's fig3 cells)
-        while mask:
-            low = mask & -mask
-            decoded.append(items[low.bit_length() - 1])
-            mask ^= low
-        return tuple(decoded)
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            found.append(items[low.bit_length() - 1])
+            remaining ^= low
+        decoded = tuple(found)
+        self._tuple_cache[mask] = decoded
+        self._mask_cache.setdefault(decoded, mask)
+        return decoded
 
     def masks_of(self, itemsets: Iterable[Itemset]) -> List[int]:
         """Encode a family of itemsets."""

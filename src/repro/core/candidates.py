@@ -17,35 +17,28 @@ Three building blocks from the paper's Sections 3.3 and 3.4:
   (amendment A3 in DESIGN.md; without it the paper's own Figure 2 example
   would lose the recovered candidate again).
 
-These free functions are the *tuple reference* semantics.  The miners call
-them through a pluggable :class:`~repro.core.kernel.LatticeKernel`: the
-default bitmask kernel reimplements each hot path as interned-mask algebra
-and is differentially tested against this module (DESIGN.md §8), so any
-behavioural change here must be mirrored there.
+These free functions are the *tuple reference* semantics.
+:class:`~repro.core.kernel.TupleKernel` runs :func:`generate_candidates`
+for the miners; the default bitmask kernel reimplements that one call as
+a pass over interned masks and is differentially tested against it, call
+by call (DESIGN.md §8), so any behavioural change here must be mirrored
+there.  :mod:`repro.borders` and :mod:`repro.rules` call
+:func:`apriori_join` directly.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, Set
 
-from .._types import CountingDeadline
 from .cover import as_cover
 from .itemset import Itemset, k_subsets
 
 
-def apriori_join(
-    level_frequents: Iterable[Itemset],
-    deadline: "float | None" = None,
-) -> Set[Itemset]:
+def apriori_join(level_frequents: Iterable[Itemset]) -> Set[Itemset]:
     """The join procedure of Apriori-gen.
 
     All inputs must share one length ``k``; the result is the set of
     ``(k+1)``-itemsets formed from pairs with a common ``(k-1)``-prefix.
-
-    ``deadline`` (a ``time.perf_counter`` timestamp) lets time-budgeted
-    miners abort a combinatorially exploding join; exceeding it raises
-    :class:`~repro.db.counting.CountingDeadline`.
 
     >>> sorted(apriori_join([(1, 2), (1, 3), (2, 3)]))
     [(1, 2, 3)]
@@ -59,12 +52,6 @@ def apriori_join(
     prefix_length = lengths.pop() - 1
     candidates: Set[Itemset] = set()
     for index, first in enumerate(ordered):
-        if (
-            deadline is not None
-            and index % 256 == 0
-            and time.perf_counter() > deadline
-        ):
-            raise CountingDeadline("join passed its deadline")
         for second in ordered[index + 1:]:
             if first[:prefix_length] != second[:prefix_length]:
                 break  # sorted order: no later itemset shares the prefix

@@ -297,17 +297,6 @@ class MaskCover:
         mask = self._universe.raw_mask_of(probe)
         return mask is not None and self.covers_mask(mask)
 
-    def covers_strictly(self, probe: Itemset) -> bool:
-        """True iff some member is a *proper* superset of ``probe``."""
-        mask = self._universe.raw_mask_of(probe)
-        if mask is None:
-            return False
-        matches = self._matches_mask(mask)
-        slot = self._slot_of.get(mask)
-        if slot is not None:
-            matches &= ~(1 << slot)
-        return matches != 0
-
     def supersets_of(self, probe: Itemset) -> List[Itemset]:
         mask = self._universe.raw_mask_of(probe)
         if mask is None:

@@ -7,6 +7,9 @@ canonical-tuple vocabulary (:mod:`repro.core.itemset`), whose subset tests
 and ``k``-subset enumerations are linear-in-``k`` tuple churn per probe.
 
 A :class:`LatticeKernel` bundles those hot paths behind one interface:
+factories for the cover and MFCS structures, and one generation call,
+``generate_candidates``, which both pass loops build every level with
+(:func:`~repro.core.pincer.levelwise` hands it an empty MFS).
 
 :class:`BitmaskKernel`
     The production kernel.  A per-run
@@ -16,18 +19,14 @@ A :class:`LatticeKernel` bundles those hot paths behind one interface:
     * ``generate_candidates`` runs the join, the recovery and the new
       prune as one pass over masks.  The join buckets each ``L_k`` mask
       under itself less its highest bit (its ``(k-1)``-prefix) and ORs
-      every two final bits of a bucket onto it; recovery ORs onto each
-      ``L_k`` mask the bits of an MFS member above its prefix, found
-      with one cover probe per prefix; the prune tests each
-      ``k``-subset by clearing one bit (``mask ^ bit``), against the
-      frequent masks first and the MFS cover at most once per distinct
-      subset.  Only the survivors are decoded into tuples, so the
-      joined-but-pruned fire-hose never touches the interning caches;
-    * ``apriori_join``, ``recovery``, ``apriori_prune`` and
-      ``pincer_prune`` are thin tuple adapters over the same three
-      helpers; unpruned candidates are decoded uncached, and tuple
-      candidates are encoded uncached
-      (:meth:`~repro.core.bitset.ItemUniverse.raw_mask_of`);
+      every two final bits of a bucket onto it, checking the kernel's
+      ``deadline`` every 256 rows; recovery ORs onto each ``L_k`` mask
+      the bits of an MFS member above its prefix, found with one cover
+      probe per prefix; the prune tests each ``k``-subset by clearing
+      one bit (``mask ^ bit``), against the frequent masks first and the
+      MFS cover at most once per distinct subset.  Only the survivors
+      are decoded into tuples, so the joined-but-pruned fire-hose never
+      touches the interning caches;
     * the MFS and MFCS families live in a
       :class:`~repro.core.cover.MaskCover` — the inverted cover index
       rebuilt on masks, with O(1) lazy discards and scrub-on-reuse
@@ -39,19 +38,20 @@ A :class:`LatticeKernel` bundles those hot paths behind one interface:
     Everything behind it is masks of its universe.  After pass 1 the
     miner narrows that universe to the frequent items
     (:meth:`BitmaskKernel.restricted`).  A frequent itemset
-    naming an outside item raises :class:`KeyError`; a candidate naming
-    one is dropped, since one of its subsets is neither frequent nor
-    covered.  An MFS passed as anything but the kernel's own MaskCover
-    is indexed into one once per call.
+    naming an outside item raises :class:`KeyError`.  An MFS passed as
+    anything but the kernel's own MaskCover is indexed into one once
+    per call.
 
 :class:`TupleKernel`
-    The seed behaviour, verbatim: the free functions of
-    :mod:`repro.core.candidates` plus :class:`~repro.core.cover.CoverIndex`
-    families.  Kept as the differential-testing reference.
+    The seed behaviour, verbatim:
+    :func:`repro.core.candidates.generate_candidates` plus
+    :class:`~repro.core.cover.CoverIndex` families.  Kept as the
+    differential-testing reference.
 
 Both kernels consume and produce plain canonical tuples — masks never
-escape — so every API keeps its types and the two kernels are
-interchangeable, which the differential tests exploit.  One output is
+escape — so every API keeps its types, and the differential tests check
+the two call by call on inputs that keep the generation contract
+(:meth:`LatticeKernel.generate_candidates`).  One output is
 lazy: the bitmask kernel's level 2 (``generate_candidates`` at k = 1) is
 a :class:`~repro.db.base.PairLevel`, L1's items standing for their
 pairs, which ``len()``s, iterates and compares as the tuple kernel's
@@ -71,7 +71,7 @@ from .._types import CountingDeadline
 from ..db.base import PairLevel
 from . import candidates as _tuple_ops
 from .bitset import ItemUniverse, bits_of, popcount
-from .cover import CoverIndex, MaskCover, as_cover, mask_cover_of
+from .cover import CoverIndex, MaskCover, mask_cover_of
 from .itemset import Itemset
 from .mfcs import MFCS
 
@@ -91,9 +91,9 @@ DEFAULT_KERNEL = "bitmask"
 class LatticeKernel:
     """Interface of a lattice kernel (see module docstring).
 
-    Concrete kernels provide candidate generation (join, prune, recovery)
-    and factories for the cover/MFCS structures whose query cost the
-    kernel controls.  All methods speak canonical tuples.
+    Concrete kernels provide one candidate-generation call and factories
+    for the cover/MFCS structures whose query cost the kernel controls.
+    All methods speak canonical tuples.
     """
 
     name = "abstract"
@@ -122,53 +122,28 @@ class LatticeKernel:
         """
         return self
 
-    def apriori_join(
-        self,
-        level_frequents: Iterable[Itemset],
-        deadline: "float | None" = None,
-    ) -> Set[Itemset]:
-        raise NotImplementedError
-
-    def apriori_prune(
-        self,
-        candidates: Iterable[Itemset],
-        level_frequents: Iterable[Itemset],
-    ) -> Set[Itemset]:
-        raise NotImplementedError
-
-    def recovery(
-        self,
-        level_frequents: Iterable[Itemset],
-        mfs: Iterable[Itemset],
-        k: int,
-    ) -> Set[Itemset]:
-        raise NotImplementedError
-
-    def pincer_prune(
-        self,
-        candidates: Iterable[Itemset],
-        level_frequents: Iterable[Itemset],
-        mfs: Iterable[Itemset],
-    ) -> Set[Itemset]:
-        raise NotImplementedError
-
     def generate_candidates(
         self,
         level_frequents: Iterable[Itemset],
         mfs: Iterable[Itemset],
         k: int,
     ) -> "Set[Itemset] | PairLevel":
-        """Pincer-Search's full candidate generation: join+recovery+prune.
+        """Pincer-Search's candidate generation for level ``k + 1``: the
+        join, the recovery and the new prune in one call.  With an empty
+        ``mfs`` it is Apriori-gen's join and prune.
+
+        Contract: ``level_frequents`` holds no itemset an ``mfs`` member
+        covers, as the miner's ``L_k`` does (it drops them).  Every
+        candidate contains an ``L_k`` member, a join parent or the ``Y``
+        recovery extends, so no candidate is covered either, and a kernel
+        may skip Observation 2's check on the candidates.  A caller that
+        breaks the contract may get covered candidates back; a miner
+        counts them for nothing and gets the same answer.
 
         At k = 1 a kernel may hand level 2 over as a lazy
         :class:`~repro.db.base.PairLevel` (the bitmask kernel does).
         """
-        frequents = list(level_frequents)
-        mfs_cover = as_cover(mfs)
-        found = self.apriori_join(frequents)
-        if mfs_cover and frequents:
-            found |= self.recovery(frequents, mfs_cover, k)
-        return self.pincer_prune(found, frequents, mfs_cover)
+        raise NotImplementedError
 
 
 class TupleKernel(LatticeKernel):
@@ -185,30 +160,31 @@ class TupleKernel(LatticeKernel):
     def make_mfcs_from(self, elements: Iterable[Itemset]) -> MFCS:
         return MFCS(elements)
 
-    def apriori_join(self, level_frequents, deadline=None):
-        return _tuple_ops.apriori_join(level_frequents, deadline=deadline)
-
-    def apriori_prune(self, candidates, level_frequents):
-        return _tuple_ops.apriori_prune(candidates, set(level_frequents))
-
-    def recovery(self, level_frequents, mfs, k):
-        return _tuple_ops.recovery(level_frequents, mfs, k)
-
-    def pincer_prune(self, candidates, level_frequents, mfs):
-        return _tuple_ops.pincer_prune(candidates, set(level_frequents), mfs)
+    def generate_candidates(self, level_frequents, mfs, k):
+        return _tuple_ops.generate_candidates(level_frequents, mfs, k)
 
 
 class BitmaskKernel(LatticeKernel):
-    """Interned-bitmask kernel over one run's :class:`ItemUniverse`."""
+    """Interned-bitmask kernel over one run's :class:`ItemUniverse`.
+
+    ``deadline`` (a ``time.perf_counter`` timestamp) bounds the join:
+    past it, generation raises
+    :class:`~repro.db.counting.CountingDeadline`.
+    :class:`~repro.algorithms.apriori.Apriori` sets it from its time
+    budget.
+    """
 
     name = "bitmask"
 
-    def __init__(self, universe: Iterable[int]) -> None:
+    def __init__(
+        self, universe: Iterable[int], deadline: "float | None" = None
+    ) -> None:
         self.universe = (
             universe
             if isinstance(universe, ItemUniverse)
             else ItemUniverse(universe)
         )
+        self.deadline = deadline
 
     def make_cover(self, members: Iterable[Itemset] = ()) -> MaskCover:
         return MaskCover(self.universe, members)
@@ -237,35 +213,6 @@ class BitmaskKernel(LatticeKernel):
     # candidate generation: one join, one recovery and one prune, on masks
     # ------------------------------------------------------------------
 
-    def apriori_join(self, level_frequents, deadline=None):
-        """The join of :meth:`generate_candidates`, on tuples."""
-        frequents = list(level_frequents)
-        if len({len(itemset_) for itemset_ in frequents}) > 1:
-            raise ValueError("join requires itemsets of a single length")
-        level = set(self.universe.masks_of(frequents))
-        joined = self._join(self._buckets(level), deadline)
-        return set(map(self.universe.raw_itemset_of, joined))
-
-    def apriori_prune(self, candidates, level_frequents):
-        return self._prune_itemsets(candidates, level_frequents, None)
-
-    def recovery(self, level_frequents, mfs, k):
-        """The recovery of :meth:`generate_candidates`, on tuples."""
-        if k < 1:
-            raise ValueError("recovery needs a positive pass number")
-        frequents = list(level_frequents)
-        if any(len(itemset_) != k for itemset_ in frequents):
-            raise ValueError("recovery expects %d-itemsets in L_k" % k)
-        level = set(self.universe.masks_of(frequents))
-        mfs_cover = mask_cover_of(self.universe, mfs)
-        recovered = self._recover(self._buckets(level), mfs_cover, k)
-        return set(map(self.universe.raw_itemset_of, recovered))
-
-    def pincer_prune(self, candidates, level_frequents, mfs):
-        return self._prune_itemsets(
-            candidates, level_frequents, mask_cover_of(self.universe, mfs)
-        )
-
     def generate_candidates(self, level_frequents, mfs, k):
         """Join + recovery + new prune in one pass over masks; only the
         survivors are decoded.  Level 2 (k = 1) comes back as a lazy
@@ -277,7 +224,7 @@ class BitmaskKernel(LatticeKernel):
             return self._pair_level(frequents, mfs_cover)
         level = set(self.universe.masks_of(frequents))
         buckets = self._buckets(level)
-        found = self._join(buckets)
+        found = self._join(buckets, self.deadline)
         if mfs_cover:
             found |= self._recover(buckets, mfs_cover, k)
         itemset_of = self.universe.itemset_of
@@ -301,11 +248,12 @@ class BitmaskKernel(LatticeKernel):
 
     @staticmethod
     def _join(
-        buckets: Dict[int, List[int]], deadline: "float | None" = None
+        buckets: Dict[int, List[int]], deadline: "float | None"
     ) -> Set[int]:
         """Apriori-gen's join: ``prefix | a | b`` for every two final bits
         of one bucket.  Each candidate has one such split (its two
-        highest bits), so nothing is emitted twice."""
+        highest bits), so nothing is emitted twice.  ``deadline`` is
+        checked every 256 rows."""
         joined: Set[int] = set()
         update = joined.update
         rows = 0
@@ -352,22 +300,17 @@ class BitmaskKernel(LatticeKernel):
 
     @staticmethod
     def _prune(
-        candidates: Iterable[int],
-        level: Set[int],
-        mfs_cover: Optional[MaskCover],
+        candidates: Iterable[int], level: Set[int], mfs_cover: MaskCover
     ) -> List[int]:
         """The new prune (§3.4, amendment A3) on masks; Apriori-gen's
-        prune when ``mfs_cover`` is None or empty.
+        prune when ``mfs_cover`` is empty.
 
         Every ``k``-subset must be in ``level`` or under an MFS member.
         Subsets are tested against ``level`` first, and the cover is
-        probed at most once per distinct subset.  Once all of them have
-        passed, the candidate is dropped if a member covers it
-        (Observation 2).  Such a member covers the candidate's subset
-        without its highest bit too, so that subset is probed first: it
-        is shared by the candidates one join row emits, and a miner's
-        ``L_k`` holds no covered itemset, so the candidate itself is
-        rarely probed.
+        probed at most once per distinct subset.  The candidate itself
+        is never probed: under the contract of
+        :meth:`LatticeKernel.generate_candidates` no candidate is
+        covered, so Observation 2 cannot drop one.
         """
         covers_mask = mfs_cover.covers_mask if mfs_cover else None
         covered: Dict[int, bool] = {}
@@ -388,29 +331,8 @@ class BitmaskKernel(LatticeKernel):
                 if not known:
                     break
             else:
-                if covers_mask is not None:
-                    parent = candidate ^ (1 << (candidate.bit_length() - 1))
-                    known = covered.get(parent)
-                    if known is None:
-                        known = covered[parent] = covers_mask(parent)
-                    if known and covers_mask(candidate):
-                        continue
                 kept.append(candidate)
         return kept
-
-    def _prune_itemsets(self, candidates, level_frequents, mfs_cover):
-        """:meth:`_prune` for tuple candidates, which come back as given."""
-        level = set(self.universe.masks_of(level_frequents))
-        raw_mask_of = self.universe.raw_mask_of
-        by_mask = {}
-        for candidate in candidates:
-            mask = raw_mask_of(candidate)
-            # a candidate naming an outside item has a subset that is
-            # neither frequent nor covered
-            if mask is not None:
-                by_mask[mask] = candidate
-        kept = self._prune(by_mask, level, mfs_cover)
-        return {by_mask[mask] for mask in kept}
 
     def _pair_level(self, frequents, mfs_cover: MaskCover) -> PairLevel:
         """Level 2 as a :class:`PairLevel`, with no pair built.

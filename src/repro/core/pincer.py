@@ -584,8 +584,9 @@ def levelwise(
 ) -> None:
     """Apriori's levelwise loop, with a count cache and a frequency oracle.
 
-    Level ``k + 1`` joins the frequent ``k``-itemsets and prunes the
-    joins with an infrequent ``k``-subset (Observation 1); level 2 is the
+    Level ``k + 1`` is ``lattice.generate_candidates`` over the frequent
+    ``k``-itemsets with an empty MFS: Apriori-gen's join, less the joins
+    with an infrequent ``k``-subset (Observation 1); level 2 is the
     lazy :class:`~repro.db.base.PairLevel` over the frequent items.  A
     candidate is classified without the database when ``supports``
     already holds its count, or when it is uncounted and ``known`` (a
@@ -600,8 +601,10 @@ def levelwise(
     maintaining the MFCS, with its counts and its MFS as the oracle,
     resuming after ``level`` (whose frequent itemsets must all be in
     ``frequents``) or, at 0, rebuilding from level 1.  A set
-    ``engine.deadline`` is checked before each level and inside the join;
-    passing it raises :class:`~repro.db.counting.CountingDeadline`.
+    ``engine.deadline`` is checked before each level, and a
+    :class:`~repro.core.kernel.BitmaskKernel` built with a ``deadline``
+    checks it inside the join; passing either raises
+    :class:`~repro.db.counting.CountingDeadline`.
     """
     progress = obs.progress
     current = sorted(f for f in frequents if len(f) == level) if level else []
@@ -610,15 +613,9 @@ def levelwise(
             candidates = first_level_candidates(db.universe)
         else:
             with obs.span("generate"):
-                if level == 1:
-                    candidates = as_level(
-                        lattice.generate_candidates(current, (), 1)
-                    )
-                else:
-                    joined = lattice.apriori_join(
-                        current, deadline=engine.deadline
-                    )
-                    candidates = sorted(lattice.apriori_prune(joined, current))
+                candidates = as_level(
+                    lattice.generate_candidates(current, (), level)
+                )
         if not candidates:
             return
         level += 1

@@ -30,7 +30,6 @@ class TestItemUniverse:
         assert universe.items == (10, 20, 30)
         assert universe.mask_of((10,)) == 0b001
         assert universe.mask_of((30,)) == 0b100
-        assert universe.full_mask == 0b111
         assert len(universe) == 3
         assert 20 in universe and 40 not in universe
 

@@ -1,11 +1,13 @@
 """Tests for the time-budget / deadline machinery."""
 
+import importlib
 import time
+from itertools import combinations
 
 import pytest
 
 from repro.algorithms.apriori import Apriori
-from repro.core.candidates import apriori_join
+from repro.core.kernel import BitmaskKernel
 from repro.core.result import MiningTimeout
 from repro.db.counting import CountingDeadline, available_engines, get_counter
 from repro.db.transaction_db import TransactionDatabase
@@ -47,16 +49,41 @@ class TestEngineDeadline:
 
 
 class TestJoinDeadline:
+    """The bitmask kernel's join checks the deadline the kernel was built
+    with every 256 rows."""
+
+    #: every pair over 30 items: 406 join rows, 4,060 candidates
+    LEVEL = list(combinations(range(30), 2))
+
     def test_expired_deadline_aborts_join(self):
-        level = [(item,) for item in range(500)]
+        kernel = BitmaskKernel(range(600), deadline=time.perf_counter() - 1.0)
         with pytest.raises(CountingDeadline):
-            apriori_join(level, deadline=time.perf_counter() - 1.0)
+            kernel.generate_candidates(self.LEVEL, (), 2)
 
     def test_future_deadline_is_harmless(self):
-        result = apriori_join(
-            [(1, 2), (1, 3)], deadline=time.perf_counter() + 60.0
+        kernel = BitmaskKernel(range(600), deadline=time.perf_counter() + 60.0)
+        assert kernel.generate_candidates(self.LEVEL, (), 2) == set(
+            combinations(range(30), 3)
         )
-        assert result == {(1, 2, 3)}
+
+    def test_apriori_builds_its_kernel_with_its_budget(self, monkeypatch):
+        deadlines = []
+
+        class Spy(BitmaskKernel):
+            def __init__(self, universe, deadline=None):
+                super().__init__(universe, deadline)
+                deadlines.append(deadline)
+
+        # the package re-exports the function apriori under the module's
+        # name, so the module is fetched by its import path
+        module = importlib.import_module("repro.algorithms.apriori")
+        monkeypatch.setattr(module, "BitmaskKernel", Spy)
+        db = TransactionDatabase([[1, 2, 3]] * 5 + [[4]] * 2)
+        started = time.perf_counter()
+        Apriori().mine(db, 0.3, time_budget=60.0)
+        Apriori().mine(db, 0.3)
+        assert deadlines[0] == pytest.approx(started + 60.0, abs=5.0)
+        assert deadlines[1] is None
 
 
 class TestAprioriBudgetEndToEnd:

@@ -1,7 +1,8 @@
 """Differential tests: bitmask lattice kernel vs the tuple reference.
 
-The two kernels must agree operation by operation on any input drawn
-from the run's universe, whatever form the MFS takes — the bitmask
+The two kernels must agree call by call on any input drawn from the
+run's universe that keeps the generation contract (``L_k`` holds no
+itemset the MFS covers), whatever form the MFS takes — the bitmask
 kernel is a pure performance substitution.  These tests drive them side
 by side on randomized lattice states and on the edge cases the miners
 are known to produce; ``TestOutsideItems`` pins the bitmask kernel's
@@ -15,12 +16,12 @@ from itertools import combinations
 
 import pytest
 
-from repro._types import CountingDeadline
 from repro.algorithms.apriori import Apriori, apriori
 from repro.algorithms.partitioned import PartitionedPincerMiner
 from repro.algorithms.topdown import TopDown
 from repro.bench.experiments import ExperimentSpec, build_database
 from repro.cli import build_parser
+from repro.core.candidates import apriori_join, apriori_prune, recovery
 from repro.core.cover import CoverIndex, MaskCover
 from repro.core.kernel import (
     DEFAULT_KERNEL,
@@ -35,6 +36,7 @@ from repro.core.mfcs import MFCS
 from repro.core.pincer import PincerSearch, pincer_search
 from repro.core.predicate import PredicatePincer
 from repro.core.session import MiningSession
+from repro.db.counting import CountingDeadline
 from repro.db.transaction_db import TransactionDatabase
 
 UNIVERSE = list(range(1, 16))
@@ -133,82 +135,53 @@ class TestEndToEnd:
 
 class TestDifferentialCandidateGeneration:
     def test_join_randomized(self):
+        # Apriori-gen's join and prune, the levelwise path: one call with
+        # an empty MFS, handed over as nothing or as an empty cover
         rng = random.Random(11)
         tuple_kernel, bitmask_kernel = both_kernels()
-        for k in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4, 5):
             for _ in range(10):
                 level = random_level(rng, k, rng.randint(0, 25))
-                assert tuple_kernel.apriori_join(level) == (
-                    bitmask_kernel.apriori_join(level)
-                ), level
-
-    def test_join_rejects_mixed_lengths(self):
-        _, bitmask_kernel = both_kernels()
-        with pytest.raises(ValueError):
-            bitmask_kernel.apriori_join([(1,), (1, 2)])
-
-    def test_prune_randomized(self):
-        rng = random.Random(12)
-        tuple_kernel, bitmask_kernel = both_kernels()
-        for k in (2, 3, 4):
-            for _ in range(10):
-                level = random_level(rng, k, 20)
-                candidates = random_level(rng, k + 1, 15)
-                assert tuple_kernel.apriori_prune(candidates, level) == (
-                    bitmask_kernel.apriori_prune(candidates, level)
-                )
-
-    def test_recovery_randomized(self):
-        rng = random.Random(13)
-        tuple_kernel, bitmask_kernel = both_kernels()
-        for k in (2, 3):
-            for _ in range(10):
-                level = sorted(random_level(rng, k, 12))
-                mfs = sorted(random_level(rng, k + 2, 4))
-                expected = tuple_kernel.recovery(
-                    level, tuple_kernel.make_cover(mfs), k
-                )
-                for family in mfs_forms(bitmask_kernel, mfs):
-                    assert bitmask_kernel.recovery(level, family, k) == (
-                        expected
-                    )
-
-    def test_pincer_prune_randomized(self):
-        rng = random.Random(14)
-        tuple_kernel, bitmask_kernel = both_kernels()
-        for k in (2, 3):
-            for _ in range(10):
-                level = random_level(rng, k, 15)
-                candidates = random_level(rng, k + 1, 12)
-                mfs = random_level(rng, k + 2, 3)
-                expected = tuple_kernel.pincer_prune(
-                    candidates, level, tuple_kernel.make_cover(mfs)
-                )
-                for family in mfs_forms(bitmask_kernel, mfs):
-                    assert bitmask_kernel.pincer_prune(
-                        candidates, level, family
-                    ) == expected
+                expected = tuple_kernel.generate_candidates(level, (), k)
+                for family in ((), bitmask_kernel.make_cover()):
+                    assert bitmask_kernel.generate_candidates(
+                        level, family, k
+                    ) == expected, level
 
     def test_generate_candidates_randomized(self):
+        # the draws ignore the contract: where L_k holds an itemset the
+        # MFS covers, a candidate may be covered too, and the bitmask
+        # kernel, which leaves Observation 2 out, may keep it
         rng = random.Random(15)
         tuple_kernel, bitmask_kernel = both_kernels()
+        kept = broken = 0
         for k in (1, 2, 3):
             for _ in range(10):
                 level = random_level(rng, k, 12)
                 mfs = random_level(rng, k + 2, 3)
+                reference = tuple_kernel.make_cover(mfs)
                 expected = tuple_kernel.generate_candidates(
-                    level, tuple_kernel.make_cover(mfs), k
+                    level, reference, k
                 )
+                keeps_contract = not any(map(reference.covers, level))
+                kept += keeps_contract
                 for family in mfs_forms(bitmask_kernel, mfs):
-                    assert bitmask_kernel.generate_candidates(
-                        level, family, k
-                    ) == expected
+                    found = set(
+                        bitmask_kernel.generate_candidates(level, family, k)
+                    )
+                    assert found >= expected
+                    assert all(map(reference.covers, found - expected))
+                    broken += found != expected
+                    if keeps_contract:
+                        assert found == expected
+        assert kept and broken
 
 
 class TestMinerShapedStates:
     """Generation on wide universes, from states shaped like a mine's:
-    every adapter and ``generate_candidates`` against the tuple kernel,
-    on the kernel the miner builds and on its pass-1 narrowing."""
+    ``generate_candidates`` against the tuple kernel, with the mine's MFS
+    and with none, on the kernel the miner builds and on its pass-1
+    narrowing."""
 
     @pytest.mark.parametrize("cutoff", [MaskCover._PROBE_CUTOFF, 1])
     def test_generation_matches_the_tuple_kernel(self, monkeypatch, cutoff):
@@ -218,49 +191,44 @@ class TestMinerShapedStates:
         rng = random.Random(41)
         tuple_kernel = TupleKernel()
         recovered_any = covered_any = False
-        for trial in range(24):
+        for trial in range(30):
             universe = list(range(1, rng.randint(70, 200)))
-            k = 2 + trial % 4
+            k = 1 + trial % 5
             level, mfs = miner_state(rng, universe, k)
             wide = BitmaskKernel(universe)
             used = {item for member in level for item in member}
             used.update(item for member in mfs for item in member)
             narrowed = wide.restricted(used | set(rng.sample(universe, 5)))
             assert len(narrowed.universe) < len(wide.universe)
-            joined = tuple_kernel.apriori_join(level)
-            recovered = tuple_kernel.recovery(
-                level, tuple_kernel.make_cover(mfs), k
-            )
+            joined = apriori_join(level)
+            recovered = recovery(level, mfs, k)
             expected = tuple_kernel.generate_candidates(
                 level, tuple_kernel.make_cover(mfs), k
             )
+            levelwise = tuple_kernel.generate_candidates(level, (), k)
             recovered_any |= bool(recovered - joined)
-            covered_any |= expected != tuple_kernel.apriori_prune(
+            covered_any |= expected != apriori_prune(
                 joined | recovered, level
             )
             for kernel in (wide, narrowed):
-                assert kernel.apriori_join(level) == joined
-                assert kernel.apriori_prune(joined, level) == (
-                    tuple_kernel.apriori_prune(joined, level)
-                )
+                assert kernel.generate_candidates(level, (), k) == levelwise
                 for family in mfs_forms(kernel, mfs):
-                    assert kernel.recovery(level, family, k) == recovered
-                    assert kernel.pincer_prune(
-                        joined | recovered, level, family
-                    ) == expected
                     assert kernel.generate_candidates(
                         level, family, k
                     ) == expected, (k, level, mfs)
         assert recovered_any and covered_any
 
     def test_join_honours_its_deadline(self):
-        kernel = BitmaskKernel(range(600))
-        level = [(item,) for item in range(500)]
+        # one join bucket (the prefix (0,)) with 499 tails: past the
+        # 256-row check
+        level = [(0, item) for item in range(1, 500)]
+        expired = BitmaskKernel(range(600), deadline=time.perf_counter() - 1.0)
         with pytest.raises(CountingDeadline):
-            kernel.apriori_join(level, deadline=time.perf_counter() - 1.0)
-        assert len(kernel.apriori_join(
-            level[:3], deadline=time.perf_counter() + 60.0
-        )) == 3
+            expired.generate_candidates(level, (), 2)
+        future = BitmaskKernel(range(600), deadline=time.perf_counter() + 60.0)
+        assert future.generate_candidates(
+            list(combinations(range(4), 2)), (), 2
+        ) == set(combinations(range(4), 3))
 
     def test_only_survivors_are_decoded(self):
         rng = random.Random(42)
@@ -277,9 +245,7 @@ class TestMinerShapedStates:
             before = len(cache)
             found = kernel.generate_candidates(level, cover, k)
             assert len(cache) - before <= len(found)
-            built = kernel.apriori_join(level) | kernel.recovery(
-                level, cover, k
-            )
+            built = apriori_join(level) | recovery(level, mfs, k)
             pruned += len(built) - len(found)
         assert pruned > 0
 
@@ -290,28 +256,12 @@ class TestOutsideItems:
     def test_foreign_frequent_itemset_raises(self):
         _, bitmask_kernel = both_kernels()
         level = {(1, 2), (1, 99), (2, 99)}  # 99 is outside the universe
-        with pytest.raises(KeyError):
-            bitmask_kernel.apriori_prune({(1, 2, 3)}, level)
-        with pytest.raises(KeyError):
-            bitmask_kernel.pincer_prune(
-                {(1, 2, 3)}, level, bitmask_kernel.make_cover()
-            )
+        for mfs in ((), bitmask_kernel.make_cover([(3, 4, 5)])):
+            with pytest.raises(KeyError):
+                bitmask_kernel.generate_candidates(level, mfs, 2)
         # an MFS member is a frequent itemset too
         with pytest.raises(KeyError):
-            bitmask_kernel.pincer_prune({(1, 2, 3)}, {(1, 2)}, [(1, 99)])
-
-    def test_foreign_candidate_is_dropped(self):
-        # (1, 99) is a subset of the candidate (1, 2, 99) that is neither
-        # frequent nor covered, so the tuple reference drops it as well
-        tuple_kernel, bitmask_kernel = both_kernels()
-        level = {(1, 2), (1, 3), (2, 3)}
-        candidates = {(1, 2, 3), (1, 2, 99)}
-        mfs = [(4, 5, 6)]
-        assert bitmask_kernel.apriori_prune(candidates, level) == {(1, 2, 3)}
-        for kernel in (tuple_kernel, bitmask_kernel):
-            assert kernel.pincer_prune(
-                candidates, level, kernel.make_cover(mfs)
-            ) == {(1, 2, 3)}
+            bitmask_kernel.generate_candidates({(1, 2)}, [(1, 99)], 2)
 
 
 class TestEdgeCases:
@@ -319,8 +269,10 @@ class TestEdgeCases:
         tuple_kernel, bitmask_kernel = both_kernels()
         level = {(1, 2), (1, 3), (2, 3)}
         for kernel in (tuple_kernel, bitmask_kernel):
-            result = kernel.generate_candidates(level, kernel.make_cover(), 2)
-            assert result == {(1, 2, 3)}
+            for mfs in ((), kernel.make_cover()):
+                assert kernel.generate_candidates(level, mfs, 2) == {
+                    (1, 2, 3)
+                }
 
     def test_pair_shortcut_matches_reference(self):
         # k == 1 with empty MFS takes the bitmask kernel's join-only
@@ -334,23 +286,19 @@ class TestEdgeCases:
         )
 
     def test_mfs_elements_shorter_than_k_plus_one(self):
-        # pincer_prune drops candidates covered by the MFS; an MFS element
-        # *shorter* than the candidates must never match
-        tuple_kernel, bitmask_kernel = both_kernels()
-        level = {(1, 2), (1, 3), (2, 3)}
+        # (2, 3) is known frequent through the MFS, whose members are
+        # shorter than the candidate (1, 2, 3): neither may cover it
+        level = {(1, 2), (1, 3)}
         mfs = [(1,), (2, 3)]
-        assert tuple_kernel.pincer_prune(
-            {(1, 2, 3)}, level, tuple_kernel.make_cover(mfs)
-        ) == bitmask_kernel.pincer_prune(
-            {(1, 2, 3)}, level, bitmask_kernel.make_cover(mfs)
-        )
+        for kernel in both_kernels():
+            assert kernel.generate_candidates(
+                level, kernel.make_cover(mfs), 2
+            ) == {(1, 2, 3)}
 
     def test_empty_level(self):
         for kernel in both_kernels():
-            assert kernel.apriori_join([]) == set()
-            assert kernel.generate_candidates([], kernel.make_cover(), 3) == (
-                set()
-            )
+            for mfs in ((), kernel.make_cover()):
+                assert kernel.generate_candidates([], mfs, 3) == set()
 
 
 class TestMaskNativeMFCS:

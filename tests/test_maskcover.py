@@ -57,13 +57,6 @@ class TestMaskQueries:
         assert cover.covers((1, 2, 3))
         assert not cover.covers((1, 4))
 
-    def test_covers_strictly_excludes_equality(self):
-        cover = fresh([(1, 2)])
-        assert not cover.covers_strictly((1, 2))
-        assert cover.covers_strictly((1,))
-        cover.add((1, 2, 3))
-        assert cover.covers_strictly((1, 2))
-
     def test_supersets_of(self):
         cover = fresh([(1, 2), (1, 2, 3), (4, 5)])
         assert sorted(cover.supersets_of((1, 2))) == [(1, 2), (1, 2, 3)]
@@ -134,9 +127,6 @@ class TestLazyDiscardAndSlotReuse:
                 assert mask_cover.add(member) == reference.add(member)
             probe = rng.choice(pool)
             assert mask_cover.covers(probe) == reference.covers(probe)
-            assert mask_cover.covers_strictly(probe) == (
-                reference.covers_strictly(probe)
-            )
             assert sorted(mask_cover.supersets_of(probe)) == sorted(
                 reference.supersets_of(probe)
             )
@@ -159,7 +149,6 @@ class TestOutsideItems:
         cover = fresh([(1, 2), (1, 2, 3)])
         for probe in [(100,), (1, 100), (1, 2, 100)]:
             assert not cover.covers(probe)
-            assert not cover.covers_strictly(probe)
             assert cover.supersets_of(probe) == []
             assert probe not in cover
             assert not cover.discard(probe)

@@ -354,3 +354,51 @@ class TestRecoveredCount:
         )
         for support in supports:
             self.checked_mine(monkeypatch, db, support / 100.0)
+
+
+class TestGenerationContract:
+    """No ``L_k`` a miner hands ``generate_candidates`` holds an itemset
+    its MFS covers, which is what lets the bitmask kernel leave
+    Observation 2's check on the candidates out."""
+
+    @staticmethod
+    def checking_kernel(db, calls):
+        from repro.core.cover import as_cover
+        from repro.core.kernel import BitmaskKernel
+
+        class Checking(BitmaskKernel):
+            def generate_candidates(self, level_frequents, mfs, k):
+                frequents = list(level_frequents)
+                cover = as_cover(mfs)
+                assert not [f for f in frequents if cover.covers(f)], k
+                calls.append((len(frequents), len(cover)))
+                return super().generate_candidates(frequents, mfs, k)
+
+        return Checking(db.universe)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pure_adaptive_warm_and_top_down_mines(self, seed):
+        calls = []
+        # the top-down mine starts from every item, so it runs on the
+        # 12-item database only
+        for db, top_down in (
+            (planted_db(seed), False),
+            (planted_db(seed, items=12), True),
+        ):
+            for support, lower in ((0.3, 0.2), (0.2, 0.12), (0.12, 0.08)):
+                reference = PincerSearch(kernel="tuple").mine(db, support).mfs
+                family = sorted(PincerSearch().mine(db, lower).mfs)
+                runs = [
+                    (AlwaysMaintain(), {}),
+                    (None, {}),
+                    (AlwaysMaintain(), {"initial_mfcs": family}),
+                ]
+                if top_down:
+                    runs.append((None, {"bottom_up": False}))
+                for policy, options in runs:
+                    miner = PincerSearch(
+                        policy=policy, kernel=self.checking_kernel(db, calls)
+                    )
+                    assert miner.mine(db, support, **options).mfs == reference
+        # the contract was checked where it can fail: a level and an MFS
+        assert any(level and mfs for level, mfs in calls)
